@@ -69,6 +69,7 @@ from .solver import (
     locate_resonances,
     width_estimate,
 )
+from .verify import Check, Run
 from .window import (
     Bump,
     PerturbationProfile,

@@ -117,12 +117,22 @@ def _anchor_values(window):
             edge_reduced_value(c.hi_endpoint.side, c.band_index))
 
 
-def delta_kappa(window, bands=None, profile=None):
-    """Net reduced-momentum jump across the well, in units of pi.
+def _anchored(window, phi0):
+    """Phi_w = Phi0 - v_hi*zeta0+ + v_lo*zeta0-."""
+    v_lo, v_hi = _anchor_values(window)
+    return phi0 - v_hi * window.compact.hi + v_lo * window.compact.lo
 
-    Integer-valued, from edge bookkeeping only. The bands/profile
-    arguments are accepted for signature symmetry and not used.
-    """
+
+def _boundary_term(window):
+    """Moving-endpoint part of Phi0': v_hi/W'(zeta0+) - v_lo/W'(zeta0-)."""
+    c = window.compact
+    v_lo, v_hi = _anchor_values(window)
+    return v_hi / c.hi_endpoint.w_prime - v_lo / c.lo_endpoint.w_prime
+
+
+def delta_kappa(window):
+    """Net reduced-momentum jump across the well in units of pi; an
+    integer from edge bookkeeping only."""
     _require_h6(window, "delta_kappa")
     v_lo, v_hi = _anchor_values(window)
     dk = round((v_hi - v_lo) / math.pi)
@@ -205,29 +215,18 @@ def phase_integral_derivative(window, bands, profile, nodes=64, buffer=0.1):
     Gauss-Legendre on the buffer panels converges spectrally.
     """
     _require_h6(window, "phase_integral_derivative")
-    c = window.compact
     interior = well_phase_derivative(window, bands, profile, nodes, buffer)
-    v_lo, v_hi = _anchor_values(window)
-    boundary = v_hi / c.hi_endpoint.w_prime - v_lo / c.lo_endpoint.w_prime
-    return boundary + interior
+    return _boundary_term(window) + interior
 
 
-def well_phase(window, bands, profile, nodes=64, buffer=0.1,
-               with_error=False):
+def well_phase(window, bands, profile, nodes=64, buffer=0.1):
     """Phi_w(E): the endpoint-anchored phase of the quantization condition.
 
     Phi_w = Phi0 - v_hi*zeta0+ + v_lo*zeta0-. Real resonance positions
     solve Phi_w(E) = -pi*delta_kappa*zeta + eps*(pi/2 + pi*l), l integer.
     """
     _require_h6(window, "well_phase")
-    c = window.compact
-    v_lo, v_hi = _anchor_values(window)
-    phi0 = phase_integral(window, bands, profile, nodes, buffer,
-                          with_error=with_error)
-    if with_error:
-        phi0, err = phi0
-        return phi0 - v_hi * c.hi + v_lo * c.lo, err
-    return phi0 - v_hi * c.hi + v_lo * c.lo
+    return _anchored(window, phase_integral(window, bands, profile, nodes, buffer))
 
 
 def well_phase_derivative(window, bands, profile, nodes=64, buffer=0.1):
@@ -291,9 +290,5 @@ def compute_action_data(window, bands, profile, nodes=64, buffer=0.1):
     dk = delta_kappa(window)
     s_minus, s_plus = actions_pm(window, bands, profile, nodes, buffer)
     wp = well_phase_derivative(window, bands, profile, nodes, buffer)
-    c = window.compact
-    v_lo, v_hi = _anchor_values(window)
-    well = phi0 - v_hi * c.hi + v_lo * c.lo
-    phi0p = (v_hi / c.hi_endpoint.w_prime - v_lo / c.lo_endpoint.w_prime) + wp
     return ActionData(window.energy, phi0, dk, s_minus, s_plus, err,
-                      phi0p, well, wp)
+                      _boundary_term(window) + wp, _anchored(window, phi0), wp)

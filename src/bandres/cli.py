@@ -29,14 +29,9 @@ from .config import RunConfiguration
 from .errors import BandresError, ConfigurationError
 from .hill import band_edges
 from .momentum import isoenergy_portrait
-from .oracle import build_grid_hamiltonian, hill_matrix_band_edges, oracle_spectrum
-from .solver import locate_resonances
+from .oracle import hill_matrix_band_edges
+from .verify import DEFAULT_LADDER, Run, render, verify
 from .window import decompose_window
-
-_LOCALIZED = 0.5          # eigenvector mass fraction that marks a window state
-_RESONANT_LOCALIZED = 0.75
-_STABLE_FRACTION = 0.1    # absorber displacement below this fraction of the width
-_DEFAULT_LADDER = (0.12, 0.10, 0.08, 0.06)
 
 
 def _fmt(x):
@@ -155,19 +150,13 @@ _RESONANCE_HEADER = ("l", "E", "width", "t_plus", "t_minus", "dE_dzeta",
                      "residual")
 
 
-def _solve_table(cfg, bands):
-    win = decompose_window(cfg.profile, bands,
-                           0.5 * (cfg.solver.e_window[0] + cfg.solver.e_window[1]))
-    return locate_resonances(cfg.solver, win, bands, cfg.profile), win
-
-
 def cmd_resonances(cfg, args, outdir):
-    bands = _build_bands(cfg)
+    run = Run(cfg, _build_bands(cfg))
     if args.sweep_zeta is None:
-        table, win = _solve_table(cfg, bands)
+        table = run.ladder()
         _write_csv(os.path.join(outdir, "resonances.csv"), _RESONANCE_HEADER,
                    [r.to_row() for r in table])
-        if win.classification == "H5":
+        if run.window.classification == "H5":
             print("note: monotone transition window, resonance-free; "
                   "empty table written")
         else:
@@ -181,8 +170,7 @@ def cmd_resonances(cfg, args, outdir):
     index_rows = []
     for i in range(n + 1):
         zeta_i = cfg.solver.zeta + eps * i / n
-        sub = cfg.replace_solver(zeta=zeta_i)
-        table, _win = _solve_table(sub, bands)
+        table = run.ladder(zeta=zeta_i)
         name = "resonances_sweep_%03d.csv" % i
         _write_csv(os.path.join(outdir, name), _RESONANCE_HEADER,
                    [r.to_row() for r in table])
@@ -221,20 +209,8 @@ def cmd_portrait(cfg, args, outdir):
     return 0
 
 
-def _run_oracle(cfg, bands, epsilon=None, zeta=None):
-    sol = cfg.solver
-    epsilon = sol.epsilon if epsilon is None else epsilon
-    zeta = sol.zeta if zeta is None else zeta
-    win = decompose_window(cfg.profile, bands, 0.5 * (sol.e_window[0] + sol.e_window[1]))
-    ocfg = cfg.oracle.build(win, epsilon)
-    ham = build_grid_hamiltonian(cfg.potential, cfg.profile, zeta, epsilon,
-                                 ocfg, window=win)
-    return oracle_spectrum(ham, sol.e_window, n_eigs=cfg.oracle.n_eigs), win
-
-
 def cmd_oracle(cfg, args, outdir):
-    bands = _build_bands(cfg)
-    pairs, _win = _run_oracle(cfg, bands)
+    pairs = Run(cfg, _build_bands(cfg)).spectrum()
     rows = [(p.eigenvalue.real, p.eigenvalue.imag, p.stability, p.localization)
             for p in pairs]
     _write_csv(os.path.join(outdir, "oracle.csv"),
@@ -243,203 +219,15 @@ def cmd_oracle(cfg, args, outdir):
     return 0
 
 
-# ---------------------------------------------------------------- verify
-
-def _genuine_resonances(pairs):
-    out = []
-    for p in pairs:
-        width = -2.0 * p.eigenvalue.imag
-        if p.localization <= _RESONANT_LOCALIZED or width <= 0.0:
-            continue
-        if p.stability < _STABLE_FRACTION * width:
-            out.append(p)
-    return out
-
-
-def _window_states(pairs):
-    return [p for p in pairs if p.localization > _LOCALIZED]
-
-
-def _match_offset(solver_e, oracle_e):
-    """Index shift aligning the two sorted position lists."""
-    best, best_cost = 0, math.inf
-    for shift in range(-len(oracle_e), len(oracle_e) + 1):
-        cost, hits = 0.0, 0
-        for i, e in enumerate(solver_e):
-            j = i + shift
-            if 0 <= j < len(oracle_e):
-                cost += abs(e - oracle_e[j])
-                hits += 1
-        if hits:
-            cost /= hits
-            if cost < best_cost:
-                best, best_cost = shift, cost
-    return best
-
-
-def _check_counts_spacings(cfg, bands, lines):
-    table, win = _solve_table(cfg, bands)
-    pairs, _ = _run_oracle(cfg, bands)
-    if cfg.oracle.cap_strength > 0.0:
-        states = _genuine_resonances(pairs)
-    else:
-        states = _window_states(pairs)
-    ok = True
-
-    if win.classification == "H5":
-        empty = not table and not states
-        lines.append(("resonance-free", empty,
-                      "solver %d, oracle %d stable narrow eigenvalue(s)"
-                      % (len(table), len(states))))
-        return empty
-
-    n_s, n_o = len(table), len(states)
-    count_ok = abs(n_s - n_o) <= 1
-    lines.append(("count", count_ok, "solver %d vs oracle %d (|diff| <= 1)"
-                  % (n_s, n_o)))
-    ok &= count_ok
-
-    solver_e = [r.e_real for r in table]
-    oracle_e = sorted(p.eigenvalue.real for p in states)
-    if min(n_s, n_o) >= 3:
-        shift = _match_offset(solver_e, oracle_e)
-        devs = []
-        for i in range(len(solver_e) - 1):
-            j = i + shift
-            if 0 <= j and j + 1 < len(oracle_e):
-                ds = solver_e[i + 1] - solver_e[i]
-                do = oracle_e[j + 1] - oracle_e[j]
-                devs.append(abs(ds - do) / do)
-        if devs:
-            worst = max(devs)
-            spacing_ok = worst <= 0.10
-            lines.append(("spacing", spacing_ok,
-                          "max relative deviation %.2f%% (<= 10%%, shift %d)"
-                          % (100.0 * worst, shift)))
-            ok &= spacing_ok
-        else:
-            lines.append(("spacing", False, "no overlapping spacings to compare"))
-            ok = False
-    else:
-        lines.append(("spacing", None,
-                      "skipped: fewer than 3 states on a side (%d vs %d)"
-                      % (n_s, n_o)))
-    return ok
-
-
-def _check_drift(cfg, bands, lines):
-    table, win = _solve_table(cfg, bands)
-    if win.classification != "H6" or not table:
-        lines.append(("drift", None, "skipped: no solver table"))
-        return True
-    from .actions import delta_kappa as _dk
-    dk = _dk(win)
-    eps = cfg.solver.epsilon
-
-    if dk == 0:
-        moved = 0.0
-        for frac in (1.0 / 3.0, 2.0 / 3.0):
-            other, _ = _solve_table(cfg.replace_solver(zeta=cfg.solver.zeta
-                                                       + frac * eps), bands)
-            by_l = {r.l: r.e_real for r in other}
-            for r in table:
-                if r.l in by_l:
-                    moved = max(moved, abs(by_l[r.l] - r.e_real))
-        still = moved < 1e-10
-        lines.append(("drift", still,
-                      "delta_kappa = 0: max position shift %.2e (< 1e-10)" % moved))
-        return still
-
-    h = eps / 100.0
-    lo_t, _ = _solve_table(cfg.replace_solver(zeta=cfg.solver.zeta - h), bands)
-    hi_t, _ = _solve_table(cfg.replace_solver(zeta=cfg.solver.zeta + h), bands)
-    lo_by, hi_by = ({r.l: r.e_real for r in t} for t in (lo_t, hi_t))
-    devs = []
-    for r in table:
-        if r.l in lo_by and r.l in hi_by:
-            fd = (hi_by[r.l] - lo_by[r.l]) / (2.0 * h)
-            devs.append(abs(fd - r.dE_dzeta) / abs(r.dE_dzeta))
-    if not devs:
-        lines.append(("drift", False, "no level tracked across the zeta step"))
-        return False
-    worst = max(devs)
-    drift_ok = worst <= 0.01
-    lines.append(("drift", drift_ok,
-                  "max relative deviation %.3f%% (<= 1%%) over %d level(s)"
-                  % (100.0 * worst, len(devs))))
-    return drift_ok
-
-
-def _check_width_fit(cfg, bands, ladder, lines):
-    if cfg.oracle.cap_strength <= 0.0:
-        lines.append(("width-fit", None, "skipped: no absorber configured"))
-        return True
-    e_star = 0.5 * (cfg.solver.e_window[0] + cfg.solver.e_window[1])
-    win = decompose_window(cfg.profile, bands, e_star)
-    if win.classification != "H6":
-        lines.append(("width-fit", None,
-                      "skipped: %s window has no tracked level"
-                      % win.classification))
-        return True
-    inv_eps, ln_w, s_refs = [], [], []
-    for eps in ladder:
-        sub = cfg.replace_solver(epsilon=eps)
-        table, _ = _solve_table(sub, bands)
-        if not table:
-            lines.append(("width-fit", False,
-                          "no solver level at epsilon=%g" % eps))
-            return False
-        tracked = min(table, key=lambda r: abs(r.e_real - e_star))
-        pairs, _ = _run_oracle(sub, bands, epsilon=eps)
-        genuine = _genuine_resonances(pairs)
-        if not genuine:
-            lines.append(("width-fit", False,
-                          "no stable narrow eigenvalue at epsilon=%g" % eps))
-            return False
-        hit = min(genuine, key=lambda p: abs(p.eigenvalue.real - tracked.e_real))
-        width = -2.0 * hit.eigenvalue.imag
-        inv_eps.append(1.0 / eps)
-        ln_w.append(math.log(width))
-        s_refs.append(min(tracked.s_minus, tracked.s_plus))
-    slope = float(np.polyfit(inv_eps, ln_w, 1)[0])
-    s_ref = float(np.mean(s_refs))
-    dev = abs(slope + s_ref) / s_ref
-    fit_ok = dev <= 0.15
-    lines.append(("width-fit", fit_ok,
-                  "slope %.5f vs -min(S-,S+) = %.5f: deviation %.1f%% (<= 15%%)"
-                  % (slope, -s_ref, 100.0 * dev)))
-    return fit_ok
-
-
 def cmd_verify(cfg, args, outdir):
-    bands = _build_bands(cfg)
-    lines = []
-    ok = True
-    try:
-        ok &= _check_counts_spacings(cfg, bands, lines)
-        ok &= _check_drift(cfg, bands, lines)
-        ladder = tuple(args.epsilon_ladder) if args.epsilon_ladder else _DEFAULT_LADDER
-        ok &= _check_width_fit(cfg, bands, ladder, lines)
-    except BandresError as exc:
-        lines.append(("aborted", False, str(exc)))
-        ok = False
-        _emit_report(lines, ok, outdir)
-        return 2 if isinstance(exc, ConfigurationError) else 1
-    _emit_report(lines, ok, outdir)
-    return 0 if ok else 1
-
-
-def _emit_report(lines, ok, outdir):
-    out = ["verify report"]
-    for name, status, detail in lines:
-        tag = "SKIP" if status is None else ("PASS" if status else "FAIL")
-        out.append("  %-15s %-4s  %s" % (name, tag, detail))
-    out.append("overall %s" % ("PASS" if ok else "FAIL"))
-    text = "\n".join(out) + "\n"
+    checks, code = verify(Run(cfg, _build_bands(cfg)),
+                          args.epsilon_ladder or DEFAULT_LADDER)
+    text = render(checks)
     sys.stdout.write(text)
     with open(os.path.join(outdir, "verify_report.txt"), "w",
               encoding="utf-8", newline="") as fh:
         fh.write(text)
+    return code
 
 
 # ---------------------------------------------------------------- wiring

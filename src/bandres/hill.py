@@ -148,9 +148,6 @@ class MonodromyMatrix:
     def det(self):
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def as_array(self):
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
     def __repr__(self):
         return "MonodromyMatrix(%r, %r, %r, %r)" % (self.m11, self.m12, self.m21, self.m22)
 

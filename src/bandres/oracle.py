@@ -29,6 +29,7 @@ from .errors import ConfigurationError, OracleError
 MAX_GRID_POINTS = 32000
 MIN_POINTS_PER_PERIOD = 32
 _EDGE_CONVERGENCE_TOL = 1e-8
+_ARPACK_START_SEED = 0   # one fixed start vector; ARPACK's own changes every solve
 
 
 class HillEdgeResult:
@@ -227,11 +228,12 @@ def _cap_eigensolve(handle, e_window, n_eigs, shifts):
     a = handle.as_sparse()
     n = handle.diag.size
     k = min(n_eigs, n - 2)
+    v0 = np.random.default_rng(_ARPACK_START_SEED).standard_normal(n).astype(a.dtype)
     found_vals = []
     found_vecs = []
     for sigma in shifts:
         try:
-            vals, vecs = eigs(a, k=k, sigma=complex(sigma))
+            vals, vecs = eigs(a, k=k, sigma=complex(sigma), v0=v0)
         except ArpackNoConvergence as exc:
             raise OracleError("shift-invert eigensolver failed to converge "
                               "(N=%d, sigma=%r)" % (n, sigma)) from exc

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .actions import (compute_action_data, tunneling_coefficients,
+from .actions import (compute_action_data, delta_kappa, tunneling_coefficients,
                       well_phase, well_phase_derivative)
 from .errors import (ComputationError, ConfigurationError,
                      UnsupportedConfigurationError)
@@ -100,13 +100,13 @@ class ResonanceEstimate:
                 self.dE_dzeta, self.residual)
 
 
-def width_estimate(estimate, actions, epsilon, c0=1.0):
+def width_estimate(actions, epsilon, c0=1.0):
     """Width eps*c0*(t+ + t-) of a positioned resonance; 0 for bound states."""
     t = tunneling_coefficients(actions, epsilon)
     return epsilon * c0 * t.t
 
 
-def drift_slope(estimate, actions):
+def drift_slope(actions):
     """dE^l/dzeta = -pi*delta_kappa / Phi_w'; exactly 0 when delta_kappa = 0."""
     if actions.delta_kappa == 0:
         return 0.0
@@ -166,8 +166,7 @@ def locate_resonances(cfg, window, bands, profile):
         raise UnsupportedConfigurationError(
             "well phase not monotone over the energy window")
 
-    from .actions import delta_kappa as _dk
-    dk = _dk(analyze(grid[0])[0])
+    dk = delta_kappa(analyze(grid[0])[0])
     lo_val, hi_val = float(min(phis[0], phis[-1])), float(max(phis[0], phis[-1]))
     base = -math.pi * dk * cfg.zeta + cfg.epsilon * math.pi / 2.0
     step = cfg.epsilon * math.pi
@@ -211,8 +210,8 @@ def locate_resonances(cfg, window, bands, profile):
         data = compute_action_data(w, bands, profile, cfg.nodes, cfg.buffer)
         t = tunneling_coefficients(data, cfg.epsilon)
         out.append(ResonanceEstimate(
-            l, e, cfg.epsilon * cfg.c0 * t.t, t.t_plus, t.t_minus,
-            drift_slope(None, data), abs(fe),
+            l, e, width_estimate(data, cfg.epsilon, cfg.c0), t.t_plus,
+            t.t_minus, drift_slope(data), abs(fe),
             s_minus=data.s_minus, s_plus=data.s_plus, phase=phi_e,
             phase_prime=data.well_prime, underflowed=t.underflowed))
     out.sort(key=lambda r: r.l)

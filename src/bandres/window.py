@@ -98,10 +98,6 @@ class PerturbationProfile:
         widths = [b.width for b in self.bumps]
         return min(1.0, min(widths)) if widths else 1.0
 
-    @property
-    def cone_constant(self):
-        return 2.0 / self.analyticity_height
-
     def singularities(self):
         """Poles/branch points of the analytic continuation."""
         out = [1j, -1j]

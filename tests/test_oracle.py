@@ -141,6 +141,14 @@ class TestAbsorber:
             assert p.eigenvalue.imag <= 1e-9
             assert p.stability >= 0.0 and math.isfinite(p.stability)
 
+    def test_repeated_solves_are_identical(self, mathieu, wall_profile):
+        cfg = OracleConfig(40.0, 2559, cap_strength=1.0, cap_onset=0.7)
+        handle = build_grid_hamiltonian(mathieu, wall_profile, 0.0, 0.1, cfg)
+        first, again = (oracle_spectrum(handle, (3.6, 4.2), n_eigs=30)
+                        for _ in range(2))
+        assert [p.eigenvalue for p in first] == [p.eigenvalue for p in again]
+        assert [p.stability for p in first] == [p.stability for p in again]
+
 
 class TestFourierEdges:
     def test_mathieu_certified(self, mathieu, mathieu_bands):

@@ -5,7 +5,6 @@ import pytest
 from bandres import (
     ConfigurationError,
     PerturbationProfile,
-    ResonanceEstimate,
     SolverConfig,
     UnsupportedConfigurationError,
     decompose_window,
@@ -98,7 +97,7 @@ class TestQuantization:
             assert math.isinf(r.s_minus) and math.isfinite(r.s_plus)
             w = decompose_window(wall_profile, mathieu_bands, r.e_real)
             data = compute_action_data(w, mathieu_bands, wall_profile)
-            assert width_estimate(r, data, cfg.epsilon, cfg.c0) == \
+            assert width_estimate(data, cfg.epsilon, cfg.c0) == \
                 pytest.approx(r.width, rel=1e-9)
 
     def test_bound_well_has_zero_width(self, mathieu_bands, bound_profile):
@@ -155,8 +154,7 @@ class TestDrift:
     def test_slope_helper(self, mathieu_bands, drift_profile):
         w = decompose_window(drift_profile, mathieu_bands, 9.8)
         data = compute_action_data(w, mathieu_bands, drift_profile)
-        est = ResonanceEstimate(0, 9.8, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert drift_slope(est, data) == pytest.approx(
+        assert drift_slope(data) == pytest.approx(
             -math.pi / data.well_prime, rel=1e-12)
 
 
