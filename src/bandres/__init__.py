@@ -76,9 +76,7 @@ from .window import (
     SpectralWindow,
     WindowComponent,
     WindowEndpoint,
-    classify_energy,
     decompose_window,
-    evaluate_profile,
 )
 
 __version__ = "0.1.0"

@@ -33,7 +33,9 @@ Conventions:
 All integrands have square-root behavior at component endpoints (simple
 band-edge crossings), removed exactly by the zeta = endpoint +/- u^2
 substitution on buffer panels; interior panels use plain Gauss-Legendre.
-Quadrature error is estimated by node doubling.
+Every integral uses 2*nodes points per panel; only
+phase_integral(with_error=True) also runs the nodes rule, and reports
+the difference as its quadrature error.
 """
 
 from __future__ import annotations
@@ -61,24 +63,19 @@ def _gl_panel(f, a, b, n):
     return half * float(np.dot(w, f(0.5 * (a + b) + half * x)))
 
 
-def _edge_resolved_quad(f, a, b, nodes, buffer):
-    """Integrate f over [a, b] with sqrt endpoint behavior at both ends."""
+def _edge_resolved_quad(f, a, b, n, buffer):
+    """Integrate f over [a, b] with sqrt endpoint behavior at both ends,
+    n Gauss-Legendre nodes on each of the four panels."""
     if not b > a:
         raise InternalConsistencyError("empty integration segment [%g, %g]" % (a, b))
     d = buffer * (b - a)
     u_left = math.sqrt(d)
-
-    def run(n):
-        total = _gl_panel(lambda u: 2.0 * u * f(a + u * u), 0.0, u_left, n)
-        m = 0.5 * (a + b)
-        total += _gl_panel(f, a + d, m, n)
-        total += _gl_panel(f, m, b - d, n)
-        total += _gl_panel(lambda u: 2.0 * u * f(b - u * u), 0.0, u_left, n)
-        return total
-
-    coarse = run(nodes)
-    fine = run(2 * nodes)
-    return fine, abs(fine - coarse)
+    total = _gl_panel(lambda u: 2.0 * u * f(a + u * u), 0.0, u_left, n)
+    m = 0.5 * (a + b)
+    total += _gl_panel(f, a + d, m, n)
+    total += _gl_panel(f, m, b - d, n)
+    total += _gl_panel(lambda u: 2.0 * u * f(b - u * u), 0.0, u_left, n)
+    return total
 
 
 def _require_h6(window, op):
@@ -100,10 +97,13 @@ def phase_integral(window, bands, profile, nodes=64, buffer=0.1,
     def integrand(z):
         return reduced_momentum(bands.k_band_fast(energy - profile(z), n), n)
 
-    value, err = _edge_resolved_quad(integrand, c.lo, c.hi, nodes, buffer)
+    value = _edge_resolved_quad(integrand, c.lo, c.hi, 2 * nodes, buffer)
     if value <= 0.0:
         raise InternalConsistencyError("Phi0 = %g not positive" % value)
-    return (value, err) if with_error else value
+    if not with_error:
+        return value
+    coarse = _edge_resolved_quad(integrand, c.lo, c.hi, nodes, buffer)
+    return value, abs(value - coarse)
 
 
 def _anchor_values(window):
@@ -160,7 +160,7 @@ def actions_pm(window, bands, profile, nodes=64, buffer=0.1):
         if math.isinf(a) or math.isinf(b):
             out.append(math.inf)
             continue
-        value, _err = _edge_resolved_quad(gamma, a, b, nodes, buffer)
+        value = _edge_resolved_quad(gamma, a, b, 2 * nodes, buffer)
         if value <= 0.0:
             raise InternalConsistencyError("barrier action %g not positive" % value)
         out.append(2.0 * value)
@@ -247,7 +247,7 @@ def well_phase_derivative(window, bands, profile, nodes=64, buffer=0.1):
     def integrand(z):
         return sign * bands.kprime_fast(energy - profile(z), n)
 
-    value, _err = _edge_resolved_quad(integrand, c.lo, c.hi, nodes, buffer)
+    value = _edge_resolved_quad(integrand, c.lo, c.hi, 2 * nodes, buffer)
     if value == 0.0:
         raise InternalConsistencyError("dPhi_w/dE vanished on a band")
     return value

@@ -130,9 +130,17 @@ def cmd_window(cfg, args, outdir):
     return 0
 
 
+_RESONANCE_FREE = "note: monotone transition window, resonance-free; empty table written"
+
+
 def cmd_actions(cfg, args, outdir):
     bands = _build_bands(cfg)
     lo, hi = cfg.solver.e_window
+    header = ("E", "Phi0", "delta_kappa", "S_minus", "S_plus")
+    if decompose_window(cfg.profile, bands, _mid_energy(cfg, args)).classification == "H5":
+        _write_csv(os.path.join(outdir, "actions.csv"), header, [])
+        print(_RESONANCE_FREE)
+        return 0
     rows = []
     for e in np.linspace(lo, hi, args.grid_points):
         win = decompose_window(cfg.profile, bands, float(e))
@@ -140,8 +148,7 @@ def cmd_actions(cfg, args, outdir):
                                    cfg.solver.nodes, cfg.solver.buffer)
         rows.append((data.energy, data.phi0, data.delta_kappa,
                      data.s_minus, data.s_plus))
-    _write_csv(os.path.join(outdir, "actions.csv"),
-               ("E", "Phi0", "delta_kappa", "S_minus", "S_plus"), rows)
+    _write_csv(os.path.join(outdir, "actions.csv"), header, rows)
     print("%d action rows written to %s" % (len(rows), outdir))
     return 0
 
@@ -157,8 +164,7 @@ def cmd_resonances(cfg, args, outdir):
         _write_csv(os.path.join(outdir, "resonances.csv"), _RESONANCE_HEADER,
                    [r.to_row() for r in table])
         if run.window.classification == "H5":
-            print("note: monotone transition window, resonance-free; "
-                  "empty table written")
+            print(_RESONANCE_FREE)
         else:
             print("%d resonance(s) written to %s" % (len(table), outdir))
         return 0

@@ -15,8 +15,11 @@ Conventions used throughout the package:
   Complex energies in the upper half plane keep Im k > 0; the lower half
   plane is reached by reflection through the bands, k(conj E) = conj k(E).
 
-All objects are immutable after construction and safe to share across
-threads; every function here is pure.
+Every object here is immutable after construction except BandStructure,
+which caches a Chebyshev table of D. ensure_table rebuilds that table
+over a wider range when a request reaches lower energies, and the
+table-backed values then move in their last digits (about 1e-10
+relative for dk/dE); no lock guards the rebuild.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from .errors import (
 )
 
 _SCAN_DENSITY = 40          # energy grid points per unit during the edge scan
+_SCAN_TOL = 1e-10           # ODE tolerance of the edge scan, kept as BandStructure.tol
+_REFINE_TOL = 2.5e-13       # ODE tolerance of edge and extremum bisection
 _CLOSED_GAP_WIDTH = 1e-7    # narrower gaps are merged and flagged closed
 _BISECT_ITERATIONS = 50
 _TABLE_RTOL = 1e-12
@@ -89,9 +94,9 @@ class PeriodicPotential:
         xa = np.asarray(x, dtype=float)
         out = np.full(xa.shape, self.mean)
         if self._ac.size:
-            out = out + np.tensordot(self._ac, np.cos(np.multiply.outer(self._wc, xa)), axes=1)
+            out = out + np.cos(np.multiply.outer(xa, self._wc)) @ self._ac
         if self._as.size:
-            out = out + np.tensordot(self._as, np.sin(np.multiply.outer(self._ws, xa)), axes=1)
+            out = out + np.sin(np.multiply.outer(xa, self._ws)) @ self._as
         return out if out.shape else float(out)
 
     def lower_bound(self):
@@ -247,7 +252,7 @@ def _vector_bisect(potential, lo, hi, tol, target=None, on_derivative=False):
     return 0.5 * (lo + hi)
 
 
-def band_edges(potential, e_max, tol=1e-10):
+def band_edges(potential, e_max):
     """Scan [lower bound, e_max] for band edges and assemble a BandStructure.
 
     Simple roots of D = +/-2 are caught by a sign scan (40 points per unit
@@ -258,8 +263,7 @@ def band_edges(potential, e_max, tol=1e-10):
     merged to a double edge and flagged closed (resolution floor well
     below the 1e-7 closed-gap width threshold for generic potentials).
     """
-    refine_tol = max(tol * 1e-3, 2.5e-13)
-    merge_tol = 40.0 * refine_tol
+    merge_tol = 40.0 * _REFINE_TOL
     # irrational sub-cell shift keeps grid points off exact edges (e.g. the
     # free potential has an edge at E=0 where D-2 vanishes identically)
     e_lo = potential.lower_bound() - 0.5 - 0.6180339887 / _SCAN_DENSITY
@@ -268,7 +272,7 @@ def band_edges(potential, e_max, tol=1e-10):
                           % (e_max, e_lo))
     n_grid = int(math.ceil((e_max - e_lo) * _SCAN_DENSITY)) + 1
     grid = np.linspace(e_lo, e_max, n_grid)
-    D, Dp = discriminant_with_derivative(potential, grid, tol)
+    D, Dp = discriminant_with_derivative(potential, grid, _SCAN_TOL)
     D = D.real
     Dp = Dp.real
 
@@ -281,15 +285,15 @@ def band_edges(potential, e_max, tol=1e-10):
         hits = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
         if hits.size:
             pos = _vector_bisect(potential, grid[hits], grid[hits + 1],
-                                 refine_tol, target=family)
+                                 _REFINE_TOL, target=family)
             roots.extend((float(p), family) for p in pos)
 
     # extremum of D inside every gap: bisect on D'
     flips = np.nonzero(np.sign(Dp[:-1]) * np.sign(Dp[1:]) < 0)[0]
     if flips.size:
         ext = _vector_bisect(potential, grid[flips], grid[flips + 1],
-                             refine_tol, on_derivative=True)
-        d_ext = discriminant_many(potential, ext, refine_tol).real
+                             _REFINE_TOL, on_derivative=True)
+        d_ext = discriminant_many(potential, ext, _REFINE_TOL).real
         for i, (e_star, d_star) in enumerate(zip(ext, d_ext)):
             family = 2.0 if d_star > 0 else -2.0
             excess = abs(d_star) - 2.0
@@ -307,9 +311,9 @@ def band_edges(potential, e_max, tol=1e-10):
                 # inside this cell, so the sign scan saw nothing and both
                 # crossings bracket the extremum
                 left = _vector_bisect(potential, [lo_g], [float(e_star)],
-                                      refine_tol, target=family)
+                                      _REFINE_TOL, target=family)
                 right = _vector_bisect(potential, [float(e_star)], [hi_g],
-                                       refine_tol, target=family)
+                                       _REFINE_TOL, target=family)
                 roots.append((float(left[0]), family))
                 roots.append((float(right[0]), family))
 
@@ -354,7 +358,7 @@ def band_edges(potential, e_max, tol=1e-10):
                       "genericity assumption fails" % closed, stacklevel=2)
 
     return BandStructure(edges=edges, open_gap_flags=flags, e_max=float(e_max),
-                         tol=float(tol), potential=potential,
+                         tol=_SCAN_TOL, potential=potential,
                          next_band_start=next_band_start)
 
 
@@ -367,7 +371,7 @@ class DiscriminantTable:
     batched propagation; self-validated on off-node probe points.
     """
 
-    def __init__(self, potential, breakpoints, rtol=_TABLE_RTOL):
+    def __init__(self, potential, breakpoints):
         bp = [float(b) for b in breakpoints]
         breaks = [bp[0]]
         for b in bp[1:]:
@@ -383,7 +387,7 @@ class DiscriminantTable:
             a, b = self.breaks[i], self.breaks[i + 1]
             nodes.append(0.5 * (a + b) + 0.5 * (b - a) * xu)
         all_nodes = np.concatenate(nodes)
-        D, Dp = discriminant_with_derivative(potential, all_nodes, rtol)
+        D, Dp = discriminant_with_derivative(potential, all_nodes, _TABLE_RTOL)
         D = D.real
         Dp = Dp.real
         self._coef_d = []
@@ -399,15 +403,12 @@ class DiscriminantTable:
             a, b = self.breaks[i], self.breaks[i + 1]
             probes.append(np.linspace(a, b, 9)[1:-1])
         probes = np.concatenate(probes)
-        ref = discriminant_many(potential, probes, rtol).real
+        ref = discriminant_many(potential, probes, _TABLE_RTOL).real
         err = np.max(np.abs(self.value(probes) - ref) / np.maximum(1.0, np.abs(ref)))
         self.validation_error = float(err)
         if err > 1e-7:
             raise InternalConsistencyError(
                 "discriminant table validation error %.3e" % err)
-
-    def covers(self, lo, hi):
-        return self.breaks[0] - 1e-9 <= lo and hi <= self.breaks[-1] + 1e-9
 
     def _piece_of(self, e):
         e = np.asarray(e, dtype=float)
@@ -497,28 +498,12 @@ class BandStructure:
         raise EnergyRangeError("E=%.12g beyond scanned bands (ceiling %.12g)"
                                % (e, self.gap_ceiling))
 
-    def contains(self, e):
-        kind, _ = self.locate(e)
-        return kind == "band"
-
-    def contains_many(self, e):
-        e = np.asarray(e, dtype=float)
-        if e.size and e.max() > self.gap_ceiling + 1e-12:
-            raise EnergyRangeError("E=%.12g beyond scanned bands (ceiling %.12g)"
-                                   % (e.max(), self.gap_ceiling))
-        pos = np.searchsorted(self.edges, e, side="right")
-        inside = pos % 2 == 1
-        return inside | np.isin(e, self.edges)
-
     # --- fast real-axis evaluation through the cached discriminant ---
 
-    def ensure_table(self, lo=None, hi=None):
-        lo = self.edges[0] - 5.0 if lo is None else float(lo)
-        hi = self.gap_ceiling if hi is None else float(hi)
-        if hi > self.gap_ceiling + 1e-9:
-            raise EnergyRangeError("table request up to %g beyond ceiling %g"
-                                   % (hi, self.gap_ceiling))
-        if self._table is None or not self._table.covers(lo, hi):
+    def ensure_table(self, lo):
+        """The table over [lo, gap_ceiling], rebuilt when lo lies below it."""
+        lo = float(lo)
+        if self._table is None or lo < self._table.breaks[0] - 1e-9:
             new_lo = min(lo, self.edges[0] - 5.0)
             if self._table is not None:
                 new_lo = min(new_lo, self._table.breaks[0])
@@ -599,10 +584,10 @@ class QuasiMomentum:
             self.value, self.band_index, self.on_gap)
 
 
-def _k_real_axis(bands, e, tol):
+def _k_real_axis(bands, e):
     """Closed-form main branch for real energies (direct ODE evaluation)."""
     kind, n = bands.locate(e)
-    d = float(discriminant_many(bands.potential, [e], tol)[0].real)
+    d = float(discriminant_many(bands.potential, [e], bands.tol)[0].real)
     if kind == "band":
         sign = 1.0 if n % 2 == 1 else -1.0
         phi = math.acos(min(1.0, max(-1.0, sign * d / 2.0)))
@@ -611,7 +596,7 @@ def _k_real_axis(bands, e, tol):
     return complex(math.pi * n, gamma), n, True
 
 
-def quasi_momentum_main(bands, energy, tol=None):
+def quasi_momentum_main(bands, energy):
     """Main branch k(E): direct evaluation on the real axis, step-doubling
     path continuation for complex E in the strip |Im E| <= 1.
 
@@ -619,23 +604,22 @@ def quasi_momentum_main(bands, energy, tol=None):
     pi*n + i*gamma with gamma > 0. Reflection k(conj E) = conj k(E) extends
     the branch through the bands to the lower half plane.
     """
-    tol = bands.tol if tol is None else tol
     e = complex(energy)
     if abs(e.imag) > _MAX_IM_ENERGY + 1e-12:
         raise DomainError("|Im E| = %g outside the continuation strip height %g"
                           % (abs(e.imag), _MAX_IM_ENERGY))
     if e.imag == 0.0:
-        val, n, on_gap = _k_real_axis(bands, e.real, tol)
+        val, n, on_gap = _k_real_axis(bands, e.real)
         return QuasiMomentum(val, n, on_gap)
     if e.imag < 0.0:
-        km = quasi_momentum_main(bands, e.conjugate(), tol)
+        km = quasi_momentum_main(bands, e.conjugate())
         return QuasiMomentum(km.value.conjugate(), km.band_index, km.on_gap)
 
-    anchor_val, n, on_gap = _k_real_axis(bands, e.real, tol)
+    anchor_val, n, on_gap = _k_real_axis(bands, e.real)
     n_steps = 16
     while True:
         path = e.real + 1j * np.linspace(0.0, e.imag, n_steps + 1)[1:]
-        dvals = discriminant_many(bands.potential, path, tol)
+        dvals = discriminant_many(bands.potential, path, bands.tol)
         k_prev = complex(anchor_val)
         max_jump = 0.0
         for d in dvals:
@@ -661,15 +645,14 @@ def quasi_momentum_main(bands, energy, tol=None):
     return QuasiMomentum(k_prev, n, on_gap)
 
 
-def quasi_momentum_derivative(bands, energy, tol=None):
+def quasi_momentum_derivative(bands, energy):
     """dk/dE on the main branch, k' = -D' / (2 sin k).
 
     Diverges like |E - E_j|^(-1/2) at band edges; evaluation with
     |sin k| below 1e-9 raises SingularDerivativeError.
     """
-    tol = bands.tol if tol is None else tol
-    km = quasi_momentum_main(bands, energy, tol)
-    _, dp = discriminant_with_derivative(bands.potential, [complex(energy)], tol)
+    km = quasi_momentum_main(bands, energy)
+    _, dp = discriminant_with_derivative(bands.potential, [complex(energy)], bands.tol)
     s = np.sin(km.value)
     if abs(s) < 1e-9:
         raise SingularDerivativeError(

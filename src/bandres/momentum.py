@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (BoundaryCollisionError, DomainError,
                      InternalConsistencyError, NearSingularityError,
                      RootCountError, UnsupportedConfigurationError)
-from .hill import reduced_momentum
+from .hill import edge_reduced_value, reduced_momentum
 
 _NEWTON_SEEDS = (50, 20)
 _NEWTON_STEPS = 40
@@ -68,7 +68,6 @@ def kappa_normalized(window, bands, profile, zeta):
     sign, m = _fold_pair(n)
     if zeta == c.lo or zeta == c.hi:
         side = (c.lo_endpoint if zeta == c.lo else c.hi_endpoint).side
-        from .hill import edge_reduced_value
         return MomentumSample(zeta, edge_reduced_value(side, n), sign, m)
     bands.ensure_table(lo=window.e_range[0] - 1.0)
     k = bands.k_band_fast(window.energy - profile(zeta), n)
@@ -126,8 +125,8 @@ class BranchPointSet:
     def zetas(self):
         return tuple(p.zeta for p in self.points)
 
-    def real_points(self, tol=1e-8):
-        return tuple(p for p in self.points if abs(p.zeta.imag) <= tol)
+    def real_points(self):
+        return tuple(p for p in self.points if abs(p.zeta.imag) <= 1e-8)
 
     def __len__(self):
         return len(self.points)
@@ -233,12 +232,12 @@ def find_branch_points(profile, bands, energy, box):
     return BranchPointSet(energy, points, (re_lo, re_hi, im_lo, im_hi))
 
 
-def _check_conjugation(points, tol=1e-8):
+def _check_conjugation(points):
     for p in points:
         mate = min((abs(q.zeta - p.zeta.conjugate())
                     for q in points if q.edge_index == p.edge_index),
                    default=math.inf)
-        if mate > tol:
+        if mate > 1e-8:
             raise InternalConsistencyError(
                 "branch points not conjugation-symmetric near %r" % p.zeta)
 

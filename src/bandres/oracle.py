@@ -45,7 +45,7 @@ class HillEdgeResult:
         return self.displacement < _EDGE_CONVERGENCE_TOL
 
 
-def _hill_edges_at(potential, m_trunc, theta_values=(0.0, math.pi)):
+def _hill_edges_at(potential, m_trunc):
     idx = np.arange(-m_trunc, m_trunc + 1)
     diff = idx[:, None] - idx[None, :]
     v = np.zeros(diff.shape, dtype=complex)
@@ -54,7 +54,7 @@ def _hill_edges_at(potential, m_trunc, theta_values=(0.0, math.pi)):
         v[diff == m] = potential.fourier_coefficient(m)
         v[diff == -m] = potential.fourier_coefficient(-m)
     merged = []
-    for theta in theta_values:
+    for theta in (0.0, math.pi):
         a = v.copy()
         a[np.diag_indices_from(a)] += (theta + 2.0 * np.pi * idx) ** 2 + potential.mean
         merged.append(np.linalg.eigvalsh(a))
@@ -84,12 +84,11 @@ class OracleConfig:
     """Geometry and absorber settings for the finite-difference box."""
 
     def __init__(self, box_half_length, n_points, cap_strength=0.0,
-                 cap_onset=0.8, boundary="dirichlet"):
+                 cap_onset=0.8):
         self.box_half_length = float(box_half_length)
         self.n_points = int(n_points)
         self.cap_strength = float(cap_strength)
         self.cap_onset = float(cap_onset)
-        self.boundary = boundary
         if self.box_half_length <= 0.0:
             raise ConfigurationError("box_half_length must be positive")
         if self.n_points < 16:
@@ -102,8 +101,6 @@ class OracleConfig:
             raise ConfigurationError("cap_strength must be nonnegative")
         if not 0.0 < self.cap_onset < 1.0:
             raise ConfigurationError("cap_onset must lie in (0, 1)")
-        if self.boundary != "dirichlet":
-            raise ConfigurationError("only Dirichlet boundaries are supported")
         if self.points_per_period < MIN_POINTS_PER_PERIOD - 1e-9:
             raise ConfigurationError(
                 "grid resolves only %.1f points per potential period (need >= %d)"
@@ -135,13 +132,6 @@ class OracleConfig:
         n_points = int(math.ceil(2.0 * half_length * points_per_period)) - 1
         return cls(half_length, n_points, cap_strength=cap_strength,
                    cap_onset=cap_onset)
-
-    def to_dict(self):
-        return {"box_half_length": self.box_half_length,
-                "n_points": self.n_points,
-                "cap_strength": self.cap_strength,
-                "cap_onset": self.cap_onset,
-                "boundary": self.boundary}
 
 
 class GridHamiltonian:
@@ -224,41 +214,30 @@ def _localization(x, vec, region):
     return float(mass[(x >= lo) & (x <= hi)].sum() / total)
 
 
-def _cap_eigensolve(handle, e_window, n_eigs, shifts):
+def _cap_eigensolve(handle, ea, eb, n_eigs):
+    """Shift-invert ARPACK at the window centre; eigenpairs with Re in [ea, eb]."""
     a = handle.as_sparse()
     n = handle.diag.size
-    k = min(n_eigs, n - 2)
+    sigma = 0.5 * (ea + eb)
     v0 = np.random.default_rng(_ARPACK_START_SEED).standard_normal(n).astype(a.dtype)
-    found_vals = []
-    found_vecs = []
-    for sigma in shifts:
-        try:
-            vals, vecs = eigs(a, k=k, sigma=complex(sigma), v0=v0)
-        except ArpackNoConvergence as exc:
-            raise OracleError("shift-invert eigensolver failed to converge "
-                              "(N=%d, sigma=%r)" % (n, sigma)) from exc
-        for j in range(vals.size):
-            lam = complex(vals[j])
-            if any(abs(lam - q) <= 1e-8 * (1.0 + abs(lam)) for q in found_vals):
-                continue
-            found_vals.append(lam)
-            found_vecs.append(vecs[:, j])
-    keep = [j for j, lam in enumerate(found_vals)
-            if e_window[0] <= lam.real <= e_window[1]]
-    return [found_vals[j] for j in keep], [found_vecs[j] for j in keep]
+    try:
+        vals, vecs = eigs(a, k=min(n_eigs, n - 2), sigma=complex(sigma), v0=v0)
+    except ArpackNoConvergence as exc:
+        raise OracleError("shift-invert eigensolver failed to converge "
+                          "(N=%d, sigma=%r)" % (n, sigma)) from exc
+    keep = [j for j in range(vals.size) if ea <= vals[j].real <= eb]
+    return [complex(vals[j]) for j in keep], [vecs[:, j] for j in keep]
 
 
-def oracle_spectrum(handle, e_window, localization_region=None, n_eigs=90,
-                    shifts=None):
+def oracle_spectrum(handle, e_window, n_eigs=90):
     """Eigenpairs of the box operator with Re(E) inside e_window.
 
     With the absorber off this is a complete interval solve of the real
-    tridiagonal matrix. With it on, ARPACK shift-invert runs at one or more
-    interior shifts; each eigenvalue's stability field records its
-    displacement when the run is repeated at half the absorber strength
-    (resonances barely move, box artifacts move at the scale of their
-    width). Localization is the |psi|^2 fraction inside
-    localization_region (box coordinates; defaults to the central half).
+    tridiagonal matrix. With it on, ARPACK shift-invert runs at the window
+    centre; each eigenvalue's stability field records its displacement
+    when the run is repeated at half the absorber strength (resonances
+    barely move, box artifacts move at the scale of their width).
+    Localization is the |psi|^2 fraction inside the central half of the box.
     """
     ea, eb = float(e_window[0]), float(e_window[1])
     if not ea < eb:
@@ -269,9 +248,7 @@ def oracle_spectrum(handle, e_window, localization_region=None, n_eigs=90,
         raise ConfigurationError(
             "energy window top %g too close to the grid kinetic ceiling %g; "
             "refine the grid" % (eb, kinetic_ceiling))
-    region = localization_region
-    if region is None:
-        region = (-cfg.box_half_length / 2.0, cfg.box_half_length / 2.0)
+    region = (-cfg.box_half_length / 2.0, cfg.box_half_length / 2.0)
 
     if cfg.cap_strength == 0.0:
         d = np.asarray(handle.diag, dtype=float)
@@ -284,15 +261,13 @@ def oracle_spectrum(handle, e_window, localization_region=None, n_eigs=90,
                  for j in range(w.size)]
         return sorted(pairs, key=lambda p: p.eigenvalue.real)
 
-    if shifts is None:
-        shifts = [0.5 * (ea + eb)]
-    vals, vecs = _cap_eigensolve(handle, e_window, n_eigs, shifts)
+    vals, vecs = _cap_eigensolve(handle, ea, eb, n_eigs)
     half_cfg = OracleConfig(cfg.box_half_length, cfg.n_points,
                             cap_strength=0.5 * cfg.cap_strength,
-                            cap_onset=cfg.cap_onset, boundary=cfg.boundary)
+                            cap_onset=cfg.cap_onset)
     half_handle = build_grid_hamiltonian(handle.potential, handle.profile,
                                          handle.zeta, handle.epsilon, half_cfg)
-    half_vals, _ = _cap_eigensolve(half_handle, e_window, n_eigs, shifts)
+    half_vals, _ = _cap_eigensolve(half_handle, ea, eb, n_eigs)
     pairs = []
     for lam, vec in zip(vals, vecs):
         if half_vals:

@@ -48,6 +48,7 @@ _SCAN_POINTS = 2000
 _CRITICAL_WPRIME = 1e-6
 _SINGULARITY_GUARD = 1e-6
 _POINT_COMPONENT_WIDTH = 1e-8
+_ENDPOINT_RESIDUAL = 1e-12  # relative |W - level| a refined endpoint must meet
 
 
 class Bump:
@@ -107,6 +108,8 @@ class PerturbationProfile:
         return out
 
     def __call__(self, zeta):
+        """W(zeta); complex arguments are admitted inside the analyticity
+        cone (a near-singularity guard of 1e-6 applies)."""
         z = np.asarray(zeta)
         if np.iscomplexobj(z):
             flat = np.atleast_1d(z)
@@ -160,12 +163,6 @@ class PerturbationProfile:
     def from_dict(cls, d):
         return cls(d.get("mu", 0.0), d.get("nu", 0.0), d.get("bumps", ()),
                    allow_constant=d.get("allow_constant", False))
-
-
-def evaluate_profile(profile, zeta):
-    """W(zeta); complex arguments are admitted inside the analyticity cone
-    (a near-singularity guard of 1e-6 applies)."""
-    return profile(zeta)
 
 
 class WindowEndpoint:
@@ -253,7 +250,7 @@ class SpectralWindow:
                 "e_range": list(self.e_range)}
 
 
-def _root_scan(profile, level, zgrid, wgrid, tol):
+def _root_scan(profile, level, zgrid, wgrid):
     """All transversal solutions of W(zeta) = level on the scan interval."""
     f = wgrid - level
     sgn = np.sign(f)
@@ -263,14 +260,14 @@ def _root_scan(profile, level, zgrid, wgrid, tol):
     for j in cells:
         r = brentq(lambda z: profile(z) - level, zgrid[j], zgrid[j + 1],
                    xtol=1e-13)
-        if abs(profile(r) - level) > tol * (1.0 + abs(level)):
+        if abs(profile(r) - level) > _ENDPOINT_RESIDUAL * (1.0 + abs(level)):
             raise InternalConsistencyError(
                 "endpoint refinement stalled at zeta=%.12g" % r)
         roots.append(float(r))
     return roots
 
 
-def decompose_window(profile, bands, energy, tol=1e-12):
+def decompose_window(profile, bands, energy):
     """Decompose the spectral window of `energy` and classify it.
 
     Crossing points of E - W with every scanned band edge are located on
@@ -311,7 +308,7 @@ def decompose_window(profile, bands, energy, tol=1e-12):
         if level < float(np.min(wgrid)) - tail_slack or \
            level > float(np.max(wgrid)) + tail_slack:
             continue
-        for r in _root_scan(profile, level, zgrid, wgrid, tol):
+        for r in _root_scan(profile, level, zgrid, wgrid):
             wp = profile.derivative(r)
             if abs(wp) < _CRITICAL_WPRIME:
                 raise CriticalEndpointError(
@@ -387,8 +384,3 @@ def decompose_window(profile, bands, energy, tol=1e-12):
                     % (c.band_index, ep.band_index))
 
     return SpectralWindow(energy, components, classification, (e_min, e_max))
-
-
-def classify_energy(profile, bands, energy):
-    """'H5' | 'H6' | 'GENERAL' | 'EMPTY' for this energy's window."""
-    return decompose_window(profile, bands, energy).classification

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -86,6 +87,22 @@ class TestPhaseIntegral:
         fine = phase_integral(drift_window, mathieu_bands, drift_profile,
                               nodes=96)
         assert coarse == pytest.approx(fine, rel=1e-11)
+
+    def test_one_gauss_rule_per_integral(self, drift_window, mathieu_bands,
+                                         drift_profile):
+        # 4 panels of 2*nodes points; only the error estimate adds the nodes rule
+        sizes = []
+
+        def counting(z):
+            sizes.append(np.size(z))
+            return drift_profile(z)
+
+        well_phase(drift_window, mathieu_bands, counting, nodes=64)
+        assert sum(sizes) == 4 * 128
+        sizes.clear()
+        phase_integral(drift_window, mathieu_bands, counting, nodes=64,
+                       with_error=True)
+        assert sum(sizes) == 4 * (128 + 64)
 
 
 class TestEdgeBookkeeping:

@@ -79,6 +79,16 @@ class TestActions:
         assert all(r[2] == "1" for r in data)           # fold jump +1
         assert all(float(r[1]) > 0.0 for r in data)
 
+    def test_transition_window_is_empty_table(self, configs_dir, tmp_path,
+                                              capsys):
+        code, out = run(configs_dir, tmp_path, "actions", STEP)
+        assert code == 0
+        header, data = rows(out / "actions.csv")
+        assert header == "E,Phi0,delta_kappa,S_minus,S_plus"
+        assert data == []
+        assert "monotone transition window, resonance-free" in \
+            capsys.readouterr().out
+
 
 class TestResonances:
     def test_table_and_determinism(self, configs_dir, tmp_path):

@@ -47,8 +47,6 @@ class TestGeometry:
         with pytest.raises(ConfigurationError):
             OracleConfig(10.0, 639, cap_onset=1.0)
         with pytest.raises(ConfigurationError):
-            OracleConfig(10.0, 639, boundary="periodic")
-        with pytest.raises(ConfigurationError):
             # 10 points per period is far below the resolution floor
             OracleConfig(10.0, 199)
         assert MIN_POINTS_PER_PERIOD == 32

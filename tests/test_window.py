@@ -9,10 +9,8 @@ from bandres import (
     EnergyRangeError,
     NearSingularityError,
     PerturbationProfile,
-    classify_energy,
     decompose_window,
     discriminant,
-    evaluate_profile,
 )
 
 
@@ -56,7 +54,7 @@ class TestProfile:
 
     def test_near_singularity_guard(self, bound_profile):
         with pytest.raises(NearSingularityError):
-            evaluate_profile(bound_profile, 1j * (1.0 - 1e-8))
+            bound_profile(1j * (1.0 - 1e-8))
 
     def test_constant_profile_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -112,10 +110,11 @@ class TestDecomposition:
 
     def test_two_wells_classified_general(self, mathieu_bands):
         prof = PerturbationProfile(0.0, 0.0, ((4.0, -3.0, 1.0), (4.0, 3.0, 1.0)))
-        assert classify_energy(prof, mathieu_bands, 9.7) == "GENERAL"
+        assert decompose_window(prof, mathieu_bands, 9.7).classification == "GENERAL"
 
     def test_energy_outside_everything_is_empty(self, mathieu_bands, bound_profile):
-        assert classify_energy(bound_profile, mathieu_bands, -3.0) == "EMPTY"
+        assert decompose_window(bound_profile, mathieu_bands,
+                                -3.0).classification == "EMPTY"
 
     def test_endpoints_sit_on_edge_crossings(self, mathieu_bands, wall_profile):
         win = decompose_window(wall_profile, mathieu_bands, 3.9)
