@@ -70,11 +70,23 @@ def _write_record(path, record):
         fh.write("\n")
 
 
-def _build_bands(cfg, e_max=None):
-    if e_max is None:
-        span = abs(cfg.profile.nu) + sum(abs(b.height) for b in cfg.profile.bumps)
-        e_max = max(45.0, cfg.solver.e_window[1] + span + 5.0)
-    return band_edges(cfg.potential, e_max)
+_MAX_SCANS = 4   # the last scan reaches 8 times the first e_max
+
+
+def _build_bands(cfg):
+    """Bands whose gap ceiling (the start of the first incomplete band)
+    clears every E - W the energy window reaches, plus 5 units for the
+    window scan's tail allowance; e_max doubles until it does."""
+    prof = cfg.profile
+    reach = (cfg.solver.e_window[1] - prof.mu + abs(prof.nu)
+             + sum(abs(b.height) for b in prof.bumps) + 5.0)
+    e_max = max(45.0, reach)
+    for _ in range(_MAX_SCANS):
+        bands = band_edges(cfg.potential, e_max)
+        if bands.gap_ceiling >= reach:
+            break
+        e_max *= 2.0
+    return bands   # still short: decompose_window names the shortfall
 
 
 def _mid_energy(cfg, args):
@@ -88,7 +100,7 @@ def _mid_energy(cfg, args):
 # ---------------------------------------------------------------- commands
 
 def cmd_bands(cfg, args, outdir):
-    bands = _build_bands(cfg, e_max=args.e_max)
+    bands = band_edges(cfg.potential, args.e_max)
     if cfg.potential.is_constant:
         print("warning: constant potential, every gap is closed; the "
               "downstream one-well analysis needs an open gap", file=sys.stderr)
@@ -249,25 +261,30 @@ _COMMANDS = {
 }
 
 
-def _add_common(sp):
+# solver field -> (flag, argparse keywords)
+_OVERRIDES = {
+    "epsilon": ("--epsilon", dict(type=float, help="override solver epsilon")),
+    "zeta": ("--zeta", dict(type=float, help="override solver zeta")),
+    "e_window": ("--window", dict(type=float, nargs=2, metavar=("A", "B"),
+                                  help="override the energy window")),
+    "root_tol": ("--root-tol", dict(type=float,
+                                    help="override the root residual tolerance")),
+    "nodes": ("--nodes", dict(type=int, help="override the quadrature node count")),
+    "buffer": ("--buffer", dict(type=float,
+                                help="override the endpoint buffer fraction")),
+    "c0": ("--c0", dict(type=float, help="override the width prefactor convention")),
+}
+
+
+def _add_common(sp, overrides):
+    """--config, --out and the solver overrides that change this command."""
     sp.add_argument("--config", required=True, metavar="PATH",
                     help="JSON run configuration")
     sp.add_argument("--out", metavar="DIR", default=None,
                     help="output directory (default: configured output_dir)")
-    sp.add_argument("--epsilon", type=float, default=None,
-                    help="override solver epsilon")
-    sp.add_argument("--zeta", type=float, default=None,
-                    help="override solver zeta")
-    sp.add_argument("--window", type=float, nargs=2, metavar=("A", "B"),
-                    default=None, help="override the energy window")
-    sp.add_argument("--root-tol", type=float, default=None,
-                    help="override the root residual tolerance")
-    sp.add_argument("--nodes", type=int, default=None,
-                    help="override the quadrature node count")
-    sp.add_argument("--buffer", type=float, default=None,
-                    help="override the endpoint buffer fraction")
-    sp.add_argument("--c0", type=float, default=None,
-                    help="override the width prefactor convention")
+    for field in overrides:
+        flag, kwargs = _OVERRIDES[field]
+        sp.add_argument(flag, dest=field, default=None, **kwargs)
 
 
 def build_parser():
@@ -278,7 +295,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("bands", help="band edges and gap table")
-    _add_common(sp)
+    _add_common(sp, ())
     sp.add_argument("--e-max", type=float, default=45.0,
                     help="scan ceiling for the edge search")
     sp.add_argument("--cross-check", action="store_true",
@@ -287,22 +304,22 @@ def build_parser():
                     help="Fourier truncation order for --cross-check")
 
     sp = sub.add_parser("window", help="window decomposition at one energy")
-    _add_common(sp)
+    _add_common(sp, ("e_window",))
     sp.add_argument("--energy", type=float, default=None,
                     help="energy to decompose (default: window midpoint)")
 
     sp = sub.add_parser("actions", help="action table over the energy window")
-    _add_common(sp)
+    _add_common(sp, ("e_window", "nodes", "buffer"))
     sp.add_argument("--grid-points", type=int, default=25,
                     help="energy grid size for the table")
 
     sp = sub.add_parser("resonances", help="quantization table")
-    _add_common(sp)
+    _add_common(sp, _OVERRIDES)
     sp.add_argument("--sweep-zeta", type=int, default=None, metavar="N",
                     help="emit N+1 tables stepping zeta by epsilon/N")
 
     sp = sub.add_parser("portrait", help="iso-energy curve samples")
-    _add_common(sp)
+    _add_common(sp, ("e_window",))
     sp.add_argument("--energy", type=float, default=None,
                     help="energy of the curve (default: window midpoint)")
     sp.add_argument("--samples", type=int, default=801,
@@ -311,10 +328,10 @@ def build_parser():
                     default=None, help="zeta interval (default: scan width)")
 
     sp = sub.add_parser("oracle", help="grid spectrum with diagnostics")
-    _add_common(sp)
+    _add_common(sp, ("epsilon", "zeta", "e_window"))
 
     sp = sub.add_parser("verify", help="solver vs oracle comparison report")
-    _add_common(sp)
+    _add_common(sp, _OVERRIDES)
     sp.add_argument("--epsilon-ladder", type=float, nargs="+", default=None,
                     metavar="EPS", help="epsilon values for the width fit")
 
@@ -323,21 +340,8 @@ def build_parser():
 
 def _load_with_overrides(args):
     cfg = RunConfiguration.load(args.config)
-    overrides = {}
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if args.zeta is not None:
-        overrides["zeta"] = args.zeta
-    if args.window is not None:
-        overrides["e_window"] = list(args.window)
-    if args.root_tol is not None:
-        overrides["root_tol"] = args.root_tol
-    if args.nodes is not None:
-        overrides["nodes"] = args.nodes
-    if args.buffer is not None:
-        overrides["buffer"] = args.buffer
-    if args.c0 is not None:
-        overrides["c0"] = args.c0
+    overrides = {field: getattr(args, field) for field in _OVERRIDES
+                 if getattr(args, field, None) is not None}
     return cfg.replace_solver(**overrides) if overrides else cfg
 
 

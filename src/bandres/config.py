@@ -22,8 +22,7 @@ _POTENTIAL_KEYS = {"mean", "cos_coeffs", "sin_coeffs", "allow_constant"}
 _PROFILE_KEYS = {"mu", "nu", "bumps", "allow_constant"}
 _SOLVER_KEYS = {"epsilon", "zeta", "e_window", "root_tol", "nodes",
                 "buffer", "c0"}
-_ORACLE_KEYS = {"points_per_period", "margin", "cap_strength", "cap_onset",
-                "box_half_length", "n_points", "n_eigs"}
+_ORACLE_KEYS = {"points_per_period", "cap_strength", "cap_onset", "n_eigs"}
 
 
 def _key_line(text, key):
@@ -66,55 +65,37 @@ def _section(data, name, source, text, required=True):
 
 
 class OracleSettings:
-    """Grid-oracle knobs; box geometry is derived per window unless both
-    box_half_length and n_points are pinned explicitly."""
+    """Grid-oracle knobs; the box is always derived from the window,
+    epsilon and points_per_period."""
 
     def __init__(self, points_per_period=float(MIN_POINTS_PER_PERIOD),
-                 margin=10.0, cap_strength=0.0, cap_onset=0.8,
-                 box_half_length=None, n_points=None, n_eigs=90):
+                 cap_strength=0.0, cap_onset=0.8, n_eigs=90):
         self.points_per_period = float(points_per_period)
-        self.margin = float(margin)
         self.cap_strength = float(cap_strength)
         self.cap_onset = float(cap_onset)
-        self.box_half_length = None if box_half_length is None else float(box_half_length)
-        self.n_points = None if n_points is None else int(n_points)
         self.n_eigs = int(n_eigs)
         if self.points_per_period < MIN_POINTS_PER_PERIOD:
             raise ConfigurationError(
                 "points_per_period=%g below the resolution floor %d"
                 % (self.points_per_period, MIN_POINTS_PER_PERIOD))
-        if self.margin <= 0.0:
-            raise ConfigurationError("margin must be positive")
         if self.cap_strength < 0.0:
             raise ConfigurationError("cap_strength must be nonnegative")
         if not 0.0 < self.cap_onset < 1.0:
             raise ConfigurationError("cap_onset must lie in (0, 1)")
-        if (self.box_half_length is None) != (self.n_points is None):
-            raise ConfigurationError(
-                "box_half_length and n_points pin the grid together; "
-                "give both or neither")
         if self.n_eigs < 1:
             raise ConfigurationError("n_eigs must be at least 1")
 
     def build(self, window, epsilon):
-        """OracleConfig for this window; explicit geometry wins over derived."""
-        if self.box_half_length is not None:
-            return OracleConfig(self.box_half_length, self.n_points,
-                                cap_strength=self.cap_strength,
-                                cap_onset=self.cap_onset)
+        """OracleConfig for this window."""
         return OracleConfig.for_window(window, epsilon,
                                        points_per_period=self.points_per_period,
-                                       margin=self.margin,
                                        cap_strength=self.cap_strength,
                                        cap_onset=self.cap_onset)
 
     def to_dict(self):
         return {"points_per_period": self.points_per_period,
-                "margin": self.margin,
                 "cap_strength": self.cap_strength,
                 "cap_onset": self.cap_onset,
-                "box_half_length": self.box_half_length,
-                "n_points": self.n_points,
                 "n_eigs": self.n_eigs}
 
 

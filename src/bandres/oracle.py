@@ -30,6 +30,7 @@ MAX_GRID_POINTS = 32000
 MIN_POINTS_PER_PERIOD = 32
 _EDGE_CONVERGENCE_TOL = 1e-8
 _ARPACK_START_SEED = 0   # one fixed start vector; ARPACK's own changes every solve
+_BOX_MARGIN = 10.0       # slow-variable room beyond the window endpoints
 
 
 class HillEdgeResult:
@@ -95,7 +96,7 @@ class OracleConfig:
             raise ConfigurationError("n_points=%d too small" % self.n_points)
         if self.n_points > MAX_GRID_POINTS:
             raise ConfigurationError(
-                "n_points=%d exceeds ceiling %d; increase epsilon or reduce the margin"
+                "n_points=%d exceeds ceiling %d; increase epsilon"
                 % (self.n_points, MAX_GRID_POINTS))
         if self.cap_strength < 0.0:
             raise ConfigurationError("cap_strength must be nonnegative")
@@ -116,8 +117,8 @@ class OracleConfig:
 
     @classmethod
     def for_window(cls, window, epsilon, points_per_period=MIN_POINTS_PER_PERIOD,
-                   margin=10.0, cap_strength=0.0, cap_onset=0.8):
-        """Smallest box that holds the window endpoints with the given
+                   cap_strength=0.0, cap_onset=0.8):
+        """Smallest box that holds the window endpoints with the standard
         slow-variable margin, at the requested grid resolution."""
         anchors = [z for z in (window.zeta0_minus, window.zeta0_plus)
                    if z is not None and math.isfinite(z)]
@@ -127,7 +128,7 @@ class OracleConfig:
         if not anchors:
             raise ConfigurationError("window has no finite endpoint to anchor the box")
         base = sum(abs(z) for z in anchors) if len(anchors) >= 2 else 2.0 * abs(anchors[0])
-        half_length = (base + margin) / epsilon
+        half_length = (base + _BOX_MARGIN) / epsilon
         # ceil keeps the realized resolution at or above the request
         n_points = int(math.ceil(2.0 * half_length * points_per_period)) - 1
         return cls(half_length, n_points, cap_strength=cap_strength,
@@ -135,17 +136,14 @@ class OracleConfig:
 
 
 class GridHamiltonian:
-    """Assembled tridiagonal operator plus everything needed to rebuild it."""
+    """Assembled tridiagonal operator: diagonal, constant off-diagonal,
+    grid points and the box it was built on."""
 
-    def __init__(self, diag, off, x, config, potential, profile, zeta, epsilon):
+    def __init__(self, diag, off, x, config):
         self.diag = diag
         self.off = float(off)
         self.x = x
         self.config = config
-        self.potential = potential
-        self.profile = profile
-        self.zeta = float(zeta)
-        self.epsilon = float(epsilon)
 
     @property
     def is_complex(self):
@@ -168,10 +166,10 @@ def build_grid_hamiltonian(potential, profile, zeta, epsilon, config, window=Non
     if window is not None:
         z0 = [z for z in (window.zeta0_minus, window.zeta0_plus)
               if z is not None and math.isfinite(z)]
-        if len(z0) == 2 and epsilon * L < abs(z0[0]) + abs(z0[1]) + 10.0 - 1e-9:
+        if len(z0) == 2 and epsilon * L < abs(z0[0]) + abs(z0[1]) + _BOX_MARGIN - 1e-9:
             raise ConfigurationError(
-                "window does not fit: eps*L = %.3f < |zeta0+| + |zeta0-| + 10 = %.3f"
-                % (epsilon * L, abs(z0[0]) + abs(z0[1]) + 10.0))
+                "window does not fit: eps*L = %.3f < |zeta0+| + |zeta0-| + %g = %.3f"
+                % (epsilon * L, _BOX_MARGIN, abs(z0[0]) + abs(z0[1]) + _BOX_MARGIN))
         for p in (window.zeta_minus, window.zeta0_minus, window.zeta0_plus,
                   window.zeta_plus):
             if p is None or not math.isfinite(p):
@@ -188,8 +186,7 @@ def build_grid_hamiltonian(potential, profile, zeta, epsilon, config, window=Non
         ramp = np.clip((np.abs(x) - config.cap_onset * L) / ((1.0 - config.cap_onset) * L),
                        0.0, None)
         diag = diag.astype(complex) - 1j * config.cap_strength * ramp ** 2
-    return GridHamiltonian(diag, -1.0 / delta ** 2, x, config, potential,
-                           profile, zeta, epsilon)
+    return GridHamiltonian(diag, -1.0 / delta ** 2, x, config)
 
 
 class OracleEigenpair:
@@ -235,8 +232,9 @@ def oracle_spectrum(handle, e_window, n_eigs=90):
     With the absorber off this is a complete interval solve of the real
     tridiagonal matrix. With it on, ARPACK shift-invert runs at the window
     centre; each eigenvalue's stability field records its displacement
-    when the run is repeated at half the absorber strength (resonances
-    barely move, box artifacts move at the scale of their width).
+    when the solve is repeated with the operator's absorber halved
+    (resonances barely move, box artifacts move at the scale of their
+    width).
     Localization is the |psi|^2 fraction inside the central half of the box.
     """
     ea, eb = float(e_window[0]), float(e_window[1])
@@ -262,12 +260,10 @@ def oracle_spectrum(handle, e_window, n_eigs=90):
         return sorted(pairs, key=lambda p: p.eigenvalue.real)
 
     vals, vecs = _cap_eigensolve(handle, ea, eb, n_eigs)
-    half_cfg = OracleConfig(cfg.box_half_length, cfg.n_points,
-                            cap_strength=0.5 * cfg.cap_strength,
-                            cap_onset=cfg.cap_onset)
-    half_handle = build_grid_hamiltonian(handle.potential, handle.profile,
-                                         handle.zeta, handle.epsilon, half_cfg)
-    half_vals, _ = _cap_eigensolve(half_handle, ea, eb, n_eigs)
+    # the absorber is the whole imaginary part, and halving it is exact
+    half = GridHamiltonian(handle.diag.real + 0.5j * handle.diag.imag,
+                           handle.off, handle.x, cfg)
+    half_vals, _ = _cap_eigensolve(half, ea, eb, n_eigs)
     pairs = []
     for lam, vec in zip(vals, vecs):
         if half_vals:

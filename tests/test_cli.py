@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from bandres.cli import main
+from bandres.cli import build_parser, main
 
 BOUND = "bound_well.json"
 DRIFT = "drift_well.json"
@@ -66,6 +66,16 @@ class TestWindow:
         record = json.loads((out / "window.json").read_text())
         assert record["classification"] == "H6"
         assert "H6 with 1 component(s)" in capsys.readouterr().out
+
+    def test_deep_offset_rescans_past_the_window(self, configs_dir, tmp_path):
+        # E - W reaches 39.74, above the 39.52 ceiling of a scan to E=45
+        doc = json.loads((configs_dir / BOUND).read_text())
+        doc["profile"]["mu"] = -30.0
+        (tmp_path / "deep.json").write_text(json.dumps(doc))
+        code, out = run(tmp_path, tmp_path, "window", "deep.json")
+        assert code == 0
+        record = json.loads((out / "window.json").read_text())
+        assert record["classification"] == "H6"
 
 
 class TestActions:
@@ -217,6 +227,28 @@ class TestFailureModes:
                      str(tmp_path / "o"), "--epsilon", "0.9"])
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
+
+    def test_overrides_only_where_they_act(self):
+        # resonances and verify take every override
+        taken = {"bands": set(),
+                 "window": {"--window"},
+                 "portrait": {"--window"},
+                 "actions": {"--window", "--nodes", "--buffer"},
+                 "oracle": {"--epsilon", "--zeta", "--window"}}
+        flags = {"--epsilon": ["0.1"], "--zeta": ["0.1"],
+                 "--window": ["9.0", "10.0"], "--root-tol": ["1e-12"],
+                 "--nodes": ["80"], "--buffer": ["0.1"], "--c0": ["1.0"]}
+        parser = build_parser()
+        for cmd in ("bands", "window", "actions", "resonances", "portrait",
+                    "oracle", "verify"):
+            for flag, value in flags.items():
+                argv = [cmd, "--config", "run.json", flag, *value]
+                if flag in taken.get(cmd, flags):
+                    parser.parse_args(argv)
+                else:
+                    with pytest.raises(SystemExit) as err:
+                        parser.parse_args(argv)
+                    assert err.value.code == 2
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as err:

@@ -107,33 +107,39 @@ class TestOracleSettings:
         assert built.box_half_length == pytest.approx((base + 10.0) / 0.1)
         assert built.cap_strength == 0.0
 
-    def test_explicit_box_wins(self, mathieu_bands, bound_profile):
+    def test_derived_box_carries_absorber(self, mathieu_bands, bound_profile):
         win = decompose_window(bound_profile, mathieu_bands, 9.7)
-        settings = OracleSettings(box_half_length=200.0, n_points=15999,
-                                  cap_strength=1.0, cap_onset=0.7)
+        settings = OracleSettings(cap_strength=1.0, cap_onset=0.7)
         built = settings.build(win, 0.1)
-        assert built.box_half_length == 200.0
-        assert built.n_points == 15999
+        assert built.box_half_length == \
+            OracleSettings().build(win, 0.1).box_half_length
         assert built.cap_strength == 1.0
+        assert built.cap_onset == 0.7
+
+    @pytest.mark.parametrize("key", ["box_half_length", "n_points", "margin"])
+    def test_box_geometry_keys_are_unknown(self, tmp_path, key):
+        doc = dict(GOOD, oracle={"cap_strength": 0.0, key: 10.0})
+        text = json.dumps(doc, indent=1)
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigurationError) as err:
+            load_configuration(path)
+        wanted = next(i for i, t in enumerate(text.splitlines(), 1)
+                      if '"%s"' % key in t)
+        assert "%s:%d: unknown key %r" % (path, wanted, key) in str(err.value)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             OracleSettings(points_per_period=8.0)
         with pytest.raises(ConfigurationError):
-            OracleSettings(margin=0.0)
-        with pytest.raises(ConfigurationError):
             OracleSettings(cap_strength=-0.5)
         with pytest.raises(ConfigurationError):
             OracleSettings(cap_onset=0.0)
         with pytest.raises(ConfigurationError):
-            OracleSettings(box_half_length=100.0)   # n_points missing
-        with pytest.raises(ConfigurationError):
             OracleSettings(n_eigs=0)
 
     def test_round_trip(self):
-        settings = OracleSettings(points_per_period=48.0, margin=12.0,
-                                  cap_strength=0.5, cap_onset=0.75,
-                                  n_eigs=40)
+        settings = OracleSettings(points_per_period=48.0, cap_strength=0.5,
+                                  cap_onset=0.75, n_eigs=40)
         assert OracleSettings(**settings.to_dict()).to_dict() == \
             settings.to_dict()
 

@@ -27,8 +27,7 @@ class TestGeometry:
 
     def test_for_window_fits_endpoints(self, mathieu_bands, bound_profile):
         win = decompose_window(bound_profile, mathieu_bands, 9.7)
-        cfg = OracleConfig.for_window(win, 0.1, points_per_period=40.0,
-                                      margin=10.0)
+        cfg = OracleConfig.for_window(win, 0.1, points_per_period=40.0)
         base = abs(win.zeta0_minus) + abs(win.zeta0_plus)
         assert cfg.box_half_length == pytest.approx((base + 10.0) / 0.1)
         expected_n = math.ceil(2.0 * cfg.box_half_length * 40.0) - 1
@@ -146,6 +145,19 @@ class TestAbsorber:
                         for _ in range(2))
         assert [p.eigenvalue for p in first] == [p.eigenvalue for p in again]
         assert [p.stability for p in first] == [p.stability for p in again]
+
+    def test_stability_is_displacement_at_half_strength(self, mathieu,
+                                                         wall_profile):
+        cfg = OracleConfig(40.0, 2559, cap_strength=1.0, cap_onset=0.7)
+        handle = build_grid_hamiltonian(mathieu, wall_profile, 0.0, 0.1, cfg)
+        pairs = oracle_spectrum(handle, (3.6, 4.2), n_eigs=30)
+        half_cfg = OracleConfig(40.0, 2559, cap_strength=0.5, cap_onset=0.7)
+        half = build_grid_hamiltonian(mathieu, wall_profile, 0.0, 0.1, half_cfg)
+        half_vals = [q.eigenvalue for q in
+                     oracle_spectrum(half, (3.6, 4.2), n_eigs=30)]
+        assert pairs and half_vals
+        for p in pairs:
+            assert p.stability == min(abs(p.eigenvalue - q) for q in half_vals)
 
 
 class TestFourierEdges:
