@@ -24,7 +24,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 COMMANDS = ("bands", "window", "actions", "resonances", "portrait", "oracle",
             "verify")
 EXTRA = {("bound_well", "bands"): ("--cross-check",)}
-ADDED = (("drift_well", "resonances_sweep", ("resonances", "--sweep-zeta", "3")),)
+ADDED = (("drift_well", "resonances_sweep", ("resonances", "--sweep-zeta", "3")),
+         ("bound_well", "window_energy_40", ("window", "--energy", "40")))
 
 
 def runs():

@@ -92,7 +92,6 @@ def phase_integral(window, bands, profile, nodes=64, buffer=0.1,
     c = window.compact
     n = c.band_index
     energy = window.energy
-    bands.ensure_table(lo=window.e_range[0] - 1.0)
 
     def integrand(z):
         return reduced_momentum(bands.k_band_fast(energy - profile(z), n), n)
@@ -149,7 +148,6 @@ def actions_pm(window, bands, profile, nodes=64, buffer=0.1):
     """
     _require_h6(window, "actions_pm")
     energy = window.energy
-    bands.ensure_table(lo=window.e_range[0] - 1.0)
 
     def gamma(z):
         return bands.gamma_fast(energy - profile(z))
@@ -241,7 +239,6 @@ def well_phase_derivative(window, bands, profile, nodes=64, buffer=0.1):
     c = window.compact
     n = c.band_index
     energy = window.energy
-    bands.ensure_table(lo=window.e_range[0] - 1.0)
     sign = 1.0 if n % 2 == 1 else -1.0
 
     def integrand(z):

@@ -73,12 +73,13 @@ def _write_record(path, record):
 _MAX_SCANS = 4   # the last scan reaches 8 times the first e_max
 
 
-def _build_bands(cfg):
+def _build_bands(cfg, energy=-math.inf):
     """Bands whose gap ceiling (the start of the first incomplete band)
-    clears every E - W the energy window reaches, plus 5 units for the
-    window scan's tail allowance; e_max doubles until it does."""
+    clears every E - W that the energy window, or a higher `energy`,
+    reaches, plus 5 units for the window scan's tail allowance; e_max
+    doubles until it does."""
     prof = cfg.profile
-    reach = (cfg.solver.e_window[1] - prof.mu + abs(prof.nu)
+    reach = (max(cfg.solver.e_window[1], energy) - prof.mu + abs(prof.nu)
              + sum(abs(b.height) for b in prof.bumps) + 5.0)
     e_max = max(45.0, reach)
     for _ in range(_MAX_SCANS):
@@ -134,8 +135,8 @@ def cmd_bands(cfg, args, outdir):
 
 
 def cmd_window(cfg, args, outdir):
-    bands = _build_bands(cfg)
-    win = decompose_window(cfg.profile, bands, _mid_energy(cfg, args))
+    energy = _mid_energy(cfg, args)
+    win = decompose_window(cfg.profile, _build_bands(cfg, energy), energy)
     _write_record(os.path.join(outdir, "window.json"), win.to_dict())
     print("E=%s: %s with %d component(s)"
           % (_fmt(win.energy), win.classification, len(win.components)))
@@ -201,8 +202,8 @@ def cmd_resonances(cfg, args, outdir):
 
 
 def cmd_portrait(cfg, args, outdir):
-    bands = _build_bands(cfg)
     energy = _mid_energy(cfg, args)
+    bands = _build_bands(cfg, energy)
     if args.zeta_range is not None:
         z_lo, z_hi = args.zeta_range
     else:

@@ -1,10 +1,10 @@
 """Run-file ingestion: one structured-text file drives every command.
 
 The file is JSON with sections potential / profile / solver / oracle plus
-an output directory and a seed. Parsing is strict: unknown keys, wrong
-types, and out-of-range values are rejected at load with the offending
-key and, where it can be recovered from the source text, its line
-number. A parsed configuration round-trips losslessly through to_dict().
+an output directory. Parsing is strict: unknown keys, wrong types, and
+out-of-range values are rejected at load with the offending key and,
+where it can be recovered from the source text, its line number. A
+parsed configuration round-trips losslessly through to_dict().
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .oracle import MIN_POINTS_PER_PERIOD, OracleConfig
 from .solver import SolverConfig
 from .window import PerturbationProfile
 
-_TOP_KEYS = {"potential", "profile", "solver", "oracle", "output_dir", "seed"}
+_TOP_KEYS = {"potential", "profile", "solver", "oracle", "output_dir"}
 _POTENTIAL_KEYS = {"mean", "cos_coeffs", "sin_coeffs", "allow_constant"}
 _PROFILE_KEYS = {"mu", "nu", "bumps", "allow_constant"}
 _SOLVER_KEYS = {"epsilon", "zeta", "e_window", "root_tol", "nodes",
@@ -103,15 +103,12 @@ class RunConfiguration:
     """Validated bundle of everything a command needs."""
 
     def __init__(self, potential, profile, solver, oracle=None,
-                 output_dir="out", seed=0):
+                 output_dir="out"):
         self.potential = potential
         self.profile = profile
         self.solver = solver
         self.oracle = oracle if oracle is not None else OracleSettings()
         self.output_dir = str(output_dir)
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ConfigurationError("seed must be nonnegative")
 
     @classmethod
     def from_dict(cls, data, source="<config>", text=""):
@@ -164,12 +161,8 @@ class RunConfiguration:
             raise ConfigurationError(
                 "%soutput_dir must be a nonempty string"
                 % _at(source, text, "output_dir"))
-        seed = data.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigurationError(
-                "%sseed must be an integer" % _at(source, text, "seed"))
 
-        return cls(potential, profile, solver, oracle, output_dir, seed)
+        return cls(potential, profile, solver, oracle, output_dir)
 
     @classmethod
     def load(cls, path):
@@ -190,8 +183,7 @@ class RunConfiguration:
                 "profile": self.profile.to_dict(),
                 "solver": self.solver.to_dict(),
                 "oracle": self.oracle.to_dict(),
-                "output_dir": self.output_dir,
-                "seed": self.seed}
+                "output_dir": self.output_dir}
 
     def replace_solver(self, **overrides):
         """New configuration with some solver fields swapped out."""
@@ -199,7 +191,7 @@ class RunConfiguration:
         d.update(overrides)
         return RunConfiguration(self.potential, self.profile,
                                 SolverConfig(**d), self.oracle,
-                                self.output_dir, self.seed)
+                                self.output_dir)
 
     def __eq__(self, other):
         return (isinstance(other, RunConfiguration)

@@ -15,15 +15,16 @@ Conventions used throughout the package:
   Complex energies in the upper half plane keep Im k > 0; the lower half
   plane is reached by reflection through the bands, k(conj E) = conj k(E).
 
-Every object here is immutable after construction except BandStructure,
-which caches a Chebyshev table of D. ensure_table rebuilds that table
-over a wider range when a request reaches lower energies, and the
-table-backed values then move in their last digits (about 1e-10
-relative for dk/dE); no lock guards the rebuild.
+Every object here is immutable after construction. BandStructure builds
+its Chebyshev table of D once, on first use, over the fixed range
+[E1 - 5, gap_ceiling], so table-backed values do not depend on which
+energies earlier calls asked for. Bands lie inside that range; gap
+energies below its floor take D from a direct propagation instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -47,6 +48,7 @@ _CLOSED_GAP_WIDTH = 1e-7    # narrower gaps are merged and flagged closed
 _BISECT_ITERATIONS = 50
 _TABLE_RTOL = 1e-12
 _TABLE_POINTS = 97          # Chebyshev nodes per table piece
+_TABLE_DEPTH = 5.0          # the table's floor lies this far below E1
 _MAX_IM_ENERGY = 1.0        # half-strip height for complex continuation
 
 
@@ -455,7 +457,6 @@ class BandStructure:
         self.tol = float(tol)
         self.potential = potential
         self.next_band_start = None if next_band_start is None else float(next_band_start)
-        self._table = None
 
     @property
     def n_bands(self):
@@ -500,34 +501,33 @@ class BandStructure:
 
     # --- fast real-axis evaluation through the cached discriminant ---
 
-    def ensure_table(self, lo):
-        """The table over [lo, gap_ceiling], rebuilt when lo lies below it."""
-        lo = float(lo)
-        if self._table is None or lo < self._table.breaks[0] - 1e-9:
-            new_lo = min(lo, self.edges[0] - 5.0)
-            if self._table is not None:
-                new_lo = min(new_lo, self._table.breaks[0])
-            breaks = [new_lo] + [float(x) for x in self.edges] + [self.gap_ceiling]
-            self._table = DiscriminantTable(self.potential, breaks)
-        return self._table
+    @functools.cached_property
+    def table(self):
+        """The discriminant table over [E1 - 5, gap_ceiling], built once."""
+        breaks = ([self.edges[0] - _TABLE_DEPTH] + [float(x) for x in self.edges]
+                  + [self.gap_ceiling])
+        return DiscriminantTable(self.potential, breaks)
 
     def k_band_fast(self, e, band_index):
         """Main-branch k on band `band_index` (vectorized, table-backed)."""
-        t = self.ensure_table(lo=min(np.min(e), self.edges[0] - 5.0))
         sign = 1.0 if band_index % 2 == 1 else -1.0
-        c = np.clip(sign * t.value(e) / 2.0, -1.0, 1.0)
+        c = np.clip(sign * self.table.value(e) / 2.0, -1.0, 1.0)
         return math.pi * (band_index - 1) + np.arccos(c)
 
     def gamma_fast(self, e):
-        """Im k inside any gap (vectorized, table-backed)."""
-        t = self.ensure_table(lo=min(np.min(e), self.edges[0] - 5.0))
-        return np.arccosh(np.maximum(1.0, np.abs(t.value(e)) / 2.0))
+        """Im k inside any gap (vectorized); energies below the table floor
+        take D from a direct propagation. Keeps the shape of e."""
+        e = np.asarray(e, dtype=float)
+        deep = e < self.table.breaks[0]
+        d = self.table.value(np.where(deep, self.table.breaks[0], e))
+        if deep.any():
+            d[deep] = discriminant_many(self.potential, e[deep], _TABLE_RTOL).real
+        return np.arccosh(np.maximum(1.0, np.abs(d) / 2.0))
 
     def kprime_fast(self, e, band_index):
         """dk/dE on band `band_index` (table-backed; diverges at the edges)."""
-        t = self.ensure_table(lo=min(np.min(e), self.edges[0] - 5.0))
-        d = t.value(e)
-        dp = t.derivative(e)
+        d = self.table.value(e)
+        dp = self.table.derivative(e)
         sin_phi = np.sqrt(np.maximum(1e-300, 1.0 - (d / 2.0) ** 2))
         sign = 1.0 if band_index % 2 == 1 else -1.0
         return -sign * dp / (2.0 * sin_phi)

@@ -69,7 +69,6 @@ def kappa_normalized(window, bands, profile, zeta):
     if zeta == c.lo or zeta == c.hi:
         side = (c.lo_endpoint if zeta == c.lo else c.hi_endpoint).side
         return MomentumSample(zeta, edge_reduced_value(side, n), sign, m)
-    bands.ensure_table(lo=window.e_range[0] - 1.0)
     k = bands.k_band_fast(window.energy - profile(zeta), n)
     return MomentumSample(zeta, reduced_momentum(float(k), n), sign, m)
 
@@ -94,7 +93,6 @@ def im_kappa_gap(window, bands, profile, segment, zeta):
     if not lo < zeta < hi:
         raise DomainError("zeta=%.12g outside the open %s segment (%.12g, %.12g)"
                           % (zeta, segment, lo, hi))
-    bands.ensure_table(lo=window.e_range[0] - 1.0)
     gamma = bands.gamma_fast(window.energy - profile(zeta))
     if not gamma > 0.0:
         raise InternalConsistencyError(
@@ -259,7 +257,6 @@ def isoenergy_portrait(profile, bands, energy, zeta_range, n_samples):
         raise DomainError("empty zeta range [%g, %g]" % (lo, hi))
     zs = np.linspace(lo, hi, n_samples)
     es = energy - profile(zs)
-    bands.ensure_table(lo=float(np.min(es)) - 1.0)
     out = []
     for z, e in zip(zs, es):
         kind, n = bands.locate(e)

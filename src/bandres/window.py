@@ -41,6 +41,7 @@ from .errors import (
     EnergyRangeError,
     InternalConsistencyError,
     NearSingularityError,
+    UnsupportedConfigurationError,
 )
 from .hill import edge_band_side
 
@@ -359,11 +360,16 @@ def decompose_window(profile, bands, energy):
             raise InternalConsistencyError("component midpoint left the spectrum")
         components.append(WindowComponent(lo, hi, kind, lo_ep, hi_ep, band_n))
 
-    # merge sanity: adjacent members must alternate (transversal crossings)
-    for a, b in zip(member[:-1], member[1:]):
-        if a == b:
-            raise InternalConsistencyError(
-                "window membership failed to alternate across an endpoint")
+    # merge sanity: adjacent members must alternate (transversal crossings);
+    # the double edge of a closed gap cuts the window at coincident endpoints
+    if any(a == b for a, b in zip(member[:-1], member[1:])):
+        for n, is_open in enumerate(bands.open_gap_flags, start=1):
+            if not is_open and e_min <= bands.edges[2 * n - 1] <= e_max:
+                raise UnsupportedConfigurationError(
+                    "E - W crosses gap %d, closed at E=%.6g; the window decomposition "
+                    "needs every crossed gap open" % (n, bands.edges[2 * n - 1]))
+        raise InternalConsistencyError(
+            "window membership failed to alternate across an endpoint")
 
     compacts = [c for c in components if c.kind == "compact"]
     if not components:

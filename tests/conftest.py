@@ -15,9 +15,7 @@ def mathieu():
 
 @pytest.fixture(scope="session")
 def mathieu_bands(mathieu):
-    bands = band_edges(mathieu, 45.0)
-    bands.ensure_table(lo=-2.0)
-    return bands
+    return band_edges(mathieu, 45.0)
 
 
 @pytest.fixture(scope="session")

@@ -77,6 +77,14 @@ class TestWindow:
         record = json.loads((out / "window.json").read_text())
         assert record["classification"] == "H6"
 
+    def test_energy_above_the_window_sizes_the_scan(self, configs_dir, tmp_path):
+        # E - W reaches 40.04 at --energy 40, above the 39.52 ceiling that
+        # the window [9.0, 10.4] alone would ask for
+        code, out = run(configs_dir, tmp_path, "window", BOUND, "--energy", 40)
+        assert code == 0
+        record = json.loads((out / "window.json").read_text())
+        assert record["energy"] == 40.0
+
 
 class TestActions:
     def test_table(self, configs_dir, tmp_path):

@@ -41,7 +41,6 @@ class TestLoading:
         assert cfg.oracle.points_per_period == 32.0
         assert cfg.oracle.cap_strength == 0.0
         assert cfg.output_dir == "out"
-        assert cfg.seed == 0
         assert cfg.profile(0.0) == pytest.approx(4.0)
         assert cfg.potential.cos_coeffs == (2.0,)
 

@@ -8,7 +8,11 @@ from bandres import (
     DomainError,
     EnergyRangeError,
     PeriodicPotential,
+    PerturbationProfile,
+    actions_pm,
     band_edges,
+    compute_action_data,
+    decompose_window,
     discriminant,
     edge_band_side,
     edge_reduced_value,
@@ -17,6 +21,7 @@ from bandres import (
     quasi_momentum_main,
     reduced_momentum,
 )
+from bandres.hill import _TABLE_RTOL, discriminant_many
 from bandres.oracle import hill_matrix_band_edges
 
 
@@ -172,6 +177,29 @@ class TestQuasiMomentum:
         k_dn = quasi_momentum_main(mathieu_bands, e.conjugate()).value
         assert abs(k_dn - k_up.conjugate()) <= 1e-10
         assert abs(np.cos(k_up) - discriminant(mathieu_bands.potential, e) / 2.0) <= 1e-8
+
+
+class TestDiscriminantTable:
+    def test_values_do_not_depend_on_earlier_requests(self, mathieu, mathieu_bands,
+                                                       wall_profile):
+        # a band structure whose table is not built yet
+        bands = BandStructure.from_dict(mathieu_bands.to_dict(), mathieu)
+        win = decompose_window(wall_profile, bands, 3.9)
+        before = compute_action_data(win, bands, wall_profile).to_dict()
+        bands.gamma_fast(bands.edges[0] - 30.0)
+        assert compute_action_data(win, bands, wall_profile).to_dict() == before
+
+    def test_deep_barrier_below_the_table_floor(self, mathieu, mathieu_bands):
+        tall = PerturbationProfile(2.75, -2.75, ((12.0, 1.2, 0.3),))
+        win = decompose_window(tall, mathieu_bands, 3.9)
+        floor = mathieu_bands.table.breaks[0]
+        assert win.e_range[0] < floor
+        deep = np.array([floor - 3.0, floor - 1.0, floor - 0.1])
+        ref = np.arccosh(np.abs(discriminant_many(mathieu, deep, _TABLE_RTOL).real) / 2.0)
+        assert np.array_equal(mathieu_bands.gamma_fast(deep), ref)
+        assert np.ndim(mathieu_bands.gamma_fast(floor - 1.0)) == 0
+        _, s_plus = actions_pm(win, mathieu_bands, tall)
+        assert math.isfinite(s_plus) and s_plus > 0.0
 
 
 class TestFolding:

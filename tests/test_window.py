@@ -9,6 +9,7 @@ from bandres import (
     EnergyRangeError,
     NearSingularityError,
     PerturbationProfile,
+    UnsupportedConfigurationError,
     decompose_window,
     discriminant,
 )
@@ -131,6 +132,12 @@ class TestDecomposition:
     def test_ceiling_guard(self, mathieu_bands, drift_profile):
         with pytest.raises(EnergyRangeError):
             decompose_window(drift_profile, mathieu_bands, 50.0)
+
+    def test_crossing_a_closed_gap_is_named(self, free_bands):
+        # E - W runs up to 41.8, across the free gap 2 closed at 4 pi^2
+        prof = PerturbationProfile(-37.0, 0.0, ((-3.0, 0.0, 1.0),))
+        with pytest.raises(UnsupportedConfigurationError, match="gap 2, closed at E=39.47"):
+            decompose_window(prof, free_bands, 1.75)
 
     def test_record_round_trip_fields(self, mathieu_bands, bound_profile):
         win = decompose_window(bound_profile, mathieu_bands, 9.7)
