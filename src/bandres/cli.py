@@ -298,7 +298,7 @@ def build_parser():
     sp = sub.add_parser("bands", help="band edges and gap table")
     _add_common(sp, ())
     sp.add_argument("--e-max", type=float, default=45.0,
-                    help="scan ceiling for the edge search")
+                    help="edge ceiling: every band edge below it is reported")
     sp.add_argument("--cross-check", action="store_true",
                     help="also compute truncated-Fourier edges and compare")
     sp.add_argument("--m-trunc", type=int, default=24,

@@ -8,7 +8,8 @@ Conventions used throughout the package:
   E1 < E2 <= E3 < E4 <= E5 < ..., with the sign pattern D(E1) = 2,
   D(E2) = D(E3) = -2, D(E4) = D(E5) = 2, alternating in pairs. Band n is
   [E_{2n-1}, E_{2n}]; gap n is (E_{2n}, E_{2n+1}); energies below E1 form
-  "gap 0".
+  "gap 0". band_edges seeds them from the truncated Hill matrix and
+  certifies each as a root of the monodromy-based excess s*D - 2.
 * The main branch of the Bloch quasi-momentum k(E) solves cos k = D(E)/2,
   maps band n increasingly onto [pi(n-1), pi*n], and on gap n has constant
   real part pi*n with Im k > 0 (a single nondegenerate interior maximum).
@@ -33,6 +34,7 @@ from numpy.polynomial import chebyshev as _cheb
 from scipy.integrate import solve_ivp
 
 from .errors import (
+    ComputationError,
     ConfigurationError,
     DomainError,
     EnergyRangeError,
@@ -41,11 +43,14 @@ from .errors import (
     SingularDerivativeError,
 )
 
-_SCAN_DENSITY = 40          # energy grid points per unit during the edge scan
-_SCAN_TOL = 1e-10           # ODE tolerance of the edge scan, kept as BandStructure.tol
-_REFINE_TOL = 2.5e-13       # ODE tolerance of edge and extremum bisection
-_CLOSED_GAP_WIDTH = 1e-7    # narrower gaps are merged and flagged closed
-_BISECT_ITERATIONS = 50
+_SCAN_TOL = 1e-10           # quasi-momentum ODE tolerance, recorded as BandStructure.tol
+_REFINE_TOL = 2.5e-13       # ODE tolerance of the edge polish and its certificate
+_TRUNCATION_TOL = 1e-8      # largest edge displacement allowed under Hill-matrix doubling
+_BRACKET = 1e-9             # certificate bracket width; closer seed pairs form a double edge
+_DOUBLE_EDGE_EXCESS = 1e-8  # largest |s*D - 2| across a double edge's bracket
+_NEWTON_STEPS = 8
+_NEWTON_STEP = 1e-14        # relative step that ends the polish
+_CLOSED_GAP_WIDTH = 1e-7    # narrower gaps are flagged closed
 _TABLE_RTOL = 1e-12
 _TABLE_POINTS = 97          # Chebyshev nodes per table piece
 _TABLE_DEPTH = 5.0          # the table's floor lies this far below E1
@@ -196,21 +201,25 @@ def _propagate(potential, energies, rtol, with_derivative=False):
     return sol.y[:, -1].reshape(rows, K)
 
 
-def integrate_monodromy(potential, energy, tol=1e-10):
-    """Monodromy matrix of -y'' + V y = E y over one period.
+def integrate_monodromy(potential, energy, tol=1e-10, derivative=False):
+    """Monodromy matrix of -y'' + V y = E y over one period, batched over an
+    energy array (a scalar gives scalar entries); derivative=True adds dM/dE
+    from the variational system as a second MonodromyMatrix.
 
     The Wronskian det M = 1 is conserved exactly by the flow; the computed
-    determinant is checked against a conditioning-aware bound (10*tol
-    scaled by the squared matrix magnitude, which controls the rounding
-    of the 2x2 determinant for large entries).
+    determinant is checked against 10*tol scaled by the squared matrix
+    magnitude, which controls the rounding of the 2x2 determinant.
     """
-    y = _propagate(potential, [energy], tol)
-    m = MonodromyMatrix(y[0, 0], y[2, 0], y[1, 0], y[3, 0])
-    scale = max(1.0, max(abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22))) ** 2
-    if abs(m.det() - 1.0) > 10.0 * tol * scale:
-        raise IntegrationFailure(
-            "Wronskian drift %.3e exceeds tolerance at E=%r" % (abs(m.det() - 1.0), energy))
-    return m
+    y = _propagate(potential, energy, tol, with_derivative=derivative)
+    drift = np.abs(y[0] * y[3] - y[2] * y[1] - 1.0)
+    bad = np.flatnonzero(drift > 10.0 * tol * np.maximum(1.0, np.abs(y[:4]).max(axis=0)) ** 2)
+    if bad.size:
+        raise IntegrationFailure("Wronskian drift %.3e exceeds tolerance at E=%s"
+                                 % (drift[bad[0]], np.atleast_1d(energy)[bad[0]]))
+    if np.ndim(energy) == 0:
+        y = y[:, 0]
+    m = MonodromyMatrix(y[0], y[2], y[1], y[3])
+    return (m, MonodromyMatrix(y[4], y[6], y[5], y[7])) if derivative else m
 
 
 def discriminant(potential, energy, tol=1e-10):
@@ -233,135 +242,115 @@ def discriminant_with_derivative(potential, energies, tol=1e-10):
     return y[0] + y[3], y[4] + y[7]
 
 
-def _vector_bisect(potential, lo, hi, tol, target=None, on_derivative=False):
-    """Bisection on D - target (or on D' when on_derivative) for a batch of
-    brackets; each iteration costs one batched propagation."""
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
+def _hill_edges_at(potential, m_trunc):
+    """Sorted eigenvalues of A(theta)_{mm'} = (theta + 2 pi m)^2 delta_{mm'} +
+    v_{m-m'}, |m| <= m_trunc, at theta = 0 and pi together (the periodic and
+    antiperiodic points); entry j approximates band edge j + 1 from above."""
+    idx = np.arange(-m_trunc, m_trunc + 1)
+    diff = idx[:, None] - idx[None, :]
+    v = np.zeros(diff.shape, dtype=complex)
+    for m in range(1, potential.mode_count + 1):
+        v[diff == m] = potential.fourier_coefficient(m)
+        v[diff == -m] = potential.fourier_coefficient(-m)
+    merged = []
+    for theta in (0.0, math.pi):
+        a = v.copy()
+        a[np.diag_indices_from(a)] += (theta + 2.0 * np.pi * idx) ** 2 + potential.mean
+        merged.append(np.linalg.eigvalsh(a))
+    return np.sort(np.concatenate(merged))
 
-    def values(e):
-        d, dp = discriminant_with_derivative(potential, e, tol)
-        return (dp if on_derivative else d - target).real
 
-    flo = values(lo)
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        fm = values(mid)
-        take_lo = (np.sign(fm) == np.sign(flo)) & (fm != 0.0)
-        lo = np.where(take_lo, mid, lo)
-        flo = np.where(take_lo, fm, flo)
-        hi = np.where(take_lo, hi, mid)
-    return 0.5 * (lo + hi)
+def _excess(m, s):
+    """s*D - 2 as m12*m21 - (m11 - s)(m22 - s) (det M = 1): products of small
+    factors near the edges of D = 2s, where D - 2s drowns in ODE noise."""
+    return m.m12 * m.m21 - (m.m11 - s) * (m.m22 - s)
 
 
 def band_edges(potential, e_max):
-    """Scan [lower bound, e_max] for band edges and assemble a BandStructure.
+    """Band edges below e_max, assembled into a BandStructure.
 
-    Simple roots of D = +/-2 are caught by a sign scan (40 points per unit
-    energy) and refined by bisection at a tightened tolerance. Every gap
-    carries exactly one extremum of D; refining the extrema catches gaps
-    narrower than the grid and classifies closed gaps. Gaps whose
-    discriminant excess |D|-2 stays below the integration noise floor are
-    merged to a double edge and flagged closed (resolution floor well
-    below the 1e-7 closed-gap width threshold for generic potentials).
+    Seeds are the eigenvalues of the truncated Hill matrix (entry j is edge
+    j + 1); doubling the truncation must move none by 1e-8. Newton on the
+    factored excess f_s = s*D - 2 (s = +1 on D = 2 edges, -1 on D = -2
+    edges; f_s' = s*D') polishes all seeds in one batch per step, and a
+    sign change of f_s across a 1e-9 bracket, in the direction the edge's
+    side of its band demands, certifies each as an ODE root. The factored
+    form stays accurate where D - 2 is below ODE noise, so open gaps down
+    to 1e-9 wide are resolved; a closer seed pair becomes one double edge
+    at its midpoint. Gaps narrower than 1e-7 are flagged closed with a
+    warning. An uncertified edge, edges out of order or an unconverged
+    truncation raise ComputationError naming the edge.
     """
-    merge_tol = 40.0 * _REFINE_TOL
-    # irrational sub-cell shift keeps grid points off exact edges (e.g. the
-    # free potential has an edge at E=0 where D-2 vanishes identically)
-    e_lo = potential.lower_bound() - 0.5 - 0.6180339887 / _SCAN_DENSITY
-    if e_max <= e_lo + 1.0:
+    if e_max <= potential.lower_bound() + 0.5:
         raise DomainError("e_max=%g leaves no room above the potential floor %g"
-                          % (e_max, e_lo))
-    n_grid = int(math.ceil((e_max - e_lo) * _SCAN_DENSITY)) + 1
-    grid = np.linspace(e_lo, e_max, n_grid)
-    D, Dp = discriminant_with_derivative(potential, grid, _SCAN_TOL)
-    D = D.real
-    Dp = Dp.real
+                          % (e_max, potential.lower_bound()))
+    m_trunc = (4 * potential.mode_count + 8
+               + math.ceil(math.sqrt(max(e_max - potential.mean, 0.0)) / math.pi))
+    coarse = _hill_edges_at(potential, m_trunc)
+    seeds = _hill_edges_at(potential, 2 * m_trunc)
+    n_below = int(np.count_nonzero(seeds < e_max))
+    n = n_below + 1 + n_below % 2   # the edges below e_max, the next and its gap partner
+    moved = np.abs(seeds[:n] - coarse[:n])
+    if np.count_nonzero(coarse < e_max) != n_below or moved.max() >= _TRUNCATION_TOL:
+        k = int(np.argmax(moved))
+        raise ComputationError(
+            "edge %d at E=%.12g: doubling the Hill truncation M=%d moves it by %.3e"
+            % (k + 1, seeds[k], m_trunc, moved[k]))
 
-    roots = []   # (energy, family)
+    j = np.arange(n)
+    s = np.where(j % 4 % 3 == 0, 1.0, -1.0)      # D = 2s at edge j + 1
+    edges = seeds[:n].copy()
+    gap_lo = np.arange(1, n - 1, 2)
+    double = gap_lo[edges[gap_lo + 1] - edges[gap_lo] < _BRACKET]
+    edges[double] = edges[double + 1] = 0.5 * (edges[double] + edges[double + 1])
+    pair = np.concatenate([double, double + 1])
+    simple = np.setdiff1d(j, pair)
 
-    for family in (2.0, -2.0):
-        f = D - family
-        sgn = np.sign(f)
-        sgn[sgn == 0] = -1.0
-        hits = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        if hits.size:
-            pos = _vector_bisect(potential, grid[hits], grid[hits + 1],
-                                 _REFINE_TOL, target=family)
-            roots.extend((float(p), family) for p in pos)
+    e = edges[simple]
+    for _ in range(_NEWTON_STEPS):
+        m, dm = integrate_monodromy(potential, e, _REFINE_TOL, derivative=True)
+        step = _excess(m, s[simple]) / (s[simple] * dm.trace())
+        e = e - step
+        strayed = simple[~(np.abs(e - edges[simple]) <= _TRUNCATION_TOL)]
+        if strayed.size:
+            k = strayed[0]
+            raise ComputationError(
+                "edge %d at E=%.12g is not certified: Newton on s*D - 2 leaves its "
+                "seed's %.0e neighbourhood" % (k + 1, edges[k], _TRUNCATION_TOL))
+        if np.all(np.abs(step) <= _NEWTON_STEP * np.maximum(1.0, np.abs(e))):
+            break
+    edges[simple] = e
 
-    # extremum of D inside every gap: bisect on D'
-    flips = np.nonzero(np.sign(Dp[:-1]) * np.sign(Dp[1:]) < 0)[0]
-    if flips.size:
-        ext = _vector_bisect(potential, grid[flips], grid[flips + 1],
-                             _REFINE_TOL, on_derivative=True)
-        d_ext = discriminant_many(potential, ext, _REFINE_TOL).real
-        for i, (e_star, d_star) in enumerate(zip(ext, d_ext)):
-            family = 2.0 if d_star > 0 else -2.0
-            excess = abs(d_star) - 2.0
-            lo_g, hi_g = grid[flips[i]], grid[flips[i] + 1]
-            f_star = d_star - family
-            f_lo = D[flips[i]] - family
-            f_hi = D[flips[i] + 1] - family
-            if abs(excess) <= merge_tol:
-                already = [r for r, fam in roots if lo_g <= r <= hi_g and fam == family]
-                if not already:
-                    roots.append((float(e_star), family))
-                    roots.append((float(e_star), family))
-            elif excess > 0.0 and f_star * f_lo < 0.0 and f_star * f_hi < 0.0:
-                # open gap narrower than the scan grid: it fits strictly
-                # inside this cell, so the sign scan saw nothing and both
-                # crossings bracket the extremum
-                left = _vector_bisect(potential, [lo_g], [float(e_star)],
-                                      _REFINE_TOL, target=family)
-                right = _vector_bisect(potential, [float(e_star)], [hi_g],
-                                       _REFINE_TOL, target=family)
-                roots.append((float(left[0]), family))
-                roots.append((float(right[0]), family))
+    h = 0.5 * _BRACKET
+    m = integrate_monodromy(potential, np.concatenate([edges - h, edges + h]), _REFINE_TOL)
+    f_lo, f_hi = _excess(m, np.tile(s, 2)).reshape(2, n)
+    # an edge with odd j + 1 has its gap below and its band above
+    certified = np.where(j % 2 == 0, (f_lo > 0.0) & (f_hi < 0.0), (f_lo < 0.0) & (f_hi > 0.0))
+    certified[pair] = np.maximum(abs(f_lo[pair]), abs(f_hi[pair])) <= _DOUBLE_EDGE_EXCESS
+    if not certified.all():
+        k = int(np.argmin(certified))
+        raise ComputationError(
+            "edge %d at E=%.12g is not certified: s*D - 2 reads %.3e and %.3e "
+            "across its %.0e bracket" % (k + 1, edges[k], f_lo[k], f_hi[k], _BRACKET))
+    rise = np.diff(edges)
+    rise[double] = 1.0          # a double edge repeats by construction
+    if (rise <= 0.0).any():
+        k = int(np.argmax(rise <= 0.0))
+        raise ComputationError("edge %d at E=%.12g does not lie above edge %d at E=%.12g"
+                               % (k + 2, edges[k + 1], k + 1, edges[k]))
 
-    if len(roots) < 2:
+    count = int(np.count_nonzero(edges < e_max))
+    if count < 2:
         raise DomainError("no complete spectral band below e_max=%g" % e_max)
-    roots.sort(key=lambda t: t[0])
-
-    next_band_start = None
-    if len(roots) % 2 == 1:
-        next_band_start = roots[-1][0]
-        roots = roots[:-1]
-
-    energies = [r for r, _ in roots]
-    families = [fam for _, fam in roots]
-    for j, fam in enumerate(families):
-        expected = 2.0 if (j + 1) % 4 in (0, 1) else -2.0
-        if fam != expected:
-            raise InternalConsistencyError(
-                "edge %d at E=%.12g has D=%+g, expected %+g; edge scan inconsistent"
-                % (j + 1, energies[j], fam, expected))
-
-    edges = np.asarray(energies)
-    n_bands = edges.size // 2
-    for n in range(n_bands):
-        if edges[2 * n + 1] - edges[2 * n] <= 1e-9:
-            raise InternalConsistencyError("band %d collapsed at E=%.12g"
-                                           % (n + 1, edges[2 * n]))
-
-    flags = []
-    closed = []
-    for n in range(1, n_bands):
-        width = edges[2 * n] - edges[2 * n - 1]
-        flags.append(bool(width > _CLOSED_GAP_WIDTH))
-        if not flags[-1]:
-            closed.append(n)
-    if next_band_start is not None:
-        flags.append(bool(next_band_start - edges[-1] > _CLOSED_GAP_WIDTH))
-        if not flags[-1]:
-            closed.append(n_bands)
+    # gap g lies between edges 2g and 2g + 1; it is flagged when both lie below e_max
+    flags = [bool(w > _CLOSED_GAP_WIDTH) for w in edges[2:count:2] - edges[1:count - 1:2]]
+    closed = [g for g, is_open in enumerate(flags, start=1) if not is_open]
     if closed:
         warnings.warn("gap(s) %s closed within tolerance; the all-gaps-open "
                       "genericity assumption fails" % closed, stacklevel=2)
-
-    return BandStructure(edges=edges, open_gap_flags=flags, e_max=float(e_max),
-                         tol=_SCAN_TOL, potential=potential,
-                         next_band_start=next_band_start)
+    return BandStructure(edges=edges[:count - count % 2], open_gap_flags=flags,
+                         e_max=float(e_max), tol=_SCAN_TOL, potential=potential,
+                         next_band_start=float(edges[count - 1]) if count % 2 else None)
 
 
 class DiscriminantTable:
@@ -444,7 +433,7 @@ class BandStructure:
 
     edges has even length (complete bands only); next_band_start, when
     known, is the first edge of the band just above e_max so that the last
-    gap below the scan ceiling remains usable.
+    gap below e_max remains usable.
     """
 
     def __init__(self, edges, open_gap_flags, e_max, tol, potential,
@@ -542,7 +531,7 @@ class BandStructure:
     @classmethod
     def from_dict(cls, d, potential):
         return cls(edges=d["edges"], open_gap_flags=d["open_gap_flags"],
-                   e_max=d["e_max"], tol=d.get("tol", 1e-10), potential=potential,
+                   e_max=d["e_max"], tol=d.get("tol", _SCAN_TOL), potential=potential,
                    next_band_start=d.get("next_band_start"))
 
 

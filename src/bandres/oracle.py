@@ -3,10 +3,9 @@
 Two deliberately different routes to the same physics, used to cross-check
 the Floquet/action pipeline:
 
-* hill_matrix_band_edges: band edges from the Fourier (Hill) matrix
-  A(theta)_{mm'} = (theta + 2*pi*m)^2 delta_{mm'} + v_{m-m'} at the
-  periodic (theta = 0) and antiperiodic (theta = pi) points; the merged,
-  sorted eigenvalue lists are E1 <= E2 <= ... .
+* hill_matrix_band_edges: band edges E1 <= E2 <= ... as the eigenvalues of
+  the truncated Fourier (Hill) matrix of hill._hill_edges_at, certified by
+  doubling the truncation.
 * build_grid_hamiltonian / oracle_spectrum: second-order finite
   differences for -d2/dx2 + V(x) + W(eps*x + zeta) on [-L, L] with
   Dirichlet walls, optionally damped by a complex absorbing potential
@@ -25,10 +24,10 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .errors import ConfigurationError, OracleError
+from .hill import _TRUNCATION_TOL, _hill_edges_at
 
 MAX_GRID_POINTS = 32000
 MIN_POINTS_PER_PERIOD = 32
-_EDGE_CONVERGENCE_TOL = 1e-8
 _ARPACK_START_SEED = 0   # one fixed start vector; ARPACK's own changes every solve
 _BOX_MARGIN = 10.0       # slow-variable room beyond the window endpoints
 
@@ -43,23 +42,7 @@ class HillEdgeResult:
 
     @property
     def converged(self):
-        return self.displacement < _EDGE_CONVERGENCE_TOL
-
-
-def _hill_edges_at(potential, m_trunc):
-    idx = np.arange(-m_trunc, m_trunc + 1)
-    diff = idx[:, None] - idx[None, :]
-    v = np.zeros(diff.shape, dtype=complex)
-    modes = potential.mode_count
-    for m in range(1, modes + 1):
-        v[diff == m] = potential.fourier_coefficient(m)
-        v[diff == -m] = potential.fourier_coefficient(-m)
-    merged = []
-    for theta in (0.0, math.pi):
-        a = v.copy()
-        a[np.diag_indices_from(a)] += (theta + 2.0 * np.pi * idx) ** 2 + potential.mean
-        merged.append(np.linalg.eigvalsh(a))
-    return np.sort(np.concatenate(merged))
+        return self.displacement < _TRUNCATION_TOL
 
 
 def hill_matrix_band_edges(potential, m_truncation, n_edges=8):

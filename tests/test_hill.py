@@ -1,12 +1,16 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from bandres import (
     BandStructure,
+    ComputationError,
     DomainError,
     EnergyRangeError,
+    InternalConsistencyError,
     PeriodicPotential,
     PerturbationProfile,
     actions_pm,
@@ -21,6 +25,7 @@ from bandres import (
     quasi_momentum_main,
     reduced_momentum,
 )
+from bandres import hill
 from bandres.hill import _TABLE_RTOL, discriminant_many
 from bandres.oracle import hill_matrix_band_edges
 
@@ -30,6 +35,23 @@ def random_potential(rng, max_modes=3, amplitude=3.0):
     cos = amplitude * rng.uniform(-1.0, 1.0, m)
     sin = amplitude * rng.uniform(-1.0, 1.0, m)
     return PeriodicPotential(float(rng.uniform(-1.0, 1.0)), cos, sin)
+
+
+def mathieu_reference_edges(n_edges, m_trunc=8):
+    """First edges of Mathieu 2cos(2 pi x) from its tridiagonal Hill matrices
+    at theta = 0 and pi, diagonalised in mpmath at 30 digits."""
+    size = 2 * m_trunc + 1
+    edges = []
+    with mpmath.workdps(30):
+        for theta in (0, mpmath.pi):
+            a = mpmath.matrix(size)
+            for i in range(size):
+                a[i, i] = (theta + 2 * mpmath.pi * (i - m_trunc)) ** 2
+                if i:
+                    a[i, i - 1] = a[i - 1, i] = 1
+            values = mpmath.eigsy(a, eigvals_only=True)
+            edges += [values[i] for i in range(size)]
+        return [float(e) for e in sorted(edges)[:n_edges]]
 
 
 class TestMonodromy:
@@ -56,6 +78,23 @@ class TestMonodromy:
         pot = PeriodicPotential(0.0, (2.0,))
         m = integrate_monodromy(pot, 3.7)
         assert m.trace() == pytest.approx(discriminant(pot, 3.7), abs=1e-10)
+
+    def test_batched_entries_and_derivatives(self):
+        pot = PeriodicPotential(0.3, (2.0, -0.7), (0.5,))
+        energies = np.array([-1.0, 3.7, 12.5, 40.0])
+        m, dm = integrate_monodromy(pot, energies, derivative=True)
+        names = ("m11", "m12", "m21", "m22")
+        for i, e in enumerate(energies):
+            one = integrate_monodromy(pot, float(e))
+            for name in names:
+                assert np.ndim(getattr(one, name)) == 0
+                assert abs(getattr(m, name)[i] - getattr(one, name)) <= 1e-10
+        h = 1e-4
+        up = integrate_monodromy(pot, energies + h, 1e-13)
+        down = integrate_monodromy(pot, energies - h, 1e-13)
+        for name in names:
+            fd = (getattr(up, name) - getattr(down, name)) / (2.0 * h)
+            assert np.allclose(getattr(dm, name), fd, rtol=1e-8, atol=1e-8), name
 
 
 class TestBandEdges:
@@ -96,6 +135,28 @@ class TestBandEdges:
         assert [b.locate(e)[0] == "band" for e in es] == [False, True, False]
         with pytest.raises(EnergyRangeError):
             b.locate(b.gap_ceiling + 1.0)
+
+    @pytest.mark.parametrize("e_max", [45.0, 165.0])
+    def test_mathieu_edges_against_mpmath(self, mathieu, e_max):
+        # gap 4 (edges 8 and 9) is 9.03e-7 wide, with D - 2 about 3e-16 at
+        # its centre, and must come out open with both edges resolved
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bands = band_edges(mathieu, e_max)
+        assert not caught
+        got = list(bands.edges) + [bands.next_band_start]
+        ref = mathieu_reference_edges(len(got) + 1)
+        assert ref[len(got)] > e_max
+        for j, (a, b) in enumerate(zip(got, ref), start=1):
+            assert abs(a - b) <= 1e-10, "edge %d" % j
+        assert all(bands.open_gap_flags)
+
+    def test_dropped_seed_is_refused_naming_the_edge(self, mathieu, monkeypatch):
+        seeds = hill._hill_edges_at
+        monkeypatch.setattr(hill, "_hill_edges_at", lambda pot, m: np.delete(seeds(pot, m), 2))
+        with pytest.raises(ComputationError, match="edge 3 ") as info:
+            band_edges(mathieu, 45.0)
+        assert not isinstance(info.value, InternalConsistencyError)
 
     def test_scan_floor_guard(self, mathieu):
         with pytest.raises(DomainError):
