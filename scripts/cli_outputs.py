@@ -25,7 +25,8 @@ COMMANDS = ("bands", "window", "actions", "resonances", "portrait", "oracle",
             "verify")
 EXTRA = {("bound_well", "bands"): ("--cross-check",)}
 ADDED = (("drift_well", "resonances_sweep", ("resonances", "--sweep-zeta", "3")),
-         ("bound_well", "window_energy_40", ("window", "--energy", "40")))
+         ("bound_well", "window_energy_40", ("window", "--energy", "40")),
+         ("barrier_wall", "oracle_eps_006", ("oracle", "--epsilon", "0.06")))
 
 
 def runs():

@@ -22,7 +22,7 @@ _POTENTIAL_KEYS = {"mean", "cos_coeffs", "sin_coeffs", "allow_constant"}
 _PROFILE_KEYS = {"mu", "nu", "bumps", "allow_constant"}
 _SOLVER_KEYS = {"epsilon", "zeta", "e_window", "root_tol", "nodes",
                 "buffer", "c0"}
-_ORACLE_KEYS = {"points_per_period", "cap_strength", "cap_onset", "n_eigs"}
+_ORACLE_KEYS = {"points_per_period", "cap_strength", "cap_onset"}
 
 
 def _key_line(text, key):
@@ -69,11 +69,10 @@ class OracleSettings:
     epsilon and points_per_period."""
 
     def __init__(self, points_per_period=float(MIN_POINTS_PER_PERIOD),
-                 cap_strength=0.0, cap_onset=0.8, n_eigs=90):
+                 cap_strength=0.0, cap_onset=0.8):
         self.points_per_period = float(points_per_period)
         self.cap_strength = float(cap_strength)
         self.cap_onset = float(cap_onset)
-        self.n_eigs = int(n_eigs)
         if self.points_per_period < MIN_POINTS_PER_PERIOD:
             raise ConfigurationError(
                 "points_per_period=%g below the resolution floor %d"
@@ -82,8 +81,6 @@ class OracleSettings:
             raise ConfigurationError("cap_strength must be nonnegative")
         if not 0.0 < self.cap_onset < 1.0:
             raise ConfigurationError("cap_onset must lie in (0, 1)")
-        if self.n_eigs < 1:
-            raise ConfigurationError("n_eigs must be at least 1")
 
     def build(self, window, epsilon):
         """OracleConfig for this window."""
@@ -95,8 +92,7 @@ class OracleSettings:
     def to_dict(self):
         return {"points_per_period": self.points_per_period,
                 "cap_strength": self.cap_strength,
-                "cap_onset": self.cap_onset,
-                "n_eigs": self.n_eigs}
+                "cap_onset": self.cap_onset}
 
 
 class RunConfiguration:

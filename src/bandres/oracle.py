@@ -9,7 +9,10 @@ the Floquet/action pipeline:
 * build_grid_hamiltonian / oracle_spectrum: second-order finite
   differences for -d2/dx2 + V(x) + W(eps*x + zeta) on [-L, L] with
   Dirichlet walls, optionally damped by a complex absorbing potential
-  -i*eta*ramp(x)^2 switched on at |x| = cap_onset*L. With the absorber on,
+  -i*eta*ramp(x)^2 switched on at |x| = cap_onset*L. The Dirichlet states
+  of the real part with Re(E) inside the energy window come from one
+  tridiagonal interval solve. With the absorber on, each localized state
+  seeds a one-eigenpair shift-invert polish of the complex operator:
   resonances appear as eigenvalues just below the real axis whose position
   is stable under halving eta, while box/continuum artifacts move.
 """
@@ -28,7 +31,7 @@ from .hill import _TRUNCATION_TOL, _hill_edges_at
 
 MAX_GRID_POINTS = 32000
 MIN_POINTS_PER_PERIOD = 32
-_ARPACK_START_SEED = 0   # one fixed start vector; ARPACK's own changes every solve
+LOCALIZED = 0.5          # eigenvector mass fraction that marks a window state
 _BOX_MARGIN = 10.0       # slow-variable room beyond the window endpoints
 
 
@@ -194,30 +197,28 @@ def _localization(x, vec, region):
     return float(mass[(x >= lo) & (x <= hi)].sum() / total)
 
 
-def _cap_eigensolve(handle, ea, eb, n_eigs):
-    """Shift-invert ARPACK at the window centre; eigenpairs with Re in [ea, eb]."""
-    a = handle.as_sparse()
-    n = handle.diag.size
-    sigma = 0.5 * (ea + eb)
-    v0 = np.random.default_rng(_ARPACK_START_SEED).standard_normal(n).astype(a.dtype)
+def _polish(a, seed, vec):
+    """Eigenpair of a nearest the real seed: one shift-invert ARPACK solve
+    started from the seed's Dirichlet eigenvector."""
     try:
-        vals, vecs = eigs(a, k=min(n_eigs, n - 2), sigma=complex(sigma), v0=v0)
+        vals, vecs = eigs(a, k=1, sigma=complex(seed), v0=vec.astype(a.dtype))
     except ArpackNoConvergence as exc:
         raise OracleError("shift-invert eigensolver failed to converge "
-                          "(N=%d, sigma=%r)" % (n, sigma)) from exc
-    keep = [j for j in range(vals.size) if ea <= vals[j].real <= eb]
-    return [complex(vals[j]) for j in keep], [vecs[:, j] for j in keep]
+                          "(N=%d, sigma=%r)" % (vec.size, seed)) from exc
+    return complex(vals[0]), vecs[:, 0]
 
 
-def oracle_spectrum(handle, e_window, n_eigs=90):
-    """Eigenpairs of the box operator with Re(E) inside e_window.
+def oracle_spectrum(handle, e_window):
+    """Eigenpairs of the box operator seeded by its Dirichlet states with
+    Re(E) inside e_window.
 
-    With the absorber off this is a complete interval solve of the real
-    tridiagonal matrix. With it on, ARPACK shift-invert runs at the window
-    centre; each eigenvalue's stability field records its displacement
-    when the solve is repeated with the operator's absorber halved
-    (resonances barely move, box artifacts move at the scale of their
-    width).
+    One interval solve of the real tridiagonal part finds the Dirichlet
+    states. With the absorber off they are the result. With it on, each
+    state whose localization exceeds LOCALIZED seeds a one-eigenpair
+    shift-invert polish on the operator and another on its half-absorber
+    copy; the stability field is the smallest distance from the polished
+    eigenvalue to a half-strength one (resonances barely move, box
+    artifacts move at the scale of their width).
     Localization is the |psi|^2 fraction inside the central half of the box.
     """
     ea, eb = float(e_window[0]), float(e_window[1])
@@ -231,27 +232,24 @@ def oracle_spectrum(handle, e_window, n_eigs=90):
             "refine the grid" % (eb, kinetic_ceiling))
     region = (-cfg.box_half_length / 2.0, cfg.box_half_length / 2.0)
 
+    d = handle.diag.real
+    e = np.full(d.size - 1, handle.off)
+    try:
+        w, v = eigh_tridiagonal(d, e, select="v", select_range=(ea, eb))
+    except Exception as exc:  # LAPACK failures carry no useful subclass
+        raise OracleError("tridiagonal interval solve failed (N=%d)" % d.size) from exc
+    states = [(w[j], v[:, j], _localization(handle.x, v[:, j], region))
+              for j in range(w.size)]
     if cfg.cap_strength == 0.0:
-        d = np.asarray(handle.diag, dtype=float)
-        e = np.full(d.size - 1, handle.off)
-        try:
-            w, v = eigh_tridiagonal(d, e, select="v", select_range=(ea, eb))
-        except Exception as exc:  # LAPACK failures carry no useful subclass
-            raise OracleError("tridiagonal interval solve failed (N=%d)" % d.size) from exc
-        pairs = [OracleEigenpair(w[j], 0.0, _localization(handle.x, v[:, j], region))
-                 for j in range(w.size)]
-        return sorted(pairs, key=lambda p: p.eigenvalue.real)
+        return [OracleEigenpair(lam, 0.0, loc) for lam, _, loc in states]
 
-    vals, vecs = _cap_eigensolve(handle, ea, eb, n_eigs)
+    seeds = [(lam, vec) for lam, vec, loc in states if loc > LOCALIZED]
     # the absorber is the whole imaginary part, and halving it is exact
-    half = GridHamiltonian(handle.diag.real + 0.5j * handle.diag.imag,
-                           handle.off, handle.x, cfg)
-    half_vals, _ = _cap_eigensolve(half, ea, eb, n_eigs)
-    pairs = []
-    for lam, vec in zip(vals, vecs):
-        if half_vals:
-            disp = min(abs(lam - q) for q in half_vals)
-        else:
-            disp = math.inf
-        pairs.append(OracleEigenpair(lam, disp, _localization(handle.x, vec, region)))
+    half = GridHamiltonian(d + 0.5j * handle.diag.imag, handle.off, handle.x, cfg)
+    full_op, half_op = handle.as_sparse(), half.as_sparse()
+    polished = [_polish(full_op, lam, vec) for lam, vec in seeds]
+    half_vals = [_polish(half_op, lam, vec)[0] for lam, vec in seeds]
+    pairs = [OracleEigenpair(lam, min(abs(lam - q) for q in half_vals),
+                             _localization(handle.x, vec, region))
+             for lam, vec in polished]
     return sorted(pairs, key=lambda p: p.eigenvalue.real)

@@ -16,12 +16,11 @@ import numpy as np
 
 from .actions import delta_kappa
 from .errors import BandresError, ConfigurationError
-from .oracle import build_grid_hamiltonian, oracle_spectrum
+from .oracle import LOCALIZED, build_grid_hamiltonian, oracle_spectrum
 from .solver import locate_resonances
 from .window import decompose_window
 
 DEFAULT_LADDER = (0.12, 0.10, 0.08, 0.06)
-_LOCALIZED = 0.5          # eigenvector mass fraction that marks a window state
 _RESONANT_LOCALIZED = 0.75
 _STABLE_FRACTION = 0.1    # absorber displacement below this fraction of the width
 
@@ -68,8 +67,7 @@ class Run:
             ham = build_grid_hamiltonian(
                 cfg.potential, cfg.profile, key[1], key[0],
                 cfg.oracle.build(self.window, key[0]), window=self.window)
-            self._spectra[key] = oracle_spectrum(ham, cfg.solver.e_window,
-                                                 n_eigs=cfg.oracle.n_eigs)
+            self._spectra[key] = oracle_spectrum(ham, cfg.solver.e_window)
         return self._spectra[key]
 
 
@@ -106,7 +104,7 @@ def check_counts_spacings(run):
     table = run.ladder()
     pairs = run.spectrum()
     states = (_genuine_resonances(pairs) if run.cfg.oracle.cap_strength > 0.0
-              else [p for p in pairs if p.localization > _LOCALIZED])
+              else [p for p in pairs if p.localization > LOCALIZED])
     if run.window.classification == "H5":
         return [Check("resonance-free", not table and not states,
                       "solver %d, oracle %d stable narrow eigenvalue(s)"

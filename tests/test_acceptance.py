@@ -79,7 +79,7 @@ def run_oracle(cfg, bands, epsilon=None, zeta=None):
     grid_cfg = cfg.oracle.build(win, epsilon)
     handle = build_grid_hamiltonian(cfg.potential, cfg.profile, zeta,
                                     epsilon, grid_cfg, window=win)
-    return oracle_spectrum(handle, (e_lo, e_hi), n_eigs=cfg.oracle.n_eigs)
+    return oracle_spectrum(handle, (e_lo, e_hi))
 
 
 def genuine_resonances(pairs):

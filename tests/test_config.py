@@ -115,7 +115,8 @@ class TestOracleSettings:
         assert built.cap_strength == 1.0
         assert built.cap_onset == 0.7
 
-    @pytest.mark.parametrize("key", ["box_half_length", "n_points", "margin"])
+    @pytest.mark.parametrize("key", ["box_half_length", "n_points", "margin",
+                                     "n_eigs"])
     def test_box_geometry_keys_are_unknown(self, tmp_path, key):
         doc = dict(GOOD, oracle={"cap_strength": 0.0, key: 10.0})
         text = json.dumps(doc, indent=1)
@@ -133,12 +134,10 @@ class TestOracleSettings:
             OracleSettings(cap_strength=-0.5)
         with pytest.raises(ConfigurationError):
             OracleSettings(cap_onset=0.0)
-        with pytest.raises(ConfigurationError):
-            OracleSettings(n_eigs=0)
 
     def test_round_trip(self):
         settings = OracleSettings(points_per_period=48.0, cap_strength=0.5,
-                                  cap_onset=0.75, n_eigs=40)
+                                  cap_onset=0.75)
         assert OracleSettings(**settings.to_dict()).to_dict() == \
             settings.to_dict()
 

@@ -2,18 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigs
 
 from bandres import (
     ConfigurationError,
+    GridHamiltonian,
     OracleConfig,
     PeriodicPotential,
     PerturbationProfile,
     build_grid_hamiltonian,
     decompose_window,
     hill_matrix_band_edges,
+    load_configuration,
     oracle_spectrum,
 )
-from bandres.oracle import MAX_GRID_POINTS, MIN_POINTS_PER_PERIOD
+from bandres.oracle import (
+    MAX_GRID_POINTS,
+    MIN_POINTS_PER_PERIOD,
+    OracleEigenpair,
+    _localization,
+)
+from bandres.verify import Run, _genuine_resonances
 
 FREE = PeriodicPotential(0.0, (), (), allow_constant=True)
 FLAT = PerturbationProfile(0.0, 0.0, (), allow_constant=True)
@@ -130,7 +139,7 @@ class TestAbsorber:
     def test_spectrum_sits_below_the_axis(self, mathieu, wall_profile):
         cfg = OracleConfig(40.0, 2559, cap_strength=1.0, cap_onset=0.7)
         handle = build_grid_hamiltonian(mathieu, wall_profile, 0.0, 0.1, cfg)
-        pairs = oracle_spectrum(handle, (3.6, 4.2), n_eigs=30)
+        pairs = oracle_spectrum(handle, (3.6, 4.2))
         assert pairs
         res = [p.eigenvalue.real for p in pairs]
         assert res == sorted(res)
@@ -141,7 +150,7 @@ class TestAbsorber:
     def test_repeated_solves_are_identical(self, mathieu, wall_profile):
         cfg = OracleConfig(40.0, 2559, cap_strength=1.0, cap_onset=0.7)
         handle = build_grid_hamiltonian(mathieu, wall_profile, 0.0, 0.1, cfg)
-        first, again = (oracle_spectrum(handle, (3.6, 4.2), n_eigs=30)
+        first, again = (oracle_spectrum(handle, (3.6, 4.2))
                         for _ in range(2))
         assert [p.eigenvalue for p in first] == [p.eigenvalue for p in again]
         assert [p.stability for p in first] == [p.stability for p in again]
@@ -150,14 +159,67 @@ class TestAbsorber:
                                                          wall_profile):
         cfg = OracleConfig(40.0, 2559, cap_strength=1.0, cap_onset=0.7)
         handle = build_grid_hamiltonian(mathieu, wall_profile, 0.0, 0.1, cfg)
-        pairs = oracle_spectrum(handle, (3.6, 4.2), n_eigs=30)
+        pairs = oracle_spectrum(handle, (3.6, 4.2))
         half_cfg = OracleConfig(40.0, 2559, cap_strength=0.5, cap_onset=0.7)
         half = build_grid_hamiltonian(mathieu, wall_profile, 0.0, 0.1, half_cfg)
         half_vals = [q.eigenvalue for q in
-                     oracle_spectrum(half, (3.6, 4.2), n_eigs=30)]
+                     oracle_spectrum(half, (3.6, 4.2))]
         assert pairs and half_vals
         for p in pairs:
             assert p.stability == min(abs(p.eigenvalue - q) for q in half_vals)
+
+
+def _window_sweep(handle, e_window):
+    """Reference route: one 90-pair shift-invert ARPACK solve at the
+    window centre from a fixed random start, keeping Re(E) in the window."""
+    ea, eb = e_window
+    a = handle.as_sparse()
+    v0 = np.random.default_rng(0).standard_normal(a.shape[0]).astype(a.dtype)
+    vals, vecs = eigs(a, k=90, sigma=complex(0.5 * (ea + eb)), v0=v0)
+    keep = [j for j in range(vals.size) if ea <= vals[j].real <= eb]
+    return [complex(vals[j]) for j in keep], [vecs[:, j] for j in keep]
+
+
+class TestSeededPolish:
+    @pytest.fixture(scope="class")
+    def wall_run(self, configs_dir, mathieu_bands):
+        return Run(load_configuration(configs_dir / "barrier_wall.json"),
+                   mathieu_bands)
+
+    def test_genuine_set_matches_window_sweep(self, wall_run):
+        cfg, eps = wall_run.cfg, 0.10
+        handle = build_grid_hamiltonian(
+            cfg.potential, cfg.profile, cfg.solver.zeta, eps,
+            cfg.oracle.build(wall_run.window, eps), window=wall_run.window)
+        half = GridHamiltonian(handle.diag.real + 0.5j * handle.diag.imag,
+                               handle.off, handle.x, handle.config)
+        full_vals, full_vecs = _window_sweep(handle, cfg.solver.e_window)
+        half_vals, _ = _window_sweep(half, cfg.solver.e_window)
+        region = (-handle.config.box_half_length / 2.0,
+                  handle.config.box_half_length / 2.0)
+        reference = [p.eigenvalue for p in _genuine_resonances(
+            [OracleEigenpair(lam, min(abs(lam - q) for q in half_vals),
+                             _localization(handle.x, vec, region))
+             for lam, vec in zip(full_vals, full_vecs)])]
+        genuine = [p.eigenvalue for p in
+                   _genuine_resonances(oracle_spectrum(handle, cfg.solver.e_window))]
+        assert genuine and len(genuine) == len(reference)
+        for lam in genuine:
+            ref = min(reference, key=lambda q: abs(q - lam))
+            assert abs(lam - ref) <= 1e-4 * abs(lam.imag)
+
+    def test_widths_below_the_arpack_floor(self, wall_run):
+        # at eps = 0.04 the widths reach 1e-18, far under the ~1e-15 floor
+        # of a window sweep
+        eps = 0.04
+        table = wall_run.ladder(epsilon=eps)
+        genuine = _genuine_resonances(wall_run.spectrum(epsilon=eps))
+        assert len(table) == len(genuine) == 5
+        widths = sorted(-2.0 * p.eigenvalue.imag for p in genuine)
+        assert 1e-18 < widths[0] and widths[-1] < 1e-14
+        for r in table:
+            hit = min(genuine, key=lambda p: abs(p.eigenvalue.real - r.e_real))
+            assert 0.45 <= -2.0 * hit.eigenvalue.imag / r.width <= 0.7
 
 
 class TestFourierEdges:
