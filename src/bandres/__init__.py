@@ -13,7 +13,7 @@ from .actions import (
     well_phase,
     well_phase_derivative,
 )
-from .config import OracleSettings, RunConfiguration, load_configuration
+from .config import RunConfiguration, load_configuration
 from .errors import (
     BandresError,
     BoundaryCollisionError,

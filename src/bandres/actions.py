@@ -33,9 +33,10 @@ Conventions:
 All integrands have square-root behavior at component endpoints (simple
 band-edge crossings), removed exactly by the zeta = endpoint +/- u^2
 substitution on buffer panels; interior panels use plain Gauss-Legendre.
-Every integral uses 2*nodes points per panel; only
-phase_integral(with_error=True) also runs the nodes rule, and reports
-the difference as its quadrature error.
+Every integral uses 2*nodes points per panel and calls its integrand once,
+on the nodes of all four panels; only phase_integral(with_error=True)
+also runs the nodes rule, and reports the difference as its quadrature
+error.
 """
 
 from __future__ import annotations
@@ -57,25 +58,24 @@ def _gl(n):
     return _GL_CACHE[n]
 
 
-def _gl_panel(f, a, b, n):
-    x, w = _gl(n)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(w, f(0.5 * (a + b) + half * x)))
-
-
 def _edge_resolved_quad(f, a, b, n, buffer):
     """Integrate f over [a, b] with sqrt endpoint behavior at both ends,
-    n Gauss-Legendre nodes on each of the four panels."""
+    n Gauss-Legendre nodes on each of the four panels, f called once on
+    all of them. The buffer panels run in u over [0, sqrt(d)] with
+    zeta = a + u^2 and zeta = b - u^2."""
     if not b > a:
         raise InternalConsistencyError("empty integration segment [%g, %g]" % (a, b))
+    x, w = _gl(n)
     d = buffer * (b - a)
-    u_left = math.sqrt(d)
-    total = _gl_panel(lambda u: 2.0 * u * f(a + u * u), 0.0, u_left, n)
     m = 0.5 * (a + b)
-    total += _gl_panel(f, a + d, m, n)
-    total += _gl_panel(f, m, b - d, n)
-    total += _gl_panel(lambda u: 2.0 * u * f(b - u * u), 0.0, u_left, n)
-    return total
+    panels = ((0.0, math.sqrt(d)), (a + d, m), (m, b - d), (0.0, math.sqrt(d)))
+    u, lo_half, hi_half = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+                           for lo, hi in panels[:3])
+    values = np.split(f(np.concatenate((a + u * u, lo_half, hi_half, b - u * u))), 4)
+    values[0] = 2.0 * u * values[0]
+    values[3] = 2.0 * u * values[3]
+    return sum(0.5 * (hi - lo) * float(np.dot(w, v))
+               for (lo, hi), v in zip(panels, values))
 
 
 def _require_h6(window, op):

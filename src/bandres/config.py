@@ -13,7 +13,6 @@ import json
 
 from .errors import ConfigurationError
 from .hill import PeriodicPotential
-from .oracle import MIN_POINTS_PER_PERIOD, OracleConfig
 from .solver import SolverConfig
 from .window import PerturbationProfile
 
@@ -22,7 +21,7 @@ _POTENTIAL_KEYS = {"mean", "cos_coeffs", "sin_coeffs", "allow_constant"}
 _PROFILE_KEYS = {"mu", "nu", "bumps", "allow_constant"}
 _SOLVER_KEYS = {"epsilon", "zeta", "e_window", "root_tol", "nodes",
                 "buffer", "c0"}
-_ORACLE_KEYS = {"points_per_period", "cap_strength", "cap_onset"}
+_ORACLE_KEYS = {"cap_strength"}
 
 
 def _key_line(text, key):
@@ -64,46 +63,15 @@ def _section(data, name, source, text, required=True):
     return value
 
 
-class OracleSettings:
-    """Grid-oracle knobs; the box is always derived from the window,
-    epsilon and points_per_period."""
-
-    def __init__(self, points_per_period=float(MIN_POINTS_PER_PERIOD),
-                 cap_strength=0.0, cap_onset=0.8):
-        self.points_per_period = float(points_per_period)
-        self.cap_strength = float(cap_strength)
-        self.cap_onset = float(cap_onset)
-        if self.points_per_period < MIN_POINTS_PER_PERIOD:
-            raise ConfigurationError(
-                "points_per_period=%g below the resolution floor %d"
-                % (self.points_per_period, MIN_POINTS_PER_PERIOD))
-        if self.cap_strength < 0.0:
-            raise ConfigurationError("cap_strength must be nonnegative")
-        if not 0.0 < self.cap_onset < 1.0:
-            raise ConfigurationError("cap_onset must lie in (0, 1)")
-
-    def build(self, window, epsilon):
-        """OracleConfig for this window."""
-        return OracleConfig.for_window(window, epsilon,
-                                       points_per_period=self.points_per_period,
-                                       cap_strength=self.cap_strength,
-                                       cap_onset=self.cap_onset)
-
-    def to_dict(self):
-        return {"points_per_period": self.points_per_period,
-                "cap_strength": self.cap_strength,
-                "cap_onset": self.cap_onset}
-
-
 class RunConfiguration:
     """Validated bundle of everything a command needs."""
 
-    def __init__(self, potential, profile, solver, oracle=None,
+    def __init__(self, potential, profile, solver, cap_strength=0.0,
                  output_dir="out"):
         self.potential = potential
         self.profile = profile
         self.solver = solver
-        self.oracle = oracle if oracle is not None else OracleSettings()
+        self.cap_strength = float(cap_strength)
         self.output_dir = str(output_dir)
 
     @classmethod
@@ -150,7 +118,11 @@ class RunConfiguration:
                 "%se_window must be a two-number array [lo, hi]"
                 % _at(source, text, "e_window"))
         solver = build("solver", lambda d: SolverConfig(**d), dict(sol_d))
-        oracle = build("oracle", lambda d: OracleSettings(**d), dict(ora_d))
+        cap_strength = ora_d.get("cap_strength", 0.0)
+        if not isinstance(cap_strength, (int, float)) or not cap_strength >= 0.0:
+            raise ConfigurationError(
+                "%scap_strength must be a nonnegative number"
+                % _at(source, text, "cap_strength"))
 
         output_dir = data.get("output_dir", "out")
         if not isinstance(output_dir, str) or not output_dir:
@@ -158,7 +130,7 @@ class RunConfiguration:
                 "%soutput_dir must be a nonempty string"
                 % _at(source, text, "output_dir"))
 
-        return cls(potential, profile, solver, oracle, output_dir)
+        return cls(potential, profile, solver, cap_strength, output_dir)
 
     @classmethod
     def load(cls, path):
@@ -178,7 +150,7 @@ class RunConfiguration:
         return {"potential": self.potential.to_dict(),
                 "profile": self.profile.to_dict(),
                 "solver": self.solver.to_dict(),
-                "oracle": self.oracle.to_dict(),
+                "oracle": {"cap_strength": self.cap_strength},
                 "output_dir": self.output_dir}
 
     def replace_solver(self, **overrides):
@@ -186,7 +158,7 @@ class RunConfiguration:
         d = self.solver.to_dict()
         d.update(overrides)
         return RunConfiguration(self.potential, self.profile,
-                                SolverConfig(**d), self.oracle,
+                                SolverConfig(**d), self.cap_strength,
                                 self.output_dir)
 
     def __eq__(self, other):

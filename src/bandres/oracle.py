@@ -9,7 +9,7 @@ the Floquet/action pipeline:
 * build_grid_hamiltonian / oracle_spectrum: second-order finite
   differences for -d2/dx2 + V(x) + W(eps*x + zeta) on [-L, L] with
   Dirichlet walls, optionally damped by a complex absorbing potential
-  -i*eta*ramp(x)^2 switched on at |x| = cap_onset*L. The Dirichlet states
+  -i*eta*ramp(x)^2 switched on at |x| = 0.7*L. The Dirichlet states
   of the real part with Re(E) inside the energy window come from one
   tridiagonal interval solve. With the absorber on, each localized state
   seeds a one-eigenpair shift-invert polish of the complex operator:
@@ -33,6 +33,7 @@ MAX_GRID_POINTS = 32000
 MIN_POINTS_PER_PERIOD = 32
 LOCALIZED = 0.5          # eigenvector mass fraction that marks a window state
 _BOX_MARGIN = 10.0       # slow-variable room beyond the window endpoints
+_CAP_ONSET = 0.7         # absorber ramp starts at this fraction of the half-length
 
 
 class HillEdgeResult:
@@ -68,14 +69,13 @@ def hill_matrix_band_edges(potential, m_truncation, n_edges=8):
 
 
 class OracleConfig:
-    """Geometry and absorber settings for the finite-difference box."""
+    """Geometry and absorber strength of the finite-difference box;
+    for_window builds the standard one, OracleConfig(L, N) any other."""
 
-    def __init__(self, box_half_length, n_points, cap_strength=0.0,
-                 cap_onset=0.8):
+    def __init__(self, box_half_length, n_points, cap_strength=0.0):
         self.box_half_length = float(box_half_length)
         self.n_points = int(n_points)
         self.cap_strength = float(cap_strength)
-        self.cap_onset = float(cap_onset)
         if self.box_half_length <= 0.0:
             raise ConfigurationError("box_half_length must be positive")
         if self.n_points < 16:
@@ -86,8 +86,6 @@ class OracleConfig:
                 % (self.n_points, MAX_GRID_POINTS))
         if self.cap_strength < 0.0:
             raise ConfigurationError("cap_strength must be nonnegative")
-        if not 0.0 < self.cap_onset < 1.0:
-            raise ConfigurationError("cap_onset must lie in (0, 1)")
         if self.points_per_period < MIN_POINTS_PER_PERIOD - 1e-9:
             raise ConfigurationError(
                 "grid resolves only %.1f points per potential period (need >= %d)"
@@ -102,10 +100,9 @@ class OracleConfig:
         return 1.0 / self.spacing
 
     @classmethod
-    def for_window(cls, window, epsilon, points_per_period=MIN_POINTS_PER_PERIOD,
-                   cap_strength=0.0, cap_onset=0.8):
+    def for_window(cls, window, epsilon, cap_strength=0.0):
         """Smallest box that holds the window endpoints with the standard
-        slow-variable margin, at the requested grid resolution."""
+        slow-variable margin, at MIN_POINTS_PER_PERIOD."""
         anchors = [z for z in (window.zeta0_minus, window.zeta0_plus)
                    if z is not None and math.isfinite(z)]
         if not anchors:
@@ -115,10 +112,9 @@ class OracleConfig:
             raise ConfigurationError("window has no finite endpoint to anchor the box")
         base = sum(abs(z) for z in anchors) if len(anchors) >= 2 else 2.0 * abs(anchors[0])
         half_length = (base + _BOX_MARGIN) / epsilon
-        # ceil keeps the realized resolution at or above the request
-        n_points = int(math.ceil(2.0 * half_length * points_per_period)) - 1
-        return cls(half_length, n_points, cap_strength=cap_strength,
-                   cap_onset=cap_onset)
+        # ceil keeps the realized resolution at or above the floor
+        n_points = int(math.ceil(2.0 * half_length * MIN_POINTS_PER_PERIOD)) - 1
+        return cls(half_length, n_points, cap_strength=cap_strength)
 
 
 class GridHamiltonian:
@@ -169,7 +165,7 @@ def build_grid_hamiltonian(potential, profile, zeta, epsilon, config, window=Non
     x = -L + i * delta
     diag = 2.0 / delta ** 2 + potential(x) + profile(epsilon * x + zeta)
     if config.cap_strength > 0.0:
-        ramp = np.clip((np.abs(x) - config.cap_onset * L) / ((1.0 - config.cap_onset) * L),
+        ramp = np.clip((np.abs(x) - _CAP_ONSET * L) / ((1.0 - _CAP_ONSET) * L),
                        0.0, None)
         diag = diag.astype(complex) - 1j * config.cap_strength * ramp ** 2
     return GridHamiltonian(diag, -1.0 / delta ** 2, x, config)

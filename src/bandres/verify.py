@@ -16,7 +16,8 @@ import numpy as np
 
 from .actions import delta_kappa
 from .errors import BandresError, ConfigurationError
-from .oracle import LOCALIZED, build_grid_hamiltonian, oracle_spectrum
+from .oracle import (LOCALIZED, OracleConfig, build_grid_hamiltonian,
+                     oracle_spectrum)
 from .solver import locate_resonances
 from .window import decompose_window
 
@@ -66,7 +67,8 @@ class Run:
             cfg = self.cfg
             ham = build_grid_hamiltonian(
                 cfg.potential, cfg.profile, key[1], key[0],
-                cfg.oracle.build(self.window, key[0]), window=self.window)
+                OracleConfig.for_window(self.window, key[0], cfg.cap_strength),
+                window=self.window)
             self._spectra[key] = oracle_spectrum(ham, cfg.solver.e_window)
         return self._spectra[key]
 
@@ -103,7 +105,7 @@ def check_counts_spacings(run):
     """Level count within 1 of the oracle's, and spacings within 10%."""
     table = run.ladder()
     pairs = run.spectrum()
-    states = (_genuine_resonances(pairs) if run.cfg.oracle.cap_strength > 0.0
+    states = (_genuine_resonances(pairs) if run.cfg.cap_strength > 0.0
               else [p for p in pairs if p.localization > LOCALIZED])
     if run.window.classification == "H5":
         return [Check("resonance-free", not table and not states,
@@ -165,7 +167,7 @@ def check_drift(run):
 
 def check_width_fit(run, ladder=DEFAULT_LADDER):
     """ln(width) against 1/eps has slope -min(S-, S+) within 15%."""
-    if run.cfg.oracle.cap_strength <= 0.0:
+    if run.cfg.cap_strength <= 0.0:
         return [Check("width-fit", None, "skipped: no absorber configured")]
     if run.window.classification != "H6":
         return [Check("width-fit", None, "skipped: %s window has no tracked level"

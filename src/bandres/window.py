@@ -328,10 +328,8 @@ def decompose_window(profile, bands, energy):
         mids.append(cuts[-1] + 1.0)
     else:
         mids.append(0.0)
-    member = []
-    for m in mids:
-        kind, _ = bands.locate(energy - profile(m))
-        member.append(kind == "band")
+    located = [bands.locate(energy - profile(m)) for m in mids]
+    member = [kind == "band" for kind, _ in located]
     # tails decided by the limits (the midpoint probes above sit 1 unit out,
     # which may not be asymptotic yet; the limits are authoritative there)
     if cuts:
@@ -354,8 +352,7 @@ def decompose_window(profile, bands, energy):
             kind = "unbounded_right"
         else:
             kind = "compact"
-        mid = mids[i]
-        loc_kind, band_n = bands.locate(energy - profile(mid))
+        loc_kind, band_n = located[i]
         if loc_kind != "band":
             raise InternalConsistencyError("component midpoint left the spectrum")
         components.append(WindowComponent(lo, hi, kind, lo_ep, hi_ep, band_n))

@@ -90,7 +90,8 @@ class TestPhaseIntegral:
 
     def test_one_gauss_rule_per_integral(self, drift_window, mathieu_bands,
                                          drift_profile):
-        # 4 panels of 2*nodes points; only the error estimate adds the nodes rule
+        # one call on 4 panels of 2*nodes points; only the error estimate
+        # adds a call for the nodes rule
         sizes = []
 
         def counting(z):
@@ -98,11 +99,11 @@ class TestPhaseIntegral:
             return drift_profile(z)
 
         well_phase(drift_window, mathieu_bands, counting, nodes=64)
-        assert sum(sizes) == 4 * 128
+        assert sizes == [4 * 128]
         sizes.clear()
         phase_integral(drift_window, mathieu_bands, counting, nodes=64,
                        with_error=True)
-        assert sum(sizes) == 4 * (128 + 64)
+        assert sizes == [4 * 128, 4 * 64]
 
 
 class TestEdgeBookkeeping:

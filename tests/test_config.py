@@ -4,7 +4,7 @@ import pytest
 
 from bandres import (
     ConfigurationError,
-    OracleSettings,
+    OracleConfig,
     RunConfiguration,
     decompose_window,
     load_configuration,
@@ -37,9 +37,8 @@ class TestLoading:
     def test_minimal_document(self, tmp_path):
         cfg = load_configuration(write(tmp_path, json.dumps(GOOD)))
         assert cfg.solver.epsilon == 0.08
-        # omitted oracle section falls back to the stock settings
-        assert cfg.oracle.points_per_period == 32.0
-        assert cfg.oracle.cap_strength == 0.0
+        # omitted oracle section: no absorber
+        assert cfg.cap_strength == 0.0
         assert cfg.output_dir == "out"
         assert cfg.profile(0.0) == pytest.approx(4.0)
         assert cfg.potential.cos_coeffs == (2.0,)
@@ -98,25 +97,28 @@ class TestLoading:
 
 
 class TestOracleSettings:
+    """The run file's oracle section (cap_strength only) and the box
+    OracleConfig.for_window derives."""
+
     def test_defaults_fit_window(self, mathieu_bands, bound_profile):
         win = decompose_window(bound_profile, mathieu_bands, 9.7)
-        settings = OracleSettings()
-        built = settings.build(win, 0.1)
+        built = OracleConfig.for_window(win, 0.1)
         base = abs(win.zeta0_minus) + abs(win.zeta0_plus)
         assert built.box_half_length == pytest.approx((base + 10.0) / 0.1)
+        assert built.points_per_period >= 32.0
         assert built.cap_strength == 0.0
 
     def test_derived_box_carries_absorber(self, mathieu_bands, bound_profile):
         win = decompose_window(bound_profile, mathieu_bands, 9.7)
-        settings = OracleSettings(cap_strength=1.0, cap_onset=0.7)
-        built = settings.build(win, 0.1)
-        assert built.box_half_length == \
-            OracleSettings().build(win, 0.1).box_half_length
+        built = OracleConfig.for_window(win, 0.1, cap_strength=1.0)
+        plain = OracleConfig.for_window(win, 0.1)
+        assert built.box_half_length == plain.box_half_length
+        assert built.n_points == plain.n_points
         assert built.cap_strength == 1.0
-        assert built.cap_onset == 0.7
 
     @pytest.mark.parametrize("key", ["box_half_length", "n_points", "margin",
-                                     "n_eigs"])
+                                     "n_eigs", "points_per_period",
+                                     "cap_onset"])
     def test_box_geometry_keys_are_unknown(self, tmp_path, key):
         doc = dict(GOOD, oracle={"cap_strength": 0.0, key: 10.0})
         text = json.dumps(doc, indent=1)
@@ -127,23 +129,28 @@ class TestOracleSettings:
                       if '"%s"' % key in t)
         assert "%s:%d: unknown key %r" % (path, wanted, key) in str(err.value)
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            OracleSettings(points_per_period=8.0)
-        with pytest.raises(ConfigurationError):
-            OracleSettings(cap_strength=-0.5)
-        with pytest.raises(ConfigurationError):
-            OracleSettings(cap_onset=0.0)
+    def test_validation(self, tmp_path):
+        for value in (-0.5, "1.0", None):
+            doc = dict(GOOD, oracle={"cap_strength": value})
+            text = json.dumps(doc, indent=1)
+            path = write(tmp_path, text)
+            with pytest.raises(ConfigurationError) as err:
+                load_configuration(path)
+            wanted = next(i for i, t in enumerate(text.splitlines(), 1)
+                          if '"cap_strength"' in t)
+            assert "%s:%d: cap_strength" % (path, wanted) in str(err.value)
 
-    def test_round_trip(self):
-        settings = OracleSettings(points_per_period=48.0, cap_strength=0.5,
-                                  cap_onset=0.75)
-        assert OracleSettings(**settings.to_dict()).to_dict() == \
-            settings.to_dict()
+    def test_round_trip(self, tmp_path):
+        doc = dict(GOOD, oracle={"cap_strength": 0.5})
+        cfg = load_configuration(write(tmp_path, json.dumps(doc)))
+        assert cfg.cap_strength == 0.5
+        assert cfg.to_dict()["oracle"] == {"cap_strength": 0.5}
+        assert RunConfiguration.from_dict(cfg.to_dict()) == cfg
+        assert cfg.replace_solver(epsilon=0.05).cap_strength == 0.5
 
     def test_grid_ceiling_propagates(self, mathieu_bands, bound_profile):
         win = decompose_window(bound_profile, mathieu_bands, 9.7)
-        settings = OracleSettings(points_per_period=64.0)
         with pytest.raises(ConfigurationError) as err:
-            settings.build(win, 0.01)   # box of ~1400 needs > 32000 points
+            # half-length ~1400 needs ~89000 points at 32 per period
+            OracleConfig.for_window(win, 0.01)
         assert str(MAX_GRID_POINTS) in str(err.value)

@@ -198,8 +198,9 @@ class TestQuasiMomentum:
             assert km.value.imag > 0.0
 
     def test_table_route_matches_ode_route(self, mathieu_bands):
-        # k_band_fast rides the cached polynomial table; quasi_momentum_main
-        # re-integrates the monodromy. The two must agree.
+        # k_band_fast and kprime_fast ride the cached polynomial table;
+        # quasi_momentum_main and quasi_momentum_derivative re-integrate the
+        # monodromy. The two routes must agree.
         rng = np.random.default_rng(11)
         for n in (1, 2):
             lo, hi = mathieu_bands.band(n)
@@ -207,6 +208,9 @@ class TestQuasiMomentum:
                 fast = float(mathieu_bands.k_band_fast(float(e), n))
                 slow = quasi_momentum_main(mathieu_bands, float(e)).value.real
                 assert abs(fast - slow) <= 1e-9
+                fast_prime = float(mathieu_bands.kprime_fast(float(e), n))
+                slow_prime = quasi_momentum_derivative(mathieu_bands, float(e))
+                assert fast_prime == pytest.approx(slow_prime, rel=1e-8)
 
     def test_gamma_route_matches_ode_route(self, mathieu, mathieu_bands):
         g_lo, g_hi = mathieu_bands.gap(1)

@@ -36,12 +36,12 @@ class TestGeometry:
 
     def test_for_window_fits_endpoints(self, mathieu_bands, bound_profile):
         win = decompose_window(bound_profile, mathieu_bands, 9.7)
-        cfg = OracleConfig.for_window(win, 0.1, points_per_period=40.0)
+        cfg = OracleConfig.for_window(win, 0.1)
         base = abs(win.zeta0_minus) + abs(win.zeta0_plus)
         assert cfg.box_half_length == pytest.approx((base + 10.0) / 0.1)
-        expected_n = math.ceil(2.0 * cfg.box_half_length * 40.0) - 1
+        expected_n = math.ceil(2.0 * cfg.box_half_length * MIN_POINTS_PER_PERIOD) - 1
         assert cfg.n_points == expected_n
-        assert cfg.points_per_period >= 40.0
+        assert cfg.points_per_period >= MIN_POINTS_PER_PERIOD
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -52,8 +52,6 @@ class TestGeometry:
             OracleConfig(10.0, MAX_GRID_POINTS + 1)
         with pytest.raises(ConfigurationError):
             OracleConfig(10.0, 639, cap_strength=-1.0)
-        with pytest.raises(ConfigurationError):
-            OracleConfig(10.0, 639, cap_onset=1.0)
         with pytest.raises(ConfigurationError):
             # 10 points per period is far below the resolution floor
             OracleConfig(10.0, 199)
@@ -128,7 +126,7 @@ class TestBoxSpectrum:
 class TestAbsorber:
     def test_complex_diagonal_switches_on_past_onset(self, mathieu,
                                                      wall_profile):
-        cfg = OracleConfig(40.0, 2559, cap_strength=1.0, cap_onset=0.7)
+        cfg = OracleConfig(40.0, 2559, cap_strength=1.0)
         handle = build_grid_hamiltonian(mathieu, wall_profile, 0.0, 0.1, cfg)
         assert handle.is_complex
         inside = np.abs(handle.x) < 0.7 * 40.0
@@ -137,7 +135,7 @@ class TestAbsorber:
         assert np.any(handle.diag.imag < -1e-3)
 
     def test_spectrum_sits_below_the_axis(self, mathieu, wall_profile):
-        cfg = OracleConfig(40.0, 2559, cap_strength=1.0, cap_onset=0.7)
+        cfg = OracleConfig(40.0, 2559, cap_strength=1.0)
         handle = build_grid_hamiltonian(mathieu, wall_profile, 0.0, 0.1, cfg)
         pairs = oracle_spectrum(handle, (3.6, 4.2))
         assert pairs
@@ -148,7 +146,7 @@ class TestAbsorber:
             assert p.stability >= 0.0 and math.isfinite(p.stability)
 
     def test_repeated_solves_are_identical(self, mathieu, wall_profile):
-        cfg = OracleConfig(40.0, 2559, cap_strength=1.0, cap_onset=0.7)
+        cfg = OracleConfig(40.0, 2559, cap_strength=1.0)
         handle = build_grid_hamiltonian(mathieu, wall_profile, 0.0, 0.1, cfg)
         first, again = (oracle_spectrum(handle, (3.6, 4.2))
                         for _ in range(2))
@@ -157,10 +155,10 @@ class TestAbsorber:
 
     def test_stability_is_displacement_at_half_strength(self, mathieu,
                                                          wall_profile):
-        cfg = OracleConfig(40.0, 2559, cap_strength=1.0, cap_onset=0.7)
+        cfg = OracleConfig(40.0, 2559, cap_strength=1.0)
         handle = build_grid_hamiltonian(mathieu, wall_profile, 0.0, 0.1, cfg)
         pairs = oracle_spectrum(handle, (3.6, 4.2))
-        half_cfg = OracleConfig(40.0, 2559, cap_strength=0.5, cap_onset=0.7)
+        half_cfg = OracleConfig(40.0, 2559, cap_strength=0.5)
         half = build_grid_hamiltonian(mathieu, wall_profile, 0.0, 0.1, half_cfg)
         half_vals = [q.eigenvalue for q in
                      oracle_spectrum(half, (3.6, 4.2))]
@@ -190,7 +188,8 @@ class TestSeededPolish:
         cfg, eps = wall_run.cfg, 0.10
         handle = build_grid_hamiltonian(
             cfg.potential, cfg.profile, cfg.solver.zeta, eps,
-            cfg.oracle.build(wall_run.window, eps), window=wall_run.window)
+            OracleConfig.for_window(wall_run.window, eps, cfg.cap_strength),
+            window=wall_run.window)
         half = GridHamiltonian(handle.diag.real + 0.5j * handle.diag.imag,
                                handle.off, handle.x, handle.config)
         full_vals, full_vecs = _window_sweep(handle, cfg.solver.e_window)
