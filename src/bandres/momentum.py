@@ -247,7 +247,8 @@ def isoenergy_portrait(profile, bands, energy, zeta_range, n_samples):
     branch values {kappa0, 2*pi - kappa0}; gap samples are skipped. Within
     the fold resolution of a band edge the branches merge to the single
     edge value. Two vertical periods of the momentum are covered by
-    construction since the output lies in [0, 2*pi).
+    construction since the output lies in [0, 2*pi). Each band's samples
+    are read from the discriminant table in one call.
     """
     lo, hi = (float(v) for v in zeta_range)
     n_samples = int(n_samples)
@@ -257,12 +258,18 @@ def isoenergy_portrait(profile, bands, energy, zeta_range, n_samples):
         raise DomainError("empty zeta range [%g, %g]" % (lo, hi))
     zs = np.linspace(lo, hi, n_samples)
     es = energy - profile(zs)
+    band_of = np.array([n if kind == "band" else 0
+                        for kind, n in map(bands.locate, es)])
+    k = np.empty(es.shape)
+    for n in np.unique(band_of[band_of > 0]):
+        on = band_of == n
+        k[on] = bands.k_band_fast(es[on], int(n))
     out = []
-    for z, e in zip(zs, es):
-        kind, n = bands.locate(e)
-        if kind != "band":
+    for z, n, kn in zip(zs, band_of, k):
+        if n == 0:
             continue
-        k0 = reduced_momentum(float(bands.k_band_fast(e, n)), n)
+        n = int(n)
+        k0 = reduced_momentum(float(kn), n)
         k0 = min(max(k0, 0.0), math.pi)
         if k0 < _EDGE_SNAP:
             k0 = 0.0

@@ -266,6 +266,34 @@ class TestDiscriminantTable:
         _, s_plus = actions_pm(win, mathieu_bands, tall)
         assert math.isfinite(s_plus) and s_plus > 0.0
 
+    @staticmethod
+    def _table_with(bands, points, monkeypatch):
+        """A fresh table of `bands` built at `points` nodes per piece."""
+        with monkeypatch.context() as m:
+            m.setattr(hill, "_TABLE_POINTS", points)
+            return BandStructure.from_dict(bands.to_dict(), bands.potential).table
+
+    def test_underresolved_table_is_refused(self, mathieu_bands, monkeypatch):
+        # 9 nodes on Mathieu validate at 1.6e-8: over the 1e-10 bound
+        with pytest.raises(InternalConsistencyError, match="validation error"):
+            self._table_with(mathieu_bands, 9, monkeypatch)
+
+    @pytest.mark.parametrize("potential, e_max", [
+        (PeriodicPotential(0.0, (2.0,)), 165.0),
+        (PeriodicPotential(0.4, (6.0, -3.0, 1.5), (2.0, 0.0, -1.0)), 165.0),
+    ], ids=["mathieu", "three_modes"])
+    def test_shipped_table_matches_97_nodes(self, potential, e_max, monkeypatch):
+        bands = band_edges(potential, e_max)
+        ref = self._table_with(bands, 97, monkeypatch)
+        table = BandStructure.from_dict(bands.to_dict(), potential).table
+        assert table.validation_error <= 1e-11
+        br = table.breaks
+        e = np.concatenate([np.linspace(a, b, 1001) for a, b in zip(br[:-1], br[1:])])
+        for got, want in ((table.value(e), ref.value(e)),
+                          (table.derivative(e), ref.derivative(e))):
+            # relative on the validation's scale max(1, |D|); measured <= 1.5e-13
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
 
 class TestFolding:
     def test_reduced_momentum_fold(self):

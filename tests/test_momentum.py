@@ -9,6 +9,7 @@ from bandres import (
     DomainError,
     PerturbationProfile,
     UnsupportedConfigurationError,
+    band_edges,
     decompose_window,
     find_branch_points,
     im_kappa_gap,
@@ -17,8 +18,30 @@ from bandres import (
     quasi_momentum_main,
     reduced_momentum,
 )
+from bandres.momentum import _EDGE_SNAP
 
 E_BOUND = 9.7
+
+
+def portrait_per_sample(profile, bands, energy, zeta_range, n_samples):
+    """isoenergy_portrait as one scalar table call per sample: the reference
+    the band-at-a-time evaluation must reproduce bit for bit."""
+    zs = np.linspace(zeta_range[0], zeta_range[1], n_samples)
+    es = energy - profile(zs)
+    out = []
+    for z, e in zip(zs, es):
+        kind, n = bands.locate(e)
+        if kind != "band":
+            continue
+        k0 = reduced_momentum(float(bands.k_band_fast(e, n)), n)
+        k0 = min(max(k0, 0.0), math.pi)
+        if k0 < _EDGE_SNAP:
+            k0 = 0.0
+        elif math.pi - k0 < _EDGE_SNAP:
+            k0 = math.pi
+        branches = (k0,) if k0 in (0.0, math.pi) else (k0, 2.0 * math.pi - k0)
+        out.append((float(z), branches))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +201,23 @@ class TestPortrait:
         assert zs == sorted(zs)
         steps = np.diff(zs)
         assert np.allclose(steps, steps[0], atol=1e-9)   # contiguous block
+
+    @pytest.mark.parametrize("profile_name, energy, e_max, located", [
+        # E - W spans the top of band 2, gap 2 and the bottom of band 3
+        ("bound_profile", 40.0, 98.0, {("band", 2), ("gap", 2), ("band", 3)}),
+        ("wall_profile", 3.9, 45.0, None),      # barrier_wall's window midpoint
+    ])
+    def test_band_at_a_time_equals_per_sample_loop(self, mathieu, request, profile_name,
+                                                   energy, e_max, located):
+        profile = request.getfixturevalue(profile_name)
+        bands = band_edges(mathieu, e_max)
+        half = profile.scan_half_width()
+        args = (profile, bands, energy, (-half, half), 801)
+        if located is not None:
+            es = energy - profile(np.linspace(-half, half, 801))
+            assert {bands.locate(e) for e in es} == located
+        rows = isoenergy_portrait(*args)
+        assert rows and rows == portrait_per_sample(*args)
 
     def test_validation(self, mathieu_bands, bound_profile):
         with pytest.raises(DomainError):
