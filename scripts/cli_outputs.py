@@ -27,9 +27,7 @@ EXTRA = {("bound_well", "bands"): ("--cross-check",)}
 ADDED = (("drift_well", "resonances_sweep", ("resonances", "--sweep-zeta", "3")),
          ("bound_well", "window_energy_40", ("window", "--energy", "40")),
          ("bound_well", "portrait_energy_40", ("portrait", "--energy", "40")),
-         ("barrier_wall", "oracle_eps_006", ("oracle", "--epsilon", "0.06")),
-         ("barrier_wall", "resonances_nodes_48",
-          ("resonances", "--nodes", "48", "--buffer", "0.2")))
+         ("barrier_wall", "oracle_eps_006", ("oracle", "--epsilon", "0.06")))
 
 
 def runs():

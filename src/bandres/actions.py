@@ -71,9 +71,9 @@ def _edge_resolved_quad(f, a, b, n, buffer):
     panels = ((0.0, math.sqrt(d)), (a + d, m), (m, b - d), (0.0, math.sqrt(d)))
     u, lo_half, hi_half = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x
                            for lo, hi in panels[:3])
-    values = np.split(f(np.concatenate((a + u * u, lo_half, hi_half, b - u * u))), 4)
-    values[0] = 2.0 * u * values[0]
-    values[3] = 2.0 * u * values[3]
+    values = f(np.concatenate((a + u * u, lo_half, hi_half, b - u * u))).reshape(4, -1)
+    values[0] *= 2.0 * u
+    values[3] *= 2.0 * u
     return sum(0.5 * (hi - lo) * float(np.dot(w, v))
                for (lo, hi), v in zip(panels, values))
 

@@ -30,7 +30,7 @@ from .errors import BandresError, ConfigurationError
 from .hill import band_edges
 from .momentum import isoenergy_portrait
 from .oracle import hill_matrix_band_edges
-from .verify import DEFAULT_LADDER, Run, render, verify
+from .verify import Run, render, verify
 from .window import decompose_window
 
 
@@ -70,6 +70,7 @@ def _write_record(path, record):
         fh.write("\n")
 
 
+_CROSS_CHECK_TRUNC = 24   # Fourier truncation of bands --cross-check
 _MAX_SCANS = 4   # the last scan reaches 8 times the first e_max
 
 
@@ -124,7 +125,8 @@ def cmd_bands(cfg, args, outdir):
 
     if args.cross_check:
         n_edges = min(8, int(edges.size))
-        ref = hill_matrix_band_edges(cfg.potential, args.m_trunc, n_edges=n_edges)
+        ref = hill_matrix_band_edges(cfg.potential, _CROSS_CHECK_TRUNC,
+                                     n_edges=n_edges)
         _write_csv(os.path.join(outdir, "hill_edges.csv"), ("edge", "energy"),
                    [(j + 1, e) for j, e in enumerate(ref.edges)])
         dev = max(abs(a - b) / max(1.0, abs(b))
@@ -239,8 +241,7 @@ def cmd_oracle(cfg, args, outdir):
 
 
 def cmd_verify(cfg, args, outdir):
-    checks, code = verify(Run(cfg, _build_bands(cfg)),
-                          args.epsilon_ladder or DEFAULT_LADDER)
+    checks, code = verify(Run(cfg, _build_bands(cfg)))
     text = render(checks)
     sys.stdout.write(text)
     with open(os.path.join(outdir, "verify_report.txt"), "w",
@@ -268,12 +269,6 @@ _OVERRIDES = {
     "zeta": ("--zeta", dict(type=float, help="override solver zeta")),
     "e_window": ("--window", dict(type=float, nargs=2, metavar=("A", "B"),
                                   help="override the energy window")),
-    "root_tol": ("--root-tol", dict(type=float,
-                                    help="override the root residual tolerance")),
-    "nodes": ("--nodes", dict(type=int, help="override the quadrature node count")),
-    "buffer": ("--buffer", dict(type=float,
-                                help="override the endpoint buffer fraction")),
-    "c0": ("--c0", dict(type=float, help="override the width prefactor convention")),
 }
 
 
@@ -301,8 +296,6 @@ def build_parser():
                     help="edge ceiling: every band edge below it is reported")
     sp.add_argument("--cross-check", action="store_true",
                     help="also compute truncated-Fourier edges and compare")
-    sp.add_argument("--m-trunc", type=int, default=24,
-                    help="Fourier truncation order for --cross-check")
 
     sp = sub.add_parser("window", help="window decomposition at one energy")
     _add_common(sp, ("e_window",))
@@ -310,7 +303,7 @@ def build_parser():
                     help="energy to decompose (default: window midpoint)")
 
     sp = sub.add_parser("actions", help="action table over the energy window")
-    _add_common(sp, ("e_window", "nodes", "buffer"))
+    _add_common(sp, ("e_window",))
     sp.add_argument("--grid-points", type=int, default=25,
                     help="energy grid size for the table")
 
@@ -333,8 +326,6 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="solver vs oracle comparison report")
     _add_common(sp, _OVERRIDES)
-    sp.add_argument("--epsilon-ladder", type=float, nargs="+", default=None,
-                    metavar="EPS", help="epsilon values for the width fit")
 
     return p
 

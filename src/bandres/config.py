@@ -19,8 +19,7 @@ from .window import PerturbationProfile
 _TOP_KEYS = {"potential", "profile", "solver", "oracle", "output_dir"}
 _POTENTIAL_KEYS = {"mean", "cos_coeffs", "sin_coeffs", "allow_constant"}
 _PROFILE_KEYS = {"mu", "nu", "bumps", "allow_constant"}
-_SOLVER_KEYS = {"epsilon", "zeta", "e_window", "root_tol", "nodes",
-                "buffer", "c0"}
+_SOLVER_KEYS = ("epsilon", "zeta", "e_window")   # all required
 _ORACLE_KEYS = {"cap_strength"}
 
 
@@ -106,7 +105,7 @@ class RunConfiguration:
         potential = build("potential", PeriodicPotential.from_dict, pot_d)
         profile = build("profile", PerturbationProfile.from_dict, prof_d)
 
-        for key in ("epsilon", "zeta", "e_window"):
+        for key in _SOLVER_KEYS:
             if key not in sol_d:
                 raise ConfigurationError(
                     "%smissing required solver key %r"
@@ -147,9 +146,10 @@ class RunConfiguration:
         return cls.from_dict(data, source=str(path), text=text)
 
     def to_dict(self):
+        solver = self.solver.to_dict()
         return {"potential": self.potential.to_dict(),
                 "profile": self.profile.to_dict(),
-                "solver": self.solver.to_dict(),
+                "solver": {key: solver[key] for key in _SOLVER_KEYS},
                 "oracle": {"cap_strength": self.cap_strength},
                 "output_dir": self.output_dir}
 
@@ -163,7 +163,8 @@ class RunConfiguration:
 
     def __eq__(self, other):
         return (isinstance(other, RunConfiguration)
-                and self.to_dict() == other.to_dict())
+                and self.to_dict() == other.to_dict()
+                and self.solver.to_dict() == other.solver.to_dict())
 
     def __repr__(self):
         return ("RunConfiguration(potential=%r, profile=%r, epsilon=%g, "

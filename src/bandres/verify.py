@@ -21,7 +21,7 @@ from .oracle import (LOCALIZED, OracleConfig, build_grid_hamiltonian,
 from .solver import locate_resonances
 from .window import decompose_window
 
-DEFAULT_LADDER = (0.12, 0.10, 0.08, 0.06)
+EPSILON_LADDER = (0.12, 0.10, 0.08, 0.06)   # width-fit epsilons
 _RESONANT_LOCALIZED = 0.75
 _STABLE_FRACTION = 0.1    # absorber displacement below this fraction of the width
 
@@ -165,7 +165,7 @@ def check_drift(run):
                   % (100.0 * worst, len(devs)))]
 
 
-def check_width_fit(run, ladder=DEFAULT_LADDER):
+def check_width_fit(run):
     """ln(width) against 1/eps has slope -min(S-, S+) within 15%."""
     if run.cfg.cap_strength <= 0.0:
         return [Check("width-fit", None, "skipped: no absorber configured")]
@@ -173,7 +173,7 @@ def check_width_fit(run, ladder=DEFAULT_LADDER):
         return [Check("width-fit", None, "skipped: %s window has no tracked level"
                       % run.window.classification)]
     inv_eps, ln_w, s_refs = [], [], []
-    for eps in ladder:
+    for eps in EPSILON_LADDER:
         table = run.ladder(epsilon=eps)
         if not table:
             return [Check("width-fit", False, "no solver level at epsilon=%g" % eps)]
@@ -194,14 +194,14 @@ def check_width_fit(run, ladder=DEFAULT_LADDER):
                   % (slope, -s_ref, 100.0 * dev))]
 
 
-def verify(run, ladder=DEFAULT_LADDER):
+def verify(run):
     """(checks in report order, exit code 0 if none fails). A BandresError
     ends them with an 'aborted' failure: code 2 if a ConfigurationError, else 1."""
     checks = []
     try:
         checks += check_counts_spacings(run)
         checks += check_drift(run)
-        checks += check_width_fit(run, ladder)
+        checks += check_width_fit(run)
     except BandresError as exc:
         checks.append(Check("aborted", False, str(exc)))
         return checks, 2 if isinstance(exc, ConfigurationError) else 1

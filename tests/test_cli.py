@@ -237,21 +237,24 @@ class TestFailureModes:
         assert "epsilon" in capsys.readouterr().err
 
     def test_overrides_only_where_they_act(self):
-        # resonances and verify take every override
+        # the tuning flags (--root-tol to --epsilon-ladder) are gone
         taken = {"bands": set(),
                  "window": {"--window"},
                  "portrait": {"--window"},
-                 "actions": {"--window", "--nodes", "--buffer"},
-                 "oracle": {"--epsilon", "--zeta", "--window"}}
+                 "actions": {"--window"},
+                 "oracle": {"--epsilon", "--zeta", "--window"},
+                 "resonances": {"--epsilon", "--zeta", "--window"},
+                 "verify": {"--epsilon", "--zeta", "--window"}}
         flags = {"--epsilon": ["0.1"], "--zeta": ["0.1"],
                  "--window": ["9.0", "10.0"], "--root-tol": ["1e-12"],
-                 "--nodes": ["80"], "--buffer": ["0.1"], "--c0": ["1.0"]}
+                 "--nodes": ["80"], "--buffer": ["0.1"], "--c0": ["1.0"],
+                 "--m-trunc": ["24"], "--epsilon-ladder": ["0.1", "0.08"]}
         parser = build_parser()
         for cmd in ("bands", "window", "actions", "resonances", "portrait",
                     "oracle", "verify"):
             for flag, value in flags.items():
                 argv = [cmd, "--config", "run.json", flag, *value]
-                if flag in taken.get(cmd, flags):
+                if flag in taken[cmd]:
                     parser.parse_args(argv)
                 else:
                     with pytest.raises(SystemExit) as err:

@@ -86,6 +86,28 @@ class TestLoading:
         with pytest.raises(ConfigurationError):
             load_configuration(path)
 
+    @pytest.mark.parametrize("key, value", [("root_tol", 1e-12), ("nodes", 64),
+                                            ("buffer", 0.1), ("c0", 1.0)])
+    def test_solver_tuning_keys_are_unknown(self, tmp_path, key, value):
+        doc = dict(GOOD, solver=dict(GOOD["solver"], **{key: value}))
+        text = json.dumps(doc, indent=1)
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigurationError) as err:
+            load_configuration(path)
+        wanted = next(i for i, t in enumerate(text.splitlines(), 1)
+                      if '"%s"' % key in t)
+        assert ("%s:%d: unknown key %r in the solver section "
+                "(allowed: e_window, epsilon, zeta)" % (path, wanted, key)
+                in str(err.value))
+
+    def test_to_dict_writes_run_file_solver_keys(self, tmp_path):
+        cfg = load_configuration(write(tmp_path, json.dumps(GOOD)))
+        assert cfg.to_dict()["solver"] == GOOD["solver"]
+        tuned = cfg.replace_solver(nodes=48)
+        assert tuned.solver.nodes == 48
+        assert tuned.to_dict() == cfg.to_dict()
+        assert tuned != cfg
+
     def test_replace_solver(self, configs_dir):
         cfg = load_configuration(configs_dir / "bound_well.json")
         bumped = cfg.replace_solver(epsilon=0.05, zeta=0.2)
