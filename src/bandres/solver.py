@@ -39,6 +39,8 @@ from .window import decompose_window
 
 _GRID_POINTS = 9
 _MAX_NEWTON = 60
+_NEWTON_MARGIN = 16.0   # iterate to tol/16, accept at tol: a recheck that
+                        # rounds differently still finds the level in bounds
 
 
 class SolverConfig:
@@ -189,7 +191,7 @@ def locate_resonances(cfg, window, bands, profile):
         fe = math.inf
         for _ in range(_MAX_NEWTON):
             fe = phi(e) - target
-            if abs(fe) <= tol:
+            if abs(fe) <= tol / _NEWTON_MARGIN:
                 break
             if (fe < 0.0) == (fa < 0.0):
                 a, fa = e, fe

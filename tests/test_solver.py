@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -7,10 +8,12 @@ from bandres import (
     PerturbationProfile,
     SolverConfig,
     UnsupportedConfigurationError,
+    band_edges,
     decompose_window,
     delta_kappa,
     drift_slope,
     compute_action_data,
+    load_configuration,
     locate_resonances,
     tunneling_coefficients,
     well_phase,
@@ -59,6 +62,20 @@ class TestQuantization:
             assert abs(phi - target) <= 1e-9 * (1.0 + abs(target))
             assert r.residual <= cfg.root_tol * (1.0 + abs(r.phase))
             assert BOUND_E[0] <= r.e_real <= BOUND_E[1]
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.06])
+    def test_residuals_well_inside_the_bound(self, configs_dir, epsilon):
+        # Newton runs to 1/16 of the acceptance bound, so a recheck that
+        # rounds the target differently still accepts every level
+        run = load_configuration(configs_dir / "free_flat.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # closed-gap genericity warning
+            bands = band_edges(run.potential, 45.0)
+        cfg, found = solve(bands, run.profile, run.solver.e_window, epsilon)
+        assert len(found) >= 9
+        for r in found:
+            target = epsilon * (math.pi / 2.0 + math.pi * r.l)   # zeta = 0
+            assert r.residual <= cfg.root_tol * (1.0 + abs(target)) / 16.0
 
     def test_count_tracks_phase_range(self, mathieu_bands, bound_profile):
         for eps in (0.1, 0.08, 0.05):
