@@ -237,7 +237,6 @@ class TestFailureModes:
         assert "epsilon" in capsys.readouterr().err
 
     def test_overrides_only_where_they_act(self):
-        # the tuning flags (--root-tol to --epsilon-ladder) are gone
         taken = {"bands": set(),
                  "window": {"--window"},
                  "portrait": {"--window"},
