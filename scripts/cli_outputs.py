@@ -23,7 +23,6 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COMMANDS = ("bands", "window", "actions", "resonances", "portrait", "oracle",
             "verify")
-EXTRA = {("bound_well", "bands"): ("--cross-check",)}
 ADDED = (("drift_well", "resonances_sweep", ("resonances", "--sweep-zeta", "3")),
          ("bound_well", "window_energy_40", ("window", "--energy", "40")),
          ("bound_well", "portrait_energy_40", ("portrait", "--energy", "40")),
@@ -35,7 +34,7 @@ def runs():
     for path in sorted((ROOT / "configs").glob("*.json")):
         name = path.stem
         for cmd in COMMANDS:
-            yield name, cmd, (cmd,) + EXTRA.get((name, cmd), ())
+            yield name, cmd, (cmd,)
     yield from ADDED
 
 

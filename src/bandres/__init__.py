@@ -55,11 +55,9 @@ from .momentum import (
 )
 from .oracle import (
     GridHamiltonian,
-    HillEdgeResult,
     OracleConfig,
     OracleEigenpair,
     build_grid_hamiltonian,
-    hill_matrix_band_edges,
     oracle_spectrum,
 )
 from .solver import (

@@ -29,7 +29,6 @@ from .config import RunConfiguration
 from .errors import BandresError, ConfigurationError
 from .hill import band_edges
 from .momentum import isoenergy_portrait
-from .oracle import hill_matrix_band_edges
 from .verify import Run, render, verify
 from .window import decompose_window
 
@@ -70,7 +69,6 @@ def _write_record(path, record):
         fh.write("\n")
 
 
-_CROSS_CHECK_TRUNC = 24   # Fourier truncation of bands --cross-check
 _MAX_SCANS = 4   # the last scan reaches 8 times the first e_max
 
 
@@ -106,7 +104,6 @@ def cmd_bands(cfg, args, outdir):
     if cfg.potential.is_constant:
         print("warning: constant potential, every gap is closed; the "
               "downstream one-well analysis needs an open gap", file=sys.stderr)
-    edges = bands.edges
     flags = bands.open_gap_flags
     rows = []
     for n in range(1, bands.n_bands + 1):
@@ -122,17 +119,6 @@ def cmd_bands(cfg, args, outdir):
     _write_record(os.path.join(outdir, "band_structure.json"), bands.to_dict())
     print("%d band(s), %d gap flag(s) written to %s"
           % (bands.n_bands, len(flags), outdir))
-
-    if args.cross_check:
-        n_edges = min(8, int(edges.size))
-        ref = hill_matrix_band_edges(cfg.potential, _CROSS_CHECK_TRUNC,
-                                     n_edges=n_edges)
-        _write_csv(os.path.join(outdir, "hill_edges.csv"), ("edge", "energy"),
-                   [(j + 1, e) for j, e in enumerate(ref.edges)])
-        dev = max(abs(a - b) / max(1.0, abs(b))
-                  for a, b in zip(ref.edges, edges[:n_edges]))
-        print("edge cross-check: max relative deviation %.3g "
-              "(truncation displacement %.3g)" % (dev, ref.displacement))
     return 0
 
 
@@ -294,8 +280,6 @@ def build_parser():
     _add_common(sp, ())
     sp.add_argument("--e-max", type=float, default=45.0,
                     help="edge ceiling: every band edge below it is reported")
-    sp.add_argument("--cross-check", action="store_true",
-                    help="also compute truncated-Fourier edges and compare")
 
     sp = sub.add_parser("window", help="window decomposition at one energy")
     _add_common(sp, ("e_window",))

@@ -1,20 +1,16 @@
-"""Independent spectral oracles.
+"""Independent spectral oracle.
 
-Two deliberately different routes to the same physics, used to cross-check
-the Floquet/action pipeline:
-
-* hill_matrix_band_edges: band edges E1 <= E2 <= ... as the eigenvalues of
-  the truncated Fourier (Hill) matrix of hill._hill_edges_at, certified by
-  doubling the truncation.
-* build_grid_hamiltonian / oracle_spectrum: second-order finite
-  differences for -d2/dx2 + V(x) + W(eps*x + zeta) on [-L, L] with
-  Dirichlet walls, optionally damped by a complex absorbing potential
-  -i*eta*ramp(x)^2 switched on at |x| = 0.7*L. The Dirichlet states
-  of the real part with Re(E) inside the energy window come from one
-  tridiagonal interval solve. With the absorber on, each localized state
-  seeds a one-eigenpair shift-invert polish of the complex operator:
-  resonances appear as eigenvalues just below the real axis whose position
-  is stable under halving eta, while box/continuum artifacts move.
+build_grid_hamiltonian / oracle_spectrum: second-order finite differences
+for -d2/dx2 + V(x) + W(eps*x + zeta) on [-L, L] with Dirichlet walls,
+optionally damped by a complex absorbing potential -i*eta*ramp(x)^2
+switched on at |x| = 0.7*L. The Dirichlet states of the real part with
+Re(E) inside the energy window come from one tridiagonal interval solve.
+With the absorber on, each localized state seeds a one-eigenpair
+shift-invert polish of the complex operator: resonances appear as
+eigenvalues just below the real axis whose position is stable under
+halving eta, while box/continuum artifacts move. V and W enter only as
+functions to sample; no numerical step is shared with the Floquet/action
+pipeline this oracle checks.
 """
 
 from __future__ import annotations
@@ -27,45 +23,13 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .errors import ConfigurationError, OracleError
-from .hill import _TRUNCATION_TOL, _hill_edges_at
 
 MAX_GRID_POINTS = 32000
 MIN_POINTS_PER_PERIOD = 32
 LOCALIZED = 0.5          # eigenvector mass fraction that marks a window state
 _BOX_MARGIN = 10.0       # slow-variable room beyond the window endpoints
 _CAP_ONSET = 0.7         # absorber ramp starts at this fraction of the half-length
-
-
-class HillEdgeResult:
-    """Band edges from a truncated Hill matrix, with a convergence record."""
-
-    def __init__(self, edges, m_used, displacement):
-        self.edges = np.asarray(edges, dtype=float)
-        self.m_used = int(m_used)
-        self.displacement = float(displacement)
-
-    @property
-    def converged(self):
-        return self.displacement < _TRUNCATION_TOL
-
-
-def hill_matrix_band_edges(potential, m_truncation, n_edges=8):
-    """Band edges by Fourier truncation, certified by M-doubling.
-
-    Returns a HillEdgeResult holding the first n_edges edges from the
-    doubled truncation together with the displacement the doubling caused;
-    converged is False when that displacement exceeds 1e-8.
-    """
-    modes = potential.mode_count
-    m_min = 4 * modes + 8
-    if m_truncation < m_min:
-        raise ConfigurationError(
-            "m_truncation=%d too small; need at least 4*modes+8 = %d"
-            % (m_truncation, m_min))
-    coarse = _hill_edges_at(potential, m_truncation)[:n_edges]
-    fine = _hill_edges_at(potential, 2 * m_truncation)[:n_edges]
-    displacement = float(np.max(np.abs(fine - coarse))) if n_edges else 0.0
-    return HillEdgeResult(fine, 2 * m_truncation, displacement)
+_SAME_EIGENVALUE = 1e-9  # polished eigenvalues this close (relative) are one
 
 
 class OracleConfig:
@@ -214,7 +178,8 @@ def oracle_spectrum(handle, e_window):
     shift-invert polish on the operator and another on its half-absorber
     copy; the stability field is the smallest distance from the polished
     eigenvalue to a half-strength one (resonances barely move, box
-    artifacts move at the scale of their width).
+    artifacts move at the scale of their width). Each eigenvalue is listed
+    once, however many seeds polish onto it.
     Localization is the |psi|^2 fraction inside the central half of the box.
     """
     ea, eb = float(e_window[0]), float(e_window[1])
@@ -248,4 +213,10 @@ def oracle_spectrum(handle, e_window):
     pairs = [OracleEigenpair(lam, min(abs(lam - q) for q in half_vals),
                              _localization(handle.x, vec, region))
              for lam, vec in polished]
-    return sorted(pairs, key=lambda p: p.eigenvalue.real)
+    # seeds that polish onto the same eigenvalue give one pair, the most localized
+    kept = []
+    for p in sorted(pairs, key=lambda pair: -pair.localization):
+        if all(abs(p.eigenvalue - q.eigenvalue)
+               > _SAME_EIGENVALUE * max(1.0, abs(q.eigenvalue)) for q in kept):
+            kept.append(p)
+    return sorted(kept, key=lambda p: p.eigenvalue.real)

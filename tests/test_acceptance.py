@@ -22,7 +22,6 @@ from bandres import (
     decompose_window,
     delta_kappa,
     find_branch_points,
-    hill_matrix_band_edges,
     im_kappa_gap,
     integrate_monodromy,
     load_configuration,
@@ -31,6 +30,8 @@ from bandres import (
     phase_integral,
     quasi_momentum_main,
 )
+
+from mpmath_reference import mathieu_reference_edges
 
 LOCALIZED = 0.5
 RESONANT_LOCALIZED = 0.75
@@ -111,15 +112,13 @@ def test_criterion_02_edge_oracle_equivalence(mathieu, capsys):
     start = time.perf_counter()
     bands = band_edges(mathieu, 165.0)
     monodromy_edges = [float(v) for v in bands.edges[:8]]
-    hill = hill_matrix_band_edges(mathieu, 24, n_edges=8)
     elapsed = time.perf_counter() - start
-    worst = max(abs(a - b) / abs(b)
-                for a, b in zip(monodromy_edges, hill.edges))
-    ok = len(monodromy_edges) == 8 and hill.converged \
-        and worst <= 1e-6 and elapsed < 30.0
+    reference = mathieu_reference_edges(8)
+    worst = max(abs(a - b) for a, b in zip(monodromy_edges, reference))
+    ok = len(monodromy_edges) == 8 and worst <= 1e-10 and elapsed < 30.0
     report(capsys, 2, ok,
-           "edge routes: max relative deviation %.2e over first 8 edges "
-           "(tol 1e-6) in %.1f s (< 30 s)" % (worst, elapsed))
+           "edges vs 30-digit mpmath Hill matrix: max |dE| = %.2e over first "
+           "8 edges (tol 1e-10) in %.1f s (< 30 s)" % (worst, elapsed))
 
 
 def test_criterion_03_wronskian(capsys):

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from bandres import PeriodicPotential, discriminant
 from bandres.cli import build_parser, main
 
 BOUND = "bound_well.json"
@@ -43,13 +44,24 @@ class TestBands:
         _, b = run(configs_dir, tmp_path, "bands", BOUND, tag="b")
         assert (a / "bands.csv").read_bytes() == (b / "bands.csv").read_bytes()
 
-    def test_cross_check(self, configs_dir, tmp_path, capsys):
-        code, out = run(configs_dir, tmp_path, "bands", BOUND, "--cross-check")
+    def test_five_modes(self, configs_dir, tmp_path):
+        doc = json.loads((configs_dir / BOUND).read_text())
+        doc["potential"]["cos_coeffs"] = [2.0, 0.3, 0.2, 0.1, 0.05]
+        (tmp_path / "five.json").write_text(json.dumps(doc))
+        code, out = run(tmp_path, tmp_path, "bands", "five.json")
         assert code == 0
-        header, data = rows(out / "hill_edges.csv")
-        assert header == "edge,energy"
-        assert len(data) >= 4
-        assert "cross-check" in capsys.readouterr().out
+        _, data = rows(out / "bands.csv")
+        assert len(data) >= 2
+        assert all(r[6] == "1" for r in data if r[3])
+        pot = PeriodicPotential(0.0, (2.0, 0.3, 0.2, 0.1, 0.05))
+        for r in data:
+            for e in (r[1], r[2]):
+                assert abs(abs(discriminant(pot, float(e))) - 2.0) <= 1e-10
+        # the Fourier-matrix comparison flag is gone: an argparse error, no file
+        with pytest.raises(SystemExit) as info:
+            run(tmp_path, tmp_path, "bands", "five.json", "--cross-check", tag="b")
+        assert info.value.code == 2
+        assert not (tmp_path / "b").exists()
 
     def test_constant_potential_gaps_closed(self, configs_dir, tmp_path):
         code, out = run(configs_dir, tmp_path, "bands", FREE,
@@ -247,7 +259,8 @@ class TestFailureModes:
         flags = {"--epsilon": ["0.1"], "--zeta": ["0.1"],
                  "--window": ["9.0", "10.0"], "--root-tol": ["1e-12"],
                  "--nodes": ["80"], "--buffer": ["0.1"], "--c0": ["1.0"],
-                 "--m-trunc": ["24"], "--epsilon-ladder": ["0.1", "0.08"]}
+                 "--m-trunc": ["24"], "--epsilon-ladder": ["0.1", "0.08"],
+                 "--cross-check": []}
         parser = build_parser()
         for cmd in ("bands", "window", "actions", "resonances", "portrait",
                     "oracle", "verify"):

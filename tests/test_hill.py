@@ -1,7 +1,6 @@
 import math
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -27,7 +26,8 @@ from bandres import (
 )
 from bandres import hill
 from bandres.hill import _TABLE_RTOL, discriminant_many
-from bandres.oracle import hill_matrix_band_edges
+
+from mpmath_reference import mathieu_reference_edges
 
 
 def random_potential(rng, max_modes=3, amplitude=3.0):
@@ -35,23 +35,6 @@ def random_potential(rng, max_modes=3, amplitude=3.0):
     cos = amplitude * rng.uniform(-1.0, 1.0, m)
     sin = amplitude * rng.uniform(-1.0, 1.0, m)
     return PeriodicPotential(float(rng.uniform(-1.0, 1.0)), cos, sin)
-
-
-def mathieu_reference_edges(n_edges, m_trunc=8):
-    """First edges of Mathieu 2cos(2 pi x) from its tridiagonal Hill matrices
-    at theta = 0 and pi, diagonalised in mpmath at 30 digits."""
-    size = 2 * m_trunc + 1
-    edges = []
-    with mpmath.workdps(30):
-        for theta in (0, mpmath.pi):
-            a = mpmath.matrix(size)
-            for i in range(size):
-                a[i, i] = (theta + 2 * mpmath.pi * (i - m_trunc)) ** 2
-                if i:
-                    a[i, i - 1] = a[i - 1, i] = 1
-            values = mpmath.eigsy(a, eigvals_only=True)
-            edges += [values[i] for i in range(size)]
-        return [float(e) for e in sorted(edges)[:n_edges]]
 
 
 class TestMonodromy:
@@ -98,15 +81,6 @@ class TestMonodromy:
 
 
 class TestBandEdges:
-    def test_mathieu_first_edges_against_fourier_matrix(self, mathieu, mathieu_bands):
-        ref = hill_matrix_band_edges(mathieu, 24, n_edges=8)
-        assert ref.converged
-        got = mathieu_bands.edges[:8]
-        # only 4 edges below e_max=45; extend via next_band_start bookkeeping
-        n = min(len(got), len(ref.edges))
-        for a, b in zip(got[:n], ref.edges[:n]):
-            assert abs(a - b) / max(1.0, abs(b)) <= 1e-6
-
     def test_edges_sit_on_discriminant_level_sets(self, mathieu, mathieu_bands):
         for j, e in enumerate(mathieu_bands.edges, start=1):
             d = discriminant(mathieu, float(e))

@@ -10,9 +10,10 @@ from bandres import (
     OracleConfig,
     PeriodicPotential,
     PerturbationProfile,
+    RunConfiguration,
+    band_edges,
     build_grid_hamiltonian,
     decompose_window,
-    hill_matrix_band_edges,
     load_configuration,
     oracle_spectrum,
 )
@@ -22,7 +23,7 @@ from bandres.oracle import (
     OracleEigenpair,
     _localization,
 )
-from bandres.verify import Run, _genuine_resonances
+from bandres.verify import Run, _genuine_resonances, check_counts_spacings
 
 FREE = PeriodicPotential(0.0, (), (), allow_constant=True)
 FLAT = PerturbationProfile(0.0, 0.0, (), allow_constant=True)
@@ -220,16 +221,21 @@ class TestSeededPolish:
             hit = min(genuine, key=lambda p: abs(p.eigenvalue.real - r.e_real))
             assert 0.45 <= -2.0 * hit.eigenvalue.imag / r.width <= 0.7
 
-
-class TestFourierEdges:
-    def test_mathieu_certified(self, mathieu, mathieu_bands):
-        result = hill_matrix_band_edges(mathieu, 24, n_edges=4)
-        assert result.m_used == 48
-        assert result.converged
-        assert result.displacement < 1e-8
-        for got, ref in zip(result.edges, mathieu_bands.edges[:4]):
-            assert got == pytest.approx(float(ref), rel=1e-6, abs=1e-9)
-
-    def test_truncation_floor(self, mathieu):
-        with pytest.raises(ConfigurationError):
-            hill_matrix_band_edges(mathieu, 8)
+    def test_each_eigenvalue_listed_once(self):
+        # three localized Dirichlet states seed polishes that all land on the
+        # resonance 9.79313595193723 - 0.00376125i, 1.7e-13 apart
+        cfg = RunConfiguration.from_dict({
+            "potential": {"cos_coeffs": [-2.025]},
+            "profile": {"mu": 1.608699, "nu": 1.083012,
+                        "bumps": [[-2.324215, -1.771574, 1.050117]]},
+            "solver": {"epsilon": 0.1, "zeta": 0.0,
+                       "e_window": [9.576405, 9.876405]},
+            "oracle": {"cap_strength": 1.0}})
+        run = Run(cfg, band_edges(cfg.potential, 45.0))
+        vals = [p.eigenvalue for p in run.spectrum()]
+        hits = [v for v in vals if abs(v - (9.79313595193723 - 0.00376125j)) < 1e-8]
+        assert len(hits) == 1
+        assert all(abs(a - b) > 1e-9 * max(1.0, abs(b))
+                   for i, a in enumerate(vals) for b in vals[:i])
+        count = check_counts_spacings(run)[0]
+        assert count.name == "count" and count.status, count.detail
