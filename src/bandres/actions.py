@@ -33,10 +33,16 @@ Conventions:
 All integrands have square-root behavior at component endpoints (simple
 band-edge crossings), removed exactly by the zeta = endpoint +/- u^2
 substitution on buffer panels; interior panels use plain Gauss-Legendre.
-Every integral uses 2*nodes points per panel and calls its integrand once,
-on the nodes of all four panels; only phase_integral(with_error=True)
-also runs the nodes rule, and reports the difference as its quadrature
-error.
+Every integral uses 2*nodes points per panel and calls its integrand once
+per batch, on a (k, 4*2*nodes) array holding the nodes of all four panels
+of k segments; only phase_integral(with_error=True) also runs the nodes
+rule, and reports the difference as its quadrature error. The private
+batched forms (_well_phases, _well_phase_derivatives, _action_data) take
+many windows on one band, so the table-backed momentum is evaluated once
+for all of them. Each row is reduced on its own, so a value does not
+depend on the batch it was computed in. The barrier actions stay per
+window: gamma_fast propagates energies below the table floor in one ODE
+solve whose steps depend on the batch.
 """
 
 from __future__ import annotations
@@ -58,24 +64,33 @@ def _gl(n):
     return _GL_CACHE[n]
 
 
-def _edge_resolved_quad(f, a, b, n, buffer):
-    """Integrate f over [a, b] with sqrt endpoint behavior at both ends,
-    n Gauss-Legendre nodes on each of the four panels, f called once on
-    all of them. The buffer panels run in u over [0, sqrt(d)] with
-    zeta = a + u^2 and zeta = b - u^2."""
-    if not b > a:
-        raise InternalConsistencyError("empty integration segment [%g, %g]" % (a, b))
+def _edge_resolved_quad(f, segments, n, buffer):
+    """Integrate f over each segment [a, b] with sqrt endpoint behavior at
+    both ends, n Gauss-Legendre nodes on each of the four panels; f is
+    called once, on a (len(segments), 4n) array holding every segment's
+    nodes in its row, and returns values of the same shape. The buffer
+    panels run in u over [0, sqrt(d)] with zeta = a + u^2 and
+    zeta = b - u^2. Returns one integral per segment."""
     x, w = _gl(n)
-    d = buffer * (b - a)
-    m = 0.5 * (a + b)
-    panels = ((0.0, math.sqrt(d)), (a + d, m), (m, b - d), (0.0, math.sqrt(d)))
-    u, lo_half, hi_half = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-                           for lo, hi in panels[:3])
-    values = f(np.concatenate((a + u * u, lo_half, hi_half, b - u * u))).reshape(4, -1)
-    values[0] *= 2.0 * u
-    values[3] *= 2.0 * u
-    return sum(0.5 * (hi - lo) * float(np.dot(w, v))
-               for (lo, hi), v in zip(panels, values))
+    rows, layout = [], []
+    for a, b in segments:
+        if not b > a:
+            raise InternalConsistencyError("empty integration segment [%g, %g]" % (a, b))
+        d = buffer * (b - a)
+        m = 0.5 * (a + b)
+        panels = ((0.0, math.sqrt(d)), (a + d, m), (m, b - d), (0.0, math.sqrt(d)))
+        u, lo_half, hi_half = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+                               for lo, hi in panels[:3])
+        rows.append(np.concatenate((a + u * u, lo_half, hi_half, b - u * u)))
+        layout.append((panels, u))
+    values = f(np.array(rows)).reshape(len(rows), 4, -1)
+    out = []
+    for (panels, u), v in zip(layout, values):
+        v[0] *= 2.0 * u
+        v[3] *= 2.0 * u
+        out.append(sum(0.5 * (hi - lo) * float(np.dot(w, vp))
+                       for (lo, hi), vp in zip(panels, v)))
+    return out
 
 
 def _require_h6(window, op):
@@ -85,24 +100,40 @@ def _require_h6(window, op):
             % (op, window.classification))
 
 
+def _wells(windows, op):
+    """(segments, energy column, band index) of H6 wells on one band."""
+    for window in windows:
+        _require_h6(window, op)
+    n = windows[0].compact.band_index
+    if any(w.compact.band_index != n for w in windows):
+        raise InternalConsistencyError("batched wells lie on different bands")
+    return ([(w.compact.lo, w.compact.hi) for w in windows],
+            np.array([[w.energy] for w in windows]), n)
+
+
+def _phase_integrals(windows, bands, profile, nodes, buffer, op,
+                     with_error=False):
+    """Phi0 of every window, in one integrand call per rule."""
+    segments, energies, n = _wells(windows, op)
+
+    def integrand(z):
+        return reduced_momentum(bands.k_band_fast(energies - profile(z), n), n)
+
+    values = _edge_resolved_quad(integrand, segments, 2 * nodes, buffer)
+    for value in values:
+        if value <= 0.0:
+            raise InternalConsistencyError("Phi0 = %g not positive" % value)
+    if not with_error:
+        return values
+    coarse = _edge_resolved_quad(integrand, segments, nodes, buffer)
+    return [(v, abs(v - c)) for v, c in zip(values, coarse)]
+
+
 def phase_integral(window, bands, profile, nodes=64, buffer=0.1,
                    with_error=False):
     """Phi0(E): action of the compact component of the window."""
-    _require_h6(window, "phase_integral")
-    c = window.compact
-    n = c.band_index
-    energy = window.energy
-
-    def integrand(z):
-        return reduced_momentum(bands.k_band_fast(energy - profile(z), n), n)
-
-    value = _edge_resolved_quad(integrand, c.lo, c.hi, 2 * nodes, buffer)
-    if value <= 0.0:
-        raise InternalConsistencyError("Phi0 = %g not positive" % value)
-    if not with_error:
-        return value
-    coarse = _edge_resolved_quad(integrand, c.lo, c.hi, nodes, buffer)
-    return value, abs(value - coarse)
+    return _phase_integrals([window], bands, profile, nodes, buffer,
+                            "phase_integral", with_error)[0]
 
 
 def _anchor_values(window):
@@ -158,7 +189,7 @@ def actions_pm(window, bands, profile, nodes=64, buffer=0.1):
         if math.isinf(a) or math.isinf(b):
             out.append(math.inf)
             continue
-        value = _edge_resolved_quad(gamma, a, b, 2 * nodes, buffer)
+        value = _edge_resolved_quad(gamma, [(a, b)], 2 * nodes, buffer)[0]
         if value <= 0.0:
             raise InternalConsistencyError("barrier action %g not positive" % value)
         out.append(2.0 * value)
@@ -223,8 +254,13 @@ def well_phase(window, bands, profile, nodes=64, buffer=0.1):
     Phi_w = Phi0 - v_hi*zeta0+ + v_lo*zeta0-. Real resonance positions
     solve Phi_w(E) = -pi*delta_kappa*zeta + eps*(pi/2 + pi*l), l integer.
     """
-    _require_h6(window, "well_phase")
-    return _anchored(window, phase_integral(window, bands, profile, nodes, buffer))
+    return _well_phases([window], bands, profile, nodes, buffer)[0]
+
+
+def _well_phases(windows, bands, profile, nodes=64, buffer=0.1):
+    """Phi_w of every window (H6 wells on one band), one integrand call."""
+    phi0s = _phase_integrals(windows, bands, profile, nodes, buffer, "well_phase")
+    return [_anchored(w, p) for w, p in zip(windows, phi0s)]
 
 
 def well_phase_derivative(window, bands, profile, nodes=64, buffer=0.1):
@@ -235,19 +271,21 @@ def well_phase_derivative(window, bands, profile, nodes=64, buffer=0.1):
     the u^2 substitution. Never zero on a band, so Phi_w is strictly
     monotone in E across any H6 window.
     """
-    _require_h6(window, "well_phase_derivative")
-    c = window.compact
-    n = c.band_index
-    energy = window.energy
+    return _well_phase_derivatives([window], bands, profile, nodes, buffer)[0]
+
+
+def _well_phase_derivatives(windows, bands, profile, nodes=64, buffer=0.1):
+    """dPhi_w/dE of every window (H6 wells on one band), one integrand call."""
+    segments, energies, n = _wells(windows, "well_phase_derivative")
     sign = 1.0 if n % 2 == 1 else -1.0
 
     def integrand(z):
-        return sign * bands.kprime_fast(energy - profile(z), n)
+        return sign * bands.kprime_fast(energies - profile(z), n)
 
-    value = _edge_resolved_quad(integrand, c.lo, c.hi, 2 * nodes, buffer)
-    if value == 0.0:
+    values = _edge_resolved_quad(integrand, segments, 2 * nodes, buffer)
+    if 0.0 in values:
         raise InternalConsistencyError("dPhi_w/dE vanished on a band")
-    return value
+    return values
 
 
 class ActionData:
@@ -282,10 +320,20 @@ class ActionData:
 
 def compute_action_data(window, bands, profile, nodes=64, buffer=0.1):
     """All actions of one H6 window in a single bundle."""
-    phi0, err = phase_integral(window, bands, profile, nodes, buffer,
-                               with_error=True)
-    dk = delta_kappa(window)
-    s_minus, s_plus = actions_pm(window, bands, profile, nodes, buffer)
-    wp = well_phase_derivative(window, bands, profile, nodes, buffer)
-    return ActionData(window.energy, phi0, dk, s_minus, s_plus, err,
-                      _boundary_term(window) + wp, _anchored(window, phi0), wp)
+    return _action_data([window], bands, profile, nodes, buffer)[0]
+
+
+def _action_data(windows, bands, profile, nodes=64, buffer=0.1):
+    """ActionData of every window (H6 wells on one band); the well
+    integrals take one integrand call per rule, the barriers stay per
+    window."""
+    phi0s = _phase_integrals(windows, bands, profile, nodes, buffer,
+                             "phase_integral", with_error=True)
+    wps = _well_phase_derivatives(windows, bands, profile, nodes, buffer)
+    out = []
+    for window, (phi0, err), wp in zip(windows, phi0s, wps):
+        s_minus, s_plus = actions_pm(window, bands, profile, nodes, buffer)
+        out.append(ActionData(window.energy, phi0, delta_kappa(window),
+                              s_minus, s_plus, err, _boundary_term(window) + wp,
+                              _anchored(window, phi0), wp))
+    return out

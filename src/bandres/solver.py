@@ -23,6 +23,15 @@ the position set is exactly eps-periodic.
 A monotone-transition (H5) window carries no resonances and yields an
 empty list; two-sided or empty windows are outside the regime and
 rejected.
+
+The levels of a ladder are solved in lockstep. The 9 grid energies are
+decomposed and their Phi_w taken in one batch; then every Newton sweep
+takes Phi_w at all new iterates in one batch and Phi_w' at all levels
+still stepping in another, and the accepted levels get their action data
+in one more. The batched integrals are per-row identical to the
+single-window ones (see actions), and each level keeps the bracket,
+iterate sequence and 1/16 margin it would have if solved alone, so the
+results do not depend on which levels share a sweep.
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ import math
 
 import numpy as np
 
-from .actions import (compute_action_data, delta_kappa, tunneling_coefficients,
-                      well_phase, well_phase_derivative)
+from .actions import (_action_data, _well_phase_derivatives, _well_phases,
+                      delta_kappa, tunneling_coefficients)
 from .errors import (ComputationError, ConfigurationError,
                      UnsupportedConfigurationError)
 from .window import decompose_window
@@ -115,6 +124,31 @@ def drift_slope(actions):
     return -math.pi * actions.delta_kappa / actions.well_prime
 
 
+class _Level:
+    """Newton state of one quantization level: its bracket [a, b] with
+    the residuals fa, fb there, the iterate e, and fe = Phi_w(e) - target
+    once e is evaluated."""
+
+    def __init__(self, l, target, tol, a, fa, b, fb):
+        self.l, self.target, self.tol = l, target, tol
+        self.a, self.fa, self.b, self.fb = a, fa, b, fb
+        self.e = a + (b - a) * fa / (fa - fb) if fa != fb else 0.5 * (a + b)
+        self.fe = math.inf
+        self.error = None
+
+    def step(self, dphi):
+        """Narrow the bracket by fe and move to the next iterate, given
+        Phi_w' at e."""
+        if (self.fe < 0.0) == (self.fa < 0.0):
+            self.a, self.fa = self.e, self.fe
+        else:
+            self.b, self.fb = self.e, self.fe
+        cand = self.e - self.fe / dphi if dphi != 0.0 else 0.5 * (self.a + self.b)
+        if not min(self.a, self.b) < cand < max(self.a, self.b):
+            cand = 0.5 * (self.a + self.b)
+        self.e = cand
+
+
 def locate_resonances(cfg, window, bands, profile):
     """Solve the quantization rule over cfg.e_window.
 
@@ -123,6 +157,10 @@ def locate_resonances(cfg, window, bands, profile):
     energy; if it leaves the one-well regime, or the well's edge
     bookkeeping changes, inside the window, the configuration is rejected
     (the window exceeded its validity neighborhood).
+
+    All levels are solved in lockstep (see the module docstring); the
+    first failure in order of l is the one raised, after the action data
+    of every accepted level below it.
     """
     if window.classification == "H5":
         return []
@@ -132,89 +170,121 @@ def locate_resonances(cfg, window, bands, profile):
             "got %s" % window.classification)
 
     e_lo, e_hi = cfg.e_window
-    cache = {}
+    quad = (cfg.nodes, cfg.buffer)
+    cache = {}      # energy -> (window, Phi_w) or the error analysing it
     ref_edges = (window.compact.lo_endpoint.edge_index,
                  window.compact.hi_endpoint.edge_index,
                  window.compact.band_index)
 
-    def analyze(e):
-        if e not in cache:
-            w = decompose_window(profile, bands, e)
-            if w.classification != "H6":
-                raise UnsupportedConfigurationError(
-                    "window leaves the one-well regime at E=%.12g (%s)"
-                    % (e, w.classification))
-            got = (w.compact.lo_endpoint.edge_index,
-                   w.compact.hi_endpoint.edge_index, w.compact.band_index)
-            if got != ref_edges:
-                raise UnsupportedConfigurationError(
-                    "well bookkeeping changes inside the energy window at "
-                    "E=%.12g; shrink the window" % e)
-            phi = well_phase(w, bands, profile, cfg.nodes, cfg.buffer)
-            cache[e] = (w, phi)
-        return cache[e]
+    def checked_window(e):
+        w = decompose_window(profile, bands, e)
+        if w.classification != "H6":
+            raise UnsupportedConfigurationError(
+                "window leaves the one-well regime at E=%.12g (%s)"
+                % (e, w.classification))
+        got = (w.compact.lo_endpoint.edge_index,
+               w.compact.hi_endpoint.edge_index, w.compact.band_index)
+        if got != ref_edges:
+            raise UnsupportedConfigurationError(
+                "well bookkeeping changes inside the energy window at "
+                "E=%.12g; shrink the window" % e)
+        return w
 
-    def phi(e):
-        return analyze(e)[1]
+    def analyze(energies):
+        """Fill the cache for every new energy; Phi_w in one batch."""
+        fresh = []
+        for e in dict.fromkeys(energies):
+            if e not in cache:
+                try:
+                    cache[e] = checked_window(e)
+                    fresh.append(e)
+                except ComputationError as exc:
+                    cache[e] = exc
+        if fresh:
+            windows = [cache[e] for e in fresh]
+            for e, w, phi in zip(fresh, windows,
+                                 _well_phases(windows, bands, profile, *quad)):
+                cache[e] = (w, phi)
 
-    def dphi(e):
-        w, _ = analyze(e)
-        return well_phase_derivative(w, bands, profile, cfg.nodes, cfg.buffer)
+    def analyzed(energies):
+        """(window, Phi_w) at each energy; raises the first failure."""
+        analyze(energies)
+        for e in energies:
+            if isinstance(cache[e], ComputationError):
+                raise cache[e]
+        return [cache[e] for e in energies]
 
-    grid = np.linspace(e_lo, e_hi, _GRID_POINTS)
-    phis = np.array([phi(e) for e in grid])
+    grid = [float(e) for e in np.linspace(e_lo, e_hi, _GRID_POINTS)]
+    at_grid = analyzed(grid)
+    phis = np.array([phi for _, phi in at_grid])
     diffs = np.diff(phis)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise UnsupportedConfigurationError(
             "well phase not monotone over the energy window")
 
-    dk = delta_kappa(analyze(grid[0])[0])
+    dk = delta_kappa(at_grid[0][0])
     lo_val, hi_val = float(min(phis[0], phis[-1])), float(max(phis[0], phis[-1]))
     base = -math.pi * dk * cfg.zeta + cfg.epsilon * math.pi / 2.0
     step = cfg.epsilon * math.pi
     l_lo = math.ceil((lo_val - base) / step - 1e-9)
     l_hi = math.floor((hi_val - base) / step + 1e-9)
 
-    out = []
+    levels = []
     increasing = diffs[0] > 0
     for l in range(l_lo, l_hi + 1):
         target = base + step * l
-        tol = cfg.root_tol * (1.0 + abs(target))
         pos = np.searchsorted(phis if increasing else -phis,
                               target if increasing else -target)
         i = min(max(pos, 1), len(grid) - 1)
-        a, b = float(grid[i - 1]), float(grid[i])
         fa, fb = phis[i - 1] - target, phis[i] - target
         if fa * fb > 0.0:
             continue   # target marginally outside the sampled range
-        e = a + (b - a) * fa / (fa - fb) if fa != fb else 0.5 * (a + b)
-        fe = math.inf
-        for _ in range(_MAX_NEWTON):
-            fe = phi(e) - target
-            if abs(fe) <= tol / _NEWTON_MARGIN:
-                break
-            if (fe < 0.0) == (fa < 0.0):
-                a, fa = e, fe
-            else:
-                b, fb = e, fe
-            d = dphi(e)
-            cand = e - fe / d if d != 0.0 else 0.5 * (a + b)
-            if not min(a, b) < cand < max(a, b):
-                cand = 0.5 * (a + b)
-            e = cand
-        if abs(fe) > tol:
-            raise ComputationError(
+        levels.append(_Level(l, target, cfg.root_tol * (1.0 + abs(target)),
+                             grid[i - 1], fa, grid[i], fb))
+
+    live = levels
+    for _ in range(_MAX_NEWTON):
+        if not live:
+            break
+        analyze([lv.e for lv in live])
+        stepping = []
+        for lv in live:
+            if isinstance(cache[lv.e], ComputationError):
+                lv.error = cache[lv.e]
+                continue
+            lv.fe = cache[lv.e][1] - lv.target
+            if abs(lv.fe) > lv.tol / _NEWTON_MARGIN:
+                stepping.append(lv)
+        if stepping:
+            windows = [cache[lv.e][0] for lv in stepping]
+            for lv, d in zip(stepping, _well_phase_derivatives(
+                    windows, bands, profile, *quad)):
+                lv.step(d)
+        live = stepping
+
+    accepted, failure = [], None
+    for lv in levels:
+        failure = lv.error
+        if failure is None and abs(lv.fe) > lv.tol:
+            failure = ComputationError(
                 "quantization root for l=%d did not converge (residual %g)"
-                % (l, abs(fe)))
-        if not e_lo <= e <= e_hi:
-            continue
-        w, phi_e = analyze(e)
-        data = compute_action_data(w, bands, profile, cfg.nodes, cfg.buffer)
-        t = tunneling_coefficients(data, cfg.epsilon)
-        out.append(ResonanceEstimate(
-            l, e, width_estimate(data, cfg.epsilon, cfg.c0), t.t_plus,
-            t.t_minus, drift_slope(data), abs(fe),
-            s_minus=data.s_minus, s_plus=data.s_plus, phase=phi_e,
-            phase_prime=data.well_prime, underflowed=t.underflowed))
-    out.sort(key=lambda r: r.l)
+                % (lv.l, abs(lv.fe)))
+        if failure is not None:
+            break
+        if e_lo <= lv.e <= e_hi:
+            accepted.append(lv)
+    out = []
+    if accepted:
+        at_levels = analyzed([lv.e for lv in accepted])
+        data_list = _action_data([w for w, _ in at_levels], bands, profile,
+                                 *quad)
+        for lv, (_, phi_e), data in zip(accepted, at_levels, data_list):
+            t = tunneling_coefficients(data, cfg.epsilon)
+            out.append(ResonanceEstimate(
+                lv.l, lv.e, width_estimate(data, cfg.epsilon, cfg.c0),
+                t.t_plus, t.t_minus, drift_slope(data), abs(lv.fe),
+                s_minus=data.s_minus, s_plus=data.s_plus, phase=phi_e,
+                phase_prime=data.well_prime, underflowed=t.underflowed))
+    if failure is not None:
+        raise failure
     return out

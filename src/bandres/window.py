@@ -29,6 +29,7 @@ Window endpoints are transversal crossings of band edges; |W'| below
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -112,30 +113,38 @@ class PerturbationProfile:
         """W(zeta); complex arguments are admitted inside the analyticity
         cone (a near-singularity guard of 1e-6 applies)."""
         z = np.asarray(zeta)
-        if np.iscomplexobj(z):
+        is_complex = z.dtype.kind == "c"
+        if is_complex:
             flat = np.atleast_1d(z)
             for s in self.singularities():
                 d = np.min(np.abs(flat - s))
                 if d < _SINGULARITY_GUARD:
                     raise NearSingularityError(
                         "profile evaluated %.2e from the singularity %s" % (d, s))
+        elif not z.shape:
+            # a real scalar (brentq's path) in numpy-scalar arithmetic:
+            # the 0-d array path's values at half its cost per call
+            z = z[()]
         out = self.mu + self.nu * z / np.sqrt(1.0 + z * z)
         for b in self.bumps:
             u = (z - b.center) / b.width
             out = out + b.height / (1.0 + u * u)
-        if np.asarray(out).shape:
+        if out.shape:
             return out
-        return complex(out) if np.iscomplexobj(z) else float(out)
+        return complex(out) if is_complex else float(out)
 
     def derivative(self, zeta):
         z = np.asarray(zeta)
+        is_complex = z.dtype.kind == "c"
+        if not (is_complex or z.shape):
+            z = z[()]
         out = self.nu / (1.0 + z * z) ** 1.5
         for b in self.bumps:
             u = (z - b.center) / b.width
             out = out - 2.0 * b.height * u / (b.width * (1.0 + u * u) ** 2)
-        if np.asarray(out).shape:
+        if out.shape:
             return out
-        return complex(out) if np.iscomplexobj(z) else float(out)
+        return complex(out) if is_complex else float(out)
 
     def scan_half_width(self):
         """Half-width of the endpoint root scan interval."""
@@ -164,6 +173,17 @@ class PerturbationProfile:
     def from_dict(cls, d):
         return cls(d.get("mu", 0.0), d.get("nu", 0.0), d.get("bumps", ()),
                    allow_constant=d.get("allow_constant", False))
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_grid(profile, z_half):
+    """(zeta grid, W on it, min W, max W) over [-z_half, z_half]; the
+    arrays are shared between calls and read-only."""
+    zgrid = np.linspace(-z_half, z_half, _SCAN_POINTS)
+    wgrid = profile(zgrid)
+    zgrid.flags.writeable = False
+    wgrid.flags.writeable = False
+    return zgrid, wgrid, float(np.min(wgrid)), float(np.max(wgrid))
 
 
 class WindowEndpoint:
@@ -282,8 +302,7 @@ def decompose_window(profile, bands, energy):
     energy = float(energy)
     z_half = profile.scan_half_width()
     for _attempt in range(6):
-        zgrid = np.linspace(-z_half, z_half, _SCAN_POINTS)
-        wgrid = profile(zgrid)
+        zgrid, wgrid, w_min, w_max = _scan_grid(profile, z_half)
         tail_slack = 3.0 * max(abs(wgrid[0] - profile.w_minus),
                                abs(wgrid[-1] - profile.w_plus)) + 1e-12
         targets = [energy - profile.w_minus, energy - profile.w_plus]
@@ -296,8 +315,8 @@ def decompose_window(profile, bands, energy):
             "E - W(+/-inf) sits within %.2e of a band edge; the window "
             "classification is not stable at infinity" % margin)
 
-    e_min = energy - float(np.max(wgrid)) - tail_slack
-    e_max = energy - float(np.min(wgrid)) + tail_slack
+    e_min = energy - w_max - tail_slack
+    e_max = energy - w_min + tail_slack
     if e_max > bands.gap_ceiling:
         raise EnergyRangeError(
             "E - W reaches %.6g, beyond the scanned band ceiling %.6g; "
@@ -306,8 +325,7 @@ def decompose_window(profile, bands, energy):
     endpoints = []
     for j, edge in enumerate(bands.edges, start=1):
         level = energy - float(edge)
-        if level < float(np.min(wgrid)) - tail_slack or \
-           level > float(np.max(wgrid)) + tail_slack:
+        if level < w_min - tail_slack or level > w_max + tail_slack:
             continue
         for r in _root_scan(profile, level, zgrid, wgrid):
             wp = profile.derivative(r)

@@ -1,11 +1,15 @@
 import math
+import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from bandres import (
+    BandStructure,
     ConfigurationError,
     PerturbationProfile,
+    ResonanceEstimate,
     SolverConfig,
     UnsupportedConfigurationError,
     band_edges,
@@ -20,6 +24,9 @@ from bandres import (
     well_phase_derivative,
     width_estimate,
 )
+from bandres import solver as solver_module
+from bandres.actions import _well_phases
+from bandres.solver import _GRID_POINTS, _MAX_NEWTON, _NEWTON_MARGIN
 
 BOUND_E = (9.0, 10.4)
 DRIFT_E = (9.4, 10.2)
@@ -197,3 +204,143 @@ class TestRegimeGuards:
         assert win.classification == "H6"
         with pytest.raises(UnsupportedConfigurationError):
             locate_resonances(cfg, win, mathieu_bands, drift_profile)
+
+
+def per_level_ladder(cfg, window, bands, profile):
+    """The quantization solve one level at a time through the public
+    single-window functions: each level runs its own bracketed Newton to
+    1/16 of the acceptance bound, then takes its own action data. The
+    regime guards are left out; the configurations below stay in H6."""
+    e_lo, e_hi = cfg.e_window
+    quad = (cfg.nodes, cfg.buffer)
+    cache = {}
+
+    def analyze(e):
+        if e not in cache:
+            w = decompose_window(profile, bands, e)
+            cache[e] = (w, well_phase(w, bands, profile, *quad))
+        return cache[e]
+
+    grid = np.linspace(e_lo, e_hi, _GRID_POINTS)
+    phis = np.array([analyze(e)[1] for e in grid])
+    increasing = phis[1] > phis[0]
+    dk = delta_kappa(analyze(grid[0])[0])
+    lo_val, hi_val = float(min(phis[0], phis[-1])), float(max(phis[0], phis[-1]))
+    base = -math.pi * dk * cfg.zeta + cfg.epsilon * math.pi / 2.0
+    step = cfg.epsilon * math.pi
+    out = []
+    for l in range(math.ceil((lo_val - base) / step - 1e-9),
+                   math.floor((hi_val - base) / step + 1e-9) + 1):
+        target = base + step * l
+        tol = cfg.root_tol * (1.0 + abs(target))
+        pos = np.searchsorted(phis if increasing else -phis,
+                              target if increasing else -target)
+        i = min(max(pos, 1), len(grid) - 1)
+        a, b = float(grid[i - 1]), float(grid[i])
+        fa, fb = phis[i - 1] - target, phis[i] - target
+        if fa * fb > 0.0:
+            continue
+        e = a + (b - a) * fa / (fa - fb) if fa != fb else 0.5 * (a + b)
+        for _ in range(_MAX_NEWTON):
+            fe = analyze(e)[1] - target
+            if abs(fe) <= tol / _NEWTON_MARGIN:
+                break
+            if (fe < 0.0) == (fa < 0.0):
+                a, fa = e, fe
+            else:
+                b, fb = e, fe
+            d = well_phase_derivative(analyze(e)[0], bands, profile, *quad)
+            cand = e - fe / d if d != 0.0 else 0.5 * (a + b)
+            if not min(a, b) < cand < max(a, b):
+                cand = 0.5 * (a + b)
+            e = cand
+        assert abs(fe) <= tol
+        if not e_lo <= e <= e_hi:
+            continue
+        w, phi_e = analyze(e)
+        data = compute_action_data(w, bands, profile, *quad)
+        t = tunneling_coefficients(data, cfg.epsilon)
+        out.append(ResonanceEstimate(
+            l, e, width_estimate(data, cfg.epsilon, cfg.c0), t.t_plus,
+            t.t_minus, drift_slope(data), abs(fe), s_minus=data.s_minus,
+            s_plus=data.s_plus, phase=phi_e, phase_prime=data.well_prime,
+            underflowed=t.underflowed))
+    return out
+
+
+H6_CONFIGS = ("bound_well", "barrier_wall", "drift_well", "free_flat")
+
+
+def config_bands(request, name):
+    return request.getfixturevalue(
+        "free_bands" if name == "free_flat" else "mathieu_bands")
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", H6_CONFIGS)
+    @pytest.mark.parametrize("epsilon, zeta", [(0.1, 0.0), (0.05, 0.37)])
+    def test_lockstep_equals_per_level_newton(self, request, configs_dir,
+                                              name, epsilon, zeta):
+        run = load_configuration(configs_dir / (name + ".json"))
+        bands = config_bands(request, name)
+        cfg, found = solve(bands, run.profile, run.solver.e_window, epsilon,
+                           zeta)
+        win = decompose_window(run.profile, bands,
+                               0.5 * sum(run.solver.e_window))
+        ref = per_level_ladder(cfg, win, bands, run.profile)
+        assert found
+        assert [vars(r) for r in found] == [vars(r) for r in ref]
+
+    def test_well_phase_independent_of_its_batch(self, mathieu_bands,
+                                                 bound_profile):
+        ws = [decompose_window(bound_profile, mathieu_bands, e)
+              for e in np.linspace(BOUND_E[0], BOUND_E[1], _GRID_POINTS)]
+        together = _well_phases(ws, mathieu_bands, bound_profile)
+        for i, w in enumerate(ws):
+            assert together[i] == _well_phases([w], mathieu_bands,
+                                                bound_profile)[0]
+
+    def test_first_failure_in_level_order_is_raised(self, mathieu_bands,
+                                                    bound_profile, monkeypatch):
+        # the lowest level fails late (near its root, after a few sweeps)
+        # and a higher level fails at its first iterate: the per-level loop
+        # meets the lower level's failure first, and so must the lockstep
+        cfg, found = solve(mathieu_bands, bound_profile, BOUND_E, 0.05)
+        low, high = found[0].e_real, found[3].e_real
+        grid = set(np.linspace(BOUND_E[0], BOUND_E[1], _GRID_POINTS).tolist())
+        spacing = found[1].e_real - found[0].e_real
+
+        def failing(profile, bands, e, _decompose=decompose_window):
+            if e not in grid and (abs(e - low) < 1e-7
+                                  or abs(e - high) < 0.5 * spacing):
+                raise UnsupportedConfigurationError("failed at E=%.17g" % e)
+            return _decompose(profile, bands, e)
+
+        win = decompose_window(bound_profile, mathieu_bands, 9.7)
+        errors = []
+        for module in (solver_module, sys.modules[__name__]):
+            monkeypatch.setattr(module, "decompose_window", failing)
+            with pytest.raises(UnsupportedConfigurationError) as info:
+                (locate_resonances if module is solver_module else
+                 per_level_ladder)(cfg, win, mathieu_bands, bound_profile)
+            monkeypatch.undo()
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert abs(float(errors[0].split("E=")[1]) - low) < 1e-7
+
+    def test_ladder_batches_table_calls(self, configs_dir, free_bands,
+                                        monkeypatch):
+        # one table-backed call per Newton sweep and per action rule, not
+        # one per probed energy and level (the per-level solve makes 189)
+        calls = []
+        for meth in ("k_band_fast", "kprime_fast", "gamma_fast"):
+            original = getattr(BandStructure, meth)
+
+            def counted(self, *args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(BandStructure, meth, counted)
+        run = load_configuration(configs_dir / "free_flat.json")
+        _cfg, found = solve(free_bands, run.profile, run.solver.e_window, 0.05)
+        assert len(found) == 19
+        assert len(calls) <= 16

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ from bandres import (
     UnsupportedConfigurationError,
     decompose_window,
     discriminant,
+    load_configuration,
 )
+from bandres.window import _scan_grid
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def direct_profile_value(mu, nu, bumps, z):
@@ -71,6 +76,33 @@ class TestProfile:
     def test_round_trip(self, wall_profile):
         back = PerturbationProfile.from_dict(wall_profile.to_dict())
         assert back == wall_profile
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+    def test_scalar_path_equals_array_path(self, name):
+        prof = load_configuration(CONFIG_DIR / (name + ".json")).profile
+        zs = np.random.default_rng(7).uniform(-12.0, 12.0, 50)
+        values, slopes = prof(zs), prof.derivative(zs)
+        for i, z in enumerate(zs):
+            for arg in (float(z), np.float64(z)):
+                value, slope = prof(arg), prof.derivative(arg)
+                assert type(value) is float and value == values[i]
+                # W' raises to the powers 1.5 and 2; numpy's vectorised pow
+                # may differ from the C library's scalar pow in the last bit
+                assert type(slope) is float
+                assert slope == pytest.approx(slopes[i], rel=4.5e-16, abs=1e-300)
+
+    def test_near_singularity_guard_on_complex_scalars(self, wall_profile):
+        for z in (1j + 5e-7, np.complex128(1j - 5e-7j)):
+            with pytest.raises(NearSingularityError):
+                wall_profile(z)
+        assert type(wall_profile(0.3 + 0.5j)) is complex
+
+    def test_scan_grid_is_read_only(self, wall_profile):
+        zgrid, wgrid, _w_min, _w_max = _scan_grid(
+            wall_profile, wall_profile.scan_half_width())
+        assert not zgrid.flags.writeable and not wgrid.flags.writeable
+        with pytest.raises(ValueError):
+            wgrid[0] = 0.0
 
 
 class TestDecomposition:
