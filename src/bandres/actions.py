@@ -52,7 +52,7 @@ import math
 import numpy as np
 
 from .errors import InternalConsistencyError, UnsupportedConfigurationError
-from .hill import edge_reduced_value, reduced_momentum
+from .hill import _band_sign, edge_reduced_value, reduced_momentum
 
 _GL_CACHE = {}
 _UNDERFLOW_EXPONENT = 690.0   # exp(-690) ~ 1e-300
@@ -277,7 +277,7 @@ def well_phase_derivative(window, bands, profile, nodes=64, buffer=0.1):
 def _well_phase_derivatives(windows, bands, profile, nodes=64, buffer=0.1):
     """dPhi_w/dE of every window (H6 wells on one band), one integrand call."""
     segments, energies, n = _wells(windows, "well_phase_derivative")
-    sign = 1.0 if n % 2 == 1 else -1.0
+    sign = _band_sign(n)
 
     def integrand(z):
         return sign * bands.kprime_fast(energies - profile(z), n)

@@ -23,29 +23,61 @@ _SOLVER_KEYS = ("epsilon", "zeta", "e_window")   # all required
 _ORACLE_KEYS = {"cap_strength"}
 
 
-def _key_line(text, key):
-    """1-based line of the first occurrence of "key" in the source, or None."""
-    needle = '"%s"' % key
-    pos = text.find(needle)
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(count=None):
+    return lambda v: (isinstance(v, (list, tuple)) and count in (None, len(v))
+                      and all(map(_is_number, v)))
+
+
+_NUMBER = (_is_number, "a number")
+_NUMBER_ARRAY = (_numbers(), "an array of numbers")
+# key -> (test of its value, the JSON type the test admits)
+_TYPES = {
+    "mean": _NUMBER, "cos_coeffs": _NUMBER_ARRAY, "sin_coeffs": _NUMBER_ARRAY,
+    "allow_constant": (lambda v: isinstance(v, bool), "true or false"),
+    "mu": _NUMBER, "nu": _NUMBER,
+    "bumps": (lambda v: isinstance(v, (list, tuple)) and all(map(_numbers(3), v)),
+              "an array of [height, center, width] number triples"),
+    "epsilon": _NUMBER, "zeta": _NUMBER,
+    "e_window": (_numbers(2), "a two-number array [lo, hi]"),
+    "cap_strength": _NUMBER,
+    "output_dir": (lambda v: isinstance(v, str) and v != "", "a nonempty string"),
+}
+
+
+def _key_line(text, key, section=None):
+    """1-based line of the first occurrence of "key" in the source (after
+    that of "section", when given), or None."""
+    start = max(text.find('"%s"' % section), 0) if section else 0
+    pos = text.find('"%s"' % key, start)
     if pos < 0:
         return None
     return text.count("\n", 0, pos) + 1
 
 
-def _at(source, text, key):
-    line = _key_line(text, key)
+def _at(source, text, key, section=None):
+    line = _key_line(text, key, section)
     if line is None:
         return "%s: " % source
     return "%s:%d: " % (source, line)
 
 
 def _check_keys(section, data, allowed, source, text):
-    for key in data:
+    """Every key of the section known and every value of its JSON type."""
+    anchor = None if section == "top-level" else section
+    for key, value in data.items():
         if key not in allowed:
             raise ConfigurationError(
                 "%sunknown key %r in the %s section (allowed: %s)"
-                % (_at(source, text, key), key, section,
+                % (_at(source, text, key, anchor), key, section,
                    ", ".join(sorted(allowed))))
+        if key in _TYPES and not _TYPES[key][0](value):
+            raise ConfigurationError(
+                "%s%s must be %s, got %s" % (_at(source, text, key, anchor), key,
+                                             _TYPES[key][1], json.dumps(value, default=repr)))
 
 
 def _section(data, name, source, text, required=True):
@@ -110,26 +142,14 @@ class RunConfiguration:
                 raise ConfigurationError(
                     "%smissing required solver key %r"
                     % (_at(source, text, "solver"), key))
-        e_window = sol_d["e_window"]
-        if (not isinstance(e_window, (list, tuple)) or len(e_window) != 2
-                or not all(isinstance(v, (int, float)) for v in e_window)):
-            raise ConfigurationError(
-                "%se_window must be a two-number array [lo, hi]"
-                % _at(source, text, "e_window"))
         solver = build("solver", lambda d: SolverConfig(**d), dict(sol_d))
         cap_strength = ora_d.get("cap_strength", 0.0)
-        if not isinstance(cap_strength, (int, float)) or not cap_strength >= 0.0:
+        if not cap_strength >= 0.0:
             raise ConfigurationError(
                 "%scap_strength must be a nonnegative number"
-                % _at(source, text, "cap_strength"))
-
-        output_dir = data.get("output_dir", "out")
-        if not isinstance(output_dir, str) or not output_dir:
-            raise ConfigurationError(
-                "%soutput_dir must be a nonempty string"
-                % _at(source, text, "output_dir"))
-
-        return cls(potential, profile, solver, cap_strength, output_dir)
+                % _at(source, text, "cap_strength", "oracle"))
+        return cls(potential, profile, solver, cap_strength,
+                   data.get("output_dir", "out"))
 
     @classmethod
     def load(cls, path):

@@ -25,6 +25,7 @@ energies below its floor take D from a direct propagation instead.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -43,7 +44,7 @@ from .errors import (
     SingularDerivativeError,
 )
 
-_SCAN_TOL = 1e-10           # quasi-momentum ODE tolerance, recorded as BandStructure.tol
+_SCAN_TOL = 1e-10           # ODE tolerance of the untabled k routes; band_structure.json's "tol"
 _REFINE_TOL = 2.5e-13       # ODE tolerance of the edge polish and its certificate
 _TRUNCATION_TOL = 1e-8      # largest edge displacement allowed under Hill-matrix doubling
 _BRACKET = 1e-9             # certificate bracket width; closer seed pairs form a double edge
@@ -350,7 +351,7 @@ def band_edges(potential, e_max):
         warnings.warn("gap(s) %s closed within tolerance; the all-gaps-open "
                       "genericity assumption fails" % closed, stacklevel=2)
     return BandStructure(edges=edges[:count - count % 2], open_gap_flags=flags,
-                         e_max=float(e_max), tol=_SCAN_TOL, potential=potential,
+                         e_max=float(e_max), potential=potential,
                          next_band_start=float(edges[count - 1]) if count % 2 else None)
 
 
@@ -442,14 +443,13 @@ class BandStructure:
     gap below e_max remains usable.
     """
 
-    def __init__(self, edges, open_gap_flags, e_max, tol, potential,
-                 next_band_start=None):
+    def __init__(self, edges, open_gap_flags, e_max, potential, next_band_start=None):
         self.edges = np.asarray(edges, dtype=float)
         if self.edges.size % 2:
             raise InternalConsistencyError("edge list must pair into bands")
+        self._edge_list = self.edges.tolist()   # plain floats for bisect
         self.open_gap_flags = list(open_gap_flags)
         self.e_max = float(e_max)
-        self.tol = float(tol)
         self.potential = potential
         self.next_band_start = None if next_band_start is None else float(next_band_start)
 
@@ -479,20 +479,16 @@ class BandStructure:
         raise EnergyRangeError("gap %d outside scanned range" % n)
 
     def locate(self, e):
-        """('band', n) or ('gap', n) for a real energy; gap 0 lies below E1."""
+        """('band', n) or ('gap', n) for a real energy; gap 0 lies below E1.
+        Bands are closed, so a double edge belongs to the band below it."""
         e = float(e)
-        if e < self.edges[0]:
-            return ("gap", 0)
-        for n in range(1, self.n_bands + 1):
-            lo, hi = self.edges[2 * n - 2], self.edges[2 * n - 1]
-            if lo <= e <= hi:
-                return ("band", n)
-            if n < self.n_bands and hi < e < self.edges[2 * n]:
-                return ("gap", n)
-        if self.edges[-1] < e <= self.gap_ceiling:
-            return ("gap", self.n_bands)
-        raise EnergyRangeError("E=%.12g beyond scanned bands (ceiling %.12g)"
-                               % (e, self.gap_ceiling))
+        if not e <= self.gap_ceiling:
+            raise EnergyRangeError("E=%.12g beyond scanned bands (ceiling %.12g)"
+                                   % (e, self.gap_ceiling))
+        i = bisect.bisect_left(self._edge_list, e)   # edges strictly below e
+        if i % 2 or (i < len(self._edge_list) and self._edge_list[i] == e):
+            return ("band", i // 2 + 1)
+        return ("gap", i // 2)
 
     # --- fast real-axis evaluation through the cached discriminant ---
 
@@ -505,8 +501,7 @@ class BandStructure:
 
     def k_band_fast(self, e, band_index):
         """Main-branch k on band `band_index` (vectorized, table-backed)."""
-        sign = 1.0 if band_index % 2 == 1 else -1.0
-        c = np.clip(sign * self.table.value(e) / 2.0, -1.0, 1.0)
+        c = np.clip(_band_sign(band_index) * self.table.value(e) / 2.0, -1.0, 1.0)
         return math.pi * (band_index - 1) + np.arccos(c)
 
     def gamma_fast(self, e):
@@ -524,39 +519,43 @@ class BandStructure:
         d = self.table.value(e)
         dp = self.table.derivative(e)
         sin_phi = np.sqrt(np.maximum(1e-300, 1.0 - (d / 2.0) ** 2))
-        sign = 1.0 if band_index % 2 == 1 else -1.0
-        return -sign * dp / (2.0 * sin_phi)
+        return -_band_sign(band_index) * dp / (2.0 * sin_phi)
 
     def to_dict(self):
         return {"edges": [float(x) for x in self.edges],
                 "open_gap_flags": list(self.open_gap_flags),
                 "e_max": self.e_max,
-                "tol": self.tol,
+                "tol": _SCAN_TOL,
                 "next_band_start": self.next_band_start}
 
     @classmethod
     def from_dict(cls, d, potential):
         return cls(edges=d["edges"], open_gap_flags=d["open_gap_flags"],
-                   e_max=d["e_max"], tol=d.get("tol", _SCAN_TOL), potential=potential,
+                   e_max=d["e_max"], potential=potential,
                    next_band_start=d.get("next_band_start"))
+
+
+def _band_sign(band_index):
+    """Orientation of band n: +1.0 for odd n, where D falls from 2 to -2 and
+    the folded momentum rises from 0 to pi, and -1.0 for even n, where both
+    run the other way."""
+    return 1.0 if band_index % 2 == 1 else -1.0
 
 
 def reduced_momentum(k, band_index):
     """Fold the main branch on band n into the [0, pi] normalization."""
     n = band_index
-    if n % 2 == 1:
+    if _band_sign(n) > 0.0:
         return k - math.pi * (n - 1)
     return math.pi * n - k
 
 
 def edge_reduced_value(side, band_index):
-    """Folded momentum at a band edge: 0 or pi depending on side and parity."""
+    """Folded momentum at a band edge: 0 at the lower edge of an odd band
+    and at the upper edge of an even one, pi at the other edge."""
     if side not in ("lower", "upper"):
         raise DomainError("side must be 'lower' or 'upper'")
-    low = band_index % 2 == 1
-    if side == "lower":
-        return 0.0 if low else math.pi
-    return math.pi if low else 0.0
+    return 0.0 if (side == "lower") == (_band_sign(band_index) > 0.0) else math.pi
 
 
 def edge_band_side(edge_index):
@@ -582,10 +581,9 @@ class QuasiMomentum:
 def _k_real_axis(bands, e):
     """Closed-form main branch for real energies (direct ODE evaluation)."""
     kind, n = bands.locate(e)
-    d = float(discriminant_many(bands.potential, [e], bands.tol)[0].real)
+    d = float(discriminant_many(bands.potential, [e], _SCAN_TOL)[0].real)
     if kind == "band":
-        sign = 1.0 if n % 2 == 1 else -1.0
-        phi = math.acos(min(1.0, max(-1.0, sign * d / 2.0)))
+        phi = math.acos(min(1.0, max(-1.0, _band_sign(n) * d / 2.0)))
         return complex(math.pi * (n - 1) + phi), n, False
     gamma = math.acosh(max(1.0, abs(d) / 2.0))
     return complex(math.pi * n, gamma), n, True
@@ -614,7 +612,7 @@ def quasi_momentum_main(bands, energy):
     n_steps = 16
     while True:
         path = e.real + 1j * np.linspace(0.0, e.imag, n_steps + 1)[1:]
-        dvals = discriminant_many(bands.potential, path, bands.tol)
+        dvals = discriminant_many(bands.potential, path, _SCAN_TOL)
         k_prev = complex(anchor_val)
         max_jump = 0.0
         for d in dvals:
@@ -647,7 +645,7 @@ def quasi_momentum_derivative(bands, energy):
     |sin k| below 1e-9 raises SingularDerivativeError.
     """
     km = quasi_momentum_main(bands, energy)
-    _, dp = discriminant_with_derivative(bands.potential, [complex(energy)], bands.tol)
+    _, dp = discriminant_with_derivative(bands.potential, [complex(energy)], _SCAN_TOL)
     s = np.sin(km.value)
     if abs(s) < 1e-9:
         raise SingularDerivativeError(

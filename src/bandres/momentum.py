@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (BoundaryCollisionError, DomainError,
                      InternalConsistencyError, NearSingularityError,
                      RootCountError, UnsupportedConfigurationError)
-from .hill import edge_reduced_value, reduced_momentum
+from .hill import _band_sign, edge_reduced_value, reduced_momentum
 
 _NEWTON_SEEDS = (50, 20)
 _NEWTON_STEPS = 40
@@ -50,7 +50,7 @@ class MomentumSample:
 
 def _fold_pair(band_index):
     n = band_index
-    return (1, -(n - 1) // 2) if n % 2 == 1 else (-1, n // 2)
+    return (1, -(n - 1) // 2) if _band_sign(n) > 0.0 else (-1, n // 2)
 
 
 def kappa_normalized(window, bands, profile, zeta):
@@ -260,21 +260,15 @@ def isoenergy_portrait(profile, bands, energy, zeta_range, n_samples):
     es = energy - profile(zs)
     band_of = np.array([n if kind == "band" else 0
                         for kind, n in map(bands.locate, es)])
-    k = np.empty(es.shape)
-    for n in np.unique(band_of[band_of > 0]):
-        on = band_of == n
-        k[on] = bands.k_band_fast(es[on], int(n))
-    out = []
-    for z, n, kn in zip(zs, band_of, k):
-        if n == 0:
-            continue
-        n = int(n)
-        k0 = reduced_momentum(float(kn), n)
-        k0 = min(max(k0, 0.0), math.pi)
-        if k0 < _EDGE_SNAP:
-            k0 = 0.0
-        elif math.pi - k0 < _EDGE_SNAP:
-            k0 = math.pi
-        branches = (k0,) if k0 in (0.0, math.pi) else (k0, 2.0 * math.pi - k0)
-        out.append((float(z), branches))
-    return out
+    on = band_of > 0
+    zs, es, band_of = zs[on], es[on], band_of[on]
+    k0 = np.empty(es.shape)
+    for n in np.unique(band_of).tolist():
+        mine = band_of == n
+        k0[mine] = reduced_momentum(bands.k_band_fast(es[mine], n), n)
+    # the snap also clamps: folds below 0 or above pi land on the edge value
+    k0 = np.where(k0 < _EDGE_SNAP, 0.0, np.where(math.pi - k0 < _EDGE_SNAP, math.pi, k0))
+    at_edge = (k0 == 0.0) | (k0 == math.pi)
+    return [(z, (k,) if edge else (k, k2))
+            for z, k, k2, edge in zip(zs.tolist(), k0.tolist(),
+                                      (2.0 * math.pi - k0).tolist(), at_edge.tolist())]

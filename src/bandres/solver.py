@@ -59,7 +59,12 @@ class SolverConfig:
                  nodes=64, buffer=0.1, c0=1.0):
         if not 0.0 < epsilon <= 0.5:
             raise ConfigurationError("epsilon=%g outside (0, 0.5]" % epsilon)
+        zeta = float(zeta)
+        if not math.isfinite(zeta):
+            raise ConfigurationError("zeta=%g is not finite" % zeta)
         lo, hi = (float(v) for v in e_window)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigurationError("energy window [%g, %g] is not finite" % (lo, hi))
         if not lo < hi:
             raise ConfigurationError("empty energy window [%g, %g]" % (lo, hi))
         if not 0.0 < root_tol <= 1e-8:
@@ -69,7 +74,7 @@ class SolverConfig:
         if nodes < 8:
             raise ConfigurationError("nodes=%d too few (need >= 8)" % nodes)
         self.epsilon = float(epsilon)
-        self.zeta = float(zeta)
+        self.zeta = zeta
         self.e_window = (lo, hi)
         self.root_tol = float(root_tol)
         self.nodes = int(nodes)

@@ -248,6 +248,21 @@ class TestFailureModes:
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, flag, value", [
+        ("resonances", "--zeta", "nan"), ("resonances", "--zeta", "inf"),
+        ("oracle", "--zeta", "nan"), ("resonances", "--window", ["9.0", "inf"])])
+    def test_non_finite_override_is_a_configuration_error(self, configs_dir, tmp_path,
+                                                          capsys, cmd, flag, value):
+        out = tmp_path / "o"
+        code = main([cmd, "--config", str(configs_dir / BOUND), "--out", str(out),
+                     flag, *([value] if isinstance(value, str) else value)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: ")
+        assert ("zeta=" if flag == "--zeta" else "energy window") in err
+        assert "not finite" in err and "Traceback" not in err
+        assert not any(out.glob("*.csv"))
+
     def test_overrides_only_where_they_act(self):
         taken = {"bands": set(),
                  "window": {"--window"},

@@ -100,6 +100,55 @@ class TestLoading:
                 "(allowed: e_window, epsilon, zeta)" % (path, wanted, key)
                 in str(err.value))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("potential", "cos_coeffs", "12"),
+        ("potential", "sin_coeffs", [0.5, False]),
+        ("potential", "mean", None),
+        ("potential", "allow_constant", "false"),
+        ("profile", "allow_constant", "false"),
+        ("profile", "mu", "0"),
+        ("profile", "bumps", [["1", "2", "3"]]),
+        ("profile", "bumps", [[4.0, 0.0]]),
+        ("profile", "bumps", [4.0, 0.0, 1.0]),
+        ("solver", "zeta", True),
+        ("solver", "epsilon", [0.08]),
+        ("solver", "e_window", [True, 2]),
+        ("oracle", "cap_strength", True),
+        (None, "output_dir", 7),
+    ])
+    def test_value_types_checked_at_load(self, tmp_path, section, key, value):
+        # both sections carry allow_constant, so the line must be found
+        # inside the section that holds the bad value
+        doc = json.loads(json.dumps(GOOD))
+        doc["potential"]["allow_constant"] = False
+        doc["profile"]["allow_constant"] = False
+        doc["oracle"] = {"cap_strength": 0.0}
+        (doc if section is None else doc[section])[key] = value
+        text = json.dumps(doc, indent=1)
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigurationError) as err:
+            load_configuration(path)
+        lines = text.splitlines()
+        start = 0 if section is None else next(
+            i for i, t in enumerate(lines) if '"%s"' % section in t)
+        wanted = next(i for i, t in enumerate(lines[start:], start + 1)
+                      if '"%s"' % key in t)
+        assert "%s:%d: %s must be " % (path, wanted, key) in str(err.value)
+
+    @pytest.mark.parametrize("key, text", [("zeta", "NaN"), ("zeta", "Infinity"),
+                                           ("e_window", "[9.0, Infinity]")])
+    def test_non_finite_solver_values_rejected(self, tmp_path, key, text):
+        doc = json.dumps(dict(GOOD, solver=dict(GOOD["solver"], **{key: 0})),
+                         indent=1).replace('"%s": 0' % key, '"%s": %s' % (key, text))
+        path = write(tmp_path, doc)
+        with pytest.raises(ConfigurationError) as err:
+            load_configuration(path)
+        wanted = next(i for i, t in enumerate(doc.splitlines(), 1)
+                      if '"solver"' in t)
+        assert "%s:%d: in the solver section: " % (path, wanted) in str(err.value)
+        assert "not finite" in str(err.value)
+        assert ("zeta=" if key == "zeta" else "energy window") in str(err.value)
+
     def test_to_dict_writes_run_file_solver_keys(self, tmp_path):
         cfg = load_configuration(write(tmp_path, json.dumps(GOOD)))
         assert cfg.to_dict()["solver"] == GOOD["solver"]

@@ -37,6 +37,32 @@ def random_potential(rng, max_modes=3, amplitude=3.0):
     return PeriodicPotential(float(rng.uniform(-1.0, 1.0)), cos, sin)
 
 
+def locate_per_band(bands, e):
+    """BandStructure.locate as a loop over the bands: the reference its
+    bisection of the edges must reproduce exactly."""
+    e = float(e)
+    edges = bands.edges
+    if e < edges[0]:
+        return ("gap", 0)
+    for n in range(1, bands.n_bands + 1):
+        lo, hi = edges[2 * n - 2], edges[2 * n - 1]
+        if lo <= e <= hi:
+            return ("band", n)
+        if n < bands.n_bands and hi < e < edges[2 * n]:
+            return ("gap", n)
+    if edges[-1] < e <= bands.gap_ceiling:
+        return ("gap", bands.n_bands)
+    raise EnergyRangeError("E=%.12g beyond scanned bands (ceiling %.12g)"
+                           % (e, bands.gap_ceiling))
+
+
+def located_or_refused(locate, bands, e):
+    try:
+        return locate(bands, e)
+    except EnergyRangeError as exc:
+        return ("refused", str(exc))
+
+
 class TestMonodromy:
     def test_determinant_one_across_random_draws(self):
         rng = np.random.default_rng(20240817)
@@ -110,6 +136,26 @@ class TestBandEdges:
         with pytest.raises(EnergyRangeError):
             b.locate(b.gap_ceiling + 1.0)
 
+    @pytest.mark.parametrize("name", ["mathieu_bands", "free_bands"])
+    def test_locate_equals_per_band_loop(self, request, name):
+        bands = request.getfixturevalue(name)
+        edges = [float(x) for x in bands.edges]
+        if name == "free_bands":
+            # every gap is closed: edges 2n and 2n + 1 coincide
+            assert bands.n_bands >= 3
+            assert all(edges[j] == edges[j + 1] for j in range(1, len(edges) - 1, 2))
+        ceiling = bands.gap_ceiling
+        points = list(edges)
+        points += [np.nextafter(x, side) for x in edges for side in (-math.inf, math.inf)]
+        points += [0.5 * (a + b) for a, b in zip(edges[1::2], edges[2::2] + [ceiling])]
+        points += [edges[0] - 1.0, ceiling, np.nextafter(ceiling, math.inf),
+                   ceiling + 1.0, math.nan, -math.inf, math.inf]
+        got = [located_or_refused(BandStructure.locate, bands, e) for e in points]
+        assert got == [located_or_refused(locate_per_band, bands, e) for e in points]
+        # bands are closed and a double edge belongs to the lower band
+        assert got[:len(edges)] == [("band", edges.index(x) // 2 + 1) for x in edges]
+        assert [g[0] for g in got[-5:]] == ["refused"] * 3 + ["gap", "refused"]
+
     @pytest.mark.parametrize("e_max", [45.0, 165.0])
     def test_mathieu_edges_against_mpmath(self, mathieu, e_max):
         # gap 4 (edges 8 and 9) is 9.03e-7 wide, with D - 2 about 3e-16 at
@@ -138,7 +184,9 @@ class TestBandEdges:
 
     def test_serialization_round_trip(self, mathieu, mathieu_bands):
         d = mathieu_bands.to_dict()
+        assert d["tol"] == 1e-10   # the direct-route ODE tolerance, recorded
         back = BandStructure.from_dict(d, mathieu)
+        assert not hasattr(back, "tol")
         assert np.allclose(back.edges, mathieu_bands.edges)
         assert back.open_gap_flags == mathieu_bands.open_gap_flags
         assert back.gap_ceiling == mathieu_bands.gap_ceiling
