@@ -52,7 +52,7 @@ import math
 import numpy as np
 
 from .errors import InternalConsistencyError, UnsupportedConfigurationError
-from .hill import _band_sign, edge_reduced_value, reduced_momentum
+from .hill import _band_sign, reduced_momentum
 
 _GL_CACHE = {}
 _UNDERFLOW_EXPONENT = 690.0   # exp(-690) ~ 1e-300
@@ -93,21 +93,13 @@ def _edge_resolved_quad(f, segments, n, buffer):
     return out
 
 
-def _require_h6(window, op):
-    if window.classification != "H6":
-        raise UnsupportedConfigurationError(
-            "%s needs the one-well (H6) regime, got %s"
-            % (op, window.classification))
-
-
 def _wells(windows, op):
     """(segments, energy column, band index) of H6 wells on one band."""
-    for window in windows:
-        _require_h6(window, op)
-    n = windows[0].compact.band_index
-    if any(w.compact.band_index != n for w in windows):
+    wells = [window.well(op) for window in windows]
+    n = wells[0].band_index
+    if any(c.band_index != n for c in wells):
         raise InternalConsistencyError("batched wells lie on different bands")
-    return ([(w.compact.lo, w.compact.hi) for w in windows],
+    return ([(c.lo, c.hi) for c in wells],
             np.array([[w.energy] for w in windows]), n)
 
 
@@ -136,35 +128,24 @@ def phase_integral(window, bands, profile, nodes=64, buffer=0.1,
                             "phase_integral", with_error)[0]
 
 
-def _anchor_values(window):
-    """Endpoint fold values (v_lo, v_hi) of the compact component."""
-    c = window.compact
-    for ep in (c.lo_endpoint, c.hi_endpoint):
-        if ep is None or ep.band_index != c.band_index:
-            raise InternalConsistencyError(
-                "well endpoints do not bound band %r" % c.band_index)
-    return (edge_reduced_value(c.lo_endpoint.side, c.band_index),
-            edge_reduced_value(c.hi_endpoint.side, c.band_index))
-
-
 def _anchored(window, phi0):
     """Phi_w = Phi0 - v_hi*zeta0+ + v_lo*zeta0-."""
-    v_lo, v_hi = _anchor_values(window)
-    return phi0 - v_hi * window.compact.hi + v_lo * window.compact.lo
+    c = window.compact
+    v_lo, v_hi = c.anchors
+    return phi0 - v_hi * c.hi + v_lo * c.lo
 
 
 def _boundary_term(window):
     """Moving-endpoint part of Phi0': v_hi/W'(zeta0+) - v_lo/W'(zeta0-)."""
     c = window.compact
-    v_lo, v_hi = _anchor_values(window)
+    v_lo, v_hi = c.anchors
     return v_hi / c.hi_endpoint.w_prime - v_lo / c.lo_endpoint.w_prime
 
 
 def delta_kappa(window):
     """Net reduced-momentum jump across the well in units of pi; an
     integer from edge bookkeeping only."""
-    _require_h6(window, "delta_kappa")
-    v_lo, v_hi = _anchor_values(window)
+    v_lo, v_hi = window.well("delta_kappa").anchors
     dk = round((v_hi - v_lo) / math.pi)
     if dk not in (-1, 0, 1):
         raise InternalConsistencyError("delta_kappa = %r out of range" % dk)
@@ -177,15 +158,14 @@ def actions_pm(window, bands, profile, nodes=64, buffer=0.1):
     S = 2 * integral of Im k over the gap segment, so that exp(-S/eps)
     is a transmission probability rather than an amplitude factor.
     """
-    _require_h6(window, "actions_pm")
+    window.well("actions_pm")
     energy = window.energy
 
     def gamma(z):
         return bands.gamma_fast(energy - profile(z))
 
     out = []
-    for a, b in ((window.zeta_minus, window.zeta0_minus),
-                 (window.zeta0_plus, window.zeta_plus)):
+    for a, b in window.barriers:
         if math.isinf(a) or math.isinf(b):
             out.append(math.inf)
             continue
@@ -243,7 +223,7 @@ def phase_integral_derivative(window, bands, profile, nodes=64, buffer=0.1):
     endpoints; the u^2 substitution renders it analytic, so plain
     Gauss-Legendre on the buffer panels converges spectrally.
     """
-    _require_h6(window, "phase_integral_derivative")
+    window.well("phase_integral_derivative")
     interior = well_phase_derivative(window, bands, profile, nodes, buffer)
     return _boundary_term(window) + interior
 
@@ -328,7 +308,7 @@ def _action_data(windows, bands, profile, nodes=64, buffer=0.1):
     integrals take one integrand call per rule, the barriers stay per
     window."""
     phi0s = _phase_integrals(windows, bands, profile, nodes, buffer,
-                             "phase_integral", with_error=True)
+                             "compute_action_data", with_error=True)
     wps = _well_phase_derivatives(windows, bands, profile, nodes, buffer)
     out = []
     for window, (phi0, err), wp in zip(windows, phi0s, wps):

@@ -90,8 +90,10 @@ def _build_bands(cfg, energy=-math.inf):
 
 
 def _mid_energy(cfg, args):
-    e = getattr(args, "energy", None)
+    e = args.energy
     if e is not None:
+        if not math.isfinite(e):
+            raise ConfigurationError("--energy=%g is not finite" % e)
         return float(e)
     lo, hi = cfg.solver.e_window
     return 0.5 * (lo + hi)
@@ -135,17 +137,19 @@ _RESONANCE_FREE = "note: monotone transition window, resonance-free; empty table
 
 
 def cmd_actions(cfg, args, outdir):
-    bands = _build_bands(cfg)
+    if args.grid_points < 1:
+        raise ConfigurationError("--grid-points needs a positive count")
+    run = Run(cfg, _build_bands(cfg))
     lo, hi = cfg.solver.e_window
     header = ("E", "Phi0", "delta_kappa", "S_minus", "S_plus")
-    if decompose_window(cfg.profile, bands, _mid_energy(cfg, args)).classification == "H5":
+    if run.window.classification == "H5":
         _write_csv(os.path.join(outdir, "actions.csv"), header, [])
         print(_RESONANCE_FREE)
         return 0
     rows = []
     for e in np.linspace(lo, hi, args.grid_points):
-        win = decompose_window(cfg.profile, bands, float(e))
-        data = compute_action_data(win, bands, cfg.profile,
+        win = decompose_window(cfg.profile, run.bands, float(e))
+        data = compute_action_data(win, run.bands, cfg.profile,
                                    cfg.solver.nodes, cfg.solver.buffer)
         rows.append((data.energy, data.phi0, data.delta_kappa,
                      data.s_minus, data.s_plus))

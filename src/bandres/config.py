@@ -10,6 +10,7 @@ parsed configuration round-trips losslessly through to_dict().
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ConfigurationError
 from .hill import PeriodicPotential
@@ -34,7 +35,7 @@ def _numbers(count=None):
 
 _NUMBER = (_is_number, "a number")
 _NUMBER_ARRAY = (_numbers(), "an array of numbers")
-# key -> (test of its value, the JSON type the test admits)
+# key -> (test of its value, what the test admits)
 _TYPES = {
     "mean": _NUMBER, "cos_coeffs": _NUMBER_ARRAY, "sin_coeffs": _NUMBER_ARRAY,
     "allow_constant": (lambda v: isinstance(v, bool), "true or false"),
@@ -43,7 +44,8 @@ _TYPES = {
               "an array of [height, center, width] number triples"),
     "epsilon": _NUMBER, "zeta": _NUMBER,
     "e_window": (_numbers(2), "a two-number array [lo, hi]"),
-    "cap_strength": _NUMBER,
+    "cap_strength": (lambda v: _is_number(v) and 0.0 <= v < math.inf,
+                     "a finite nonnegative number"),
     "output_dir": (lambda v: isinstance(v, str) and v != "", "a nonempty string"),
 }
 
@@ -143,12 +145,7 @@ class RunConfiguration:
                     "%smissing required solver key %r"
                     % (_at(source, text, "solver"), key))
         solver = build("solver", lambda d: SolverConfig(**d), dict(sol_d))
-        cap_strength = ora_d.get("cap_strength", 0.0)
-        if not cap_strength >= 0.0:
-            raise ConfigurationError(
-                "%scap_strength must be a nonnegative number"
-                % _at(source, text, "cap_strength", "oracle"))
-        return cls(potential, profile, solver, cap_strength,
+        return cls(potential, profile, solver, ora_d.get("cap_strength", 0.0),
                    data.get("output_dir", "out"))
 
     @classmethod

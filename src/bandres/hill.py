@@ -283,6 +283,8 @@ def band_edges(potential, e_max):
     warning. An uncertified edge, edges out of order or an unconverged
     truncation raise ComputationError naming the edge.
     """
+    if not math.isfinite(e_max):
+        raise DomainError("e_max=%g is not finite" % e_max)
     if e_max <= potential.lower_bound() + 0.5:
         raise DomainError("e_max=%g leaves no room above the potential floor %g"
                           % (e_max, potential.lower_bound()))

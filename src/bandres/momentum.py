@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (BoundaryCollisionError, DomainError,
                      InternalConsistencyError, NearSingularityError,
-                     RootCountError, UnsupportedConfigurationError)
-from .hill import _band_sign, edge_reduced_value, reduced_momentum
+                     RootCountError)
+from .hill import _band_sign, reduced_momentum
 
 _NEWTON_SEEDS = (50, 20)
 _NEWTON_STEPS = 40
@@ -55,11 +55,7 @@ def _fold_pair(band_index):
 
 def kappa_normalized(window, bands, profile, zeta):
     """kappa0 on the compact well: real, in [0, pi], edge-exact at endpoints."""
-    if window.classification != "H6":
-        raise UnsupportedConfigurationError(
-            "kappa_normalized needs the one-well (H6) regime, got %s"
-            % window.classification)
-    c = window.compact
+    c = window.well("kappa_normalized")
     zeta = float(zeta)
     if not c.lo <= zeta <= c.hi:
         raise DomainError("zeta=%.12g outside the well [%.12g, %.12g]"
@@ -67,8 +63,7 @@ def kappa_normalized(window, bands, profile, zeta):
     n = c.band_index
     sign, m = _fold_pair(n)
     if zeta == c.lo or zeta == c.hi:
-        side = (c.lo_endpoint if zeta == c.lo else c.hi_endpoint).side
-        return MomentumSample(zeta, edge_reduced_value(side, n), sign, m)
+        return MomentumSample(zeta, c.anchors[0 if zeta == c.lo else 1], sign, m)
     k = bands.k_band_fast(window.energy - profile(zeta), n)
     return MomentumSample(zeta, reduced_momentum(float(k), n), sign, m)
 
@@ -79,17 +74,11 @@ def im_kappa_gap(window, bands, profile, segment, zeta):
     segment is "left" for (zeta-, zeta0-) or "right" for (zeta0+, zeta+);
     the returned magnitude is the integrand of the barrier actions.
     """
-    if window.classification != "H6":
-        raise UnsupportedConfigurationError(
-            "im_kappa_gap needs the one-well (H6) regime, got %s"
-            % window.classification)
+    window.well("im_kappa_gap")
     zeta = float(zeta)
-    if segment == "left":
-        lo, hi = window.zeta_minus, window.zeta0_minus
-    elif segment == "right":
-        lo, hi = window.zeta0_plus, window.zeta_plus
-    else:
+    if segment not in ("left", "right"):
         raise DomainError("segment must be 'left' or 'right', got %r" % (segment,))
+    lo, hi = window.barriers[segment == "right"]
     if not lo < zeta < hi:
         raise DomainError("zeta=%.12g outside the open %s segment (%.12g, %.12g)"
                           % (zeta, segment, lo, hi))

@@ -177,9 +177,6 @@ def locate_resonances(cfg, window, bands, profile):
     e_lo, e_hi = cfg.e_window
     quad = (cfg.nodes, cfg.buffer)
     cache = {}      # energy -> (window, Phi_w) or the error analysing it
-    ref_edges = (window.compact.lo_endpoint.edge_index,
-                 window.compact.hi_endpoint.edge_index,
-                 window.compact.band_index)
 
     def checked_window(e):
         w = decompose_window(profile, bands, e)
@@ -187,9 +184,7 @@ def locate_resonances(cfg, window, bands, profile):
             raise UnsupportedConfigurationError(
                 "window leaves the one-well regime at E=%.12g (%s)"
                 % (e, w.classification))
-        got = (w.compact.lo_endpoint.edge_index,
-               w.compact.hi_endpoint.edge_index, w.compact.band_index)
-        if got != ref_edges:
+        if w.compact.key != window.compact.key:
             raise UnsupportedConfigurationError(
                 "well bookkeeping changes inside the energy window at "
                 "E=%.12g; shrink the window" % e)

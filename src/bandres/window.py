@@ -44,7 +44,7 @@ from .errors import (
     NearSingularityError,
     UnsupportedConfigurationError,
 )
-from .hill import edge_band_side
+from .hill import edge_band_side, edge_reduced_value
 
 _SCAN_POINTS = 2000
 _CRITICAL_WPRIME = 1e-6
@@ -221,6 +221,19 @@ class WindowComponent:
     def width(self):
         return self.hi - self.lo
 
+    @property
+    def key(self):
+        """(lo edge index, hi edge index, band) of a compact component."""
+        return (self.lo_endpoint.edge_index, self.hi_endpoint.edge_index,
+                self.band_index)
+
+    @property
+    def anchors(self):
+        """Fold values (v_lo, v_hi), each 0 or pi, of kappa0 at the ends of
+        an H6 well, whose endpoints decompose_window checks are its band's."""
+        return (edge_reduced_value(self.lo_endpoint.side, self.band_index),
+                edge_reduced_value(self.hi_endpoint.side, self.band_index))
+
     def __repr__(self):
         return "WindowComponent(%.6g, %.6g, %r, band=%r)" % (
             self.lo, self.hi, self.kind, self.band_index)
@@ -257,6 +270,22 @@ class SpectralWindow:
         self.zeta0_minus = self.compact.lo if self.compact is not None else None
         self.zeta0_plus = self.compact.hi if self.compact is not None else None
         self.band_index = self.compact.band_index if self.compact is not None else None
+
+    def well(self, op):
+        """The compact component of a one-well (H6) window; any other
+        classification is refused with an error naming `op`."""
+        if self.classification != "H6":
+            raise UnsupportedConfigurationError(
+                "%s needs the one-well (H6) regime, got %s"
+                % (op, self.classification))
+        return self.compact
+
+    @property
+    def barriers(self):
+        """The barrier segments ((zeta-, zeta0-), (zeta0+, zeta+)) on the
+        left and right of the well; an empty side has an infinite end."""
+        return ((self.zeta_minus, self.zeta0_minus),
+                (self.zeta0_plus, self.zeta_plus))
 
     def __repr__(self):
         return "SpectralWindow(E=%.8g, %s, %d component(s))" % (

@@ -252,10 +252,13 @@ class TestBundle:
         assert d["well_phase"] == data.well
 
     def test_single_well_only(self, mathieu_bands, step_profile):
+        # step_transition's H5 window; each error names the function called
         win = decompose_window(step_profile, mathieu_bands, 3.9)
-        for fn in (phase_integral, actions_pm, well_phase,
-                   well_phase_derivative, compute_action_data):
-            with pytest.raises(UnsupportedConfigurationError):
+        for fn in (phase_integral, phase_integral_derivative, actions_pm,
+                   well_phase, well_phase_derivative, compute_action_data):
+            with pytest.raises(UnsupportedConfigurationError,
+                               match="^%s needs the one-well" % fn.__name__):
                 fn(win, mathieu_bands, step_profile)
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(UnsupportedConfigurationError,
+                           match="^delta_kappa needs the one-well"):
             delta_kappa(win)

@@ -205,6 +205,22 @@ class TestVerify:
         assert report.strip().endswith("overall PASS")
 
 
+# (command, config, flag or run-file key, bad value, exit code, message)
+BAD_VALUES = [
+    ("bands", BOUND, "--e-max", "nan", 1, "e_max=nan is not finite"),
+    ("bands", BOUND, "--e-max", "inf", 1, "e_max=inf is not finite"),
+    ("bands", BOUND, "--e-max", "1e400", 1, "e_max=inf is not finite"),
+    ("window", BOUND, "--energy", "nan", 2, "--energy=nan is not finite"),
+    ("window", BOUND, "--energy", "inf", 2, "--energy=inf is not finite"),
+    ("portrait", BOUND, "--energy", "nan", 2, "--energy=nan is not finite"),
+    ("portrait", BOUND, "--energy", "inf", 2, "--energy=inf is not finite"),
+    ("actions", BOUND, "--grid-points", "-3", 2, "--grid-points needs a positive"),
+    ("actions", STEP, "--grid-points", "0", 2, "--grid-points needs a positive"),
+    ("oracle", "barrier_wall.json", "cap_strength", "Infinity", 2,
+     "cap_strength must be a finite nonnegative number, got Infinity"),
+]
+
+
 class TestFailureModes:
     def test_malformed_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -261,6 +277,29 @@ class TestFailureModes:
         assert err.startswith("configuration error: ")
         assert ("zeta=" if flag == "--zeta" else "energy window") in err
         assert "not finite" in err and "Traceback" not in err
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("cmd, config, flag, value, code, words", BAD_VALUES,
+                             ids=["%s %s=%s" % (r[0], r[2], r[3]) for r in BAD_VALUES])
+    def test_out_of_range_values_end_typed(self, configs_dir, tmp_path, capsys,
+                                           cmd, config, flag, value, code, words):
+        """In process: each bad value ends in exit 1 or 2 with a message,
+        no untyped exception and no table."""
+        if flag == "cap_strength":
+            text = (configs_dir / config).read_text()
+            text = text.replace('"cap_strength": 1.0', '"cap_strength": %s' % value)
+            assert value in text
+            (tmp_path / config).write_text(text)
+            argv = [cmd, "--config", str(tmp_path / config)]
+            words = "%s:%d: %s" % (tmp_path / config, text.count(
+                "\n", 0, text.index('"cap_strength"')) + 1, words)
+        else:
+            argv = [cmd, "--config", str(configs_dir / config), flag, value]
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: " if code == 2 else "error: ")
+        assert words in err
         assert not any(out.glob("*.csv"))
 
     def test_overrides_only_where_they_act(self):

@@ -91,7 +91,8 @@ class TestFoldedMomentum:
 
     def test_needs_single_well(self, mathieu_bands, step_profile):
         win = decompose_window(step_profile, mathieu_bands, 3.9)
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(UnsupportedConfigurationError,
+                           match="^kappa_normalized needs the one-well"):
             kappa_normalized(win, mathieu_bands, step_profile, 0.0)
 
 
@@ -119,7 +120,8 @@ class TestGapMomentum:
 
     def test_needs_single_well(self, mathieu_bands, step_profile):
         win = decompose_window(step_profile, mathieu_bands, 3.9)
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(UnsupportedConfigurationError,
+                           match="^im_kappa_gap needs the one-well"):
             im_kappa_gap(win, mathieu_bands, step_profile, "right", 4.0)
 
 

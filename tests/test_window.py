@@ -141,6 +141,23 @@ class TestDecomposition:
         assert win.compact is None
         assert [c.kind for c in win.components] == ["unbounded_right"]
 
+    def test_well_bookkeeping(self, mathieu_bands, wall_profile, bound_profile,
+                              drift_profile, step_profile):
+        # the guard, fold anchors, edge key and barriers the window hands on
+        wall = decompose_window(wall_profile, mathieu_bands, 3.9)
+        c = wall.well("probe")
+        assert c is wall.compact
+        assert c.key == (1, 1, 1) and c.anchors == (0.0, 0.0)
+        assert wall.barriers == ((-math.inf, c.lo), (c.hi, wall.zeta_plus))
+        bound = decompose_window(bound_profile, mathieu_bands, 9.7).well("probe")
+        assert bound.key == (2, 2, 1) and bound.anchors == (math.pi, math.pi)
+        drift = decompose_window(drift_profile, mathieu_bands, 9.8).well("probe")
+        assert drift.key == (1, 2, 1) and drift.anchors == (0.0, math.pi)
+        step = decompose_window(step_profile, mathieu_bands, 3.9)
+        with pytest.raises(UnsupportedConfigurationError,
+                           match=r"^probe needs the one-well \(H6\) regime, got H5$"):
+            step.well("probe")
+
     def test_two_wells_classified_general(self, mathieu_bands):
         prof = PerturbationProfile(0.0, 0.0, ((4.0, -3.0, 1.0), (4.0, 3.0, 1.0)))
         assert decompose_window(prof, mathieu_bands, 9.7).classification == "GENERAL"
