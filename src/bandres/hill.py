@@ -47,6 +47,7 @@ from .errors import (
 _SCAN_TOL = 1e-10           # ODE tolerance of the untabled k routes; band_structure.json's "tol"
 _REFINE_TOL = 2.5e-13       # ODE tolerance of the edge polish and its certificate
 _TRUNCATION_TOL = 1e-8      # largest edge displacement allowed under Hill-matrix doubling
+_MAX_TRUNCATION = 512       # ceiling of the doubled Hill truncation (order-1025 matrices)
 _BRACKET = 1e-9             # certificate bracket width; closer seed pairs form a double edge
 _DOUBLE_EDGE_EXCESS = 1e-8  # largest |s*D - 2| across a double edge's bracket
 _NEWTON_STEPS = 8
@@ -281,15 +282,22 @@ def band_edges(potential, e_max):
     to 1e-9 wide are resolved; a closer seed pair becomes one double edge
     at its midpoint. Gaps narrower than 1e-7 are flagged closed with a
     warning. An uncertified edge, edges out of order or an unconverged
-    truncation raise ComputationError naming the edge.
+    truncation raise ComputationError naming the edge. An e_max whose
+    doubled truncation would pass _MAX_TRUNCATION raises DomainError naming
+    the largest accepted e_max before any matrix is built.
     """
     if not math.isfinite(e_max):
         raise DomainError("e_max=%g is not finite" % e_max)
     if e_max <= potential.lower_bound() + 0.5:
         raise DomainError("e_max=%g leaves no room above the potential floor %g"
                           % (e_max, potential.lower_bound()))
-    m_trunc = (4 * potential.mode_count + 8
-               + math.ceil(math.sqrt(max(e_max - potential.mean, 0.0)) / math.pi))
+    base = 4 * potential.mode_count + 8
+    room = _MAX_TRUNCATION // 2 - base       # rows of M left to the energy term
+    e_ceiling = potential.mean + (math.pi * room) ** 2 if room >= 0 else -math.inf
+    if e_max > e_ceiling:
+        raise DomainError("e_max=%g needs a doubled Hill truncation beyond %d; the largest "
+                          "accepted e_max is %.12g" % (e_max, _MAX_TRUNCATION, e_ceiling))
+    m_trunc = base + math.ceil(math.sqrt(max(e_max - potential.mean, 0.0)) / math.pi)
     coarse = _hill_edges_at(potential, m_trunc)
     seeds = _hill_edges_at(potential, 2 * m_trunc)
     n_below = int(np.count_nonzero(seeds < e_max))

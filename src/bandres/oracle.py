@@ -6,11 +6,13 @@ optionally damped by a complex absorbing potential -i*eta*ramp(x)^2
 switched on at |x| = 0.7*L. The Dirichlet states of the real part with
 Re(E) inside the energy window come from one tridiagonal interval solve.
 With the absorber on, each localized state seeds a one-eigenpair
-shift-invert polish of the complex operator: resonances appear as
-eigenvalues just below the real axis whose position is stable under
-halving eta, while box/continuum artifacts move. V and W enter only as
-functions to sample; no numerical step is shared with the Floquet/action
-pipeline this oracle checks.
+shift-invert polish of the complex operator: ARPACK in a 4-vector Krylov
+space, started from the state's vector, with the shifted operator
+inverted through one LAPACK tridiagonal LU per seed and absorber
+strength. Resonances appear as eigenvalues just below the real axis
+whose position is stable under halving eta, while box/continuum
+artifacts move. V and W enter only as functions to sample; no numerical
+step is shared with the Floquet/action pipeline this oracle checks.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.sparse import diags
-from scipy.sparse.linalg import ArpackNoConvergence, eigs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import ConfigurationError, OracleError
 
@@ -30,6 +33,7 @@ LOCALIZED = 0.5          # eigenvector mass fraction that marks a window state
 _BOX_MARGIN = 10.0       # slow-variable room beyond the window endpoints
 _CAP_ONSET = 0.7         # absorber ramp starts at this fraction of the half-length
 _SAME_EIGENVALUE = 1e-9  # polished eigenvalues this close (relative) are one
+_KRYLOV = 4              # ARPACK basis size for one eigenpair (4-6 tie; 20 is slower)
 
 
 class OracleConfig:
@@ -157,14 +161,30 @@ def _localization(x, vec, region):
     return float(mass[(x >= lo) & (x <= hi)].sum() / total)
 
 
-def _polish(a, seed, vec):
-    """Eigenpair of a nearest the real seed: one shift-invert ARPACK solve
-    started from the seed's Dirichlet eigenvector."""
+def _polish(handle, a, seed, vec):
+    """Eigenpair of a = handle.as_sparse() nearest the real seed: ARPACK
+    shift-invert at its default (machine-precision) tolerance in a 4-vector
+    Krylov space (_KRYLOV), started from the seed's Dirichlet eigenvector,
+    with (a - seed)^-1 applied through one LAPACK tridiagonal LU of
+    diag - seed. A failed factorization or an unconverged solve is an
+    OracleError naming N and the shift."""
+    n = handle.diag.size
+    off = np.full(n - 1, handle.off, dtype=complex)
+    dl, d, du, du2, ipiv, info = zgttrf(off, handle.diag - seed, off)
+    if info != 0:
+        raise OracleError("tridiagonal LU of the shifted operator failed "
+                          "(zgttrf info=%d, N=%d, sigma=%r)" % (info, n, float(seed)))
+
+    def solve(b):
+        return zgttrs(dl, d, du, du2, ipiv, b.reshape(-1, 1))[0][:, 0]
+
+    shift_invert = LinearOperator(a.shape, matvec=solve, dtype=complex)
     try:
-        vals, vecs = eigs(a, k=1, sigma=complex(seed), v0=vec.astype(a.dtype))
+        vals, vecs = eigs(a, k=1, sigma=complex(seed), v0=vec.astype(a.dtype),
+                          ncv=_KRYLOV, OPinv=shift_invert)
     except ArpackNoConvergence as exc:
         raise OracleError("shift-invert eigensolver failed to converge "
-                          "(N=%d, sigma=%r)" % (vec.size, seed)) from exc
+                          "(N=%d, sigma=%r)" % (n, float(seed))) from exc
     return complex(vals[0]), vecs[:, 0]
 
 
@@ -208,8 +228,8 @@ def oracle_spectrum(handle, e_window):
     # the absorber is the whole imaginary part, and halving it is exact
     half = GridHamiltonian(d + 0.5j * handle.diag.imag, handle.off, handle.x, cfg)
     full_op, half_op = handle.as_sparse(), half.as_sparse()
-    polished = [_polish(full_op, lam, vec) for lam, vec in seeds]
-    half_vals = [_polish(half_op, lam, vec)[0] for lam, vec in seeds]
+    polished = [_polish(handle, full_op, lam, vec) for lam, vec in seeds]
+    half_vals = [_polish(half, half_op, lam, vec)[0] for lam, vec in seeds]
     pairs = [OracleEigenpair(lam, min(abs(lam - q) for q in half_vals),
                              _localization(handle.x, vec, region))
              for lam, vec in polished]

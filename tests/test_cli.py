@@ -205,7 +205,7 @@ class TestVerify:
         assert report.strip().endswith("overall PASS")
 
 
-# (command, config, flag or run-file key, bad value, exit code, message)
+# (command, config, flag or run-file key, bad value(s), exit code, message)
 BAD_VALUES = [
     ("bands", BOUND, "--e-max", "nan", 1, "e_max=nan is not finite"),
     ("bands", BOUND, "--e-max", "inf", 1, "e_max=inf is not finite"),
@@ -218,6 +218,8 @@ BAD_VALUES = [
     ("actions", STEP, "--grid-points", "0", 2, "--grid-points needs a positive"),
     ("oracle", "barrier_wall.json", "cap_strength", "Infinity", 2,
      "cap_strength must be a finite nonnegative number, got Infinity"),
+    ("window", BOUND, "--window", "1e300 1e301", 1,
+     "needs a doubled Hill truncation beyond 512; the largest accepted e_max is"),
 ]
 
 
@@ -294,7 +296,7 @@ class TestFailureModes:
             words = "%s:%d: %s" % (tmp_path / config, text.count(
                 "\n", 0, text.index('"cap_strength"')) + 1, words)
         else:
-            argv = [cmd, "--config", str(configs_dir / config), flag, value]
+            argv = [cmd, "--config", str(configs_dir / config), flag, *value.split()]
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == code
         err = capsys.readouterr().err

@@ -182,6 +182,24 @@ class TestBandEdges:
         with pytest.raises(DomainError):
             band_edges(mathieu, mathieu.lower_bound() - 1.0)
 
+    def test_truncation_ceiling_is_refused_before_any_matrix(self, mathieu, monkeypatch):
+        # Mathieu leaves 256 - 12 rows of M to the energy term
+        ceiling = (math.pi * (hill._MAX_TRUNCATION // 2 - 12)) ** 2
+        monkeypatch.setattr(hill, "_hill_edges_at", None)
+        for e_max in (math.nextafter(ceiling, math.inf), 1e8, 1e301):
+            with pytest.raises(DomainError) as info:
+                band_edges(mathieu, e_max)
+            assert str(info.value).startswith("e_max=%g " % e_max)
+            assert str(info.value).endswith("largest accepted e_max is %.12g" % ceiling)
+
+    def test_truncation_ceiling_itself_is_accepted(self, mathieu, monkeypatch):
+        # a ceiling of 2M = 30 leaves 3 rows: e_max up to (3 pi)^2
+        monkeypatch.setattr(hill, "_MAX_TRUNCATION", 30)
+        ceiling = (3.0 * math.pi) ** 2
+        assert band_edges(mathieu, ceiling).edges[-1] < ceiling
+        with pytest.raises(DomainError, match="largest accepted e_max is %.12g" % ceiling):
+            band_edges(mathieu, math.nextafter(ceiling, math.inf))
+
     def test_serialization_round_trip(self, mathieu, mathieu_bands):
         d = mathieu_bands.to_dict()
         assert d["tol"] == 1e-10   # the direct-route ODE tolerance, recorded

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigs
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from bandres import (
     ConfigurationError,
     GridHamiltonian,
     OracleConfig,
+    OracleError,
     PeriodicPotential,
     PerturbationProfile,
     RunConfiguration,
@@ -17,7 +18,9 @@ from bandres import (
     load_configuration,
     oracle_spectrum,
 )
+from bandres import oracle
 from bandres.oracle import (
+    LOCALIZED,
     MAX_GRID_POINTS,
     MIN_POINTS_PER_PERIOD,
     OracleEigenpair,
@@ -166,6 +169,57 @@ class TestAbsorber:
         assert pairs and half_vals
         for p in pairs:
             assert p.stability == min(abs(p.eigenvalue - q) for q in half_vals)
+
+
+class TestPolish:
+    """The one-eigenpair polish on a 511-point absorber box, small enough
+    for a dense eigensolve of the whole operator."""
+
+    WINDOW = (0.0, 20.0)
+
+    @pytest.fixture(scope="class")
+    def box(self, configs_dir):
+        cfg = load_configuration(configs_dir / "barrier_wall.json")
+        return lambda cap: build_grid_hamiltonian(
+            cfg.potential, cfg.profile, cfg.solver.zeta, cfg.solver.epsilon,
+            OracleConfig(8.0, 511, cap_strength=cap))
+
+    def _seeds(self, box, window):
+        return [p.eigenvalue.real for p in oracle_spectrum(box(0.0), window)
+                if p.localization > LOCALIZED]
+
+    def test_each_seed_polishes_onto_the_nearest_dense_eigenvalue(self, box):
+        handle = box(1.0)
+        dense = np.linalg.eigvals(handle.as_sparse().toarray())
+        got = [p.eigenvalue for p in oracle_spectrum(handle, self.WINDOW)]
+        seeds = self._seeds(box, self.WINDOW)
+        assert len(seeds) >= 5
+        nearest = {complex(dense[np.argmin(np.abs(dense - s))]) for s in seeds}
+        assert len(got) == len(nearest)
+        for ref in nearest:
+            lam = min(got, key=lambda q: abs(q - ref))
+            assert abs(lam.real - ref.real) <= 1e-12 * abs(ref.real)
+            assert abs(lam.imag - ref.imag) <= 1e-9 * abs(ref.imag)
+
+    def test_unconverged_polish_is_an_oracle_error(self, box, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(oracle, "eigs", no_convergence)
+        window = (3.6, 4.2)
+        with pytest.raises(OracleError) as info:
+            oracle_spectrum(box(1.0), window)
+        sigma = self._seeds(box, window)[0]
+        assert "failed to converge (N=511, sigma=%r)" % sigma in str(info.value)
+
+    def test_singular_shift_is_an_oracle_error(self, box, monkeypatch):
+        factor = oracle.zgttrf
+        monkeypatch.setattr(oracle, "zgttrf", lambda *a: factor(*a)[:-1] + (7,))
+        window = (3.6, 4.2)
+        with pytest.raises(OracleError) as info:
+            oracle_spectrum(box(1.0), window)
+        sigma = self._seeds(box, window)[0]
+        assert "(zgttrf info=7, N=511, sigma=%r)" % sigma in str(info.value)
 
 
 def _window_sweep(handle, e_window):
