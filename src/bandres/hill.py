@@ -109,6 +109,16 @@ class PeriodicPotential:
             out = out + np.sin(np.multiply.outer(xa, self._ws)) @ self._as
         return out if out.shape else float(out)
 
+    def _at(self, x):
+        """V at one float x: the ufuncs of __call__ in its order, without
+        its array handling (the Hill right-hand side calls this per step)."""
+        out = self.mean
+        if self._ac.size:
+            out = out + np.cos(x * self._wc) @ self._ac
+        if self._as.size:
+            out = out + np.sin(x * self._ws) @ self._as
+        return out
+
     def lower_bound(self):
         """A lower bound for min V, hence for the spectrum of -d2/dx2 + V."""
         return self.mean - sum(abs(a) for a in self.cos_coeffs) \
@@ -179,21 +189,18 @@ def _propagate(potential, energies, rtol, with_derivative=False):
     y0[0] = 1.0
     y0[3] = 1.0
     Ec = E.astype(dt)
+    # out = y[swap]: derivatives of rows 0, 2 (and 4, 6) are rows 1, 3 (5, 7);
+    # odd rows then become q*y[even], less y[0], y[2] in the variational rows
+    swap = np.arange(rows) ^ 1
 
     def rhs(x, y):
         y = y.reshape(rows, K)
-        q = potential(x) - Ec
-        out = np.empty_like(y)
-        out[0] = y[1]
-        out[1] = q * y[0]
-        out[2] = y[3]
-        out[3] = q * y[2]
+        out = y[swap]
+        odd = out[1::2]
+        np.multiply(potential._at(x) - Ec, odd, out=odd)
         if with_derivative:
             # variational system: d/dE of the first four components
-            out[4] = y[5]
-            out[5] = q * y[4] - y[0]
-            out[6] = y[7]
-            out[7] = q * y[6] - y[2]
+            out[5::2] -= y[0:3:2]
         return out.ravel()
 
     sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853",

@@ -4,15 +4,18 @@ build_grid_hamiltonian / oracle_spectrum: second-order finite differences
 for -d2/dx2 + V(x) + W(eps*x + zeta) on [-L, L] with Dirichlet walls,
 optionally damped by a complex absorbing potential -i*eta*ramp(x)^2
 switched on at |x| = 0.7*L. The Dirichlet states of the real part with
-Re(E) inside the energy window come from one tridiagonal interval solve.
-With the absorber on, each localized state seeds a one-eigenpair
-shift-invert polish of the complex operator: ARPACK in a 4-vector Krylov
-space, started from the state's vector, with the shifted operator
-inverted through one LAPACK tridiagonal LU per seed and absorber
-strength. Resonances appear as eigenvalues just below the real axis
-whose position is stable under halving eta, while box/continuum
-artifacts move. V and W enter only as functions to sample; no numerical
-step is shared with the Floquet/action pipeline this oracle checks.
+Re(E) inside the energy window come from one tridiagonal interval solve:
+coarse Sturm bisection fixes the set and seeds inverse iteration, and
+each eigenvalue is the Rayleigh quotient of its vector. With the
+absorber on, each localized state seeds a one-eigenpair shift-invert
+polish of the complex operator: ARPACK in a 3-vector Krylov space,
+started from the state's vector and shifted by its first-order
+(absorbed-mass) eigenvalue, with the shifted operator inverted through
+one LAPACK tridiagonal LU per seed and absorber strength. Resonances
+appear as eigenvalues just below the real axis whose position is stable
+under halving eta, while box/continuum artifacts move. V and W enter
+only as functions to sample; no numerical step is shared with the
+Floquet/action pipeline this oracle checks.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ LOCALIZED = 0.5          # eigenvector mass fraction that marks a window state
 _BOX_MARGIN = 10.0       # slow-variable room beyond the window endpoints
 _CAP_ONSET = 0.7         # absorber ramp starts at this fraction of the half-length
 _SAME_EIGENVALUE = 1e-9  # polished eigenvalues this close (relative) are one
-_KRYLOV = 4              # ARPACK basis size for one eigenpair (4-6 tie; 20 is slower)
+_KRYLOV = 3              # ARPACK basis for one eigenpair: the minimum k + 2, fewest solves
+_BISECTION_TOL = 1e-6    # absolute; 1e-4 leaves the inverse-iteration vectors 2e-10 off
+_RESOLVED_GAP = 1e-4     # eigenvalue pairs closer than this get full-precision bisection
 
 
 class OracleConfig:
@@ -161,16 +166,63 @@ def _localization(x, vec, region):
     return float(mass[(x >= lo) & (x <= hi)].sum() / total)
 
 
-def _polish(handle, a, seed, vec):
-    """Eigenpair of a = handle.as_sparse() nearest the real seed: ARPACK
-    shift-invert at its default (machine-precision) tolerance in a 4-vector
-    Krylov space (_KRYLOV), started from the seed's Dirichlet eigenvector,
-    with (a - seed)^-1 applied through one LAPACK tridiagonal LU of
-    diag - seed. A failed factorization or an unconverged solve is an
-    OracleError naming N and the shift."""
-    n = handle.diag.size
-    off = np.full(n - 1, handle.off, dtype=complex)
-    dl, d, du, du2, ipiv, info = zgttrf(off, handle.diag - seed, off)
+def _rayleigh(d, off, vecs):
+    """v^T T v / v^T v for each column v of vecs, T = (d, constant off).
+    Summed as the potential part (d + 2 off) v^2 plus the kinetic part
+    -off |forward differences of v, Dirichlet ends included|^2, which
+    avoids the cancellation of d v^2 against 2 off v_i v_(i+1)."""
+    potential = d + 2.0 * off
+    out = np.empty(vecs.shape[1])
+    for j in range(vecs.shape[1]):
+        v = vecs[:, j]
+        step = np.diff(v)
+        kinetic = step @ step + v[0] ** 2 + v[-1] ** 2
+        out[j] = (potential @ (v * v) - off * kinetic) / (v @ v)
+    return out
+
+
+def _dirichlet_states(d, off, ea, eb):
+    """Eigenvalues in (ea, eb] of the real tridiagonal T = (d, constant off)
+    and their unit eigenvectors, ascending. Sturm bisection to the absolute
+    _BISECTION_TOL fixes the set and seeds inverse iteration for the
+    vectors; each eigenvalue is then the Rayleigh quotient of its vector,
+    whose error is second order in the vector's. Inverse iteration from
+    such coarse shifts mixes the vectors of a pair closer than about
+    _BISECTION_TOL, so when two eigenvalues lie within _RESOLVED_GAP the
+    solve is repeated with full-precision bisection."""
+    e = np.full(d.size - 1, off)
+    try:
+        _, v = eigh_tridiagonal(d, e, select="v", select_range=(ea, eb),
+                                tol=_BISECTION_TOL)
+        w = _rayleigh(d, off, v)
+        if np.any(np.diff(w) < _RESOLVED_GAP):
+            _, v = eigh_tridiagonal(d, e, select="v", select_range=(ea, eb))
+            w = _rayleigh(d, off, v)
+    except Exception as exc:  # LAPACK failures carry no useful subclass
+        raise OracleError("tridiagonal interval solve failed (N=%d)" % d.size) from exc
+    return w, v
+
+
+def _absorbed_mass(imag_diag, vec):
+    """sum(Im(diag) |v|^2) / sum(|v|^2): the first-order imaginary shift of
+    the eigenvalue whose vector is vec, and the exact Im of an eigenpair."""
+    mass = np.abs(vec) ** 2
+    return float(imag_diag @ mass / mass.sum())
+
+
+def _polish(diag, off, seed, vec):
+    """Eigenpair nearest the real seed of the tridiagonal operator (diag,
+    constant off): ARPACK shift-invert at its default (machine-precision)
+    tolerance in a _KRYLOV-vector Krylov space, started from the seed's
+    Dirichlet eigenvector. The shift is the seed moved by the first-order
+    imaginary part, sigma = seed + i*_absorbed_mass(Im diag, vec), and
+    (A - sigma)^-1 is applied through one LAPACK tridiagonal LU of
+    diag - sigma. A failed factorization or an unconverged solve is an
+    OracleError naming N and the real seed."""
+    n = diag.size
+    sigma = seed + 1j * _absorbed_mass(diag.imag, vec)
+    offs = np.full(n - 1, off, dtype=complex)
+    dl, d, du, du2, ipiv, info = zgttrf(offs, diag - sigma, offs)
     if info != 0:
         raise OracleError("tridiagonal LU of the shifted operator failed "
                           "(zgttrf info=%d, N=%d, sigma=%r)" % (info, n, float(seed)))
@@ -178,9 +230,10 @@ def _polish(handle, a, seed, vec):
     def solve(b):
         return zgttrs(dl, d, du, du2, ipiv, b.reshape(-1, 1))[0][:, 0]
 
-    shift_invert = LinearOperator(a.shape, matvec=solve, dtype=complex)
+    shift_invert = LinearOperator((n, n), matvec=solve, dtype=complex)
     try:
-        vals, vecs = eigs(a, k=1, sigma=complex(seed), v0=vec.astype(a.dtype),
+        # in shift-invert mode ARPACK applies only OPinv; A gives shape and dtype
+        vals, vecs = eigs(shift_invert, k=1, sigma=sigma, v0=vec.astype(complex),
                           ncv=_KRYLOV, OPinv=shift_invert)
     except ArpackNoConvergence as exc:
         raise OracleError("shift-invert eigensolver failed to converge "
@@ -214,11 +267,7 @@ def oracle_spectrum(handle, e_window):
     region = (-cfg.box_half_length / 2.0, cfg.box_half_length / 2.0)
 
     d = handle.diag.real
-    e = np.full(d.size - 1, handle.off)
-    try:
-        w, v = eigh_tridiagonal(d, e, select="v", select_range=(ea, eb))
-    except Exception as exc:  # LAPACK failures carry no useful subclass
-        raise OracleError("tridiagonal interval solve failed (N=%d)" % d.size) from exc
+    w, v = _dirichlet_states(d, handle.off, ea, eb)
     states = [(w[j], v[:, j], _localization(handle.x, v[:, j], region))
               for j in range(w.size)]
     if cfg.cap_strength == 0.0:
@@ -226,10 +275,9 @@ def oracle_spectrum(handle, e_window):
 
     seeds = [(lam, vec) for lam, vec, loc in states if loc > LOCALIZED]
     # the absorber is the whole imaginary part, and halving it is exact
-    half = GridHamiltonian(d + 0.5j * handle.diag.imag, handle.off, handle.x, cfg)
-    full_op, half_op = handle.as_sparse(), half.as_sparse()
-    polished = [_polish(handle, full_op, lam, vec) for lam, vec in seeds]
-    half_vals = [_polish(half, half_op, lam, vec)[0] for lam, vec in seeds]
+    half = d + 0.5j * handle.diag.imag
+    polished = [_polish(handle.diag, handle.off, lam, vec) for lam, vec in seeds]
+    half_vals = [_polish(half, handle.off, lam, vec)[0] for lam, vec in seeds]
     pairs = [OracleEigenpair(lam, min(abs(lam - q) for q in half_vals),
                              _localization(handle.x, vec, region))
              for lam, vec in polished]

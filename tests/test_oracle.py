@@ -126,6 +126,20 @@ class TestBoxSpectrum:
         with pytest.raises(ConfigurationError):
             oracle_spectrum(handle, (0.5, ceiling + 1.0))
 
+    def test_close_pair_keeps_full_precision(self):
+        # two identical wells 80 sites apart split by 1.6e-7, below the
+        # bisection tolerance: coarse shifts alone would mix the two vectors
+        d = np.full(600, 2.05)
+        d[200:230] = d[280:310] = 2.0
+        dense_w, dense_v = np.linalg.eigh(
+            np.diag(d) - np.eye(600, k=1) - np.eye(600, k=-1))
+        assert dense_w[1] - dense_w[0] < oracle._BISECTION_TOL
+        w, v = oracle._dirichlet_states(d, -1.0, dense_w[0] - 1e-2,
+                                        dense_w[1] + 1e-9)
+        assert w.size == 2
+        assert np.all(np.abs(w - dense_w[:2]) <= 1e-12 * np.abs(dense_w[:2]))
+        assert np.all(1.0 - np.abs(np.sum(v * dense_v[:, :2], axis=0)) <= 1e-12)
+
 
 class TestAbsorber:
     def test_complex_diagonal_switches_on_past_onset(self, mathieu,
@@ -200,6 +214,36 @@ class TestPolish:
             lam = min(got, key=lambda q: abs(q - ref))
             assert abs(lam.real - ref.real) <= 1e-12 * abs(ref.real)
             assert abs(lam.imag - ref.imag) <= 1e-9 * abs(ref.imag)
+
+    def test_interval_solve_matches_dense(self, box):
+        # bisection stops at _BISECTION_TOL; the Rayleigh quotients and the
+        # inverse-iteration vectors still carry full precision
+        handle = box(0.0)
+        dense_w, dense_v = np.linalg.eigh(handle.as_sparse().toarray())
+        lo, hi = self.WINDOW
+        w, v = oracle._dirichlet_states(handle.diag, handle.off, lo, hi)
+        inside = (lo < dense_w) & (dense_w <= hi)
+        assert w.size == np.count_nonzero(inside) >= 10
+        assert np.all(np.abs(w - dense_w[inside]) <= 1e-12 * np.abs(dense_w[inside]))
+        overlap = np.abs(np.sum(v * dense_v[:, inside], axis=0))
+        assert np.all(1.0 - overlap <= 1e-12)
+
+    def test_first_order_shift_sits_near_the_eigenvalue(self, box, monkeypatch):
+        # each polish, full and half strength, shifts by seed + i*(absorbed
+        # mass): at most a quarter as far from its eigenvalue as the seed
+        shifts = []
+
+        def recording_eigs(*args, **kwargs):
+            vals, vecs = eigs(*args, **kwargs)
+            shifts.append((kwargs["sigma"], complex(vals[0])))
+            return vals, vecs
+
+        monkeypatch.setattr(oracle, "eigs", recording_eigs)
+        oracle_spectrum(box(1.0), self.WINDOW)
+        assert len(shifts) == 2 * len(self._seeds(box, self.WINDOW)) >= 10
+        for sigma, lam in shifts:
+            assert sigma.imag < 0.0
+            assert abs(lam - sigma) <= 0.25 * abs(lam - sigma.real)
 
     def test_unconverged_polish_is_an_oracle_error(self, box, monkeypatch):
         def no_convergence(*args, **kwargs):

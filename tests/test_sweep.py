@@ -6,9 +6,10 @@ profile and energy draws, which keeps the sweep within a few seconds:
 band edges cost far more than a window decomposition. Every draw must
 either end in a typed BandresError or pass the chain's own checks: the
 band bookkeeping of `locate`, the quantization residuals, eps-periodicity
-of the positions in zeta, and distinct oracle eigenvalues. On this seed,
-three absorber spectra list an eigenvalue twice unless oracle_spectrum
-merges seeds that polish onto one eigenvalue.
+of the positions in zeta, and distinct oracle eigenvalues. The same draws
+run at eps = 0.1 and at eps = 0.05, where the oracle box is twice as long.
+On this seed at eps = 0.1, three absorber spectra list an eigenvalue twice
+unless oracle_spectrum merges seeds that polish onto one eigenvalue.
 """
 
 import math
@@ -30,7 +31,6 @@ from bandres.verify import Run
 SEED = 12
 POTENTIALS = 4
 DRAWS_PER_POTENTIAL = 12
-EPSILON = 0.1
 HALF_WINDOW = 0.15
 ROOT_TOL = 1e-12          # the solver's acceptance bound, relative to 1 + |target|
 SAME_EIGENVALUE = 1e-9    # relative distance below which two eigenvalues are one
@@ -59,13 +59,14 @@ def check_ladder(run):
     """Residuals within their bound on an independent recheck, and the
     position set eps-periodic in zeta with labels shifted by delta_kappa."""
     cfg = run.cfg
+    eps = cfg.solver.epsilon
     table = run.ladder()
     for r in table:
         win = decompose_window(cfg.profile, run.bands, r.e_real)
-        target = EPSILON * math.pi / 2.0 + EPSILON * math.pi * r.l   # zeta = 0
+        target = eps * math.pi / 2.0 + eps * math.pi * r.l   # zeta = 0
         assert abs(well_phase(win, run.bands, cfg.profile) - target) \
             <= ROOT_TOL * (1.0 + abs(target))
-    shifted = run.ladder(zeta=EPSILON)
+    shifted = run.ladder(zeta=eps)
     dk = delta_kappa(run.window)
     same_positions(table, shifted, dk, cfg.solver.e_window)
     same_positions(shifted, table, -dk, cfg.solver.e_window)
@@ -91,7 +92,7 @@ def check_oracle(run):
     return len(vals)
 
 
-def test_seeded_sweep():
+def sweep(epsilon):
     rng = np.random.default_rng(SEED)
     tally = {"H6": 0, "typed": 0, "oracle": 0}
     for _ in range(POTENTIALS):
@@ -110,7 +111,7 @@ def test_seeded_sweep():
                 tally["H6"] += 1
                 cfg = RunConfiguration.from_dict({
                     "potential": potential.to_dict(), "profile": profile.to_dict(),
-                    "solver": {"epsilon": EPSILON, "zeta": 0.0,
+                    "solver": {"epsilon": epsilon, "zeta": 0.0,
                                "e_window": [energy - HALF_WINDOW, energy + HALF_WINDOW]},
                     "oracle": {"cap_strength": 1.0}})
                 run = Run(cfg, bands)
@@ -119,3 +120,11 @@ def test_seeded_sweep():
             except BandresError:
                 tally["typed"] += 1
     assert tally["H6"] >= 5 and tally["oracle"] >= 3, tally
+
+
+def test_seeded_sweep():
+    sweep(0.1)
+
+
+def test_seeded_sweep_at_half_epsilon():
+    sweep(0.05)
