@@ -27,21 +27,17 @@ from .errors import (
     NearSingularityError,
     OracleError,
     RootCountError,
-    SingularDerivativeError,
     UnsupportedConfigurationError,
 )
 from .hill import (
     BandStructure,
     MonodromyMatrix,
     PeriodicPotential,
-    QuasiMomentum,
     band_edges,
     discriminant,
     edge_band_side,
     edge_reduced_value,
     integrate_monodromy,
-    quasi_momentum_derivative,
-    quasi_momentum_main,
     reduced_momentum,
 )
 from .momentum import (

@@ -32,10 +32,6 @@ class EnergyRangeError(ComputationError):
     """Energy outside the scanned band range."""
 
 
-class SingularDerivativeError(ComputationError):
-    """Quasi-momentum derivative requested too close to a band edge."""
-
-
 class NearSingularityError(ComputationError):
     """Profile evaluated within the guard distance of one of its poles."""
 

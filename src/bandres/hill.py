@@ -10,11 +10,11 @@ Conventions used throughout the package:
   [E_{2n-1}, E_{2n}]; gap n is (E_{2n}, E_{2n+1}); energies below E1 form
   "gap 0". band_edges seeds them from the truncated Hill matrix and
   certifies each as a root of the monodromy-based excess s*D - 2.
-* The main branch of the Bloch quasi-momentum k(E) solves cos k = D(E)/2,
-  maps band n increasingly onto [pi(n-1), pi*n], and on gap n has constant
-  real part pi*n with Im k > 0 (a single nondegenerate interior maximum).
-  Complex energies in the upper half plane keep Im k > 0; the lower half
-  plane is reached by reflection through the bands, k(conj E) = conj k(E).
+* The main branch of the Bloch quasi-momentum k(E) is read on the real
+  axis only, where it solves cos k = D(E)/2: it maps band n increasingly
+  onto [pi(n-1), pi*n], and on gap n has Im k = arccosh(|D|/2) > 0 (a
+  single nondegenerate interior maximum). BandStructure's k_band_fast,
+  gamma_fast and kprime_fast give k, Im k and dk/dE from its table of D.
 
 Every object here is immutable after construction. BandStructure builds
 its Chebyshev table of D once, on first use, over the fixed range
@@ -41,10 +41,9 @@ from .errors import (
     EnergyRangeError,
     IntegrationFailure,
     InternalConsistencyError,
-    SingularDerivativeError,
 )
 
-_SCAN_TOL = 1e-10           # ODE tolerance of the untabled k routes; band_structure.json's "tol"
+_SCAN_TOL = 1e-10           # default tol of a direct propagation; band_structure.json's "tol"
 _REFINE_TOL = 2.5e-13       # ODE tolerance of the edge polish and its certificate
 _TRUNCATION_TOL = 1e-8      # largest edge displacement allowed under Hill-matrix doubling
 _MAX_TRUNCATION = 512       # ceiling of the doubled Hill truncation (order-1025 matrices)
@@ -57,7 +56,6 @@ _TABLE_RTOL = 1e-12
 _TABLE_VALIDATION = 1e-10   # largest relative error of D allowed at the off-node probes
 _TABLE_POINTS = 33          # Chebyshev nodes per table piece
 _TABLE_DEPTH = 5.0          # the table's floor lies this far below E1
-_MAX_IM_ENERGY = 1.0        # half-strip height for complex continuation
 
 
 class PeriodicPotential:
@@ -211,7 +209,7 @@ def _propagate(potential, energies, rtol, with_derivative=False):
     return sol.y[:, -1].reshape(rows, K)
 
 
-def integrate_monodromy(potential, energy, tol=1e-10, derivative=False):
+def integrate_monodromy(potential, energy, tol=_SCAN_TOL, derivative=False):
     """Monodromy matrix of -y'' + V y = E y over one period, batched over an
     energy array (a scalar gives scalar entries); derivative=True adds dM/dE
     from the variational system as a second MonodromyMatrix.
@@ -232,7 +230,7 @@ def integrate_monodromy(potential, energy, tol=1e-10, derivative=False):
     return (m, MonodromyMatrix(y[4], y[6], y[5], y[7])) if derivative else m
 
 
-def discriminant(potential, energy, tol=1e-10):
+def discriminant(potential, energy, tol=_SCAN_TOL):
     """D(E) = trace of the monodromy matrix."""
     y = _propagate(potential, [energy], tol)
     d = y[0, 0] + y[3, 0]
@@ -241,12 +239,12 @@ def discriminant(potential, energy, tol=1e-10):
     return float(np.real(d))
 
 
-def discriminant_many(potential, energies, tol=1e-10):
+def discriminant_many(potential, energies, tol=_SCAN_TOL):
     y = _propagate(potential, energies, tol)
     return y[0] + y[3]
 
 
-def discriminant_with_derivative(potential, energies, tol=1e-10):
+def discriminant_with_derivative(potential, energies, tol=_SCAN_TOL):
     """(D, dD/dE) on an energy array, via the variational system."""
     y = _propagate(potential, energies, tol, with_derivative=True)
     return y[0] + y[3], y[4] + y[7]
@@ -580,94 +578,3 @@ def edge_band_side(edge_index):
     n = (edge_index + 1) // 2
     side = "lower" if edge_index % 2 == 1 else "upper"
     return n, side
-
-
-class QuasiMomentum:
-    """Main-branch quasi-momentum value with its band/gap bookkeeping."""
-
-    def __init__(self, value, band_index, on_gap):
-        self.value = complex(value)
-        self.band_index = int(band_index)
-        self.on_gap = bool(on_gap)
-
-    def __repr__(self):
-        return "QuasiMomentum(value=%r, band_index=%d, on_gap=%r)" % (
-            self.value, self.band_index, self.on_gap)
-
-
-def _k_real_axis(bands, e):
-    """Closed-form main branch for real energies (direct ODE evaluation)."""
-    kind, n = bands.locate(e)
-    d = float(discriminant_many(bands.potential, [e], _SCAN_TOL)[0].real)
-    if kind == "band":
-        phi = math.acos(min(1.0, max(-1.0, _band_sign(n) * d / 2.0)))
-        return complex(math.pi * (n - 1) + phi), n, False
-    gamma = math.acosh(max(1.0, abs(d) / 2.0))
-    return complex(math.pi * n, gamma), n, True
-
-
-def quasi_momentum_main(bands, energy):
-    """Main branch k(E): direct evaluation on the real axis, step-doubling
-    path continuation for complex E in the strip |Im E| <= 1.
-
-    On band n the value is real in [pi(n-1), pi*n]; on gap n it is
-    pi*n + i*gamma with gamma > 0. Reflection k(conj E) = conj k(E) extends
-    the branch through the bands to the lower half plane.
-    """
-    e = complex(energy)
-    if abs(e.imag) > _MAX_IM_ENERGY + 1e-12:
-        raise DomainError("|Im E| = %g outside the continuation strip height %g"
-                          % (abs(e.imag), _MAX_IM_ENERGY))
-    if e.imag == 0.0:
-        val, n, on_gap = _k_real_axis(bands, e.real)
-        return QuasiMomentum(val, n, on_gap)
-    if e.imag < 0.0:
-        km = quasi_momentum_main(bands, e.conjugate())
-        return QuasiMomentum(km.value.conjugate(), km.band_index, km.on_gap)
-
-    anchor_val, n, on_gap = _k_real_axis(bands, e.real)
-    n_steps = 16
-    while True:
-        path = e.real + 1j * np.linspace(0.0, e.imag, n_steps + 1)[1:]
-        dvals = discriminant_many(bands.potential, path, _SCAN_TOL)
-        k_prev = complex(anchor_val)
-        max_jump = 0.0
-        for d in dvals:
-            a = np.arccos(d / 2.0)
-            best = None
-            for s in (1.0, -1.0):
-                m = round((k_prev.real - s * a.real) / (2.0 * math.pi))
-                cand = s * a + 2.0 * math.pi * m
-                if best is None or abs(cand - k_prev) < abs(best - k_prev):
-                    best = cand
-            max_jump = max(max_jump, abs(best - k_prev))
-            k_prev = complex(best)
-        if max_jump < 0.35 or n_steps >= 1 << 14:
-            break
-        n_steps *= 2
-    residual = abs(np.cos(k_prev) - dvals[-1] / 2.0)
-    if residual > 1e-8 * (1.0 + abs(dvals[-1])):
-        raise InternalConsistencyError(
-            "branch tracking lost: cos k residual %.3e at E=%r" % (residual, energy))
-    if k_prev.imag < -1e-12:
-        raise InternalConsistencyError("main branch left the upper half plane at E=%r"
-                                       % (energy,))
-    return QuasiMomentum(k_prev, n, on_gap)
-
-
-def quasi_momentum_derivative(bands, energy):
-    """dk/dE on the main branch, k' = -D' / (2 sin k).
-
-    Diverges like |E - E_j|^(-1/2) at band edges; evaluation with
-    |sin k| below 1e-9 raises SingularDerivativeError.
-    """
-    km = quasi_momentum_main(bands, energy)
-    _, dp = discriminant_with_derivative(bands.potential, [complex(energy)], _SCAN_TOL)
-    s = np.sin(km.value)
-    if abs(s) < 1e-9:
-        raise SingularDerivativeError(
-            "quasi-momentum derivative singular at E=%r (band edge)" % (energy,))
-    out = -complex(dp[0]) / (2.0 * s)
-    if complex(energy).imag == 0.0 and not km.on_gap:
-        return float(out.real)
-    return out

@@ -14,12 +14,13 @@ from bandres import (
     delta_kappa,
     phase_integral,
     phase_integral_derivative,
-    quasi_momentum_main,
     reduced_momentum,
     tunneling_coefficients,
     well_phase,
     well_phase_derivative,
 )
+
+from monodromy_reference import reference_momentum
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +71,8 @@ class TestPhaseIntegral:
         c = bound_window.compact
 
         def direct(z):
-            km = quasi_momentum_main(mathieu_bands, 9.7 - bound_profile(z))
-            return reduced_momentum(float(km.value.real), km.band_index)
+            ref = reference_momentum(mathieu_bands, 9.7 - bound_profile(z))
+            return reduced_momentum(ref.k, ref.n)
 
         oracle, _ = quad(direct, c.lo, c.hi, epsabs=1e-10, limit=200)
         value, err = phase_integral(bound_window, mathieu_bands,
@@ -175,8 +176,7 @@ class TestBarrierActions:
         assert s_minus == pytest.approx(s_plus, rel=1e-9)
 
         def gamma(z):
-            km = quasi_momentum_main(mathieu_bands, 21.5 - second_band(z))
-            return km.value.imag
+            return reference_momentum(mathieu_bands, 21.5 - second_band(z)).gamma
 
         w = second_band_window
         oracle, _ = quad(gamma, w.zeta0_plus, w.zeta_plus, epsabs=1e-10,
@@ -190,8 +190,7 @@ class TestBarrierActions:
         assert math.isfinite(s_plus) and s_plus > 0.0
 
         def gamma(z):
-            km = quasi_momentum_main(mathieu_bands, 3.9 - wall_profile(z))
-            return km.value.imag
+            return reference_momentum(mathieu_bands, 3.9 - wall_profile(z)).gamma
 
         w = wall_window
         oracle, _ = quad(gamma, w.zeta0_plus, w.zeta_plus, epsabs=1e-10,

@@ -20,13 +20,12 @@ from bandres import (
     edge_band_side,
     edge_reduced_value,
     integrate_monodromy,
-    quasi_momentum_derivative,
-    quasi_momentum_main,
     reduced_momentum,
 )
 from bandres import hill
 from bandres.hill import _TABLE_RTOL, discriminant_many
 
+from monodromy_reference import reference_momentum
 from mpmath_reference import mathieu_reference_edges
 
 
@@ -202,7 +201,7 @@ class TestBandEdges:
 
     def test_serialization_round_trip(self, mathieu, mathieu_bands):
         d = mathieu_bands.to_dict()
-        assert d["tol"] == 1e-10   # the direct-route ODE tolerance, recorded
+        assert d["tol"] == 1e-10   # the default tol of a direct propagation, recorded
         back = BandStructure.from_dict(d, mathieu)
         assert not hasattr(back, "tol")
         assert np.allclose(back.edges, mathieu_bands.edges)
@@ -216,7 +215,9 @@ class TestQuasiMomentum:
     def test_free_momentum_is_square_root(self, free_bands):
         rng = np.random.default_rng(7)
         for e in rng.uniform(0.1, 100.0, 25):
-            k = quasi_momentum_main(free_bands, float(e)).value
+            kind, n = free_bands.locate(float(e))
+            assert kind == "band"
+            k = float(free_bands.k_band_fast(float(e), n))
             assert abs(k - math.sqrt(e)) <= 1e-8
 
     def test_band_mapping_onto_pi_intervals(self, mathieu_bands):
@@ -224,33 +225,30 @@ class TestQuasiMomentum:
             lo, hi = mathieu_bands.band(n)
             for t in (0.15, 0.5, 0.85):
                 e = lo + t * (hi - lo)
-                km = quasi_momentum_main(mathieu_bands, e)
-                assert not km.on_gap
-                assert km.value.imag == 0.0
-                assert math.pi * (n - 1) - 1e-12 <= km.value.real <= math.pi * n + 1e-12
+                assert mathieu_bands.locate(e) == ("band", n)
+                k = float(mathieu_bands.k_band_fast(e, n))
+                assert math.pi * (n - 1) - 1e-12 <= k <= math.pi * n + 1e-12
 
     def test_gap_value_constant_real_part(self, mathieu_bands):
         g_lo, g_hi = mathieu_bands.gap(1)
         for t in (0.25, 0.5, 0.75):
-            km = quasi_momentum_main(mathieu_bands, g_lo + t * (g_hi - g_lo))
-            assert km.on_gap
-            assert km.value.real == pytest.approx(math.pi, abs=1e-12)
-            assert km.value.imag > 0.0
+            e = g_lo + t * (g_hi - g_lo)
+            assert mathieu_bands.locate(e) == ("gap", 1)
+            assert float(mathieu_bands.gamma_fast(e)) > 0.0
 
     def test_table_route_matches_ode_route(self, mathieu_bands):
         # k_band_fast and kprime_fast ride the cached polynomial table;
-        # quasi_momentum_main and quasi_momentum_derivative re-integrate the
-        # monodromy. The two routes must agree.
+        # reference_momentum re-integrates the monodromy. The two routes
+        # must agree.
         rng = np.random.default_rng(11)
         for n in (1, 2):
             lo, hi = mathieu_bands.band(n)
             for e in rng.uniform(lo + 1e-3, hi - 1e-3, 8):
+                ref = reference_momentum(mathieu_bands, e)
                 fast = float(mathieu_bands.k_band_fast(float(e), n))
-                slow = quasi_momentum_main(mathieu_bands, float(e)).value.real
-                assert abs(fast - slow) <= 1e-9
+                assert abs(fast - ref.k) <= 1e-9
                 fast_prime = float(mathieu_bands.kprime_fast(float(e), n))
-                slow_prime = quasi_momentum_derivative(mathieu_bands, float(e))
-                assert fast_prime == pytest.approx(slow_prime, rel=1e-8)
+                assert fast_prime == pytest.approx(ref.kprime, rel=1e-8)
 
     def test_gamma_route_matches_ode_route(self, mathieu, mathieu_bands):
         g_lo, g_hi = mathieu_bands.gap(1)
@@ -265,23 +263,16 @@ class TestQuasiMomentum:
         lo, hi = mathieu_bands.band(1)
         e = 0.5 * (lo + hi)
         h = 1e-6
-        fd = (quasi_momentum_main(mathieu_bands, e + h).value.real
-              - quasi_momentum_main(mathieu_bands, e - h).value.real) / (2.0 * h)
-        assert quasi_momentum_derivative(mathieu_bands, e) == pytest.approx(fd, rel=1e-5)
+        fd = (float(mathieu_bands.k_band_fast(e + h, 1))
+              - float(mathieu_bands.k_band_fast(e - h, 1))) / (2.0 * h)
+        assert float(mathieu_bands.kprime_fast(e, 1)) == pytest.approx(fd, rel=1e-5)
 
     def test_derivative_diverges_like_inverse_square_root(self, mathieu_bands):
         edge = float(mathieu_bands.edges[1])
-        scaled = [quasi_momentum_derivative(mathieu_bands, edge - t) * math.sqrt(t)
+        scaled = [float(mathieu_bands.kprime_fast(edge - t, 1)) * math.sqrt(t)
                   for t in (1e-3, 1e-4, 1e-5)]
         for a, b in zip(scaled, scaled[1:]):
             assert abs(a - b) / abs(a) <= 0.05
-
-    def test_conjugation_symmetry_off_axis(self, mathieu_bands):
-        e = complex(4.0, 0.3)
-        k_up = quasi_momentum_main(mathieu_bands, e).value
-        k_dn = quasi_momentum_main(mathieu_bands, e.conjugate()).value
-        assert abs(k_dn - k_up.conjugate()) <= 1e-10
-        assert abs(np.cos(k_up) - discriminant(mathieu_bands.potential, e) / 2.0) <= 1e-8
 
 
 class TestDiscriminantTable:

@@ -15,10 +15,11 @@ from bandres import (
     im_kappa_gap,
     isoenergy_portrait,
     kappa_normalized,
-    quasi_momentum_main,
     reduced_momentum,
 )
 from bandres.momentum import _EDGE_SNAP
+
+from monodromy_reference import reference_momentum
 
 E_BOUND = 9.7
 
@@ -60,13 +61,13 @@ class TestFoldedMomentum:
 
     def test_matches_direct_branch(self, bound_window, mathieu_bands,
                                    bound_profile):
-        # fast-table route against direct path continuation
+        # fast-table route against a direct propagation
         for z in (-1.5, -0.6, 0.0, 0.9, 1.7):
             sample = kappa_normalized(bound_window, mathieu_bands,
                                       bound_profile, z)
-            km = quasi_momentum_main(mathieu_bands, E_BOUND - bound_profile(z))
-            assert not km.on_gap
-            folded = reduced_momentum(float(km.value.real), km.band_index)
+            ref = reference_momentum(mathieu_bands, E_BOUND - bound_profile(z))
+            assert ref.kind == "band"
+            folded = reduced_momentum(ref.k, ref.n)
             assert abs(sample.kappa - folded) <= 1e-9
             assert 0.0 <= sample.kappa <= math.pi
             assert sample.sign == 1 and sample.determination_id == 0
@@ -78,8 +79,8 @@ class TestFoldedMomentum:
         c = win.compact
         assert c.band_index == 2
         mid = kappa_normalized(win, mathieu_bands, prof, 0.0)
-        km = quasi_momentum_main(mathieu_bands, 21.5 - prof(0.0))
-        assert abs(mid.kappa - (2.0 * math.pi - km.value.real)) <= 1e-9
+        ref = reference_momentum(mathieu_bands, 21.5 - prof(0.0))
+        assert abs(mid.kappa - (2.0 * math.pi - ref.k)) <= 1e-9
         assert mid.sign == -1 and mid.determination_id == 1
         ep = kappa_normalized(win, mathieu_bands, prof, c.lo)
         assert ep.kappa == math.pi   # even band, lower edge
@@ -104,10 +105,10 @@ class TestGapMomentum:
                 g = im_kappa_gap(bound_window, mathieu_bands, bound_profile,
                                  seg, z)
                 assert g > 0.0
-                km = quasi_momentum_main(mathieu_bands,
+                ref = reference_momentum(mathieu_bands,
                                          E_BOUND - bound_profile(z))
-                assert km.on_gap
-                assert abs(g - km.value.imag) <= 1e-9
+                assert ref.kind == "gap"
+                assert abs(g - ref.gamma) <= 1e-9
 
     def test_segment_validation(self, bound_window, mathieu_bands,
                                 bound_profile):
