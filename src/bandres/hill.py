@@ -21,6 +21,13 @@ its Chebyshev table of D once, on first use, over the fixed range
 [E1 - 5, gap_ceiling], so table-backed values do not depend on which
 energies earlier calls asked for. Bands lie inside that range; gap
 energies below its floor take D from a direct propagation instead.
+
+The period map is integrated by solve_ivp below: the explicit 8(5,3)
+Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+Sec. II.10) with its adaptive step control. It performs the operations of
+scipy's solve_ivp with method="DOP853" in the same order, without dense
+output or events, so it returns the same floats and the same nfev;
+tests/test_scipy_ports.py pins the two against each other.
 """
 
 from __future__ import annotations
@@ -28,11 +35,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import types
 import warnings
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.integrate import solve_ivp
 
 from .errors import (
     ComputationError,
@@ -56,6 +63,178 @@ _TABLE_RTOL = 1e-12
 _TABLE_VALIDATION = 1e-10   # largest relative error of D allowed at the off-node probes
 _TABLE_POINTS = 33          # Chebyshev nodes per table piece
 _TABLE_DEPTH = 5.0          # the table's floor lies this far below E1
+
+# DOP853 tableau (Hairer's dop853.f coefficients, as doubles): nodes C,
+# stage rows A[s, :s], weights B of the 8th-order solution, and the
+# 5th- and 3rd-order error weights E5, E3 over the 12 stages and f_new.
+_DOP_STAGES = 12
+_DOP_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+                   0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+                   0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+_DOP_A = np.zeros((_DOP_STAGES, _DOP_STAGES))
+_DOP_A[1, [0]] = [0.05260015195876773]
+_DOP_A[2, [0, 1]] = [0.0197250569845379, 0.0591751709536137]
+_DOP_A[3, [0, 2]] = [0.02958758547680685, 0.08876275643042054]
+_DOP_A[4, [0, 2, 3]] = [0.2413651341592667, -0.8845494793282861, 0.924834003261792]
+_DOP_A[5, [0, 3, 4]] = [0.037037037037037035, 0.17082860872947386, 0.12546768756682242]
+_DOP_A[6, [0, 3, 4, 5]] = [0.037109375, 0.17025221101954405, 0.06021653898045596,
+                           -0.017578125]
+_DOP_A[7, [0, 3, 4, 5, 6]] = [0.03709200011850479, 0.17038392571223998,
+                              0.10726203044637328, -0.015319437748624402,
+                              0.008273789163814023]
+_DOP_A[8, [0, 3, 4, 5, 6, 7]] = [0.6241109587160757, -3.3608926294469414,
+                                 -0.868219346841726, 27.59209969944671,
+                                 20.154067550477894, -43.48988418106996]
+_DOP_A[9, [0, 3, 4, 5, 6, 7, 8]] = [0.47766253643826434, -2.4881146199716677,
+                                    -0.590290826836843, 21.230051448181193,
+                                    15.279233632882423, -33.28821096898486,
+                                    -0.020331201708508627]
+_DOP_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [-0.9371424300859873, 5.186372428844064,
+                                        1.0914373489967295, -8.149787010746927,
+                                        -18.52006565999696, 22.739487099350505,
+                                        2.4936055526796523, -3.0467644718982196]
+_DOP_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [2.273310147516538, -10.53449546673725,
+                                            -2.0008720582248625, -17.9589318631188,
+                                            27.94888452941996, -2.8589982771350235,
+                                            -8.87285693353063, 12.360567175794303,
+                                            0.6433927460157636]
+_DOP_B = np.zeros(_DOP_STAGES)
+_DOP_B[[0, 5, 6, 7, 8, 9, 10, 11]] = [0.054293734116568765, 4.450312892752409,
+                                      1.8915178993145003, -5.801203960010585,
+                                      0.3111643669578199, -0.1521609496625161,
+                                      0.20136540080403034, 0.04471061572777259]
+_DOP_E3 = np.zeros(_DOP_STAGES + 1)
+_DOP_E3[:-1] = _DOP_B
+_DOP_E3[0] -= 0.2440944881889764
+_DOP_E3[8] -= 0.7338466882816118
+_DOP_E3[11] -= 0.022058823529411766
+_DOP_E5 = np.zeros(_DOP_STAGES + 1)
+_DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [0.01312004499419488, -1.2251564463762044,
+                                       -0.4957589496572502, 1.6643771824549864,
+                                       -0.35032884874997366, 0.3341791187130175,
+                                       0.08192320648511571, -0.022355307863886294]
+_DOP_ERROR_EXPONENT = -1 / 8     # -1 / (error estimator order + 1)
+_DOP_SAFETY = 0.9
+_DOP_MIN_FACTOR = 0.2
+_DOP_MAX_FACTOR = 10
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_REACHED_END = "The solver successfully reached the end of the integration interval."
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+    """First step size (Hairer, Norsett & Wanner, Sec. II.4)."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length)
+
+
+def _rk_step(fun, t, y, f, h, K):
+    """One DOP853 step from (t, y) with f = fun(t, y); fills the stages K."""
+    K[0] = f
+    for s, (a, c) in enumerate(zip(_DOP_A[1:], _DOP_C[1:]), start=1):
+        dy = np.dot(K[:s].T, a[:s]) * h
+        K[s] = fun(t + c * h, y + dy)
+    y_new = y + h * np.dot(K[:-1].T, _DOP_B)
+    f_new = fun(t + h, y_new)
+    K[-1] = f_new
+    return y_new, f_new
+
+
+def _error_norm(K, h, scale):
+    err5 = np.dot(K.T, _DOP_E5) / scale
+    err3 = np.dot(K.T, _DOP_E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol):
+    """Integrate y' = fun(t, y) over t_span with DOP853 and return a
+    namespace with success, message, t (the accepted times), y (the states
+    there, one column each) and nfev (right-hand-side calls).
+
+    The operations, step control and TOO_SMALL_STEP failure are those of
+    scipy's solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
+    atol=atol) for a float or complex y0, a fun returning arrays of its
+    dtype, a scalar atol and a t_span of nonzero length, in the same order.
+    An rtol below 100*eps, which scipy clamps with a warning, raises
+    DomainError.
+    """
+    if not rtol >= _RTOL_FLOOR:
+        raise DomainError("rtol=%g is below the floor 100*eps = %.3g" % (rtol, _RTOL_FLOOR))
+    t0, t_bound = map(float, t_span)
+    nfev = 0
+
+    def counted(t, y):
+        nonlocal nfev
+        nfev += 1
+        return fun(t, y)
+
+    def result(message):
+        return types.SimpleNamespace(success=message == _REACHED_END, message=message,
+                                     nfev=nfev, t=np.array(ts), y=np.vstack(ys).T)
+
+    direction = np.sign(t_bound - t0)
+    t, y = t0, np.asarray(y0)
+    ts, ys = [t], [y]
+    f = counted(t, y)
+    h_abs = _initial_step(counted, t, y, t_bound, f, direction, rtol, atol)
+    K = np.empty((_DOP_STAGES + 1, y.size), dtype=y.dtype)
+    while t != t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return result(_TOO_SMALL_STEP)
+            # the last step lands on t_bound exactly, which ends the outer loop
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = _rk_step(counted, t, y, f, h, K)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norm(K, h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _DOP_MAX_FACTOR
+                else:
+                    factor = min(_DOP_MAX_FACTOR,
+                                 _DOP_SAFETY * error_norm ** _DOP_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_DOP_MIN_FACTOR, _DOP_SAFETY * error_norm ** _DOP_ERROR_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    return result(_REACHED_END)
 
 
 class PeriodicPotential:
@@ -177,8 +356,12 @@ class MonodromyMatrix:
 
 def _propagate(potential, energies, rtol, with_derivative=False):
     """Columns of the period map (and optionally their E-derivatives),
-    batched over an energy array. Returns shape (4 or 8, K)."""
+    batched over an energy array. Returns shape (4 or 8, K). A non-finite
+    energy (or real or imaginary part) raises DomainError naming it."""
     E = np.atleast_1d(np.asarray(energies))
+    finite = np.isfinite(E)
+    if not finite.all():
+        raise DomainError("energy E=%s is not finite" % E[np.argmin(finite)])
     complex_mode = np.iscomplexobj(E)
     dt = complex if complex_mode else float
     K = E.size
@@ -201,8 +384,7 @@ def _propagate(potential, energies, rtol, with_derivative=False):
             out[5::2] -= y[0:3:2]
         return out.ravel()
 
-    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853",
-                    rtol=rtol, atol=rtol * 1e-2)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), rtol=rtol, atol=rtol * 1e-2)
     if not sol.success:
         raise IntegrationFailure("monodromy integration failed: %s" % sol.message,
                                  last_x=float(sol.t[-1]))
@@ -231,12 +413,11 @@ def integrate_monodromy(potential, energy, tol=_SCAN_TOL, derivative=False):
 
 
 def discriminant(potential, energy, tol=_SCAN_TOL):
-    """D(E) = trace of the monodromy matrix."""
+    """D(E) = trace of the monodromy matrix at a real energy."""
+    if np.iscomplexobj(energy):
+        raise DomainError("discriminant takes a real energy, not E=%s" % (energy,))
     y = _propagate(potential, [energy], tol)
-    d = y[0, 0] + y[3, 0]
-    if np.iscomplexobj(np.asarray(energy)):
-        return complex(d)
-    return float(np.real(d))
+    return float(y[0, 0] + y[3, 0])
 
 
 def discriminant_many(potential, energies, tol=_SCAN_TOL):

@@ -33,7 +33,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConfigurationError,
@@ -51,6 +50,9 @@ _CRITICAL_WPRIME = 1e-6
 _SINGULARITY_GUARD = 1e-6
 _POINT_COMPONENT_WIDTH = 1e-8
 _ENDPOINT_RESIDUAL = 1e-12  # relative |W - level| a refined endpoint must meet
+_BRENT_XTOL = 1e-13
+_BRENT_RTOL = 4 * 2.0 ** -52      # 4 eps, scipy's floor, as a plain float
+_BRENT_ITER = 100
 
 
 class Bump:
@@ -122,7 +124,7 @@ class PerturbationProfile:
                     raise NearSingularityError(
                         "profile evaluated %.2e from the singularity %s" % (d, s))
         elif not z.shape:
-            # a real scalar (brentq's path) in numpy-scalar arithmetic:
+            # a real scalar (_brentq's path) in numpy-scalar arithmetic:
             # the 0-d array path's values at half its cost per call
             z = z[()]
         out = self.mu + self.nu * z / np.sqrt(1.0 + z * z)
@@ -300,6 +302,63 @@ class SpectralWindow:
                 "e_range": list(self.e_range)}
 
 
+def _brentq(f, a, b):
+    """Root of f in the sign-changing bracket [a, b] by Brent's method
+    (Algorithms for Minimization without Derivatives, ch. 4): the
+    operations of scipy's brentq (its brentq.c) with xtol=1e-13 and the
+    default rtol of 4*eps, in the same order, so it returns the same float.
+    A bracket without a sign change, a NaN value or 100 iterations without
+    convergence raise InternalConsistencyError naming zeta."""
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.isnan(fpre) or math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise InternalConsistencyError(
+            "endpoint bracket [%.12g, %.12g] in zeta holds no sign change" % (xpre, xcur))
+    for _ in range(_BRENT_ITER):
+        if math.isnan(fcur):
+            raise InternalConsistencyError("endpoint refinement reads NaN at zeta=%.12g"
+                                           % xcur)
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)          # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)                  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # a zero den gives C an infinite or NaN step, which bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry                               # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise InternalConsistencyError("endpoint refinement did not converge in %d steps "
+                                   "near zeta=%.12g" % (_BRENT_ITER, xcur))
+
+
 def _root_scan(profile, level, zgrid, wgrid):
     """All transversal solutions of W(zeta) = level on the scan interval."""
     f = wgrid - level
@@ -308,8 +367,7 @@ def _root_scan(profile, level, zgrid, wgrid):
     cells = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
     roots = []
     for j in cells:
-        r = brentq(lambda z: profile(z) - level, zgrid[j], zgrid[j + 1],
-                   xtol=1e-13)
+        r = _brentq(lambda z: profile(z) - level, zgrid[j], zgrid[j + 1])
         if abs(profile(r) - level) > _ENDPOINT_RESIDUAL * (1.0 + abs(level)):
             raise InternalConsistencyError(
                 "endpoint refinement stalled at zeta=%.12g" % r)

@@ -87,6 +87,11 @@ class TestMonodromy:
         m = integrate_monodromy(pot, 3.7)
         assert m.trace() == pytest.approx(discriminant(pot, 3.7), abs=1e-10)
 
+    def test_discriminant_refuses_a_complex_energy(self):
+        pot = PeriodicPotential(0.0, (2.0,))
+        with pytest.raises(DomainError, match=r"real energy, not E=\(3\+0.5j\)"):
+            discriminant(pot, 3.0 + 0.5j)
+
     def test_batched_entries_and_derivatives(self):
         pot = PeriodicPotential(0.3, (2.0, -0.7), (0.5,))
         energies = np.array([-1.0, 3.7, 12.5, 40.0])
