@@ -35,14 +35,18 @@ band-edge crossings), removed exactly by the zeta = endpoint +/- u^2
 substitution on buffer panels; interior panels use plain Gauss-Legendre.
 Every integral uses 2*nodes points per panel and calls its integrand once
 per batch, on a (k, 4*2*nodes) array holding the nodes of all four panels
-of k segments; only phase_integral(with_error=True) also runs the nodes
-rule, and reports the difference as its quadrature error. The private
-batched forms (_well_phases, _well_phase_derivatives, _action_data) take
-many windows on one band, so the table-backed momentum is evaluated once
-for all of them. Each row is reduced on its own, so a value does not
-depend on the batch it was computed in. The barrier actions stay per
-window: gamma_fast propagates energies below the table floor in one ODE
-solve whose steps depend on the batch.
+of k segments; phase_integral(with_error=True) and the action data also
+run the nodes rule for Phi0, and report the difference as the quadrature
+error. The private batched forms take many windows on one band, so the
+table-backed momentum is evaluated once for all of them: _well_phases
+gives Phi_w, and _well_integrals gives (Phi0, Phi_w, Phi_w') from one
+integrand whose k and k' share one pass over the discriminant table;
+_action_data adds the nodes rule and the barrier actions to such rows.
+Each row is reduced on its own, one dot product per panel, so a value
+does not depend on the batch it was computed in, nor on whether k' was
+taken with it. The barrier actions stay per window: gamma_fast
+propagates energies below the table floor in one ODE solve whose steps
+depend on the batch.
 """
 
 from __future__ import annotations
@@ -68,29 +72,36 @@ def _edge_resolved_quad(f, segments, n, buffer):
     """Integrate f over each segment [a, b] with sqrt endpoint behavior at
     both ends, n Gauss-Legendre nodes on each of the four panels; f is
     called once, on a (len(segments), 4n) array holding every segment's
-    nodes in its row, and returns values of the same shape. The buffer
-    panels run in u over [0, sqrt(d)] with zeta = a + u^2 and
-    zeta = b - u^2. Returns one integral per segment."""
+    nodes in its row, and returns values of that shape, or several such
+    arrays stacked on leading axes. The buffer panels run in u over
+    [0, sqrt(d)] with zeta = a + u^2 and zeta = b - u^2. Returns one
+    integral per segment (nested in lists along any leading axes), each
+    row reduced on its own."""
     x, w = _gl(n)
-    rows, layout = [], []
-    for a, b in segments:
-        if not b > a:
-            raise InternalConsistencyError("empty integration segment [%g, %g]" % (a, b))
-        d = buffer * (b - a)
-        m = 0.5 * (a + b)
-        panels = ((0.0, math.sqrt(d)), (a + d, m), (m, b - d), (0.0, math.sqrt(d)))
-        u, lo_half, hi_half = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-                               for lo, hi in panels[:3])
-        rows.append(np.concatenate((a + u * u, lo_half, hi_half, b - u * u)))
-        layout.append((panels, u))
-    values = f(np.array(rows)).reshape(len(rows), 4, -1)
-    out = []
-    for (panels, u), v in zip(layout, values):
-        v[0] *= 2.0 * u
-        v[3] *= 2.0 * u
-        out.append(sum(0.5 * (hi - lo) * float(np.dot(w, vp))
-                       for (lo, hi), vp in zip(panels, v)))
-    return out
+    a, b = (np.array(ends, dtype=float)[:, None] for ends in zip(*segments))
+    empty = ~(b > a)
+    if empty.any():
+        i = int(np.argmax(empty))
+        raise InternalConsistencyError("empty integration segment [%g, %g]"
+                                       % (a[i, 0], b[i, 0]))
+    d = buffer * (b - a)
+    m = 0.5 * (a + b)
+    root = np.sqrt(d)
+    lo = np.hstack((np.zeros_like(a), a + d, m))
+    hi = np.hstack((root, m, b - d))
+    # (segment, panel, node): u on the buffer panel, then both halves
+    t = (0.5 * (lo + hi))[:, :, None] + (0.5 * (hi - lo))[:, :, None] * x
+    u = t[:, 0]
+    values = f(np.concatenate((a + u * u, t[:, 1], t[:, 2], b - u * u), axis=1))
+    values = values.reshape(values.shape[:-1] + (4, n))
+    values[..., 0, :] *= 2.0 * u
+    values[..., 3, :] *= 2.0 * u
+    half = 0.5 * (hi - lo)
+    scales = np.hstack((half, half[:, :1])).tolist()
+    rows = values.reshape(-1, len(scales), 4, n)
+    out = [[sum(s * float(np.dot(w, vp)) for s, vp in zip(row_scales, v))
+            for row_scales, v in zip(scales, stack)] for stack in rows]
+    return np.array(out).reshape(values.shape[:-2]).tolist()
 
 
 def _wells(windows, op):
@@ -103,29 +114,40 @@ def _wells(windows, op):
             np.array([[w.energy] for w in windows]), n)
 
 
-def _phase_integrals(windows, bands, profile, nodes, buffer, op,
-                     with_error=False):
-    """Phi0 of every window, in one integrand call per rule."""
+def _phi0_rule(windows, bands, profile, points, buffer, op):
+    """Phi0 of every window by the `points`-per-panel rule, in one
+    integrand call."""
     segments, energies, n = _wells(windows, op)
 
     def integrand(z):
         return reduced_momentum(bands.k_band_fast(energies - profile(z), n), n)
 
-    values = _edge_resolved_quad(integrand, segments, 2 * nodes, buffer)
-    for value in values:
+    return _edge_resolved_quad(integrand, segments, points, buffer)
+
+
+def _positive(phi0s):
+    for value in phi0s:
         if value <= 0.0:
             raise InternalConsistencyError("Phi0 = %g not positive" % value)
-    if not with_error:
-        return values
-    coarse = _edge_resolved_quad(integrand, segments, nodes, buffer)
-    return [(v, abs(v - c)) for v, c in zip(values, coarse)]
+    return phi0s
+
+
+def _quadrature_errors(windows, phi0s, bands, profile, nodes, buffer, op):
+    """|Phi0 - Phi0 by the nodes-point rule| of every window."""
+    coarse = _phi0_rule(windows, bands, profile, nodes, buffer, op)
+    return [abs(v - c) for v, c in zip(phi0s, coarse)]
 
 
 def phase_integral(window, bands, profile, nodes=64, buffer=0.1,
                    with_error=False):
-    """Phi0(E): action of the compact component of the window."""
-    return _phase_integrals([window], bands, profile, nodes, buffer,
-                            "phase_integral", with_error)[0]
+    """Phi0(E): action of the compact component of the window; with_error
+    adds the difference from the nodes-point rule as a second value."""
+    op = "phase_integral"
+    phi0s = _positive(_phi0_rule([window], bands, profile, 2 * nodes, buffer, op))
+    if not with_error:
+        return phi0s[0]
+    return phi0s[0], _quadrature_errors([window], phi0s, bands, profile, nodes,
+                                        buffer, op)[0]
 
 
 def _anchored(window, phi0):
@@ -239,8 +261,28 @@ def well_phase(window, bands, profile, nodes=64, buffer=0.1):
 
 def _well_phases(windows, bands, profile, nodes=64, buffer=0.1):
     """Phi_w of every window (H6 wells on one band), one integrand call."""
-    phi0s = _phase_integrals(windows, bands, profile, nodes, buffer, "well_phase")
+    phi0s = _positive(_phi0_rule(windows, bands, profile, 2 * nodes, buffer,
+                                 "well_phase"))
     return [_anchored(w, p) for w, p in zip(windows, phi0s)]
+
+
+def _well_integrals(windows, bands, profile, nodes=64, buffer=0.1,
+                    op="well_phase"):
+    """(Phi0, Phi_w, Phi_w') of every window (H6 wells on one band): one
+    integrand call, whose k and k' come from one pass over the table at
+    shared nodes."""
+    segments, energies, n = _wells(windows, op)
+    sign = _band_sign(n)
+
+    def integrand(z):
+        k, kprime = bands.k_and_kprime_fast(energies - profile(z), n)
+        return np.stack((reduced_momentum(k, n), sign * kprime))
+
+    phi0s, primes = _edge_resolved_quad(integrand, segments, 2 * nodes, buffer)
+    _positive(phi0s)
+    if 0.0 in primes:
+        raise InternalConsistencyError("dPhi_w/dE vanished on a band")
+    return [(p, _anchored(w, p), wp) for w, p, wp in zip(windows, phi0s, primes)]
 
 
 def well_phase_derivative(window, bands, profile, nodes=64, buffer=0.1):
@@ -251,21 +293,8 @@ def well_phase_derivative(window, bands, profile, nodes=64, buffer=0.1):
     the u^2 substitution. Never zero on a band, so Phi_w is strictly
     monotone in E across any H6 window.
     """
-    return _well_phase_derivatives([window], bands, profile, nodes, buffer)[0]
-
-
-def _well_phase_derivatives(windows, bands, profile, nodes=64, buffer=0.1):
-    """dPhi_w/dE of every window (H6 wells on one band), one integrand call."""
-    segments, energies, n = _wells(windows, "well_phase_derivative")
-    sign = _band_sign(n)
-
-    def integrand(z):
-        return sign * bands.kprime_fast(energies - profile(z), n)
-
-    values = _edge_resolved_quad(integrand, segments, 2 * nodes, buffer)
-    if 0.0 in values:
-        raise InternalConsistencyError("dPhi_w/dE vanished on a band")
-    return values
+    return _well_integrals([window], bands, profile, nodes, buffer,
+                           "well_phase_derivative")[0][2]
 
 
 class ActionData:
@@ -300,20 +329,22 @@ class ActionData:
 
 def compute_action_data(window, bands, profile, nodes=64, buffer=0.1):
     """All actions of one H6 window in a single bundle."""
-    return _action_data([window], bands, profile, nodes, buffer)[0]
+    integrals = _well_integrals([window], bands, profile, nodes, buffer,
+                                "compute_action_data")
+    return _action_data([window], integrals, bands, profile, nodes, buffer)[0]
 
 
-def _action_data(windows, bands, profile, nodes=64, buffer=0.1):
-    """ActionData of every window (H6 wells on one band); the well
-    integrals take one integrand call per rule, the barriers stay per
-    window."""
-    phi0s = _phase_integrals(windows, bands, profile, nodes, buffer,
-                             "compute_action_data", with_error=True)
-    wps = _well_phase_derivatives(windows, bands, profile, nodes, buffer)
+def _action_data(windows, integrals, bands, profile, nodes=64, buffer=0.1):
+    """ActionData of every window (H6 wells on one band), given its
+    _well_integrals row: the coarse rule takes one integrand call, the
+    barriers stay per window."""
+    phi0s = [phi0 for phi0, _, _ in integrals]
+    errors = _quadrature_errors(windows, phi0s, bands, profile, nodes, buffer,
+                                "compute_action_data")
     out = []
-    for window, (phi0, err), wp in zip(windows, phi0s, wps):
+    for window, (phi0, phi, wp), err in zip(windows, integrals, errors):
         s_minus, s_plus = actions_pm(window, bands, profile, nodes, buffer)
         out.append(ActionData(window.energy, phi0, delta_kappa(window),
                               s_minus, s_plus, err, _boundary_term(window) + wp,
-                              _anchored(window, phi0), wp))
+                              phi, wp))
     return out

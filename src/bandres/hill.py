@@ -14,7 +14,8 @@ Conventions used throughout the package:
   axis only, where it solves cos k = D(E)/2: it maps band n increasingly
   onto [pi(n-1), pi*n], and on gap n has Im k = arccosh(|D|/2) > 0 (a
   single nondegenerate interior maximum). BandStructure's k_band_fast,
-  gamma_fast and kprime_fast give k, Im k and dk/dE from its table of D.
+  gamma_fast and kprime_fast give k, Im k and dk/dE from its table of D;
+  k_and_kprime_fast gives k and dk/dE from one pass over it.
 
 Every object here is immutable after construction. BandStructure builds
 its Chebyshev table of D once, on first use, over the fixed range
@@ -63,6 +64,7 @@ _TABLE_RTOL = 1e-12
 _TABLE_VALIDATION = 1e-10   # largest relative error of D allowed at the off-node probes
 _TABLE_POINTS = 33          # Chebyshev nodes per table piece
 _TABLE_DEPTH = 5.0          # the table's floor lies this far below E1
+_D_ROW, _DP_ROW, _BOTH_ROWS = slice(0, 1), slice(1, 2), slice(0, 2)   # of a table's (D, D')
 
 # DOP853 tableau (Hairer's dop853.f coefficients, as doubles): nodes C,
 # stage rows A[s, :s], weights B of the 8th-order solution, and the
@@ -563,6 +565,10 @@ class DiscriminantTable:
     Built from a single batched propagation; the relative error of D at
     seven off-node probes per piece must stay within 1e-10, or the build
     raises InternalConsistencyError.
+
+    Evaluation runs the Clenshaw recurrence of numpy's chebval (Clenshaw
+    1955) operation for operation, so it returns chebval's floats; D and
+    D' may share one pass.
     """
 
     def __init__(self, potential, breakpoints):
@@ -584,12 +590,14 @@ class DiscriminantTable:
         D, Dp = discriminant_with_derivative(potential, all_nodes, _TABLE_RTOL)
         D = D.real
         Dp = Dp.real
-        self._coef_d = []
-        self._coef_dp = []
+        # (degree, D or D', piece)
+        self._coef = np.empty((_TABLE_POINTS, 2, npiece))
         for i in range(npiece):
             sl = slice(i * _TABLE_POINTS, (i + 1) * _TABLE_POINTS)
-            self._coef_d.append(_cheb.chebfit(xu, D[sl], _TABLE_POINTS - 1))
-            self._coef_dp.append(_cheb.chebfit(xu, Dp[sl], _TABLE_POINTS - 1))
+            self._coef[:, 0, i] = _cheb.chebfit(xu, D[sl], _TABLE_POINTS - 1)
+            self._coef[:, 1, i] = _cheb.chebfit(xu, Dp[sl], _TABLE_POINTS - 1)
+        self._mid = 0.5 * (self.breaks[:-1] + self.breaks[1:])
+        self._half = 0.5 * (self.breaks[1:] - self.breaks[:-1])
 
         # off-node validation probes
         probes = []
@@ -604,31 +612,53 @@ class DiscriminantTable:
             raise InternalConsistencyError(
                 "discriminant table validation error %.3e" % err)
 
-    def _piece_of(self, e):
+    def _series(self, e, rows):
+        """The series of `rows` (a slice of (D, D')) at e, stacked on a new
+        leading axis. Refuses a non-finite energy or one outside the table."""
         e = np.asarray(e, dtype=float)
-        if e.size and (e.min() < self.breaks[0] - 1e-8 or e.max() > self.breaks[-1] + 1e-8):
+        out_shape = (rows.stop - rows.start,) + e.shape
+        if not e.size:
+            return np.empty(out_shape)
+        lo, hi = e.min(), e.max()
+        if not (lo >= self.breaks[0] - 1e-8 and hi <= self.breaks[-1] + 1e-8):
+            bad = e[~np.isfinite(e)]
+            if bad.size:
+                raise DomainError("energy E=%r is not finite" % float(bad[0]))
             raise EnergyRangeError(
                 "energy [%g, %g] outside table range [%g, %g]"
-                % (e.min(), e.max(), self.breaks[0], self.breaks[-1]))
+                % (lo, hi, self.breaks[0], self.breaks[-1]))
         idx = np.clip(np.searchsorted(self.breaks, e, side="right") - 1,
                       0, self.breaks.size - 2)
-        return e, idx
-
-    def _eval(self, e, coef_list):
-        e, idx = self._piece_of(e)
-        out = np.empty(e.shape)
-        for i in np.unique(idx):
-            m = idx == i
-            a, b = self.breaks[i], self.breaks[i + 1]
-            xu = (e[m] - 0.5 * (a + b)) / (0.5 * (b - a))
-            out[m] = _cheb.chebval(xu, coef_list[i])
-        return out
+        first = idx.min()
+        if first == idx.max():
+            x = (e - self._mid[first]) / self._half[first]
+            coef = self._coef[:, rows, first].reshape(
+                self._coef.shape[:1] + out_shape[:1] + (1,) * e.ndim)
+        else:
+            x = (e - self._mid[idx]) / self._half[idx]
+            coef = self._coef[:, rows][:, :, idx]
+        # chebval's recurrence: c0, c1 <- c[-i] - c1, c0 + c1 * 2x, then c0 + c1 * x
+        x2 = 2 * x
+        c0, c1, tmp = np.empty(out_shape), np.empty(out_shape), np.empty(out_shape)
+        c0[...] = coef[-2]
+        c1[...] = coef[-1]
+        for i in range(3, len(coef) + 1):
+            np.subtract(coef[-i], c1, out=tmp)
+            np.multiply(c1, x2, out=c1)
+            np.add(c0, c1, out=c1)
+            c0, tmp = tmp, c0
+        np.multiply(c1, x, out=c1)
+        return np.add(c0, c1, out=c0)
 
     def value(self, e):
-        return self._eval(e, self._coef_d)
+        return self._series(e, _D_ROW)[0, ...]
 
     def derivative(self, e):
-        return self._eval(e, self._coef_dp)
+        return self._series(e, _DP_ROW)[0, ...]
+
+    def value_and_derivative(self, e):
+        """D and D' at e from one pass, stacked as (D, D')."""
+        return self._series(e, _BOTH_ROWS)
 
 
 class BandStructure:
@@ -697,8 +727,7 @@ class BandStructure:
 
     def k_band_fast(self, e, band_index):
         """Main-branch k on band `band_index` (vectorized, table-backed)."""
-        c = np.clip(_band_sign(band_index) * self.table.value(e) / 2.0, -1.0, 1.0)
-        return math.pi * (band_index - 1) + np.arccos(c)
+        return _k_of(self.table.value(e), band_index)
 
     def gamma_fast(self, e):
         """Im k inside any gap (vectorized); energies below the table floor
@@ -712,10 +741,13 @@ class BandStructure:
 
     def kprime_fast(self, e, band_index):
         """dk/dE on band `band_index` (table-backed; diverges at the edges)."""
-        d = self.table.value(e)
-        dp = self.table.derivative(e)
+        return self.k_and_kprime_fast(e, band_index)[1]
+
+    def k_and_kprime_fast(self, e, band_index):
+        """(k_band_fast, kprime_fast) from one pass over the table."""
+        d, dp = self.table.value_and_derivative(e)
         sin_phi = np.sqrt(np.maximum(1e-300, 1.0 - (d / 2.0) ** 2))
-        return -_band_sign(band_index) * dp / (2.0 * sin_phi)
+        return _k_of(d, band_index), -_band_sign(band_index) * dp / (2.0 * sin_phi)
 
     def to_dict(self):
         return {"edges": [float(x) for x in self.edges],
@@ -736,6 +768,12 @@ def _band_sign(band_index):
     the folded momentum rises from 0 to pi, and -1.0 for even n, where both
     run the other way."""
     return 1.0 if band_index % 2 == 1 else -1.0
+
+
+def _k_of(d, band_index):
+    """Main-branch k on band n from D there."""
+    c = np.clip(_band_sign(band_index) * d / 2.0, -1.0, 1.0)
+    return math.pi * (band_index - 1) + np.arccos(c)
 
 
 def reduced_momentum(k, band_index):

@@ -26,12 +26,14 @@ rejected.
 
 The levels of a ladder are solved in lockstep. The 9 grid energies are
 decomposed and their Phi_w taken in one batch; then every Newton sweep
-takes Phi_w at all new iterates in one batch and Phi_w' at all levels
-still stepping in another, and the accepted levels get their action data
-in one more. The batched integrals are per-row identical to the
-single-window ones (see actions), and each level keeps the bracket,
-iterate sequence and 1/16 margin it would have if solved alone, so the
-results do not depend on which levels share a sweep.
+takes Phi0, Phi_w and Phi_w' at all new iterates in one batch, from one
+pass over the discriminant table. The accepted levels reuse the Phi0 and
+Phi_w' of their final iterates, so their action data adds only the
+coarse rule (for the quadrature error) and the barrier actions. The
+batched integrals are per-row identical to the single-window ones (see
+actions), and each level keeps the bracket, iterate sequence and 1/16
+margin it would have if solved alone, so the results do not depend on
+which levels share a sweep.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import math
 
 import numpy as np
 
-from .actions import (_action_data, _well_phase_derivatives, _well_phases,
+from .actions import (_action_data, _well_integrals, _well_phases,
                       delta_kappa, tunneling_coefficients)
 from .errors import (ComputationError, ConfigurationError,
                      UnsupportedConfigurationError)
@@ -176,7 +178,9 @@ def locate_resonances(cfg, window, bands, profile):
 
     e_lo, e_hi = cfg.e_window
     quad = (cfg.nodes, cfg.buffer)
-    cache = {}      # energy -> (window, Phi_w) or the error analysing it
+    windows = {}    # energy -> window, or the error decomposing it
+    phase = {}      # energy -> Phi_w
+    integrals = {}  # energy -> (Phi0, Phi_w, Phi_w') where they were taken
 
     def checked_window(e):
         w = decompose_window(profile, bands, e)
@@ -190,39 +194,48 @@ def locate_resonances(cfg, window, bands, profile):
                 "E=%.12g; shrink the window" % e)
         return w
 
-    def analyze(energies):
-        """Fill the cache for every new energy; Phi_w in one batch."""
+    def analyze(energies, fused=False):
+        """Decompose every new energy, then take Phi_w in one batch where it
+        is missing; fused takes (Phi0, Phi_w, Phi_w') in one batch instead,
+        where those are missing."""
         fresh = []
         for e in dict.fromkeys(energies):
-            if e not in cache:
+            if e not in windows:
                 try:
-                    cache[e] = checked_window(e)
-                    fresh.append(e)
+                    windows[e] = checked_window(e)
                 except ComputationError as exc:
-                    cache[e] = exc
-        if fresh:
-            windows = [cache[e] for e in fresh]
-            for e, w, phi in zip(fresh, windows,
-                                 _well_phases(windows, bands, profile, *quad)):
-                cache[e] = (w, phi)
+                    windows[e] = exc
+            if not (isinstance(windows[e], ComputationError)
+                    or e in (integrals if fused else phase)):
+                fresh.append(e)
+        if not fresh:
+            return
+        ws = [windows[e] for e in fresh]
+        if fused:
+            for e, row in zip(fresh, _well_integrals(ws, bands, profile, *quad)):
+                integrals[e] = row
+                phase[e] = row[1]
+        else:
+            phase.update(zip(fresh, _well_phases(ws, bands, profile, *quad)))
 
-    def analyzed(energies):
-        """(window, Phi_w) at each energy; raises the first failure."""
-        analyze(energies)
+    def analyzed(energies, fused=False):
+        """The window at each energy, after analyze; raises the first
+        failure."""
+        analyze(energies, fused)
         for e in energies:
-            if isinstance(cache[e], ComputationError):
-                raise cache[e]
-        return [cache[e] for e in energies]
+            if isinstance(windows[e], ComputationError):
+                raise windows[e]
+        return [windows[e] for e in energies]
 
     grid = [float(e) for e in np.linspace(e_lo, e_hi, _GRID_POINTS)]
     at_grid = analyzed(grid)
-    phis = np.array([phi for _, phi in at_grid])
+    phis = np.array([phase[e] for e in grid])
     diffs = np.diff(phis)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise UnsupportedConfigurationError(
             "well phase not monotone over the energy window")
 
-    dk = delta_kappa(at_grid[0][0])
+    dk = delta_kappa(at_grid[0])
     lo_val, hi_val = float(min(phis[0], phis[-1])), float(max(phis[0], phis[-1]))
     base = -math.pi * dk * cfg.zeta + cfg.epsilon * math.pi / 2.0
     step = cfg.epsilon * math.pi
@@ -246,20 +259,17 @@ def locate_resonances(cfg, window, bands, profile):
     for _ in range(_MAX_NEWTON):
         if not live:
             break
-        analyze([lv.e for lv in live])
+        analyze([lv.e for lv in live], fused=True)
         stepping = []
         for lv in live:
-            if isinstance(cache[lv.e], ComputationError):
-                lv.error = cache[lv.e]
+            if isinstance(windows[lv.e], ComputationError):
+                lv.error = windows[lv.e]
                 continue
-            lv.fe = cache[lv.e][1] - lv.target
+            lv.fe = phase[lv.e] - lv.target
             if abs(lv.fe) > lv.tol / _NEWTON_MARGIN:
                 stepping.append(lv)
-        if stepping:
-            windows = [cache[lv.e][0] for lv in stepping]
-            for lv, d in zip(stepping, _well_phase_derivatives(
-                    windows, bands, profile, *quad)):
-                lv.step(d)
+        for lv in stepping:
+            lv.step(integrals[lv.e][2])
         live = stepping
 
     accepted, failure = [], None
@@ -275,15 +285,16 @@ def locate_resonances(cfg, window, bands, profile):
             accepted.append(lv)
     out = []
     if accepted:
-        at_levels = analyzed([lv.e for lv in accepted])
-        data_list = _action_data([w for w, _ in at_levels], bands, profile,
-                                 *quad)
-        for lv, (_, phi_e), data in zip(accepted, at_levels, data_list):
+        energies = [lv.e for lv in accepted]
+        data_list = _action_data(analyzed(energies, fused=True),
+                                 [integrals[e] for e in energies], bands,
+                                 profile, *quad)
+        for lv, data in zip(accepted, data_list):
             t = tunneling_coefficients(data, cfg.epsilon)
             out.append(ResonanceEstimate(
                 lv.l, lv.e, width_estimate(data, cfg.epsilon, cfg.c0),
                 t.t_plus, t.t_minus, drift_slope(data), abs(lv.fe),
-                s_minus=data.s_minus, s_plus=data.s_plus, phase=phi_e,
+                s_minus=data.s_minus, s_plus=data.s_plus, phase=data.well,
                 phase_prime=data.well_prime, underflowed=t.underflowed))
     if failure is not None:
         raise failure

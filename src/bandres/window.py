@@ -114,6 +114,8 @@ class PerturbationProfile:
     def __call__(self, zeta):
         """W(zeta); complex arguments are admitted inside the analyticity
         cone (a near-singularity guard of 1e-6 applies)."""
+        if isinstance(zeta, float):
+            return self._real(float(zeta))
         z = np.asarray(zeta)
         is_complex = z.dtype.kind == "c"
         if is_complex:
@@ -123,10 +125,6 @@ class PerturbationProfile:
                 if d < _SINGULARITY_GUARD:
                     raise NearSingularityError(
                         "profile evaluated %.2e from the singularity %s" % (d, s))
-        elif not z.shape:
-            # a real scalar (_brentq's path) in numpy-scalar arithmetic:
-            # the 0-d array path's values at half its cost per call
-            z = z[()]
         out = self.mu + self.nu * z / np.sqrt(1.0 + z * z)
         for b in self.bumps:
             u = (z - b.center) / b.width
@@ -134,6 +132,15 @@ class PerturbationProfile:
         if out.shape:
             return out
         return complex(out) if is_complex else float(out)
+
+    def _real(self, z):
+        """W at a real float zeta in float arithmetic, which rounds like
+        the array path: the same operations, each correctly rounded."""
+        out = self.mu + self.nu * z / math.sqrt(1.0 + z * z)
+        for b in self.bumps:
+            u = (z - b.center) / b.width
+            out = out + b.height / (1.0 + u * u)
+        return out
 
     def derivative(self, zeta):
         z = np.asarray(zeta)
@@ -365,10 +372,11 @@ def _root_scan(profile, level, zgrid, wgrid):
     sgn = np.sign(f)
     sgn[sgn == 0] = -1.0
     cells = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+    at = profile._real
     roots = []
     for j in cells:
-        r = _brentq(lambda z: profile(z) - level, zgrid[j], zgrid[j + 1])
-        if abs(profile(r) - level) > _ENDPOINT_RESIDUAL * (1.0 + abs(level)):
+        r = _brentq(lambda z: at(z) - level, zgrid[j], zgrid[j + 1])
+        if abs(at(r) - level) > _ENDPOINT_RESIDUAL * (1.0 + abs(level)):
             raise InternalConsistencyError(
                 "endpoint refinement stalled at zeta=%.12g" % r)
         roots.append(float(r))
@@ -387,6 +395,8 @@ def decompose_window(profile, bands, energy):
     hide beyond it.
     """
     energy = float(energy)
+    if not math.isfinite(energy):
+        raise DomainError("energy E=%r is not finite" % energy)
     z_half = profile.scan_half_width()
     for _attempt in range(6):
         zgrid, wgrid, w_min, w_max = _scan_grid(profile, z_half)

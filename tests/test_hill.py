@@ -24,6 +24,7 @@ from bandres import (
 )
 from bandres import hill
 from bandres.hill import _TABLE_RTOL, discriminant_many
+from numpy.polynomial.chebyshev import chebval
 
 from monodromy_reference import reference_momentum
 from mpmath_reference import mathieu_reference_edges
@@ -34,6 +35,21 @@ def random_potential(rng, max_modes=3, amplitude=3.0):
     cos = amplitude * rng.uniform(-1.0, 1.0, m)
     sin = amplitude * rng.uniform(-1.0, 1.0, m)
     return PeriodicPotential(float(rng.uniform(-1.0, 1.0)), cos, sin)
+
+
+def chebval_per_piece(table, e, row):
+    """Row 0 (D) or 1 (D') of a discriminant table through numpy's chebval,
+    one masked call per piece: the evaluator the table replaced."""
+    e = np.asarray(e, dtype=float)
+    idx = np.clip(np.searchsorted(table.breaks, e, side="right") - 1,
+                  0, table.breaks.size - 2)
+    out = np.empty(e.shape)
+    for i in np.unique(idx):
+        m = idx == i
+        a, b = table.breaks[i], table.breaks[i + 1]
+        out[m] = chebval((e[m] - 0.5 * (a + b)) / (0.5 * (b - a)),
+                         table._coef[:, row, i])
+    return out
 
 
 def locate_per_band(bands, e):
@@ -301,6 +317,36 @@ class TestDiscriminantTable:
         assert np.ndim(mathieu_bands.gamma_fast(floor - 1.0)) == 0
         _, s_plus = actions_pm(win, mathieu_bands, tall)
         assert math.isfinite(s_plus) and s_plus > 0.0
+
+    @pytest.mark.parametrize("potential", [
+        PeriodicPotential(0.0, (2.0,)),
+        PeriodicPotential(0.4, (6.0, -3.0, 1.5), (2.0, 0.0, -1.0)),
+    ], ids=["mathieu", "three_modes"])
+    def test_evaluator_is_chebval_bit_for_bit(self, potential):
+        table = band_edges(potential, 45.0).table
+        br = table.breaks
+        pieces = [np.linspace(a, b, 60) for a, b in zip(br[:-1], br[1:])]
+        spanning = np.concatenate(pieces)
+        inputs = [np.float64(0.5 * (br[0] + br[1])), spanning,
+                  spanning.reshape(-1, 20)] + pieces + [p.reshape(6, 10) for p in pieces]
+        for e in inputs:
+            stacked = table.value_and_derivative(e)
+            for row, got in enumerate((table.value(e), table.derivative(e))):
+                want = chebval_per_piece(table, e, row)
+                assert got.shape == np.shape(e)
+                assert np.array_equal(got, want)
+                assert np.array_equal(stacked[row], want)
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_is_refused(self, mathieu_bands, energy):
+        name = "E=%r" % energy
+        for call in (lambda e: mathieu_bands.k_band_fast(e, 1),
+                     lambda e: mathieu_bands.kprime_fast(e, 1),
+                     lambda e: mathieu_bands.k_and_kprime_fast(e, 1),
+                     mathieu_bands.gamma_fast):
+            for e in (energy, np.array([1.0, energy, 2.0])):
+                with pytest.raises(DomainError, match=name):
+                    call(e)
 
     @staticmethod
     def _table_with(bands, points, monkeypatch):

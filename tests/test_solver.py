@@ -19,13 +19,14 @@ from bandres import (
     compute_action_data,
     load_configuration,
     locate_resonances,
+    phase_integral,
     tunneling_coefficients,
     well_phase,
     well_phase_derivative,
     width_estimate,
 )
 from bandres import solver as solver_module
-from bandres.actions import _well_phases
+from bandres.actions import _well_integrals, _well_phases
 from bandres.solver import _GRID_POINTS, _MAX_NEWTON, _NEWTON_MARGIN
 
 BOUND_E = (9.0, 10.4)
@@ -296,9 +297,19 @@ class TestLockstep:
         ws = [decompose_window(bound_profile, mathieu_bands, e)
               for e in np.linspace(BOUND_E[0], BOUND_E[1], _GRID_POINTS)]
         together = _well_phases(ws, mathieu_bands, bound_profile)
+        fused = _well_integrals(ws, mathieu_bands, bound_profile)
         for i, w in enumerate(ws):
             assert together[i] == _well_phases([w], mathieu_bands,
                                                 bound_profile)[0]
+            # (Phi0, Phi_w, Phi_w') from shared nodes, bit for bit the
+            # single-window public values, whatever the batch
+            assert fused[i] == _well_integrals([w], mathieu_bands,
+                                               bound_profile)[0]
+            assert fused[i] == (
+                phase_integral(w, mathieu_bands, bound_profile),
+                well_phase(w, mathieu_bands, bound_profile),
+                well_phase_derivative(w, mathieu_bands, bound_profile))
+            assert fused[i][1] == together[i]
 
     def test_first_failure_in_level_order_is_raised(self, mathieu_bands,
                                                     bound_profile, monkeypatch):
@@ -330,10 +341,12 @@ class TestLockstep:
 
     def test_ladder_batches_table_calls(self, configs_dir, free_bands,
                                         monkeypatch):
-        # one table-backed call per Newton sweep and per action rule, not
-        # one per probed energy and level (the per-level solve makes 189)
+        # one table-backed call for the grid, one per Newton sweep (4 here)
+        # and one for the coarse action rule, not one per probed energy and
+        # level (the per-level solve makes 189)
         calls = []
-        for meth in ("k_band_fast", "kprime_fast", "gamma_fast"):
+        for meth in ("k_band_fast", "kprime_fast", "gamma_fast",
+                     "k_and_kprime_fast"):
             original = getattr(BandStructure, meth)
 
             def counted(self, *args, _original=original, **kwargs):
@@ -343,4 +356,4 @@ class TestLockstep:
         run = load_configuration(configs_dir / "free_flat.json")
         _cfg, found = solve(free_bands, run.profile, run.solver.e_window, 0.05)
         assert len(found) == 19
-        assert len(calls) <= 16
+        assert len(calls) <= 6

@@ -7,6 +7,7 @@ import pytest
 from bandres import (
     Bump,
     ConfigurationError,
+    DomainError,
     EnergyRangeError,
     NearSingularityError,
     PerturbationProfile,
@@ -80,10 +81,12 @@ class TestProfile:
     @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
     def test_scalar_path_equals_array_path(self, name):
         prof = load_configuration(CONFIG_DIR / (name + ".json")).profile
-        zs = np.random.default_rng(7).uniform(-12.0, 12.0, 50)
+        # floats run in float arithmetic, which must round like the array path
+        zs = np.concatenate((np.random.default_rng(7).uniform(-12.0, 12.0, 50),
+                             [-1e8, -1e3, 0.0, 1e3, 1e8]))
         values, slopes = prof(zs), prof.derivative(zs)
         for i, z in enumerate(zs):
-            for arg in (float(z), np.float64(z)):
+            for arg in (float(z), np.float64(z), np.asarray(z)):
                 value, slope = prof(arg), prof.derivative(arg)
                 assert type(value) is float and value == values[i]
                 # W' raises to the powers 1.5 and 2; numpy's vectorised pow
@@ -177,6 +180,12 @@ class TestDecomposition:
                 assert wall_profile(ep.zeta) == pytest.approx(level, abs=1e-10)
                 assert ep.w_prime == pytest.approx(
                     wall_profile.derivative(ep.zeta), abs=1e-12)
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_is_refused(self, mathieu_bands, bound_profile,
+                                          energy):
+        with pytest.raises(DomainError, match="E=%r is not finite" % energy):
+            decompose_window(bound_profile, mathieu_bands, energy)
 
     def test_ceiling_guard(self, mathieu_bands, drift_profile):
         with pytest.raises(EnergyRangeError):
