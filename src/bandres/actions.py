@@ -157,11 +157,13 @@ def _anchored(window, phi0):
     return phi0 - v_hi * c.hi + v_lo * c.lo
 
 
-def _boundary_term(window):
-    """Moving-endpoint part of Phi0': v_hi/W'(zeta0+) - v_lo/W'(zeta0-)."""
+def _phi0_prime(window, well_prime):
+    """Phi0' = v_hi/W'(zeta0+) - v_lo/W'(zeta0-) + Phi_w': the moving-endpoint
+    terms plus the boundary-free interior integral."""
     c = window.compact
     v_lo, v_hi = c.anchors
-    return v_hi / c.hi_endpoint.w_prime - v_lo / c.lo_endpoint.w_prime
+    return (v_hi / c.hi_endpoint.w_prime - v_lo / c.lo_endpoint.w_prime
+            + well_prime)
 
 
 def delta_kappa(window):
@@ -246,8 +248,8 @@ def phase_integral_derivative(window, bands, profile, nodes=64, buffer=0.1):
     Gauss-Legendre on the buffer panels converges spectrally.
     """
     window.well("phase_integral_derivative")
-    interior = well_phase_derivative(window, bands, profile, nodes, buffer)
-    return _boundary_term(window) + interior
+    return _phi0_prime(window, well_phase_derivative(window, bands, profile,
+                                                     nodes, buffer))
 
 
 def well_phase(window, bands, profile, nodes=64, buffer=0.1):
@@ -345,6 +347,6 @@ def _action_data(windows, integrals, bands, profile, nodes=64, buffer=0.1):
     for window, (phi0, phi, wp), err in zip(windows, integrals, errors):
         s_minus, s_plus = actions_pm(window, bands, profile, nodes, buffer)
         out.append(ActionData(window.energy, phi0, delta_kappa(window),
-                              s_minus, s_plus, err, _boundary_term(window) + wp,
+                              s_minus, s_plus, err, _phi0_prime(window, wp),
                               phi, wp))
     return out

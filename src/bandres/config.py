@@ -127,11 +127,7 @@ class RunConfiguration:
         def build(section, ctor, d):
             try:
                 return ctor(d)
-            except ConfigurationError as exc:
-                raise ConfigurationError(
-                    "%sin the %s section: %s"
-                    % (_at(source, text, section), section, exc)) from exc
-            except (TypeError, ValueError) as exc:
+            except (ConfigurationError, TypeError, ValueError) as exc:
                 raise ConfigurationError(
                     "%sin the %s section: %s"
                     % (_at(source, text, section), section, exc)) from exc

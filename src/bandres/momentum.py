@@ -243,6 +243,8 @@ def isoenergy_portrait(profile, bands, energy, zeta_range, n_samples):
     n_samples = int(n_samples)
     if n_samples < 2:
         raise DomainError("n_samples must be at least 2")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("zeta range [%g, %g] is not finite" % (lo, hi))
     if not hi > lo:
         raise DomainError("empty zeta range [%g, %g]" % (lo, hi))
     zs = np.linspace(lo, hi, n_samples)

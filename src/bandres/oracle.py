@@ -49,7 +49,7 @@ class OracleConfig:
         self.box_half_length = float(box_half_length)
         self.n_points = int(n_points)
         self.cap_strength = float(cap_strength)
-        if self.box_half_length <= 0.0:
+        if not self.box_half_length > 0.0:
             raise ConfigurationError("box_half_length must be positive")
         if self.n_points < 16:
             raise ConfigurationError("n_points=%d too small" % self.n_points)
@@ -57,7 +57,7 @@ class OracleConfig:
             raise ConfigurationError(
                 "n_points=%d exceeds ceiling %d; increase epsilon"
                 % (self.n_points, MAX_GRID_POINTS))
-        if self.cap_strength < 0.0:
+        if not self.cap_strength >= 0.0:
             raise ConfigurationError("cap_strength must be nonnegative")
         if self.points_per_period < MIN_POINTS_PER_PERIOD - 1e-9:
             raise ConfigurationError(

@@ -25,15 +25,17 @@ empty list; two-sided or empty windows are outside the regime and
 rejected.
 
 The levels of a ladder are solved in lockstep. The 9 grid energies are
-decomposed and their Phi_w taken in one batch; then every Newton sweep
-takes Phi0, Phi_w and Phi_w' at all new iterates in one batch, from one
-pass over the discriminant table. The accepted levels reuse the Phi0 and
-Phi_w' of their final iterates, so their action data adds only the
-coarse rule (for the quadrature error) and the barrier actions. The
-batched integrals are per-row identical to the single-window ones (see
-actions), and each level keeps the bracket, iterate sequence and 1/16
-margin it would have if solved alone, so the results do not depend on
-which levels share a sweep.
+decomposed in order and their Phi_w taken in one batch; then in every
+Newton sweep each live level decomposes its own iterate, and one batch,
+one pass over the discriminant table, takes Phi0, Phi_w and Phi_w' at all
+of them. Each level keeps its window and that row; the last sweep of the
+budget takes no Newton step, so a level is judged, and its action data
+taken, at the last iterate it evaluated. The action data of the accepted
+levels adds only the coarse rule (for the quadrature error) and the
+barrier actions. The batched integrals are per-row identical to the
+single-window ones (see actions), and each level keeps the bracket,
+iterate sequence and 1/16 margin it would have if solved alone, so the
+results do not depend on which levels share a sweep.
 """
 
 from __future__ import annotations
@@ -133,19 +135,21 @@ def drift_slope(actions):
 
 class _Level:
     """Newton state of one quantization level: its bracket [a, b] with
-    the residuals fa, fb there, the iterate e, and fe = Phi_w(e) - target
-    once e is evaluated."""
+    the residuals fa, fb there and its iterate e; once e is evaluated, the
+    checked window at e, its (Phi0, Phi_w, Phi_w') row and
+    fe = Phi_w(e) - target, or the error that stopped the level."""
 
     def __init__(self, l, target, tol, a, fa, b, fb):
         self.l, self.target, self.tol = l, target, tol
         self.a, self.fa, self.b, self.fb = a, fa, b, fb
         self.e = a + (b - a) * fa / (fa - fb) if fa != fb else 0.5 * (a + b)
         self.fe = math.inf
-        self.error = None
+        self.window = self.row = self.error = None
 
-    def step(self, dphi):
-        """Narrow the bracket by fe and move to the next iterate, given
-        Phi_w' at e."""
+    def step(self):
+        """Narrow the bracket by fe and move to the next iterate, by Newton
+        on the Phi_w' of the row at e."""
+        dphi = self.row[2]
         if (self.fe < 0.0) == (self.fa < 0.0):
             self.a, self.fa = self.e, self.fe
         else:
@@ -178,9 +182,6 @@ def locate_resonances(cfg, window, bands, profile):
 
     e_lo, e_hi = cfg.e_window
     quad = (cfg.nodes, cfg.buffer)
-    windows = {}    # energy -> window, or the error decomposing it
-    phase = {}      # energy -> Phi_w
-    integrals = {}  # energy -> (Phi0, Phi_w, Phi_w') where they were taken
 
     def checked_window(e):
         w = decompose_window(profile, bands, e)
@@ -194,42 +195,9 @@ def locate_resonances(cfg, window, bands, profile):
                 "E=%.12g; shrink the window" % e)
         return w
 
-    def analyze(energies, fused=False):
-        """Decompose every new energy, then take Phi_w in one batch where it
-        is missing; fused takes (Phi0, Phi_w, Phi_w') in one batch instead,
-        where those are missing."""
-        fresh = []
-        for e in dict.fromkeys(energies):
-            if e not in windows:
-                try:
-                    windows[e] = checked_window(e)
-                except ComputationError as exc:
-                    windows[e] = exc
-            if not (isinstance(windows[e], ComputationError)
-                    or e in (integrals if fused else phase)):
-                fresh.append(e)
-        if not fresh:
-            return
-        ws = [windows[e] for e in fresh]
-        if fused:
-            for e, row in zip(fresh, _well_integrals(ws, bands, profile, *quad)):
-                integrals[e] = row
-                phase[e] = row[1]
-        else:
-            phase.update(zip(fresh, _well_phases(ws, bands, profile, *quad)))
-
-    def analyzed(energies, fused=False):
-        """The window at each energy, after analyze; raises the first
-        failure."""
-        analyze(energies, fused)
-        for e in energies:
-            if isinstance(windows[e], ComputationError):
-                raise windows[e]
-        return [windows[e] for e in energies]
-
     grid = [float(e) for e in np.linspace(e_lo, e_hi, _GRID_POINTS)]
-    at_grid = analyzed(grid)
-    phis = np.array([phase[e] for e in grid])
+    at_grid = [checked_window(e) for e in grid]
+    phis = np.array(_well_phases(at_grid, bands, profile, *quad))
     diffs = np.diff(phis)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise UnsupportedConfigurationError(
@@ -256,21 +224,22 @@ def locate_resonances(cfg, window, bands, profile):
                              grid[i - 1], fa, grid[i], fb))
 
     live = levels
-    for _ in range(_MAX_NEWTON):
+    for sweep in range(_MAX_NEWTON):
+        for lv in live:
+            if sweep:
+                lv.step()
+            try:
+                lv.window = checked_window(lv.e)
+            except ComputationError as exc:
+                lv.error = exc
+        live = [lv for lv in live if lv.error is None]
         if not live:
             break
-        analyze([lv.e for lv in live], fused=True)
-        stepping = []
-        for lv in live:
-            if isinstance(windows[lv.e], ComputationError):
-                lv.error = windows[lv.e]
-                continue
-            lv.fe = phase[lv.e] - lv.target
-            if abs(lv.fe) > lv.tol / _NEWTON_MARGIN:
-                stepping.append(lv)
-        for lv in stepping:
-            lv.step(integrals[lv.e][2])
-        live = stepping
+        rows = _well_integrals([lv.window for lv in live], bands, profile,
+                               *quad)
+        for lv, row in zip(live, rows):
+            lv.row, lv.fe = row, row[1] - lv.target
+        live = [lv for lv in live if abs(lv.fe) > lv.tol / _NEWTON_MARGIN]
 
     accepted, failure = [], None
     for lv in levels:
@@ -285,10 +254,9 @@ def locate_resonances(cfg, window, bands, profile):
             accepted.append(lv)
     out = []
     if accepted:
-        energies = [lv.e for lv in accepted]
-        data_list = _action_data(analyzed(energies, fused=True),
-                                 [integrals[e] for e in energies], bands,
-                                 profile, *quad)
+        data_list = _action_data([lv.window for lv in accepted],
+                                 [lv.row for lv in accepted], bands, profile,
+                                 *quad)
         for lv, data in zip(accepted, data_list):
             t = tunneling_coefficients(data, cfg.epsilon)
             out.append(ResonanceEstimate(

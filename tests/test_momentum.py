@@ -229,3 +229,11 @@ class TestPortrait:
         with pytest.raises(DomainError):
             isoenergy_portrait(bound_profile, mathieu_bands, E_BOUND,
                                (3.0, -3.0), 100)
+
+        def unevaluated(z):
+            raise AssertionError("profile evaluated at %r" % (z,))
+
+        for zeta_range in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError, match="is not finite"):
+                isoenergy_portrait(unevaluated, mathieu_bands, E_BOUND,
+                                   zeta_range, 100)

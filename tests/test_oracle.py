@@ -59,6 +59,11 @@ class TestGeometry:
         with pytest.raises(ConfigurationError):
             # 10 points per period is far below the resolution floor
             OracleConfig(10.0, 199)
+        # NaN fails every comparison, so each guard must be one NaN fails
+        with pytest.raises(ConfigurationError, match="box_half_length"):
+            OracleConfig(math.nan, 100)
+        with pytest.raises(ConfigurationError, match="cap_strength"):
+            OracleConfig(10.0, 1000, math.nan)
         assert MIN_POINTS_PER_PERIOD == 32
 
     def test_undersized_box_rejected(self, mathieu_bands, bound_profile,

@@ -27,7 +27,7 @@ from bandres import (
 )
 from bandres import solver as solver_module
 from bandres.actions import _well_integrals, _well_phases
-from bandres.solver import _GRID_POINTS, _MAX_NEWTON, _NEWTON_MARGIN
+from bandres.solver import _GRID_POINTS, _NEWTON_MARGIN
 
 BOUND_E = (9.0, 10.4)
 DRIFT_E = (9.4, 10.2)
@@ -210,8 +210,10 @@ class TestRegimeGuards:
 def per_level_ladder(cfg, window, bands, profile):
     """The quantization solve one level at a time through the public
     single-window functions: each level runs its own bracketed Newton to
-    1/16 of the acceptance bound, then takes its own action data. The
-    regime guards are left out; the configurations below stay in H6."""
+    1/16 of the acceptance bound, stepping after every evaluation but the
+    last of the solver's budget, then takes its own action data at its
+    last evaluated iterate. The regime guards are left out; the
+    configurations below stay in H6."""
     e_lo, e_hi = cfg.e_window
     quad = (cfg.nodes, cfg.buffer)
     cache = {}
@@ -242,9 +244,10 @@ def per_level_ladder(cfg, window, bands, profile):
         if fa * fb > 0.0:
             continue
         e = a + (b - a) * fa / (fa - fb) if fa != fb else 0.5 * (a + b)
-        for _ in range(_MAX_NEWTON):
+        budget = solver_module._MAX_NEWTON
+        for sweep in range(budget):
             fe = analyze(e)[1] - target
-            if abs(fe) <= tol / _NEWTON_MARGIN:
+            if abs(fe) <= tol / _NEWTON_MARGIN or sweep == budget - 1:
                 break
             if (fe < 0.0) == (fa < 0.0):
                 a, fa = e, fe
@@ -290,6 +293,33 @@ class TestLockstep:
                                0.5 * sum(run.solver.e_window))
         ref = per_level_ladder(cfg, win, bands, run.profile)
         assert found
+        assert [vars(r) for r in found] == [vars(r) for r in ref]
+
+    def test_budget_judges_the_last_evaluated_iterate(self, configs_dir,
+                                                      mathieu_bands,
+                                                      monkeypatch):
+        # two sweeps leave some levels short of 1/16 of the bound: each is
+        # judged at the last iterate it evaluated, so its residual is the
+        # one at the position it reports
+        monkeypatch.setattr(solver_module, "_MAX_NEWTON", 2)
+        run = load_configuration(configs_dir / "barrier_wall.json")
+        s = run.solver
+        cfg, found = solve(mathieu_bands, run.profile, s.e_window, s.epsilon,
+                           s.zeta, root_tol=1e-8)
+        win = decompose_window(run.profile, mathieu_bands,
+                               0.5 * sum(s.e_window))
+        base = (-math.pi * delta_kappa(win) * cfg.zeta
+                + cfg.epsilon * math.pi / 2.0)
+        short = 0
+        for r in found:
+            target = base + cfg.epsilon * math.pi * r.l
+            w = decompose_window(run.profile, mathieu_bands, r.e_real)
+            assert r.residual == abs(
+                well_phase(w, mathieu_bands, run.profile) - target)
+            tol = cfg.root_tol * (1.0 + abs(target))
+            short += r.residual > tol / _NEWTON_MARGIN
+        assert short
+        ref = per_level_ladder(cfg, win, mathieu_bands, run.profile)
         assert [vars(r) for r in found] == [vars(r) for r in ref]
 
     def test_well_phase_independent_of_its_batch(self, mathieu_bands,
