@@ -41,12 +41,14 @@ error. The private batched forms take many windows on one band, so the
 table-backed momentum is evaluated once for all of them: _well_phases
 gives Phi_w, and _well_integrals gives (Phi0, Phi_w, Phi_w') from one
 integrand whose k and k' share one pass over the discriminant table;
-_action_data adds the nodes rule and the barrier actions to such rows.
+_action_data adds the nodes rule and the barrier actions to such rows,
+reading D once for the nodes of every well and of every finite barrier.
 Each row is reduced on its own, one dot product per panel, so a value
 does not depend on the batch it was computed in, nor on whether k' was
-taken with it. The barrier actions stay per window: gamma_fast
-propagates energies below the table floor in one ODE solve whose steps
-depend on the batch.
+taken with it. Barrier energies below the table floor are the one
+exception to sharing: an ODE solve's steps depend on its batch, so they
+take D from one propagation per barrier, as gamma_fast and actions_pm
+(the one-window call of the same path) do.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import math
 import numpy as np
 
 from .errors import InternalConsistencyError, UnsupportedConfigurationError
-from .hill import _band_sign, reduced_momentum
+from .hill import _band_sign, _k_of, reduced_momentum
 
 _GL_CACHE = {}
 _UNDERFLOW_EXPONENT = 690.0   # exp(-690) ~ 1e-300
@@ -68,40 +70,61 @@ def _gl(n):
     return _GL_CACHE[n]
 
 
-def _edge_resolved_quad(f, segments, n, buffer):
-    """Integrate f over each segment [a, b] with sqrt endpoint behavior at
-    both ends, n Gauss-Legendre nodes on each of the four panels; f is
-    called once, on a (len(segments), 4n) array holding every segment's
-    nodes in its row, and returns values of that shape, or several such
-    arrays stacked on leading axes. The buffer panels run in u over
-    [0, sqrt(d)] with zeta = a + u^2 and zeta = b - u^2. Returns one
-    integral per segment (nested in lists along any leading axes), each
-    row reduced on its own."""
+def _quad_nodes(segments, n, buffer):
+    """The nodes of the edge-resolved rule on each segment [a, b], which
+    has sqrt endpoint behavior at both ends: n Gauss-Legendre nodes on
+    each of four panels, the buffer panels in u over [0, sqrt(d)] with
+    zeta = a + u^2 and zeta = b - u^2. Returns the (len(segments), 4n)
+    array holding every segment's nodes in its row, and the rule that
+    _quad_reduce applies to values there."""
     x, w = _gl(n)
-    a, b = (np.array(ends, dtype=float)[:, None] for ends in zip(*segments))
-    empty = ~(b > a)
-    if empty.any():
-        i = int(np.argmax(empty))
-        raise InternalConsistencyError("empty integration segment [%g, %g]"
-                                       % (a[i, 0], b[i, 0]))
-    d = buffer * (b - a)
-    m = 0.5 * (a + b)
-    root = np.sqrt(d)
-    lo = np.hstack((np.zeros_like(a), a + d, m))
-    hi = np.hstack((root, m, b - d))
-    # (segment, panel, node): u on the buffer panel, then both halves
-    t = (0.5 * (lo + hi))[:, :, None] + (0.5 * (hi - lo))[:, :, None] * x
+    # per segment: a, b, then each panel's midpoint and half width
+    params = []
+    for a, b in segments:
+        a, b = float(a), float(b)
+        if not b > a:
+            raise InternalConsistencyError("empty integration segment [%g, %g]"
+                                           % (a, b))
+        d = buffer * (b - a)
+        m = 0.5 * (a + b)
+        root, lo, hi = math.sqrt(d), a + d, b - d
+        # panels [0, root] in u, then [lo, m] and [m, hi] in zeta
+        params += (a, b, 0.5 * root, 0.5 * (lo + m), 0.5 * (m + hi),
+                   0.5 * root, 0.5 * (m - lo), 0.5 * (hi - m))
+    params = np.array(params).reshape(-1, 8)
+    t = np.multiply.outer(params[:, 5:], x)
+    t += params[:, 2:5, None]
     u = t[:, 0]
-    values = f(np.concatenate((a + u * u, t[:, 1], t[:, 2], b - u * u), axis=1))
-    values = values.reshape(values.shape[:-1] + (4, n))
-    values[..., 0, :] *= 2.0 * u
-    values[..., 3, :] *= 2.0 * u
-    half = 0.5 * (hi - lo)
-    scales = np.hstack((half, half[:, :1])).tolist()
-    rows = values.reshape(-1, len(scales), 4, n)
-    out = [[sum(s * float(np.dot(w, vp)) for s, vp in zip(row_scales, v))
-            for row_scales, v in zip(scales, stack)] for stack in rows]
-    return np.array(out).reshape(values.shape[:-2]).tolist()
+    uu = u * u
+    z = np.empty((len(params), 4, n))
+    np.add(params[:, :1], uu, out=z[:, 0])
+    z[:, 1:3] = t[:, 1:]
+    np.subtract(params[:, 1:2], uu, out=z[:, 3])
+    # panel scales: the right buffer panel's is the left one's
+    return z.reshape(len(params), 4 * n), (w, 2.0 * u, params[:, [5, 6, 7, 5]])
+
+
+def _quad_reduce(values, rule):
+    """The integral of each segment from its row of `values` (several such
+    arrays may be stacked on leading axes; the result nests in lists along
+    them), each row reduced on its own: one BLAS dot product per panel
+    (on C-contiguous values, a (1, n) @ (n, 1) matmul is the same ddot as
+    a 1-D dot), the scaled panels summed from 0 in panel order."""
+    w, two_u, scales = rule
+    values = values.reshape(values.shape[:-1] + (4, w.size))
+    values[..., 0, :] *= two_u
+    values[..., 3, :] *= two_u
+    dots = np.matmul(values[..., None, :], w[:, None])[..., 0, 0]
+    p = dots * scales
+    return (0.0 + p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3]).tolist()
+
+
+def _edge_resolved_quad(f, segments, n, buffer):
+    """Integrate f over each segment by the rule of _quad_nodes; f is
+    called once, on the array of all nodes, and returns values of that
+    shape, or several such arrays stacked on leading axes."""
+    z, rule = _quad_nodes(segments, n, buffer)
+    return _quad_reduce(f(z), rule)
 
 
 def _wells(windows, op):
@@ -132,12 +155,6 @@ def _positive(phi0s):
     return phi0s
 
 
-def _quadrature_errors(windows, phi0s, bands, profile, nodes, buffer, op):
-    """|Phi0 - Phi0 by the nodes-point rule| of every window."""
-    coarse = _phi0_rule(windows, bands, profile, nodes, buffer, op)
-    return [abs(v - c) for v, c in zip(phi0s, coarse)]
-
-
 def phase_integral(window, bands, profile, nodes=64, buffer=0.1,
                    with_error=False):
     """Phi0(E): action of the compact component of the window; with_error
@@ -146,8 +163,8 @@ def phase_integral(window, bands, profile, nodes=64, buffer=0.1,
     phi0s = _positive(_phi0_rule([window], bands, profile, 2 * nodes, buffer, op))
     if not with_error:
         return phi0s[0]
-    return phi0s[0], _quadrature_errors([window], phi0s, bands, profile, nodes,
-                                        buffer, op)[0]
+    coarse = _phi0_rule([window], bands, profile, nodes, buffer, op)[0]
+    return phi0s[0], abs(phi0s[0] - coarse)
 
 
 def _anchored(window, phi0):
@@ -183,21 +200,46 @@ def actions_pm(window, bands, profile, nodes=64, buffer=0.1):
     is a transmission probability rather than an amplitude factor.
     """
     window.well("actions_pm")
-    energy = window.energy
+    e, rule = _barrier_energies([window], profile, nodes, buffer)
+    if e is None:
+        return math.inf, math.inf
+    d = bands.table.value(np.maximum(e, bands.table.breaks[0]))
+    return _barrier_pairs([window], _quad_reduce(bands._gap_gamma(e, d), rule))[0]
 
-    def gamma(z):
-        return bands.gamma_fast(energy - profile(z))
 
+def _barrier_energies(windows, profile, nodes, buffer):
+    """E - W at the 2*nodes-point nodes of every finite barrier, one row
+    per barrier in window and side order, and the rule of those nodes;
+    (None, None) when no barrier is finite."""
+    segments, energies = [], []
+    for window in windows:
+        for a, b in window.barriers:
+            if not (math.isinf(a) or math.isinf(b)):
+                segments.append((a, b))
+                energies.append([window.energy])
+    if not segments:
+        return None, None
+    z, rule = _quad_nodes(segments, 2 * nodes, buffer)
+    return np.array(energies) - profile(z), rule
+
+
+def _barrier_pairs(windows, integrals):
+    """(S_minus, S_plus) of every window, given the integrals of Im k over
+    its finite barriers in the order of _barrier_energies."""
+    integrals = iter(integrals)
     out = []
-    for a, b in window.barriers:
-        if math.isinf(a) or math.isinf(b):
-            out.append(math.inf)
-            continue
-        value = _edge_resolved_quad(gamma, [(a, b)], 2 * nodes, buffer)[0]
-        if value <= 0.0:
-            raise InternalConsistencyError("barrier action %g not positive" % value)
-        out.append(2.0 * value)
-    return out[0], out[1]
+    for window in windows:
+        pair = []
+        for a, b in window.barriers:
+            if math.isinf(a) or math.isinf(b):
+                pair.append(math.inf)
+                continue
+            value = next(integrals)
+            if value <= 0.0:
+                raise InternalConsistencyError("barrier action %g not positive" % value)
+            pair.append(2.0 * value)
+        out.append(tuple(pair))
+    return out
 
 
 class TunnelingCoefficients:
@@ -338,15 +380,23 @@ def compute_action_data(window, bands, profile, nodes=64, buffer=0.1):
 
 def _action_data(windows, integrals, bands, profile, nodes=64, buffer=0.1):
     """ActionData of every window (H6 wells on one band), given its
-    _well_integrals row: the coarse rule takes one integrand call, the
-    barriers stay per window."""
-    phi0s = [phi0 for phi0, _, _ in integrals]
-    errors = _quadrature_errors(windows, phi0s, bands, profile, nodes, buffer,
-                                "compute_action_data")
-    out = []
-    for window, (phi0, phi, wp), err in zip(windows, integrals, errors):
-        s_minus, s_plus = actions_pm(window, bands, profile, nodes, buffer)
-        out.append(ActionData(window.energy, phi0, delta_kappa(window),
-                              s_minus, s_plus, err, _phi0_prime(window, wp),
-                              phi, wp))
-    return out
+    _well_integrals row. One read of the table serves the nodes-point
+    rule of every well (for the quadrature error) and the nodes of every
+    finite barrier; barrier energies below the table floor take D from
+    one propagation per barrier, as in actions_pm."""
+    segments, energies, n = _wells(windows, "compute_action_data")
+    z, well_rule = _quad_nodes(segments, nodes, buffer)
+    e_well = energies - profile(z)
+    e_gap, gap_rule = _barrier_energies(windows, profile, nodes, buffer)
+    reads = [e_well] if e_gap is None else [
+        e_well, np.maximum(e_gap, bands.table.breaks[0])]
+    d = bands.table.value(np.concatenate([e.ravel() for e in reads]))
+    coarse = _quad_reduce(
+        reduced_momentum(_k_of(d[:e_well.size].reshape(e_well.shape), n), n),
+        well_rule)
+    gaps = () if e_gap is None else _quad_reduce(
+        bands._gap_gamma(e_gap, d[e_well.size:].reshape(e_gap.shape)), gap_rule)
+    return [ActionData(window.energy, phi0, delta_kappa(window), s_minus,
+                       s_plus, abs(phi0 - c), _phi0_prime(window, wp), phi, wp)
+            for window, (phi0, phi, wp), c, (s_minus, s_plus)
+            in zip(windows, integrals, coarse, _barrier_pairs(windows, gaps))]

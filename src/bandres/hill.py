@@ -578,6 +578,7 @@ class DiscriminantTable:
             if b - breaks[-1] > 1e-12:
                 breaks.append(b)
         self.breaks = np.asarray(breaks)
+        self._break_list = breaks   # plain floats for bisect
         if self.breaks.size < 2:
             raise DomainError("discriminant table needs a nonempty energy range")
         npiece = self.breaks.size - 1
@@ -627,28 +628,24 @@ class DiscriminantTable:
             raise EnergyRangeError(
                 "energy [%g, %g] outside table range [%g, %g]"
                 % (lo, hi, self.breaks[0], self.breaks[-1]))
-        idx = np.clip(np.searchsorted(self.breaks, e, side="right") - 1,
-                      0, self.breaks.size - 2)
-        first = idx.min()
-        if first == idx.max():
-            x = (e - self._mid[first]) / self._half[first]
-            coef = self._coef[:, rows, first].reshape(
-                self._coef.shape[:1] + out_shape[:1] + (1,) * e.ndim)
+        # the pieces of the lowest and highest energy, as searchsorted finds them
+        first, last = (min(max(bisect.bisect_right(self._break_list, v) - 1, 0),
+                           len(self._break_list) - 2) for v in (float(lo), float(hi)))
+        out = np.empty(out_shape)
+        if first == last:
+            # one piece: each row runs on flat arrays, its coefficients as
+            # 0-d arrays (numpy's ufuncs take those faster than floats)
+            x = ((e - self._mid[first]) / self._half[first]).reshape(-1)
+            for row, dest in zip(range(rows.start, rows.stop),
+                                 out.reshape(out_shape[0], -1)):
+                c = self._coef[:, row, first]
+                _clenshaw([c[i, ...] for i in range(len(c))], x, dest)
         else:
+            idx = np.clip(np.searchsorted(self.breaks, e, side="right") - 1,
+                          0, self.breaks.size - 2)
             x = (e - self._mid[idx]) / self._half[idx]
-            coef = self._coef[:, rows][:, :, idx]
-        # chebval's recurrence: c0, c1 <- c[-i] - c1, c0 + c1 * 2x, then c0 + c1 * x
-        x2 = 2 * x
-        c0, c1, tmp = np.empty(out_shape), np.empty(out_shape), np.empty(out_shape)
-        c0[...] = coef[-2]
-        c1[...] = coef[-1]
-        for i in range(3, len(coef) + 1):
-            np.subtract(coef[-i], c1, out=tmp)
-            np.multiply(c1, x2, out=c1)
-            np.add(c0, c1, out=c1)
-            c0, tmp = tmp, c0
-        np.multiply(c1, x, out=c1)
-        return np.add(c0, c1, out=c0)
+            _clenshaw(self._coef[:, rows][:, :, idx], x, out)
+        return out
 
     def value(self, e):
         return self._series(e, _D_ROW)[0, ...]
@@ -659,6 +656,23 @@ class DiscriminantTable:
     def value_and_derivative(self, e):
         """D and D' at e from one pass, stacked as (D, D')."""
         return self._series(e, _BOTH_ROWS)
+
+
+def _clenshaw(c, x, out):
+    """numpy's chebval recurrence (Clenshaw 1955) operation for operation,
+    into out: c0, c1 <- c[-i] - c1, c0 + c1 * 2x, then c0 + c1 * x. The
+    coefficients c[i] are 0-d arrays or arrays of out's shape."""
+    x2 = 2 * x
+    c0, c1, tmp = np.empty(out.shape), np.empty(out.shape), np.empty(out.shape)
+    c0[...] = c[-2]
+    c1[...] = c[-1]
+    for i in range(3, len(c) + 1):
+        np.subtract(c[-i], c1, tmp)
+        np.multiply(c1, x2, c1)
+        np.add(c0, c1, c1)
+        c0, tmp = tmp, c0
+    np.multiply(c1, x, c1)
+    np.add(c0, c1, out)
 
 
 class BandStructure:
@@ -731,12 +745,19 @@ class BandStructure:
 
     def gamma_fast(self, e):
         """Im k inside any gap (vectorized); energies below the table floor
-        take D from a direct propagation. Keeps the shape of e."""
+        take D from one direct propagation. Keeps the shape of e."""
         e = np.asarray(e, dtype=float)
+        d = self.table.value(np.maximum(e, self.table.breaks[0]))
+        return self._gap_gamma(e.reshape(1, -1), d.reshape(1, -1)).reshape(e.shape)[()]
+
+    def _gap_gamma(self, e, d):
+        """Im k at the gap energies e, one row per segment, given d, D read
+        off the table at max(e, floor) (overwritten): the energies of a row
+        below the table floor take D from one direct propagation."""
         deep = e < self.table.breaks[0]
-        d = self.table.value(np.where(deep, self.table.breaks[0], e))
-        if deep.any():
-            d[deep] = discriminant_many(self.potential, e[deep], _TABLE_RTOL).real
+        for r in np.flatnonzero(deep.any(axis=1)).tolist():
+            d[r, deep[r]] = discriminant_many(self.potential, e[r, deep[r]],
+                                              _TABLE_RTOL).real
         return np.arccosh(np.maximum(1.0, np.abs(d) / 2.0))
 
     def kprime_fast(self, e, band_index):

@@ -239,6 +239,9 @@ def isoenergy_portrait(profile, bands, energy, zeta_range, n_samples):
     construction since the output lies in [0, 2*pi). Each band's samples
     are read from the discriminant table in one call.
     """
+    energy = float(energy)
+    if not math.isfinite(energy):
+        raise DomainError("energy E=%r is not finite" % energy)
     lo, hi = (float(v) for v in zeta_range)
     n_samples = int(n_samples)
     if n_samples < 2:

@@ -57,8 +57,9 @@ class OracleConfig:
             raise ConfigurationError(
                 "n_points=%d exceeds ceiling %d; increase epsilon"
                 % (self.n_points, MAX_GRID_POINTS))
-        if not self.cap_strength >= 0.0:
-            raise ConfigurationError("cap_strength must be nonnegative")
+        if not 0.0 <= self.cap_strength < math.inf:
+            raise ConfigurationError("cap_strength=%g must be finite and nonnegative"
+                                     % self.cap_strength)
         if self.points_per_period < MIN_POINTS_PER_PERIOD - 1e-9:
             raise ConfigurationError(
                 "grid resolves only %.1f points per potential period (need >= %d)"
@@ -76,6 +77,8 @@ class OracleConfig:
     def for_window(cls, window, epsilon, cap_strength=0.0):
         """Smallest box that holds the window endpoints with the standard
         slow-variable margin, at MIN_POINTS_PER_PERIOD."""
+        if not 0.0 < epsilon <= 0.5:
+            raise ConfigurationError("epsilon=%g outside (0, 0.5]" % epsilon)
         anchors = [z for z in (window.zeta0_minus, window.zeta0_plus)
                    if z is not None and math.isfinite(z)]
         if not anchors:

@@ -25,17 +25,19 @@ empty list; two-sided or empty windows are outside the regime and
 rejected.
 
 The levels of a ladder are solved in lockstep. The 9 grid energies are
-decomposed in order and their Phi_w taken in one batch; then in every
-Newton sweep each live level decomposes its own iterate, and one batch,
-one pass over the discriminant table, takes Phi0, Phi_w and Phi_w' at all
-of them. Each level keeps its window and that row; the last sweep of the
-budget takes no Newton step, so a level is judged, and its action data
-taken, at the last iterate it evaluated. The action data of the accepted
-levels adds only the coarse rule (for the quadrature error) and the
-barrier actions. The batched integrals are per-row identical to the
-single-window ones (see actions), and each level keeps the bracket,
-iterate sequence and 1/16 margin it would have if solved alone, so the
-results do not depend on which levels share a sweep.
+decomposed in one call (the first failure in grid order is raised) and
+their Phi_w taken in one batch; then every Newton sweep decomposes the
+iterates of all live levels in one call, each failure landing on its own
+level, and one batch, one pass over the discriminant table, takes Phi0,
+Phi_w and Phi_w' at all of them. Each level keeps its window and that
+row; the last sweep of the budget takes no Newton step, so a level is
+judged, and its action data taken, at the last iterate it evaluated. The
+action data of the accepted levels adds only the coarse rule (for the
+quadrature error) and the barrier actions, from one more table pass.
+Batched decompositions and integrals are per-entry identical to the
+single-energy ones (see window and actions), and each level keeps the
+bracket, iterate sequence and 1/16 margin it would have if solved alone,
+so the results do not depend on which levels share a sweep.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .actions import (_action_data, _well_integrals, _well_phases,
                       delta_kappa, tunneling_coefficients)
 from .errors import (ComputationError, ConfigurationError,
                      UnsupportedConfigurationError)
-from .window import decompose_window
+from .window import _decompose_many
 
 _GRID_POINTS = 9
 _MAX_NEWTON = 60
@@ -183,8 +185,10 @@ def locate_resonances(cfg, window, bands, profile):
     e_lo, e_hi = cfg.e_window
     quad = (cfg.nodes, cfg.buffer)
 
-    def checked_window(e):
-        w = decompose_window(profile, bands, e)
+    def checked(window_or_error, e):
+        if isinstance(window_or_error, ComputationError):
+            raise window_or_error
+        w = window_or_error
         if w.classification != "H6":
             raise UnsupportedConfigurationError(
                 "window leaves the one-well regime at E=%.12g (%s)"
@@ -196,7 +200,8 @@ def locate_resonances(cfg, window, bands, profile):
         return w
 
     grid = [float(e) for e in np.linspace(e_lo, e_hi, _GRID_POINTS)]
-    at_grid = [checked_window(e) for e in grid]
+    at_grid = [checked(w, e) for w, e in
+               zip(_decompose_many(profile, bands, grid), grid)]
     phis = np.array(_well_phases(at_grid, bands, profile, *quad))
     diffs = np.diff(phis)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
@@ -225,21 +230,24 @@ def locate_resonances(cfg, window, bands, profile):
 
     live = levels
     for sweep in range(_MAX_NEWTON):
-        for lv in live:
-            if sweep:
+        if sweep:
+            for lv in live:
                 lv.step()
+        for lv, w in zip(live, _decompose_many(profile, bands,
+                                               [lv.e for lv in live])):
             try:
-                lv.window = checked_window(lv.e)
+                lv.window = checked(w, lv.e)
             except ComputationError as exc:
                 lv.error = exc
         live = [lv for lv in live if lv.error is None]
+        if live:
+            rows = _well_integrals([lv.window for lv in live], bands, profile,
+                                   *quad)
+            for lv, row in zip(live, rows):
+                lv.row, lv.fe = row, row[1] - lv.target
+            live = [lv for lv in live if abs(lv.fe) > lv.tol / _NEWTON_MARGIN]
         if not live:
             break
-        rows = _well_integrals([lv.window for lv in live], bands, profile,
-                               *quad)
-        for lv, row in zip(live, rows):
-            lv.row, lv.fe = row, row[1] - lv.target
-        live = [lv for lv in live if abs(lv.fe) > lv.tol / _NEWTON_MARGIN]
 
     accepted, failure = [], None
     for lv in levels:

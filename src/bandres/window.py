@@ -29,12 +29,14 @@ Window endpoints are transversal crossings of band edges; |W'| below
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
 import numpy as np
 
 from .errors import (
+    ComputationError,
     ConfigurationError,
     CriticalEndpointError,
     DomainError,
@@ -140,6 +142,17 @@ class PerturbationProfile:
         for b in self.bumps:
             u = (z - b.center) / b.width
             out = out + b.height / (1.0 + u * u)
+        return out
+
+    def _real_prime(self, z):
+        """W' at a real float zeta in float arithmetic: derivative's
+        operations on a numpy scalar, whose powers are the C library's pow
+        as Python's are. For |zeta| up to about 1e77 (Python's pow raises
+        OverflowError where numpy's overflows to inf)."""
+        out = self.nu / (1.0 + z * z) ** 1.5
+        for b in self.bumps:
+            u = (z - b.center) / b.width
+            out = out - 2.0 * b.height * u / (b.width * (1.0 + u * u) ** 2)
         return out
 
     def derivative(self, zeta):
@@ -330,8 +343,8 @@ def _brentq(f, a, b):
         if math.isnan(fcur):
             raise InternalConsistencyError("endpoint refinement reads NaN at zeta=%.12g"
                                            % xcur)
-        if fpre != 0 and fcur != 0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+        # no value is NaN from here on, so signs compare by < 0
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -350,7 +363,8 @@ def _brentq(f, a, b):
                 den = dblk * dpre * (fblk - fpre)
                 # a zero den gives C an infinite or NaN step, which bisects
                 stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            step = 2 * abs(stry)
+            if step < abs(spre) and step < 3 * abs(sbis) - delta:
                 spre, scur = scur, stry                               # good short step
             else:
                 spre = scur = sbis
@@ -366,21 +380,14 @@ def _brentq(f, a, b):
                                    "near zeta=%.12g" % (_BRENT_ITER, xcur))
 
 
-def _root_scan(profile, level, zgrid, wgrid):
-    """All transversal solutions of W(zeta) = level on the scan interval."""
-    f = wgrid - level
-    sgn = np.sign(f)
-    sgn[sgn == 0] = -1.0
-    cells = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    at = profile._real
-    roots = []
-    for j in cells:
-        r = _brentq(lambda z: at(z) - level, zgrid[j], zgrid[j + 1])
-        if abs(at(r) - level) > _ENDPOINT_RESIDUAL * (1.0 + abs(level)):
-            raise InternalConsistencyError(
-                "endpoint refinement stalled at zeta=%.12g" % r)
-        roots.append(float(r))
-    return roots
+def _refine(at, level, a, b):
+    """The root of W(zeta) = level in the crossing cell [a, b]; `at` is W
+    at a float zeta."""
+    r = _brentq(lambda z: at(z) - level, a, b)
+    if abs(at(r) - level) > _ENDPOINT_RESIDUAL * (1.0 + abs(level)):
+        raise InternalConsistencyError(
+            "endpoint refinement stalled at zeta=%.12g" % r)
+    return r
 
 
 def decompose_window(profile, bands, energy):
@@ -394,43 +401,119 @@ def decompose_window(profile, bands, energy):
     band edge (relative to the quadratic tail decay), so no crossing can
     hide beyond it.
     """
-    energy = float(energy)
-    if not math.isfinite(energy):
-        raise DomainError("energy E=%r is not finite" % energy)
-    z_half = profile.scan_half_width()
-    for _attempt in range(6):
-        zgrid, wgrid, w_min, w_max = _scan_grid(profile, z_half)
-        tail_slack = 3.0 * max(abs(wgrid[0] - profile.w_minus),
-                               abs(wgrid[-1] - profile.w_plus)) + 1e-12
-        targets = [energy - profile.w_minus, energy - profile.w_plus]
-        margin = min(min(abs(t - e) for e in bands.edges) for t in targets)
-        if margin > tail_slack:
-            break
-        z_half *= 2.0
-    else:
-        raise DomainError(
-            "E - W(+/-inf) sits within %.2e of a band edge; the window "
-            "classification is not stable at infinity" % margin)
+    window = _decompose_many(profile, bands, [energy])[0]
+    if isinstance(window, ComputationError):
+        raise window
+    return window
 
-    e_min = energy - w_max - tail_slack
-    e_max = energy - w_min + tail_slack
-    if e_max > bands.gap_ceiling:
-        raise EnergyRangeError(
-            "E - W reaches %.6g, beyond the scanned band ceiling %.6g; "
-            "rescan the band structure with a larger e_max" % (e_max, bands.gap_ceiling))
 
-    endpoints = []
-    for j, edge in enumerate(bands.edges, start=1):
-        level = energy - float(edge)
-        if level < w_min - tail_slack or level > w_max + tail_slack:
+def _decompose_many(profile, bands, energies):
+    """decompose_window of every energy in one pass: for each energy, in
+    order, its SpectralWindow or the ComputationError it raises.
+
+    One comparison of the scan grid with the stacked (energy, edge) levels
+    finds every crossing cell (W > level there exactly where the sign test
+    of W - level is positive, zero counting negative); each root is then
+    refined on its own bracket, so an entry does not depend on the batch."""
+    edges = bands._edge_list
+    w_minus, w_plus, ceiling = profile.w_minus, profile.w_plus, bands.gap_ceiling
+    out = []
+    scans = []      # per doubling of the scan interval: see _scan
+    for energy in energies:
+        energy = float(energy)
+        out.append(None)
+        if not math.isfinite(energy):
+            out[-1] = DomainError("energy E=%r is not finite" % energy)
             continue
-        for r in _root_scan(profile, level, zgrid, wgrid):
-            wp = profile.derivative(r)
-            if abs(wp) < _CRITICAL_WPRIME:
-                raise CriticalEndpointError(
-                    "|W'| = %.3e < %.0e at the edge crossing zeta=%.9g "
-                    "(edge %d); endpoint criticality violated" % (abs(wp), _CRITICAL_WPRIME, r, j))
-            endpoints.append(WindowEndpoint(r, j, wp))
+        # the nearest edge to each tail value is a neighbour in sorted order
+        margin = min(abs(t - edges[i]) for t in (energy - w_minus, energy - w_plus)
+                     for i in _neighbours(edges, t))
+        for attempt in range(6):
+            if attempt == len(scans):
+                scans.append(_scan(profile, attempt))
+            grid, tail_slack, slack, lo, hi, slots = scans[attempt]
+            if margin > slack:
+                break
+        else:
+            out[-1] = DomainError(
+                "E - W(+/-inf) sits within %.2e of a band edge; the window "
+                "classification is not stable at infinity" % margin)
+            continue
+        e_range = (energy - grid[3] - tail_slack, energy - grid[2] + tail_slack)
+        if e_range[1] > ceiling:
+            out[-1] = EnergyRangeError(
+                "E - W reaches %.6g, beyond the scanned band ceiling %.6g; "
+                "rescan the band structure with a larger e_max"
+                % (e_range[1], ceiling))
+            continue
+        levels = [(j, level) for j, level in
+                  enumerate([energy - edge for edge in edges], start=1)
+                  if lo <= level <= hi]
+        slots.append((len(out) - 1, energy, e_range, levels))
+    for grid, *_, slots in scans:
+        if slots:
+            _decompose_on_grid(profile, bands, grid, slots, out)
+    return out
+
+
+def _scan(profile, attempt):
+    """(grid, tail slack, slack, lo, hi, slots) after `attempt` doublings
+    of the scan interval: its grid and tail slack, then as floats (which
+    compare with floats faster than numpy scalars do) the slack and the
+    lowest and highest level W can cross, and an empty list for the
+    energies decided on this grid."""
+    grid = _scan_grid(profile, profile.scan_half_width() * 2.0 ** attempt)
+    wgrid, w_min, w_max = grid[1:]
+    tail_slack = 3.0 * max(abs(wgrid[0] - profile.w_minus),
+                           abs(wgrid[-1] - profile.w_plus)) + 1e-12
+    return (grid, tail_slack, float(tail_slack), float(w_min - tail_slack),
+            float(w_max + tail_slack), [])
+
+
+def _neighbours(edges, t):
+    """Indices of the sorted edges next to t on either side."""
+    i = bisect.bisect_left(edges, t)
+    return range(max(i - 1, 0), min(i + 1, len(edges)))
+
+
+def _decompose_on_grid(profile, bands, grid, slots, out):
+    """Windows of the energies whose tails are stable on this scan grid:
+    each slot (index in out, energy, e_range, [(edge index, level)])
+    gets its window or error in out."""
+    zgrid, wgrid = grid[:2]
+    stacked = np.array([level for *_, levels in slots for _, level in levels])
+    above = (wgrid > stacked[:, None]).ravel()
+    # crossings between neighbouring grid points, not across rows
+    flips = np.flatnonzero(above[1:] != above[:-1])
+    flips = flips[flips % wgrid.size != wgrid.size - 1]
+    cells = [[] for _ in range(stacked.size)]
+    for row, cell in zip((flips // wgrid.size).tolist(),
+                         (flips % wgrid.size).tolist()):
+        cells[row].append(cell)
+    at = profile._real
+    level_cells = iter(cells)
+    for slot, energy, e_range, levels in slots:
+        mine = [next(level_cells) for _ in levels]
+        try:
+            endpoints = []
+            for (j, level), cs in zip(levels, mine):
+                roots = [_refine(at, level, zgrid[c], zgrid[c + 1]) for c in cs]
+                for r in roots:
+                    wp = profile._real_prime(r)
+                    if abs(wp) < _CRITICAL_WPRIME:
+                        raise CriticalEndpointError(
+                            "|W'| = %.3e < %.0e at the edge crossing zeta=%.9g "
+                            "(edge %d); endpoint criticality violated"
+                            % (abs(wp), _CRITICAL_WPRIME, r, j))
+                    endpoints.append(WindowEndpoint(r, j, wp))
+            out[slot] = _classify(profile, bands, energy, endpoints, e_range)
+        except ComputationError as exc:
+            out[slot] = exc
+
+
+def _classify(profile, bands, energy, endpoints, e_range):
+    """The window of `energy` cut at its refined endpoints."""
+    e_min, e_max = e_range
     endpoints.sort(key=lambda p: p.zeta)
 
     # interval membership at midpoints and at the tails
@@ -443,7 +526,7 @@ def decompose_window(profile, bands, energy):
         mids.append(cuts[-1] + 1.0)
     else:
         mids.append(0.0)
-    located = [bands.locate(energy - profile(m)) for m in mids]
+    located = [bands.locate(energy - profile._real(m)) for m in mids]
     member = [kind == "band" for kind, _ in located]
     # tails decided by the limits (the midpoint probes above sit 1 unit out,
     # which may not be asymptotic yet; the limits are authoritative there)

@@ -20,6 +20,9 @@ from bandres import (
     well_phase_derivative,
 )
 
+from bandres.actions import (_action_data, _edge_resolved_quad, _quad_nodes,
+                             _quad_reduce, _well_integrals)
+
 from monodromy_reference import reference_momentum
 
 
@@ -261,3 +264,87 @@ class TestBundle:
         with pytest.raises(UnsupportedConfigurationError,
                            match="^delta_kappa needs the one-well"):
             delta_kappa(win)
+
+
+class TestBatchedActionData:
+    """_action_data reads the table once for the nodes rule of every well and
+    the nodes of every finite barrier; each bundle must stay what the
+    window gives on its own."""
+
+    @pytest.mark.parametrize("case", ["wall", "tall_wall", "drift", "bound",
+                                      "second_band"])
+    def test_batch_equals_single_windows(self, case, mathieu_bands,
+                                         wall_profile, drift_profile,
+                                         bound_profile, second_band):
+        profile, energies = {
+            "wall": (wall_profile, (3.62, 3.9, 4.18)),
+            # E - W reaches -8.47 on the barrier, below the table floor
+            "tall_wall": (PerturbationProfile(2.75, -2.75, ((12.0, 1.2, 0.3),)),
+                          (3.65, 3.9, 4.15)),
+            "drift": (drift_profile, (9.45, 9.8, 10.15)),
+            "bound": (bound_profile, (9.1, 9.7, 10.3)),
+            "second_band": (second_band, (21.2, 21.5, 21.8)),
+        }[case]
+        bands = mathieu_bands
+        windows = [decompose_window(profile, bands, e) for e in energies]
+        batch = _action_data(windows, _well_integrals(windows, bands, profile),
+                             bands, profile)
+        floor = bands.table.breaks[0]
+        deep = False
+        for w, data in zip(windows, batch):
+            assert repr(data.to_dict()) == repr(
+                compute_action_data(w, bands, profile).to_dict())
+            assert (data.s_minus, data.s_plus) == actions_pm(w, bands, profile)
+            # each finite barrier as the per-window rule over gamma_fast gives it
+            for (a, b), s in zip(w.barriers, (data.s_minus, data.s_plus)):
+                if math.isinf(a) or math.isinf(b):
+                    assert s == math.inf
+                    continue
+
+                def gamma(z, e=w.energy):
+                    return bands.gamma_fast(e - profile(z))
+
+                assert s == 2.0 * _edge_resolved_quad(gamma, [(a, b)], 128, 0.1)[0]
+                deep |= w.energy - profile(np.linspace(a, b, 201)).max() < floor
+        assert deep == (case == "tall_wall")
+
+
+def per_panel_integrals(values, segments, n, buffer):
+    """The edge-resolved rule reduced one np.dot per panel and summed in
+    Python from 0, its nodes built by numpy operations: the reference the
+    batched node construction and reduction must reproduce bit for bit."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    a, b = (np.array(ends, dtype=float)[:, None] for ends in zip(*segments))
+    d = buffer * (b - a)
+    m = 0.5 * (a + b)
+    lo = np.hstack((np.zeros_like(a), a + d, m))
+    hi = np.hstack((np.sqrt(d), m, b - d))
+    t = (0.5 * (lo + hi))[:, :, None] + (0.5 * (hi - lo))[:, :, None] * x
+    u = t[:, 0]
+    z = np.concatenate((a + u * u, t[:, 1], t[:, 2], b - u * u), axis=1)
+    v = values(z).reshape(len(segments), 4, n)
+    v[:, 0] *= 2.0 * u
+    v[:, 3] *= 2.0 * u
+    scales = np.hstack((0.5 * (hi - lo), 0.5 * (hi - lo)[:, :1])).tolist()
+    return [sum(s * float(np.dot(w, vp)) for s, vp in zip(row_scales, row))
+            for row_scales, row in zip(scales, v)]
+
+
+@pytest.mark.parametrize("n", [8, 64, 128])
+def test_quadrature_equals_per_panel_reference(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        lo = rng.uniform(-5.0, 5.0, 7)
+        segments = [(float(a), float(a + w)) for a, w in
+                    zip(lo, np.exp(rng.uniform(-6.0, 2.0, 7)))]
+        c = rng.uniform(-3.0, 3.0)
+
+        def values(z, c=c):
+            return np.cos(c * z) + z * z
+
+        z, rule = _quad_nodes(segments, n, 0.1)
+        stacked = _quad_reduce(np.stack((values(z), 2.0 * values(z))), rule)
+        reference = per_panel_integrals(values, segments, n, 0.1)
+        assert stacked[0] == reference
+        assert stacked[1] == per_panel_integrals(lambda z: 2.0 * values(z),
+                                                 segments, n, 0.1)

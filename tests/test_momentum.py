@@ -237,3 +237,8 @@ class TestPortrait:
             with pytest.raises(DomainError, match="is not finite"):
                 isoenergy_portrait(unevaluated, mathieu_bands, E_BOUND,
                                    zeta_range, 100)
+        for energy in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError,
+                               match=r"^energy E=%r is not finite$" % energy):
+                isoenergy_portrait(unevaluated, mathieu_bands, energy,
+                                   (-3.0, 3.0), 100)

@@ -64,7 +64,19 @@ class TestGeometry:
             OracleConfig(math.nan, 100)
         with pytest.raises(ConfigurationError, match="cap_strength"):
             OracleConfig(10.0, 1000, math.nan)
+        with pytest.raises(ConfigurationError, match="cap_strength=inf"):
+            OracleConfig(10.0, 1000, math.inf)
         assert MIN_POINTS_PER_PERIOD == 32
+
+    def test_for_window_validation(self, mathieu_bands, bound_profile):
+        win = decompose_window(bound_profile, mathieu_bands, 9.7)
+        with pytest.raises(ConfigurationError, match="cap_strength=inf"):
+            OracleConfig.for_window(win, 0.1, cap_strength=math.inf)
+        for eps in (0.0, -0.1, 0.6, math.nan, math.inf):
+            with pytest.raises(ConfigurationError,
+                               match=r"epsilon=%s outside \(0, 0.5\]" % ("%g" % eps)):
+                OracleConfig.for_window(win, eps)
+        assert OracleConfig.for_window(win, 0.5).n_points > 0
 
     def test_undersized_box_rejected(self, mathieu_bands, bound_profile,
                                      mathieu):

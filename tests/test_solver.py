@@ -351,16 +351,29 @@ class TestLockstep:
         grid = set(np.linspace(BOUND_E[0], BOUND_E[1], _GRID_POINTS).tolist())
         spacing = found[1].e_real - found[0].e_real
 
+        def fails(e):
+            return e not in grid and (abs(e - low) < 1e-7
+                                      or abs(e - high) < 0.5 * spacing)
+
         def failing(profile, bands, e, _decompose=decompose_window):
-            if e not in grid and (abs(e - low) < 1e-7
-                                  or abs(e - high) < 0.5 * spacing):
+            if fails(e):
                 raise UnsupportedConfigurationError("failed at E=%.17g" % e)
             return _decompose(profile, bands, e)
+
+        def failing_many(profile, bands, energies,
+                         _decompose=solver_module._decompose_many):
+            # the solver's batched decomposition, with the same failures
+            return [UnsupportedConfigurationError("failed at E=%.17g" % e)
+                    if fails(e) else w
+                    for e, w in zip(energies, _decompose(profile, bands, energies))]
 
         win = decompose_window(bound_profile, mathieu_bands, 9.7)
         errors = []
         for module in (solver_module, sys.modules[__name__]):
-            monkeypatch.setattr(module, "decompose_window", failing)
+            if module is solver_module:
+                monkeypatch.setattr(module, "_decompose_many", failing_many)
+            else:
+                monkeypatch.setattr(module, "decompose_window", failing)
             with pytest.raises(UnsupportedConfigurationError) as info:
                 (locate_resonances if module is solver_module else
                  per_level_ladder)(cfg, win, mathieu_bands, bound_profile)

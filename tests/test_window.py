@@ -6,6 +6,7 @@ import pytest
 
 from bandres import (
     Bump,
+    ComputationError,
     ConfigurationError,
     DomainError,
     EnergyRangeError,
@@ -16,9 +17,21 @@ from bandres import (
     discriminant,
     load_configuration,
 )
-from bandres.window import _scan_grid
+from bandres.window import _decompose_many, _scan_grid
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+def same_bits(a, b):
+    return type(a) is type(b) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def outcome(window_or_error):
+    """What a decomposition gave, comparable across calls: the window's
+    record, or the error's type and message."""
+    if isinstance(window_or_error, Exception):
+        return type(window_or_error), str(window_or_error)
+    return repr(window_or_error.to_dict())
 
 
 def direct_profile_value(mu, nu, bumps, z):
@@ -93,6 +106,27 @@ class TestProfile:
                 # may differ from the C library's scalar pow in the last bit
                 assert type(slope) is float
                 assert slope == pytest.approx(slopes[i], rel=4.5e-16, abs=1e-300)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+    def test_float_slope_equals_numpy_scalar_slope(self, name):
+        # the window's endpoint slopes take the float path; it must give
+        # the 0-d numpy path's float, bit for bit
+        prof = load_configuration(CONFIG_DIR / (name + ".json")).profile
+        half = prof.scan_half_width()
+        zs = np.random.default_rng(11).uniform(-half, half, 400)
+        for z in np.concatenate((zs, [0.0, -0.0, half, -half])).tolist():
+            assert same_bits(prof._real_prime(z), prof.derivative(np.asarray(z)))
+
+    def test_float_slope_equals_numpy_scalar_slope_random_bumps(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            bumps = [(rng.uniform(-8.0, 8.0), rng.uniform(-4.0, 4.0),
+                      rng.uniform(0.05, 2.0)) for _ in range(rng.integers(1, 4))]
+            prof = PerturbationProfile(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
+                                       bumps)
+            half = prof.scan_half_width()
+            for z in rng.uniform(-half, half, 50).tolist():
+                assert same_bits(prof._real_prime(z), prof.derivative(np.asarray(z)))
 
     def test_near_singularity_guard_on_complex_scalars(self, wall_profile):
         for z in (1j + 5e-7, np.complex128(1j - 5e-7j)):
@@ -240,3 +274,43 @@ class TestDecomposition:
                     assert abs(d) <= 2.0 + 1e-9
             checked += 1
         assert checked >= 12
+
+
+class TestBatchedDecomposition:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+    def test_batch_equals_single_calls(self, name, mathieu_bands, free_bands):
+        run = load_configuration(CONFIG_DIR / (name + ".json"))
+        prof = run.profile
+        bands = free_bands if run.potential.is_constant else mathieu_bands
+        lo, hi = run.solver.e_window
+        energies = np.linspace(lo - 1.0, hi + 1.0, 400).tolist()
+        # raising energies among them: non-finite, beyond the band ceiling,
+        # and tails sitting on a band edge (all six scan doublings fail)
+        energies[::57] = [math.nan, math.inf, -math.inf, bands.gap_ceiling + 20.0,
+                          float(bands.edges[2]) + prof.w_plus,
+                          float(bands.edges[3]) + prof.w_minus, math.nan, 1e300]
+        batch = _decompose_many(prof, bands, energies)
+        singles = []
+        for e in energies:
+            try:
+                singles.append(decompose_window(prof, bands, e))
+            except ComputationError as exc:
+                singles.append(exc)
+        assert len(batch) == len(energies)
+        assert [outcome(w) for w in batch] == [outcome(w) for w in singles]
+        kinds = {type(w).__name__ for w in batch}
+        assert "SpectralWindow" in kinds and "DomainError" in kinds
+        assert "EnergyRangeError" in kinds
+
+    def test_entries_do_not_depend_on_the_batch(self, mathieu_bands, free_bands,
+                                                wall_profile):
+        # the free profile crosses the closed gap 2 at E = 1.75 only
+        crossing = PerturbationProfile(-37.0, 0.0, ((-3.0, 0.0, 1.0),))
+        for prof, bands, energies in (
+                (wall_profile, mathieu_bands, [3.6, math.nan, 3.9, 3.9, 50.0, 4.2]),
+                (crossing, free_bands, [1.0, 1.75, -0.5, 1.75])):
+            batch = [outcome(w) for w in _decompose_many(prof, bands, energies)]
+            for i, e in enumerate(energies):
+                assert outcome(_decompose_many(prof, bands, [e])[0]) == batch[i]
+        assert batch[1][0] is UnsupportedConfigurationError
+        assert _decompose_many(wall_profile, mathieu_bands, []) == []
