@@ -1,9 +1,10 @@
 """Run the benchmark on two checkouts in alternating pairs and judge a claim.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload ladder_sweep \
-        --seeds 11-20 [--seconds 40] [--out pairs.json]
+        --seeds 11-20 [--out pairs.json]
 
-For each seed, ``perfbench/run.py --trace 0`` runs once in each checkout,
+For each seed, ``perfbench/run.py --trace 0`` runs once in each checkout
+for the ``run_seconds`` both checkouts' ``BENCHMARK.json`` declare,
 one process at a time, from that checkout's root; the parent goes first
 on even pair indices and the change on odd ones, so neither side always
 meets the machine first. Per end-to-end metric of the change's
@@ -14,7 +15,9 @@ every 10 pairs, and its median is better than the parent's by more than
 the parent's interquartile range. ``--out`` writes the same as JSON, ready
 to go into a ``BENCH_*.json``.
 
-Exit code 0 when every run reported correct, 1 otherwise, 2 on bad usage.
+Exit code 0 when every run reported correct, 1 otherwise, 2 on bad usage
+(including two checkouts whose ``BENCHMARK.json`` declare different
+``run_seconds``).
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ def run_once(checkout, workload, seed, seconds):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def load_benchmark(checkout):
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def summary(values):
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
@@ -75,7 +83,6 @@ def main(argv=None):
     p.add_argument("change")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, type=parse_seeds)
-    p.add_argument("--seconds", type=int, default=40)
     p.add_argument("--out")
     args = p.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent),
@@ -84,6 +91,12 @@ def main(argv=None):
         if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
             print("error: no perfbench/run.py under %s" % path, file=sys.stderr)
             return 2
+    bench = {side: load_benchmark(path) for side, path in sides.items()}
+    seconds = bench["change"]["run_seconds"]
+    if bench["parent"]["run_seconds"] != seconds:
+        print("error: run_seconds is %r in the parent's BENCHMARK.json but %r in "
+              "the change's" % (bench["parent"]["run_seconds"], seconds), file=sys.stderr)
+        return 2
 
     runs = {side: [] for side in sides}
     order = []
@@ -91,24 +104,22 @@ def main(argv=None):
         first = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         order.append(list(first))
         for side in first:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
+            result = run_once(sides[side], args.workload, seed, seconds)
             runs[side].append(result)
             print("seed %d %s: %s" % (seed, side, json.dumps(
                 {k: v["value"] for k, v in result["metrics"].items()})), flush=True)
 
-    with open(os.path.join(sides["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        declared = json.load(fh)["end_to_end"]
     report = {
-        "workload": args.workload, "seeds": args.seeds, "seconds": args.seconds,
+        "workload": args.workload, "seeds": args.seeds, "seconds": seconds,
         "command": "python3 perfbench/run.py --workload %s --seed S --seconds %d "
-                   "--trace 0" % (args.workload, args.seconds),
+                   "--trace 0" % (args.workload, seconds),
         "first_in_pair": [pair[0] for pair in order],
         "attempted": {s: [r["attempted"] for r in runs[s]] for s in sides},
         "failed": {s: [r["failed"] for r in runs[s]] for s in sides},
         "correct": {s: all(r["correct"] for r in runs[s]) for s in sides},
         "metrics": {},
     }
-    for m in declared:
+    for m in bench["change"]["end_to_end"]:
         name = m["name"]
         verdict = judge([r["metrics"][name]["value"] for r in runs["parent"]],
                         [r["metrics"][name]["value"] for r in runs["change"]],

@@ -578,7 +578,6 @@ class DiscriminantTable:
             if b - breaks[-1] > 1e-12:
                 breaks.append(b)
         self.breaks = np.asarray(breaks)
-        self._break_list = breaks   # plain floats for bisect
         if self.breaks.size < 2:
             raise DomainError("discriminant table needs a nonempty energy range")
         npiece = self.breaks.size - 1
@@ -629,8 +628,8 @@ class DiscriminantTable:
                 "energy [%g, %g] outside table range [%g, %g]"
                 % (lo, hi, self.breaks[0], self.breaks[-1]))
         # the pieces of the lowest and highest energy, as searchsorted finds them
-        first, last = (min(max(bisect.bisect_right(self._break_list, v) - 1, 0),
-                           len(self._break_list) - 2) for v in (float(lo), float(hi)))
+        first, last = (min(max(i - 1, 0), self.breaks.size - 2) for i in
+                       np.searchsorted(self.breaks, (lo, hi), side="right").tolist())
         out = np.empty(out_shape)
         if first == last:
             # one piece: each row runs on flat arrays, its coefficients as

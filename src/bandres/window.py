@@ -29,7 +29,6 @@ Window endpoints are transversal crossings of band edges; |W'| below
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 
@@ -145,10 +144,9 @@ class PerturbationProfile:
         return out
 
     def _real_prime(self, z):
-        """W' at a real float zeta in float arithmetic: derivative's
-        operations on a numpy scalar, whose powers are the C library's pow
-        as Python's are. For |zeta| up to about 1e77 (Python's pow raises
-        OverflowError where numpy's overflows to inf)."""
+        """W' at a real float zeta in float arithmetic: the 0-d numpy
+        path's operations, whose powers are the C library's pow as Python's
+        are. Python's pow raises OverflowError where numpy's overflows."""
         out = self.nu / (1.0 + z * z) ** 1.5
         for b in self.bumps:
             u = (z - b.center) / b.width
@@ -156,6 +154,14 @@ class PerturbationProfile:
         return out
 
     def derivative(self, zeta):
+        """W'(zeta); a float takes the float path _real_prime."""
+        if isinstance(zeta, float):
+            try:
+                return self._real_prime(float(zeta))
+            except OverflowError:
+                # numpy's pow gives inf there, which only zeroes its term
+                with np.errstate(over="ignore"):
+                    return self.derivative(np.asarray(zeta))
         z = np.asarray(zeta)
         is_complex = z.dtype.kind == "c"
         if not (is_complex or z.shape):
@@ -343,8 +349,8 @@ def _brentq(f, a, b):
         if math.isnan(fcur):
             raise InternalConsistencyError("endpoint refinement reads NaN at zeta=%.12g"
                                            % xcur)
-        # no value is NaN from here on, so signs compare by < 0
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -363,8 +369,7 @@ def _brentq(f, a, b):
                 den = dblk * dpre * (fblk - fpre)
                 # a zero den gives C an infinite or NaN step, which bisects
                 stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            step = 2 * abs(stry)
-            if step < abs(spre) and step < 3 * abs(sbis) - delta:
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry                               # good short step
             else:
                 spre = scur = sbis
@@ -418,28 +423,28 @@ def _decompose_many(profile, bands, energies):
     edges = bands._edge_list
     w_minus, w_plus, ceiling = profile.w_minus, profile.w_plus, bands.gap_ceiling
     out = []
-    scans = []      # per doubling of the scan interval: see _scan
+    scans = []      # (grid, tail slack) per doubling of the scan interval
+    slots = []      # (scan, index in out, energy, e_range, [(edge index, level)])
     for energy in energies:
         energy = float(energy)
         out.append(None)
         if not math.isfinite(energy):
             out[-1] = DomainError("energy E=%r is not finite" % energy)
             continue
-        # the nearest edge to each tail value is a neighbour in sorted order
-        margin = min(abs(t - edges[i]) for t in (energy - w_minus, energy - w_plus)
-                     for i in _neighbours(edges, t))
+        margin = min(min(abs(t - e) for e in edges)
+                     for t in (energy - w_minus, energy - w_plus))
         for attempt in range(6):
             if attempt == len(scans):
                 scans.append(_scan(profile, attempt))
-            grid, tail_slack, slack, lo, hi, slots = scans[attempt]
-            if margin > slack:
+            (_, _, w_min, w_max), tail_slack = scans[attempt]
+            if margin > tail_slack:
                 break
         else:
             out[-1] = DomainError(
                 "E - W(+/-inf) sits within %.2e of a band edge; the window "
                 "classification is not stable at infinity" % margin)
             continue
-        e_range = (energy - grid[3] - tail_slack, energy - grid[2] + tail_slack)
+        e_range = (energy - w_max - tail_slack, energy - w_min + tail_slack)
         if e_range[1] > ceiling:
             out[-1] = EnergyRangeError(
                 "E - W reaches %.6g, beyond the scanned band ceiling %.6g; "
@@ -448,38 +453,28 @@ def _decompose_many(profile, bands, energies):
             continue
         levels = [(j, level) for j, level in
                   enumerate([energy - edge for edge in edges], start=1)
-                  if lo <= level <= hi]
-        slots.append((len(out) - 1, energy, e_range, levels))
-    for grid, *_, slots in scans:
-        if slots:
-            _decompose_on_grid(profile, bands, grid, slots, out)
+                  if w_min - tail_slack <= level <= w_max + tail_slack]
+        slots.append((attempt, len(out) - 1, energy, e_range, levels))
+    for attempt, (grid, _) in enumerate(scans):
+        mine = [slot for slot in slots if slot[0] == attempt]
+        windows = _decompose_on_grid(profile, bands, grid, [slot[2:] for slot in mine])
+        for slot, window in zip(mine, windows):
+            out[slot[1]] = window
     return out
 
 
 def _scan(profile, attempt):
-    """(grid, tail slack, slack, lo, hi, slots) after `attempt` doublings
-    of the scan interval: its grid and tail slack, then as floats (which
-    compare with floats faster than numpy scalars do) the slack and the
-    lowest and highest level W can cross, and an empty list for the
-    energies decided on this grid."""
+    """The scan grid and its tail slack after `attempt` doublings of the
+    scan interval."""
     grid = _scan_grid(profile, profile.scan_half_width() * 2.0 ** attempt)
-    wgrid, w_min, w_max = grid[1:]
-    tail_slack = 3.0 * max(abs(wgrid[0] - profile.w_minus),
+    wgrid = grid[1]
+    return grid, 3.0 * max(abs(wgrid[0] - profile.w_minus),
                            abs(wgrid[-1] - profile.w_plus)) + 1e-12
-    return (grid, tail_slack, float(tail_slack), float(w_min - tail_slack),
-            float(w_max + tail_slack), [])
 
 
-def _neighbours(edges, t):
-    """Indices of the sorted edges next to t on either side."""
-    i = bisect.bisect_left(edges, t)
-    return range(max(i - 1, 0), min(i + 1, len(edges)))
-
-
-def _decompose_on_grid(profile, bands, grid, slots, out):
-    """Windows of the energies whose tails are stable on this scan grid:
-    each slot (index in out, energy, e_range, [(edge index, level)])
-    gets its window or error in out."""
+def _decompose_on_grid(profile, bands, grid, slots):
+    """The window or error of each energy whose tails are stable on this
+    scan grid, given its slot (energy, e_range, [(edge index, level)])."""
     zgrid, wgrid = grid[:2]
     stacked = np.array([level for *_, levels in slots for _, level in levels])
     above = (wgrid > stacked[:, None]).ravel()
@@ -492,23 +487,25 @@ def _decompose_on_grid(profile, bands, grid, slots, out):
         cells[row].append(cell)
     at = profile._real
     level_cells = iter(cells)
-    for slot, energy, e_range, levels in slots:
+    out = []
+    for energy, e_range, levels in slots:
         mine = [next(level_cells) for _ in levels]
         try:
             endpoints = []
             for (j, level), cs in zip(levels, mine):
                 roots = [_refine(at, level, zgrid[c], zgrid[c + 1]) for c in cs]
                 for r in roots:
-                    wp = profile._real_prime(r)
+                    wp = profile.derivative(r)
                     if abs(wp) < _CRITICAL_WPRIME:
                         raise CriticalEndpointError(
                             "|W'| = %.3e < %.0e at the edge crossing zeta=%.9g "
                             "(edge %d); endpoint criticality violated"
                             % (abs(wp), _CRITICAL_WPRIME, r, j))
                     endpoints.append(WindowEndpoint(r, j, wp))
-            out[slot] = _classify(profile, bands, energy, endpoints, e_range)
+            out.append(_classify(profile, bands, energy, endpoints, e_range))
         except ComputationError as exc:
-            out[slot] = exc
+            out.append(exc)
+    return out
 
 
 def _classify(profile, bands, energy, endpoints, e_range):
@@ -526,7 +523,7 @@ def _classify(profile, bands, energy, endpoints, e_range):
         mids.append(cuts[-1] + 1.0)
     else:
         mids.append(0.0)
-    located = [bands.locate(energy - profile._real(m)) for m in mids]
+    located = [bands.locate(energy - profile(m)) for m in mids]
     member = [kind == "band" for kind, _ in located]
     # tails decided by the limits (the midpoint probes above sit 1 unit out,
     # which may not be asymptotic yet; the limits are authoritative there)

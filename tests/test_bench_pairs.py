@@ -37,3 +37,15 @@ def test_claim_rule_higher_is_better():
     down = bench_pairs.judge(PARENT, [p - 0.5 for p in PARENT], "higher")
     assert up["claim_holds"] and up["change_wins"] == 10
     assert not down["claim_holds"] and down["parent_wins"] == 10
+
+
+def test_refuses_checkouts_with_different_run_seconds(tmp_path, capsys):
+    for side, seconds in (("parent", 40), ("change", 20)):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("raise SystemExit(1)\n")
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            '{"run_seconds": %d, "end_to_end": []}' % seconds)
+    code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "ladder_sweep", "--seeds", "1"])
+    assert code == 2
+    assert "run_seconds" in capsys.readouterr().err

@@ -115,7 +115,7 @@ class TestProfile:
         half = prof.scan_half_width()
         zs = np.random.default_rng(11).uniform(-half, half, 400)
         for z in np.concatenate((zs, [0.0, -0.0, half, -half])).tolist():
-            assert same_bits(prof._real_prime(z), prof.derivative(np.asarray(z)))
+            assert same_bits(prof.derivative(z), prof.derivative(np.asarray(z)))
 
     def test_float_slope_equals_numpy_scalar_slope_random_bumps(self):
         rng = np.random.default_rng(12)
@@ -126,7 +126,22 @@ class TestProfile:
                                        bumps)
             half = prof.scan_half_width()
             for z in rng.uniform(-half, half, 50).tolist():
-                assert same_bits(prof._real_prime(z), prof.derivative(np.asarray(z)))
+                assert same_bits(prof.derivative(z), prof.derivative(np.asarray(z)))
+
+    def test_float_slope_past_pow_overflow(self, mathieu_bands, wall_profile):
+        # a bump of width 1e-80 overflows Python's pow at every root the
+        # scan finds; the float path falls back to the 0-d numpy bits
+        p = wall_profile
+        prof = PerturbationProfile(p.mu, p.nu, list(p.bumps) + [(1.0, 0.5, 1e-80)])
+        window = decompose_window(prof, mathieu_bands, 3.9)
+        ends = [end for c in window.components
+                for end in (c.lo_endpoint, c.hi_endpoint) if end is not None]
+        assert ends
+        for end in ends:
+            with pytest.raises(OverflowError):
+                prof._real_prime(end.zeta)
+            with np.errstate(over="ignore"):
+                assert same_bits(end.w_prime, prof.derivative(np.asarray(end.zeta)))
 
     def test_near_singularity_guard_on_complex_scalars(self, wall_profile):
         for z in (1j + 5e-7, np.complex128(1j - 5e-7j)):
