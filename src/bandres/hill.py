@@ -181,9 +181,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol):
     scipy's solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
     atol=atol) for a float or complex y0, a fun returning arrays of its
     dtype, a scalar atol and a t_span of nonzero length, in the same order.
-    An rtol below 100*eps, which scipy clamps with a warning, raises
-    DomainError.
+    An rtol below 100*eps, which scipy clamps with a warning, or a
+    non-finite rtol or atol raises DomainError.
     """
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not math.isfinite(tol):
+            raise DomainError("%s=%g is not finite" % (name, tol))
     if not rtol >= _RTOL_FLOOR:
         raise DomainError("rtol=%g is below the floor 100*eps = %.3g" % (rtol, _RTOL_FLOOR))
     t0, t_bound = map(float, t_span)

@@ -155,7 +155,11 @@ def find_branch_points(profile, bands, energy, box):
     ambiguous under refinement means a root sits on the boundary.
     """
     energy = float(energy)
+    if not math.isfinite(energy):
+        raise DomainError("energy E=%r is not finite" % energy)
     re_lo, re_hi, im_lo, im_hi = (float(v) for v in box)
+    if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))):
+        raise DomainError("search box %r is not finite" % (box,))
     if not (re_lo < re_hi and im_lo < im_hi):
         raise DomainError("degenerate search box %r" % (box,))
     h = profile.analyticity_height

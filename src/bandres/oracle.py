@@ -11,7 +11,10 @@ absorber on, each localized state seeds a one-eigenpair shift-invert
 polish of the complex operator: ARPACK in a 3-vector Krylov space,
 started from the state's vector and shifted by its first-order
 (absorbed-mass) eigenvalue, with the shifted operator inverted through
-one LAPACK tridiagonal LU per seed and absorber strength. Resonances
+one LAPACK tridiagonal LU per seed and absorber strength. While it
+polishes, the oracle holds only the seed vectors: the N x k block of
+Dirichlet vectors is freed first, and each polished vector is reduced to
+its localization before the next polish starts. Resonances
 appear as eigenvalues just below the real axis whose position is stable
 under halving eta, while box/continuum artifacts move. V and W enter
 only as functions to sample; no numerical step is shared with the
@@ -47,7 +50,11 @@ class OracleConfig:
 
     def __init__(self, box_half_length, n_points, cap_strength=0.0):
         self.box_half_length = float(box_half_length)
-        self.n_points = int(n_points)
+        try:
+            self.n_points = int(n_points)
+        except (ValueError, OverflowError):  # int() of a NaN or an infinity
+            raise ConfigurationError("n_points=%r is not a finite number"
+                                     % (n_points,)) from None
         self.cap_strength = float(cap_strength)
         if not self.box_half_length > 0.0:
             raise ConfigurationError("box_half_length must be positive")
@@ -118,8 +125,12 @@ def build_grid_hamiltonian(potential, profile, zeta, epsilon, config, window=Non
 
     When a window is supplied, the box is required to contain its finite
     endpoints with the standard margin (eps*L >= |zeta0+| + |zeta0-| + 10
-    in the one-well regime), otherwise a ConfigurationError is raised.
+    in the one-well regime), otherwise a ConfigurationError is raised, as
+    it is for a non-finite epsilon or zeta.
     """
+    for name, value in (("epsilon", epsilon), ("zeta", zeta)):
+        if not math.isfinite(value):
+            raise ConfigurationError("%s=%g is not finite" % (name, value))
     L = config.box_half_length
     if window is not None:
         z0 = [z for z in (window.zeta0_minus, window.zeta0_plus)
@@ -199,6 +210,7 @@ def _dirichlet_states(d, off, ea, eb):
                                 tol=_BISECTION_TOL)
         w = _rayleigh(d, off, v)
         if np.any(np.diff(w) < _RESOLVED_GAP):
+            del v  # never hold the coarse and the full-precision block together
             _, v = eigh_tridiagonal(d, e, select="v", select_range=(ea, eb))
             w = _rayleigh(d, off, v)
     except Exception as exc:  # LAPACK failures carry no useful subclass
@@ -271,19 +283,24 @@ def oracle_spectrum(handle, e_window):
 
     d = handle.diag.real
     w, v = _dirichlet_states(d, handle.off, ea, eb)
-    states = [(w[j], v[:, j], _localization(handle.x, v[:, j], region))
-              for j in range(w.size)]
+    locs = [_localization(handle.x, v[:, j], region) for j in range(w.size)]
     if cfg.cap_strength == 0.0:
-        return [OracleEigenpair(lam, 0.0, loc) for lam, _, loc in states]
+        return [OracleEigenpair(lam, 0.0, loc) for lam, loc in zip(w, locs)]
 
-    seeds = [(lam, vec) for lam, vec, loc in states if loc > LOCALIZED]
+    # copy out the seed vectors so that the N x k block is freed before polishing
+    seeds = [(w[j], v[:, j].copy()) for j in range(w.size) if locs[j] > LOCALIZED]
+    del v
+    # each polished vector is reduced to its localization before the next polish
+    polished = []
+    for lam, seed in seeds:
+        val, vec = _polish(handle.diag, handle.off, lam, seed)
+        polished.append((val, _localization(handle.x, vec, region)))
+        del vec
     # the absorber is the whole imaginary part, and halving it is exact
     half = d + 0.5j * handle.diag.imag
-    polished = [_polish(handle.diag, handle.off, lam, vec) for lam, vec in seeds]
-    half_vals = [_polish(half, handle.off, lam, vec)[0] for lam, vec in seeds]
-    pairs = [OracleEigenpair(lam, min(abs(lam - q) for q in half_vals),
-                             _localization(handle.x, vec, region))
-             for lam, vec in polished]
+    half_vals = [_polish(half, handle.off, lam, seed)[0] for lam, seed in seeds]
+    pairs = [OracleEigenpair(lam, min(abs(lam - q) for q in half_vals), loc)
+             for lam, loc in polished]
     # seeds that polish onto the same eigenvalue give one pair, the most localized
     kept = []
     for p in sorted(pairs, key=lambda pair: -pair.localization):

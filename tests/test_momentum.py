@@ -158,6 +158,13 @@ class TestBranchPoints:
         assert found.box == (-2.5, 2.5, -0.8, 0.8)
         assert len(zs) == len(found)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_is_refused(self, mathieu_bands, bound_profile,
+                                          energy):
+        with pytest.raises(DomainError, match="energy E=%r is not finite" % energy):
+            find_branch_points(bound_profile, mathieu_bands, energy,
+                               (-3.0, 3.0, -0.9, 0.9))
+
     def test_box_must_stay_in_strip(self, mathieu_bands, bound_profile):
         with pytest.raises(DomainError):
             find_branch_points(bound_profile, mathieu_bands, E_BOUND,
@@ -165,6 +172,9 @@ class TestBranchPoints:
         with pytest.raises(DomainError):
             find_branch_points(bound_profile, mathieu_bands, E_BOUND,
                                (3.0, -3.0, -0.5, 0.5))
+        with pytest.raises(DomainError, match="is not finite"):
+            find_branch_points(bound_profile, mathieu_bands, E_BOUND,
+                               (-math.inf, 3.0, -0.5, 0.5))
 
     def test_root_on_boundary_detected(self, mathieu_bands, bound_profile):
         e2 = float(mathieu_bands.edges[1])

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -66,6 +67,10 @@ class TestGeometry:
             OracleConfig(10.0, 1000, math.nan)
         with pytest.raises(ConfigurationError, match="cap_strength=inf"):
             OracleConfig(10.0, 1000, math.inf)
+        with pytest.raises(ConfigurationError, match="n_points=nan is not a finite number"):
+            OracleConfig(10.0, math.nan)
+        with pytest.raises(ConfigurationError, match="n_points=inf is not a finite number"):
+            OracleConfig(10.0, math.inf)
         assert MIN_POINTS_PER_PERIOD == 32
 
     def test_for_window_validation(self, mathieu_bands, bound_profile):
@@ -85,6 +90,16 @@ class TestGeometry:
         with pytest.raises(ConfigurationError):
             build_grid_hamiltonian(mathieu, bound_profile, 0.0, 0.1, small,
                                    window=win)
+
+    @pytest.mark.parametrize("epsilon, zeta, named", [
+        (math.nan, 0.0, "epsilon=nan"), (math.inf, 0.0, "epsilon=inf"),
+        (0.1, math.nan, "zeta=nan"), (0.1, -math.inf, "zeta=-inf")])
+    def test_non_finite_epsilon_or_zeta_rejected(self, mathieu, bound_profile,
+                                                 epsilon, zeta, named):
+        # these built a NaN operator, and oracle_spectrum then blamed LAPACK
+        with pytest.raises(ConfigurationError, match=named + " is not finite"):
+            build_grid_hamiltonian(mathieu, bound_profile, zeta, epsilon,
+                                   OracleConfig(10.0, 639, cap_strength=1.0))
 
     def test_offcenter_box_rejected(self, mathieu_bands, bound_profile,
                                     mathieu):
@@ -354,3 +369,51 @@ class TestSeededPolish:
                    for i, a in enumerate(vals) for b in vals[:i])
         count = check_counts_spacings(run)[0]
         assert count.name == "count" and count.status, count.detail
+
+
+class TestWorkingSet:
+    """While polishing, the oracle holds the seed vectors and one polish
+    workspace: the Dirichlet block and every earlier polished vector are
+    freed before the next polish starts."""
+
+    def test_polishes_start_with_no_block_and_no_earlier_vector(
+            self, configs_dir, mathieu_bands, monkeypatch):
+        states, polish = oracle._dirichlet_states, oracle._polish
+        blocks, vectors, alive = [], [], []
+
+        def tracked_states(*args):
+            w, v = states(*args)
+            blocks.append(weakref.ref(v))
+            return w, v
+
+        def tracked_polish(*args):
+            alive.append((sum(r() is not None for r in blocks),
+                          sum(r() is not None for r in vectors)))
+            val, vec = polish(*args)
+            vectors.append(weakref.ref(vec))
+            return val, vec
+
+        monkeypatch.setattr(oracle, "_dirichlet_states", tracked_states)
+        monkeypatch.setattr(oracle, "_polish", tracked_polish)
+        run = Run(load_configuration(configs_dir / "barrier_wall.json"), mathieu_bands)
+        assert run.spectrum(epsilon=0.06)
+        assert len(blocks) == 1 and len(alive) >= 6
+        # (live Dirichlet blocks, live earlier polished vectors) at each polish
+        assert alive == [(0, 0)] * len(alive)
+
+    def test_coarse_block_is_freed_before_the_full_precision_solve(self, monkeypatch):
+        # the close pair of test_close_pair_keeps_full_precision forces the re-solve
+        d = np.full(600, 2.05)
+        d[200:230] = d[280:310] = 2.0
+        solve = oracle.eigh_tridiagonal
+        blocks, alive = [], []
+
+        def tracked_solve(*args, **kwargs):
+            alive.append(sum(r() is not None for r in blocks))
+            w, v = solve(*args, **kwargs)
+            blocks.append(weakref.ref(v))
+            return w, v
+
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", tracked_solve)
+        oracle._dirichlet_states(d, -1.0, 0.0, 0.01)
+        assert alive == [0, 0]

@@ -111,6 +111,20 @@ class TestIntegratorGuards:
         with pytest.raises(DomainError, match="below the floor 100\\*eps = 2.22e-14"):
             integrate_monodromy(mathieu, 3.0, tol=1e-15)
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tolerance_is_refused(self, mathieu, tol):
+        # an infinite rtol passes the floor and made the first step NaN, so
+        # the step-rejection loop never ended
+        named = "rtol=%g is not finite" % tol
+        with pytest.raises(DomainError, match=named):
+            integrate_monodromy(mathieu, 3.0, tol=tol)
+        with pytest.raises(DomainError, match=named):
+            hill.discriminant(mathieu, 3.0, tol=tol)
+
+    def test_non_finite_atol_is_refused(self):
+        with pytest.raises(DomainError, match="atol=inf is not finite"):
+            hill.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.ones(1), 1e-10, math.inf)
+
 
 def shipped_profiles():
     return [(path.stem, load_configuration(path).profile)
