@@ -54,10 +54,11 @@ take D from one propagation per barrier, as gamma_fast and actions_pm
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .errors import InternalConsistencyError, UnsupportedConfigurationError
+from .errors import DomainError, InternalConsistencyError, UnsupportedConfigurationError
 from .hill import _band_sign, _k_of, reduced_momentum
 
 _GL_CACHE = {}
@@ -76,7 +77,14 @@ def _quad_nodes(segments, n, buffer):
     each of four panels, the buffer panels in u over [0, sqrt(d)] with
     zeta = a + u^2 and zeta = b - u^2. Returns the (len(segments), 4n)
     array holding every segment's nodes in its row, and the rule that
-    _quad_reduce applies to values there."""
+    _quad_reduce applies to values there. n and buffer must lie in
+    SolverConfig's bounds (an integer n >= 8, 0 < buffer < 0.5), or a
+    DomainError names the one that does not."""
+    if not (isinstance(n, numbers.Integral) and n >= 8):
+        raise DomainError("quadrature rule of %r points per panel: need an "
+                          "integer of at least 8" % (n,))
+    if not 0.0 < buffer < 0.5:
+        raise DomainError("quadrature buffer=%r outside (0, 0.5)" % (buffer,))
     x, w = _gl(n)
     # per segment: a, b, then each panel's midpoint and half width
     params = []

@@ -195,12 +195,18 @@ def cmd_resonances(cfg, args, outdir):
 
 def cmd_portrait(cfg, args, outdir):
     energy = _mid_energy(cfg, args)
-    bands = _build_bands(cfg, energy)
+    if args.samples < 2:
+        raise ConfigurationError("--samples needs at least 2")
     if args.zeta_range is not None:
         z_lo, z_hi = args.zeta_range
+        if not (math.isfinite(z_lo) and math.isfinite(z_hi)):
+            raise ConfigurationError("--zeta-range [%g, %g] is not finite" % (z_lo, z_hi))
+        if not z_lo < z_hi:
+            raise ConfigurationError("--zeta-range [%g, %g] is empty" % (z_lo, z_hi))
     else:
         half = cfg.profile.scan_half_width()
         z_lo, z_hi = -half, half
+    bands = _build_bands(cfg, energy)
     samples = isoenergy_portrait(cfg.profile, bands, energy, (z_lo, z_hi),
                                  args.samples)
     by_zeta = {z: branches for z, branches in samples}

@@ -19,6 +19,11 @@ appear as eigenvalues just below the real axis whose position is stable
 under halving eta, while box/continuum artifacts move. V and W enter
 only as functions to sample; no numerical step is shared with the
 Floquet/action pipeline this oracle checks.
+
+The interval solve and the LU come from scipy.linalg, imported with the
+module. ARPACK (scipy.sparse.linalg) is imported locally by _polish and
+eigs, so scipy.sparse loads with the first absorber polish and a run that
+never polishes never loads it.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgttrf, zgttrs
-from scipy.sparse import diags
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import ConfigurationError, OracleError
 
@@ -115,6 +118,7 @@ class GridHamiltonian:
         return np.iscomplexobj(self.diag)
 
     def as_sparse(self):
+        from scipy.sparse import diags
         n = self.diag.size
         off = np.full(n - 1, self.off)
         return diags([off, self.diag, off], [-1, 0, 1], format="csc")
@@ -225,6 +229,13 @@ def _absorbed_mass(imag_diag, vec):
     return float(imag_diag @ mass / mass.sum())
 
 
+def eigs(*args, **kwargs):
+    """scipy's ARPACK eigs, imported on the first call: only an absorber
+    polish needs scipy.sparse, so importing bandres does not load it."""
+    from scipy.sparse.linalg import eigs as arpack_eigs
+    return arpack_eigs(*args, **kwargs)
+
+
 def _polish(diag, off, seed, vec):
     """Eigenpair nearest the real seed of the tridiagonal operator (diag,
     constant off): ARPACK shift-invert at its default (machine-precision)
@@ -234,6 +245,7 @@ def _polish(diag, off, seed, vec):
     (A - sigma)^-1 is applied through one LAPACK tridiagonal LU of
     diag - sigma. A failed factorization or an unconverged solve is an
     OracleError naming N and the real seed."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
     n = diag.size
     sigma = seed + 1j * _absorbed_mass(diag.imag, vec)
     offs = np.full(n - 1, off, dtype=complex)
@@ -271,6 +283,8 @@ def oracle_spectrum(handle, e_window):
     Localization is the |psi|^2 fraction inside the central half of the box.
     """
     ea, eb = float(e_window[0]), float(e_window[1])
+    if not (math.isfinite(ea) and math.isfinite(eb)):
+        raise ConfigurationError("energy window [%g, %g] is not finite" % (ea, eb))
     if not ea < eb:
         raise ConfigurationError("empty oracle energy window [%g, %g]" % (ea, eb))
     cfg = handle.config

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from bandres import (
     ActionData,
+    DomainError,
     PerturbationProfile,
     UnsupportedConfigurationError,
     actions_pm,
@@ -108,6 +110,27 @@ class TestPhaseIntegral:
         phase_integral(drift_window, mathieu_bands, counting, nodes=64,
                        with_error=True)
         assert sizes == [4 * 128, 4 * 64]
+
+    @pytest.mark.parametrize("action, setting, words", [
+        (phase_integral, dict(nodes=0), "rule of 0 points"),
+        (phase_integral, dict(nodes=2.5), "rule of 5.0 points"),
+        (phase_integral, dict(buffer=-0.1), "buffer=-0.1 outside"),
+        (phase_integral, dict(buffer=0.0), "buffer=0.0 outside"),
+        (phase_integral, dict(buffer=0.5), "buffer=0.5 outside"),
+        (phase_integral, dict(buffer=1.0), "buffer=1.0 outside"),
+        (phase_integral, dict(buffer=math.nan), "buffer=nan outside"),
+        (phase_integral_derivative, dict(nodes=3), "rule of 6 points"),
+        (well_phase, dict(buffer=0.0), "buffer=0.0 outside"),
+        (well_phase_derivative, dict(buffer=1.0), "buffer=1.0 outside"),
+        (actions_pm, dict(nodes=0), "rule of 0 points"),
+        (compute_action_data, dict(buffer=0.5), "buffer=0.5 outside")])
+    def test_quadrature_settings_outside_solver_bounds_refused(
+            self, action, setting, words, wall_window, mathieu_bands, wall_profile):
+        # SolverConfig's bounds (an integer of at least 8 points per panel,
+        # 0 < buffer < 0.5) hold for every public rule, not just for run files;
+        # the wall window has finite barriers, so actions_pm runs a rule too
+        with pytest.raises(DomainError, match=re.escape(words)):
+            action(wall_window, mathieu_bands, wall_profile, **setting)
 
 
 class TestEdgeBookkeeping:

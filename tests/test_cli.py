@@ -214,6 +214,12 @@ BAD_VALUES = [
     ("window", BOUND, "--energy", "inf", 2, "--energy=inf is not finite"),
     ("portrait", BOUND, "--energy", "nan", 2, "--energy=nan is not finite"),
     ("portrait", BOUND, "--energy", "inf", 2, "--energy=inf is not finite"),
+    ("portrait", BOUND, "--samples", "1", 2, "--samples needs at least 2"),
+    ("portrait", BOUND, "--samples", "0", 2, "--samples needs at least 2"),
+    ("portrait", BOUND, "--zeta-range", "1 1", 2, "--zeta-range [1, 1] is empty"),
+    ("portrait", BOUND, "--zeta-range", "2 1", 2, "--zeta-range [2, 1] is empty"),
+    ("portrait", BOUND, "--zeta-range", "nan 1", 2,
+     "--zeta-range [nan, 1] is not finite"),
     ("actions", BOUND, "--grid-points", "-3", 2, "--grid-points needs a positive"),
     ("actions", STEP, "--grid-points", "0", 2, "--grid-points needs a positive"),
     ("oracle", "barrier_wall.json", "cap_strength", "Infinity", 2,

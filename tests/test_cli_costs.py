@@ -1,0 +1,22 @@
+"""scripts/cli_costs.py measures a child's exit code, wall time and peak RSS."""
+
+import importlib.util
+import os
+import pathlib
+import sys
+
+PATH = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "cli_costs.py"
+spec = importlib.util.spec_from_file_location("cli_costs", PATH)
+cli_costs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(cli_costs)
+
+
+def test_one_run_reports_the_childs_exit_code_and_peak_memory():
+    # the child touches 64 MB, so its peak RSS is past that whatever the
+    # interpreter itself takes; the parent's memory is not counted
+    code = "import sys; block = b\"x\" * (64 << 20); sys.exit(3)"
+    exit_code, wall, peak_mb = cli_costs.run_once([sys.executable, "-c", code],
+                                                  dict(os.environ))
+    assert exit_code == 3
+    assert wall > 0.0
+    assert 64.0 < peak_mb < 64.0 + 200.0

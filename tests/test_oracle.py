@@ -158,6 +158,14 @@ class TestBoxSpectrum:
         with pytest.raises(ConfigurationError):
             oracle_spectrum(handle, (0.5, ceiling + 1.0))
 
+    @pytest.mark.parametrize("window", [(math.nan, 4.2), (0.5, math.nan),
+                                        (0.5, math.inf), (-math.inf, 4.2)])
+    def test_non_finite_energy_window_rejected(self, window):
+        # named as such, not as an empty window or a grid too coarse
+        handle = build_grid_hamiltonian(FREE, FLAT, 0.0, 0.1, OracleConfig(10.0, 639))
+        with pytest.raises(ConfigurationError, match=r"energy window \[.*\] is not finite"):
+            oracle_spectrum(handle, window)
+
     def test_close_pair_keeps_full_precision(self):
         # two identical wells 80 sites apart split by 1.6e-7, below the
         # bisection tolerance: coarse shifts alone would mix the two vectors

@@ -1,7 +1,8 @@
 """bandres runs its own DOP853 driver (hill.solve_ivp) and Brent root finder
 (window._brentq) so that importing it loads neither scipy.integrate nor
 scipy.optimize. Both are ports that must return scipy's floats bit for bit;
-scipy is imported here, in the tests only."""
+scipy is imported here, in the tests only. scipy.sparse is loaded only by
+the oracle's first absorber polish."""
 
 import json
 import math
@@ -192,13 +193,47 @@ class TestBrentPort:
             window._brentq(lambda z: math.nan if z > 0.0 else -1.0, -1.0, 1.0)
 
 
-def test_import_loads_neither_integrate_nor_optimize():
-    code = ("import json, sys, bandres, bandres.cli; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+def scipy_modules_after(code):
+    """Run `code` in a fresh interpreter from the checkout root; each line
+    `LOADED` in it reports the scipy modules loaded at that point, and the
+    reports come back in order."""
+    report = ("print(json.dumps(sorted(m for m in sys.modules "
+              "if m.startswith('scipy'))))")
+    code = "import json, sys\n" + code.replace("LOADED", report)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    loaded = json.loads(out.stdout.strip().splitlines()[-1])
-    assert "scipy.linalg" in loaded and "scipy.sparse" in loaded
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return [json.loads(line) for line in out.stdout.splitlines()
+            if line.startswith("[")]
+
+
+def sparse(loaded):
+    return [m for m in loaded if m == "scipy.sparse" or m.startswith("scipy.sparse.")]
+
+
+def test_import_loads_neither_integrate_nor_optimize():
+    (loaded,) = scipy_modules_after("import bandres, bandres.cli\nLOADED")
+    assert "scipy.linalg" in loaded
+    assert sparse(loaded) == []
     assert "scipy.integrate" not in loaded
     assert "scipy.optimize" not in loaded
+
+
+def test_only_an_absorber_polish_loads_scipy_sparse():
+    # a ladder and a portrait run without scipy.sparse; the first absorber
+    # polish of oracle_spectrum imports ARPACK
+    code = "\n".join((
+        "from bandres.cli import _build_bands",
+        "from bandres.config import RunConfiguration",
+        "from bandres.momentum import isoenergy_portrait",
+        "from bandres.verify import Run",
+        "cfg = RunConfiguration.load('configs/barrier_wall.json')",
+        "run = Run(cfg, _build_bands(cfg))",
+        "assert run.ladder()",
+        "assert isoenergy_portrait(cfg.profile, run.bands, 3.9, (-4.0, 4.0), 41)",
+        "LOADED",
+        "assert cfg.cap_strength > 0.0 and run.spectrum()",
+        "LOADED"))
+    before, after = scipy_modules_after(code)
+    assert sparse(before) == []
+    assert "scipy.sparse.linalg" in after
