@@ -71,20 +71,26 @@ def _gl(n):
     return _GL_CACHE[n]
 
 
+def _check_rule(nodes, buffer):
+    """A caller's quadrature settings must lie in SolverConfig's bounds (an
+    integer nodes >= 8, 0 < buffer < 0.5), or a DomainError names the one
+    that does not; the message gives the 2*nodes-point rule that the
+    integrals run."""
+    if not (isinstance(nodes, numbers.Integral) and nodes >= 8):
+        raise DomainError("quadrature rule of %r points per panel (nodes=%r): "
+                          "nodes must be an integer of at least 8"
+                          % (2 * nodes, nodes))
+    if not 0.0 < buffer < 0.5:
+        raise DomainError("quadrature buffer=%r outside (0, 0.5)" % (buffer,))
+
+
 def _quad_nodes(segments, n, buffer):
     """The nodes of the edge-resolved rule on each segment [a, b], which
     has sqrt endpoint behavior at both ends: n Gauss-Legendre nodes on
     each of four panels, the buffer panels in u over [0, sqrt(d)] with
     zeta = a + u^2 and zeta = b - u^2. Returns the (len(segments), 4n)
     array holding every segment's nodes in its row, and the rule that
-    _quad_reduce applies to values there. n and buffer must lie in
-    SolverConfig's bounds (an integer n >= 8, 0 < buffer < 0.5), or a
-    DomainError names the one that does not."""
-    if not (isinstance(n, numbers.Integral) and n >= 8):
-        raise DomainError("quadrature rule of %r points per panel: need an "
-                          "integer of at least 8" % (n,))
-    if not 0.0 < buffer < 0.5:
-        raise DomainError("quadrature buffer=%r outside (0, 0.5)" % (buffer,))
+    _quad_reduce applies to values there."""
     x, w = _gl(n)
     # per segment: a, b, then each panel's midpoint and half width
     params = []
@@ -168,6 +174,7 @@ def phase_integral(window, bands, profile, nodes=64, buffer=0.1,
     """Phi0(E): action of the compact component of the window; with_error
     adds the difference from the nodes-point rule as a second value."""
     op = "phase_integral"
+    _check_rule(nodes, buffer)
     phi0s = _positive(_phi0_rule([window], bands, profile, 2 * nodes, buffer, op))
     if not with_error:
         return phi0s[0]
@@ -208,6 +215,7 @@ def actions_pm(window, bands, profile, nodes=64, buffer=0.1):
     is a transmission probability rather than an amplitude factor.
     """
     window.well("actions_pm")
+    _check_rule(nodes, buffer)
     e, rule = _barrier_energies([window], profile, nodes, buffer)
     if e is None:
         return math.inf, math.inf
@@ -313,6 +321,7 @@ def well_phase(window, bands, profile, nodes=64, buffer=0.1):
 
 def _well_phases(windows, bands, profile, nodes=64, buffer=0.1):
     """Phi_w of every window (H6 wells on one band), one integrand call."""
+    _check_rule(nodes, buffer)
     phi0s = _positive(_phi0_rule(windows, bands, profile, 2 * nodes, buffer,
                                  "well_phase"))
     return [_anchored(w, p) for w, p in zip(windows, phi0s)]
@@ -323,6 +332,7 @@ def _well_integrals(windows, bands, profile, nodes=64, buffer=0.1,
     """(Phi0, Phi_w, Phi_w') of every window (H6 wells on one band): one
     integrand call, whose k and k' come from one pass over the table at
     shared nodes."""
+    _check_rule(nodes, buffer)
     segments, energies, n = _wells(windows, op)
     sign = _band_sign(n)
 

@@ -7,11 +7,12 @@ switched on at |x| = 0.7*L. The Dirichlet states of the real part with
 Re(E) inside the energy window come from one tridiagonal interval solve:
 coarse Sturm bisection fixes the set and seeds inverse iteration, and
 each eigenvalue is the Rayleigh quotient of its vector. With the
-absorber on, each localized state seeds a one-eigenpair shift-invert
-polish of the complex operator: ARPACK in a 3-vector Krylov space,
-started from the state's vector and shifted by its first-order
-(absorbed-mass) eigenvalue, with the shifted operator inverted through
-one LAPACK tridiagonal LU per seed and absorber strength. While it
+absorber on, each localized state seeds a one-eigenpair polish of the
+complex operator: inverse iteration from the state's vector, shifted by
+its first-order (absorbed-mass) eigenvalue, through one LAPACK
+tridiagonal LU per seed and absorber strength. The operator is complex
+symmetric, so the unconjugated quotient v^T (A - sigma)^-1 v / v^T v is
+stationary at its eigenvectors and a few solves converge. While it
 polishes, the oracle holds only the seed vectors: the N x k block of
 Dirichlet vectors is freed first, and each polished vector is reduced to
 its localization before the next polish starts. Resonances
@@ -21,13 +22,12 @@ only as functions to sample; no numerical step is shared with the
 Floquet/action pipeline this oracle checks.
 
 The interval solve and the LU come from scipy.linalg, imported with the
-module. ARPACK (scipy.sparse.linalg) is imported locally by _polish and
-eigs, so scipy.sparse loads with the first absorber polish and a run that
-never polishes never loads it.
+module; the oracle uses nothing from scipy.sparse.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -42,7 +42,8 @@ LOCALIZED = 0.5          # eigenvector mass fraction that marks a window state
 _BOX_MARGIN = 10.0       # slow-variable room beyond the window endpoints
 _CAP_ONSET = 0.7         # absorber ramp starts at this fraction of the half-length
 _SAME_EIGENVALUE = 1e-9  # polished eigenvalues this close (relative) are one
-_KRYLOV = 3              # ARPACK basis for one eigenpair: the minimum k + 2, fewest solves
+_POLISH_TOL = 1e-12      # residual ||w - theta v|| / |theta| that ends a polish
+_POLISH_SOLVES = 40      # solves a polish may spend; a verify pass needs at most 9
 _BISECTION_TOL = 1e-6    # absolute; 1e-4 leaves the inverse-iteration vectors 2e-10 off
 _RESOLVED_GAP = 1e-4     # eigenvalue pairs closer than this get full-precision bisection
 
@@ -116,12 +117,6 @@ class GridHamiltonian:
     @property
     def is_complex(self):
         return np.iscomplexobj(self.diag)
-
-    def as_sparse(self):
-        from scipy.sparse import diags
-        n = self.diag.size
-        off = np.full(n - 1, self.off)
-        return diags([off, self.diag, off], [-1, 0, 1], format="csc")
 
 
 def build_grid_hamiltonian(potential, profile, zeta, epsilon, config, window=None):
@@ -229,23 +224,39 @@ def _absorbed_mass(imag_diag, vec):
     return float(imag_diag @ mass / mass.sum())
 
 
-def eigs(*args, **kwargs):
-    """scipy's ARPACK eigs, imported on the first call: only an absorber
-    polish needs scipy.sparse, so importing bandres does not load it."""
-    from scipy.sparse.linalg import eigs as arpack_eigs
-    return arpack_eigs(*args, **kwargs)
+def eigs(solve, sigma, v0):
+    """Eigenpair of a complex symmetric A (A = A^T) nearest the shift
+    sigma, by inverse iteration on solve(b) = (A - sigma)^-1 b from v0.
+    Each step solves w = solve(v) for a unit v and takes the unconjugated
+    quotient theta = v^T w / v^T v, which is stationary at eigenvectors of
+    such an A; the eigenvalue is sigma + 1/theta. It stops when
+    ||w - theta v|| <= _POLISH_TOL |theta| and returns the eigenvalue and
+    w/||w||, or None once _POLISH_SOLVES solves are spent, v^T v is 0 or
+    theta is not finite."""
+    v = v0 / np.linalg.norm(v0)
+    for _ in range(_POLISH_SOLVES):
+        w = solve(v)
+        vv = v @ v
+        if vv == 0.0:
+            return None
+        theta = (v @ w) / vv
+        if not cmath.isfinite(theta):
+            return None
+        converged = np.linalg.norm(w - theta * v) <= _POLISH_TOL * abs(theta)
+        v = w / np.linalg.norm(w)
+        if converged:
+            return sigma + 1.0 / theta, v
+    return None
 
 
 def _polish(diag, off, seed, vec):
     """Eigenpair nearest the real seed of the tridiagonal operator (diag,
-    constant off): ARPACK shift-invert at its default (machine-precision)
-    tolerance in a _KRYLOV-vector Krylov space, started from the seed's
-    Dirichlet eigenvector. The shift is the seed moved by the first-order
-    imaginary part, sigma = seed + i*_absorbed_mass(Im diag, vec), and
+    constant off): inverse iteration (eigs) from the seed's Dirichlet
+    eigenvector. The shift is the seed moved by the first-order imaginary
+    part, sigma = seed + i*_absorbed_mass(Im diag, vec), and
     (A - sigma)^-1 is applied through one LAPACK tridiagonal LU of
-    diag - sigma. A failed factorization or an unconverged solve is an
+    diag - sigma. A failed factorization or an unconverged iteration is an
     OracleError naming N and the real seed."""
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
     n = diag.size
     sigma = seed + 1j * _absorbed_mass(diag.imag, vec)
     offs = np.full(n - 1, off, dtype=complex)
@@ -257,15 +268,11 @@ def _polish(diag, off, seed, vec):
     def solve(b):
         return zgttrs(dl, d, du, du2, ipiv, b.reshape(-1, 1))[0][:, 0]
 
-    shift_invert = LinearOperator((n, n), matvec=solve, dtype=complex)
-    try:
-        # in shift-invert mode ARPACK applies only OPinv; A gives shape and dtype
-        vals, vecs = eigs(shift_invert, k=1, sigma=sigma, v0=vec.astype(complex),
-                          ncv=_KRYLOV, OPinv=shift_invert)
-    except ArpackNoConvergence as exc:
+    pair = eigs(solve, sigma, vec)
+    if pair is None:
         raise OracleError("shift-invert eigensolver failed to converge "
-                          "(N=%d, sigma=%r)" % (n, float(seed))) from exc
-    return complex(vals[0]), vecs[:, 0]
+                          "(N=%d, sigma=%r)" % (n, float(seed)))
+    return complex(pair[0]), pair[1]
 
 
 def oracle_spectrum(handle, e_window):

@@ -1,7 +1,7 @@
 import os
 
 # one BLAS thread unless the environment says otherwise: the oracle's
-# N-length BLAS calls inside ARPACK and the tridiagonal solve run slower
+# N-length BLAS calls in the polish and the tridiagonal solve run slower
 # threaded; this must precede the first numpy import
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

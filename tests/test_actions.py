@@ -132,6 +132,18 @@ class TestPhaseIntegral:
         with pytest.raises(DomainError, match=re.escape(words)):
             action(wall_window, mathieu_bands, wall_profile, **setting)
 
+    @pytest.mark.parametrize("nodes", [4, 7])
+    @pytest.mark.parametrize("action", [phase_integral, well_phase,
+                                        well_phase_derivative,
+                                        phase_integral_derivative, actions_pm])
+    def test_caller_nodes_below_eight_refused(self, action, nodes, bound_window,
+                                              mathieu_bands, bound_profile):
+        # the check is on the caller's nodes, not on the 2*nodes-point rule
+        # (8 and 14 points) that these functions run; the bound well has no
+        # finite barrier, so actions_pm runs no rule at all
+        with pytest.raises(DomainError, match=re.escape("(nodes=%d)" % nodes)):
+            action(bound_window, mathieu_bands, bound_profile, nodes=nodes)
+
 
 class TestEdgeBookkeeping:
     def test_delta_kappa_by_fixture(self, bound_window, wall_window,

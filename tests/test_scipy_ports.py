@@ -1,8 +1,10 @@
 """bandres runs its own DOP853 driver (hill.solve_ivp) and Brent root finder
 (window._brentq) so that importing it loads neither scipy.integrate nor
 scipy.optimize. Both are ports that must return scipy's floats bit for bit;
-scipy is imported here, in the tests only. scipy.sparse is loaded only by
-the oracle's first absorber polish."""
+scipy is imported here, in the tests only. The oracle's absorber polish
+(oracle.eigs, inverse iteration) replaced ARPACK's shift-invert eigs and
+must find the eigenvalue ARPACK finds on the same LU, so that no bandres
+run loads scipy.sparse."""
 
 import json
 import math
@@ -16,6 +18,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq as scipy_brentq
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import eigs as scipy_eigs
 
 from bandres import (
     DomainError,
@@ -24,8 +28,9 @@ from bandres import (
     PeriodicPotential,
     integrate_monodromy,
 )
-from bandres import hill, window
+from bandres import hill, oracle, window
 from bandres.config import load_configuration
+from bandres.verify import Run
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RTOLS = (1e-8, 1e-10, 1e-12)
@@ -219,9 +224,8 @@ def test_import_loads_neither_integrate_nor_optimize():
     assert "scipy.optimize" not in loaded
 
 
-def test_only_an_absorber_polish_loads_scipy_sparse():
-    # a ladder and a portrait run without scipy.sparse; the first absorber
-    # polish of oracle_spectrum imports ARPACK
+def test_no_run_loads_scipy_sparse():
+    # a ladder, a portrait and an absorber spectrum, polishes included
     code = "\n".join((
         "from bandres.cli import _build_bands",
         "from bandres.config import RunConfiguration",
@@ -231,9 +235,43 @@ def test_only_an_absorber_polish_loads_scipy_sparse():
         "run = Run(cfg, _build_bands(cfg))",
         "assert run.ladder()",
         "assert isoenergy_portrait(cfg.profile, run.bands, 3.9, (-4.0, 4.0), 41)",
-        "LOADED",
         "assert cfg.cap_strength > 0.0 and run.spectrum()",
         "LOADED"))
-    before, after = scipy_modules_after(code)
-    assert sparse(before) == []
-    assert "scipy.sparse.linalg" in after
+    (loaded,) = scipy_modules_after(code)
+    assert "scipy.linalg" in loaded
+    assert sparse(loaded) == []
+
+
+class TestPolishAgainstArpack:
+    """Every polish of the shipped absorber runs, by oracle.eigs and by the
+    ARPACK call it replaced (shift-invert eigs, one eigenpair, 3-vector
+    Krylov space, same shift, start vector and LU), finds one eigenvalue:
+    Re to 1e-15 and Im to IM_REL, relative. At barrier_wall eps = 0.06,
+    |Im| is down to 9e-13 and the two routes differ by up to 3.0e-12 in
+    it; inverse iteration continued past convergence moves it by up to
+    4.4e-12, the floor of either route."""
+
+    IM_REL = 1e-11
+
+    @pytest.mark.parametrize("name, epsilon", [("barrier_wall", 0.1),
+                                               ("barrier_wall", 0.06),
+                                               ("step_transition", None)])
+    def test_same_eigenvalue_as_arpack(self, name, epsilon, mathieu_bands,
+                                       monkeypatch):
+        polish, pairs = oracle.eigs, []
+
+        def both(solve, sigma, v0):
+            pair = polish(solve, sigma, v0)
+            op = LinearOperator((v0.size, v0.size), matvec=solve, dtype=complex)
+            vals, _ = scipy_eigs(op, k=1, sigma=sigma, v0=v0.astype(complex),
+                                 ncv=3, OPinv=op)
+            pairs.append((pair[0], complex(vals[0])))
+            return pair
+
+        monkeypatch.setattr(oracle, "eigs", both)
+        cfg = load_configuration(ROOT / "configs" / ("%s.json" % name))
+        assert Run(cfg, mathieu_bands).spectrum(epsilon=epsilon)
+        assert len(pairs) >= 4
+        for lam, ref in pairs:
+            assert abs(lam.real - ref.real) <= 1e-15 * abs(ref.real)
+            assert abs(lam.imag - ref.imag) <= self.IM_REL * abs(ref.imag)
