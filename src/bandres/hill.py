@@ -507,7 +507,7 @@ def band_edges(potential, e_max):
     double = gap_lo[edges[gap_lo + 1] - edges[gap_lo] < _BRACKET]
     edges[double] = edges[double + 1] = 0.5 * (edges[double] + edges[double + 1])
     pair = np.concatenate([double, double + 1])
-    simple = np.setdiff1d(j, pair)
+    simple = np.delete(j, pair)
 
     e = edges[simple]
     for _ in range(_NEWTON_STEPS):

@@ -261,7 +261,7 @@ def isoenergy_portrait(profile, bands, energy, zeta_range, n_samples):
     on = band_of > 0
     zs, es, band_of = zs[on], es[on], band_of[on]
     k0 = np.empty(es.shape)
-    for n in np.unique(band_of).tolist():
+    for n in sorted(set(band_of.tolist())):
         mine = band_of == n
         k0[mine] = reduced_momentum(bands.k_band_fast(es[mine], n), n)
     # the snap also clamps: folds below 0 or above pi land on the edge value

@@ -21,20 +21,47 @@ under halving eta, while box/continuum artifacts move. V and W enter
 only as functions to sample; no numerical step is shared with the
 Floquet/action pipeline this oracle checks.
 
-The interval solve and the LU come from scipy.linalg, imported with the
-module; the oracle uses nothing from scipy.sparse.
+The interval solve (dstebz, dstein) and the LU (zgttrf, zgttrs) are
+scipy's own f2py LAPACK routines. The module runs scipy's package init and
+then loads the extension scipy.linalg._flapack from its file, so importing
+the oracle loads neither the scipy.linalg package nor scipy.sparse.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import zgttrf, zgttrs
+import scipy
 
 from .errors import ConfigurationError, OracleError
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, the module scipy.linalg.lapack re-exports,
+    loaded from scipy's linalg directory without running the scipy.linalg
+    package init; an already loaded copy is returned as it is."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    path = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(name, [path])
+    if spec is None:
+        raise ImportError("no %s extension in %s" % (name, path), name=name, path=path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dstebz, dstein = _flapack.dstebz, _flapack.dstein
+zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
 MAX_GRID_POINTS = 32000
 MIN_POINTS_PER_PERIOD = 32
@@ -194,6 +221,31 @@ def _rayleigh(d, off, vecs):
     return out
 
 
+def eigh_tridiagonal(d, e, lo, hi, tol):
+    """Eigenvalues in (lo, hi] of the real symmetric tridiagonal (d, e) and
+    their unit eigenvectors: the calls scipy.linalg.eigh_tridiagonal makes
+    for select="v", Sturm bisection to the absolute tol (0 for full
+    precision) in dstebz, then inverse iteration in dstein. The
+    eigenvalues come back in stebz's block order, which is ascending when
+    no off-diagonal entry is negligible (T is one block), as it is for the
+    oracle's constant off-diagonal; scipy's reordering copy of the N x k
+    block is left out. A non-finite entry, which scipy's check_finite
+    refuses, and a nonzero info are OracleErrors naming N."""
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise OracleError("tridiagonal interval solve refused a non-finite "
+                          "entry (N=%d)" % d.size)
+    m, w, iblock, isplit, info = dstebz(d, e, 1, lo, hi, 1, 1, tol, "B")
+    if info != 0:
+        raise OracleError("tridiagonal interval solve failed "
+                          "(dstebz info=%d, N=%d)" % (info, d.size))
+    w = w[:m]
+    v, info = dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        raise OracleError("tridiagonal interval solve failed "
+                          "(dstein info=%d, N=%d)" % (info, d.size))
+    return w, v
+
+
 def _dirichlet_states(d, off, ea, eb):
     """Eigenvalues in (ea, eb] of the real tridiagonal T = (d, constant off)
     and their unit eigenvectors, ascending. Sturm bisection to the absolute
@@ -204,16 +256,12 @@ def _dirichlet_states(d, off, ea, eb):
     _BISECTION_TOL, so when two eigenvalues lie within _RESOLVED_GAP the
     solve is repeated with full-precision bisection."""
     e = np.full(d.size - 1, off)
-    try:
-        _, v = eigh_tridiagonal(d, e, select="v", select_range=(ea, eb),
-                                tol=_BISECTION_TOL)
+    _, v = eigh_tridiagonal(d, e, ea, eb, _BISECTION_TOL)
+    w = _rayleigh(d, off, v)
+    if np.any(np.diff(w) < _RESOLVED_GAP):
+        del v  # never hold the coarse and the full-precision block together
+        _, v = eigh_tridiagonal(d, e, ea, eb, 0.0)
         w = _rayleigh(d, off, v)
-        if np.any(np.diff(w) < _RESOLVED_GAP):
-            del v  # never hold the coarse and the full-precision block together
-            _, v = eigh_tridiagonal(d, e, select="v", select_range=(ea, eb))
-            w = _rayleigh(d, off, v)
-    except Exception as exc:  # LAPACK failures carry no useful subclass
-        raise OracleError("tridiagonal interval solve failed (N=%d)" % d.size) from exc
     return w, v
 
 

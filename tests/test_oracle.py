@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -187,6 +188,24 @@ class TestBoxSpectrum:
         assert w.size == 2
         assert np.all(np.abs(w - dense_w[:2]) <= 1e-12 * np.abs(dense_w[:2]))
         assert np.all(1.0 - np.abs(np.sum(v * dense_v[:, :2], axis=0)) <= 1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_diagonal_is_refused(self, bad):
+        d = np.full(100, 2.0)
+        d[50] = bad
+        with pytest.raises(OracleError, match=r"non-finite entry \(N=100\)"):
+            oracle._dirichlet_states(d, -1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_lapack_failure_names_routine_info_and_n(self, routine, monkeypatch):
+        lapack = getattr(oracle, routine)
+
+        def failing(*args):
+            return lapack(*args)[:-1] + (2,)
+
+        monkeypatch.setattr(oracle, routine, failing)
+        with pytest.raises(OracleError, match=r"\(%s info=2, N=100\)" % routine):
+            oracle._dirichlet_states(np.full(100, 2.0), -1.0, 0.0, 1.0)
 
 
 class TestAbsorber:
@@ -432,3 +451,16 @@ class TestWorkingSet:
         monkeypatch.setattr(oracle, "eigh_tridiagonal", tracked_solve)
         oracle._dirichlet_states(d, -1.0, 0.0, 0.01)
         assert alive == [0, 0]
+
+    def test_interval_solve_holds_one_block(self):
+        # the flat chain's 2 - 2cos(pi j/(N+1)) in (0.1, 0.3] are 151 states
+        # at least 9e-4 apart, so the coarse solve is the only one
+        n = 2000
+        tracemalloc.start()
+        try:
+            w, v = oracle._dirichlet_states(np.full(n, 2.0), -1.0, 0.1, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.shape == (n, 151) and w.size == 151
+        assert peak < 1.5 * v.nbytes

@@ -4,8 +4,14 @@ scipy.optimize. Both are ports that must return scipy's floats bit for bit;
 scipy is imported here, in the tests only. The oracle's absorber polish
 (oracle.eigs, inverse iteration) replaced ARPACK's shift-invert eigs and
 must find the eigenvalue ARPACK finds on the same LU, so that no bandres
-run loads scipy.sparse."""
+run loads scipy.sparse. The oracle takes its four LAPACK routines from
+scipy.linalg._flapack, loaded without the scipy.linalg package: they must
+be scipy.linalg.lapack's own routine objects, and its interval solve
+(oracle.eigh_tridiagonal) must return scipy.linalg.eigh_tridiagonal's
+eigenvalues and vectors bit for bit. Importing bandres loads only scipy's
+package init and that extension, and no run loads more."""
 
+import importlib.machinery
 import json
 import math
 import os
@@ -13,10 +19,13 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
 from scipy.optimize import brentq as scipy_brentq
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import eigs as scipy_eigs
@@ -29,8 +38,9 @@ from bandres import (
     integrate_monodromy,
 )
 from bandres import hill, oracle, window
+from bandres.cli import _build_bands
 from bandres.config import load_configuration
-from bandres.verify import Run
+from bandres.verify import Run, verify
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RTOLS = (1e-8, 1e-10, 1e-12)
@@ -198,48 +208,118 @@ class TestBrentPort:
             window._brentq(lambda z: math.nan if z > 0.0 else -1.0, -1.0, 1.0)
 
 
-def scipy_modules_after(code):
-    """Run `code` in a fresh interpreter from the checkout root; each line
-    `LOADED` in it reports the scipy modules loaded at that point, and the
-    reports come back in order."""
-    report = ("print(json.dumps(sorted(m for m in sys.modules "
-              "if m.startswith('scipy'))))")
-    code = "import json, sys\n" + code.replace("LOADED", report)
+def fresh_output(code):
+    """stdout lines of `code` run in a fresh interpreter from the checkout
+    root, with bandres imported from its src/."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                          capture_output=True, text=True, check=True, timeout=120)
-    return [json.loads(line) for line in out.stdout.splitlines()
+    return out.stdout.splitlines()
+
+
+def modules_after(code):
+    """Run `code` in a fresh interpreter; each line `LOADED` in it reports
+    the names in sys.modules at that point, and the reports come back in
+    order."""
+    report = "print(json.dumps(sorted(sys.modules)))"
+    code = "import json, sys\n" + code.replace("LOADED", report)
+    return [set(json.loads(line)) for line in fresh_output(code)
             if line.startswith("[")]
 
 
-def sparse(loaded):
-    return [m for m in loaded if m == "scipy.sparse" or m.startswith("scipy.sparse.")]
+def scipy_and_masked(loaded):
+    """The scipy modules and the numpy.ma modules among `loaded`."""
+    return {m for m in loaded if m == "scipy" or m.startswith("scipy.")
+            or m == "numpy.ma" or m.startswith("numpy.ma.")}
 
 
 def test_import_loads_neither_integrate_nor_optimize():
-    (loaded,) = scipy_modules_after("import bandres, bandres.cli\nLOADED")
-    assert "scipy.linalg" in loaded
-    assert sparse(loaded) == []
-    assert "scipy.integrate" not in loaded
-    assert "scipy.optimize" not in loaded
+    # nor the scipy.linalg package: scipy's package init and one extension
+    (package_init,) = modules_after("import scipy\nLOADED")
+    (loaded,) = modules_after("import bandres, bandres.cli\nLOADED")
+    assert scipy_and_masked(loaded) == (scipy_and_masked(package_init)
+                                        | {"scipy.linalg._flapack"})
+    for absent in ("scipy.linalg", "scipy._lib._array_api", "scipy.sparse",
+                   "scipy.integrate", "scipy.optimize", "numpy.ma"):
+        assert absent not in loaded
 
 
 def test_no_run_loads_scipy_sparse():
-    # a ladder, a portrait and an absorber spectrum, polishes included
+    # a ladder, a portrait and an absorber spectrum, polishes included, load
+    # no scipy module and no numpy.ma beyond what the import loaded
     code = "\n".join((
         "from bandres.cli import _build_bands",
         "from bandres.config import RunConfiguration",
         "from bandres.momentum import isoenergy_portrait",
         "from bandres.verify import Run",
+        "LOADED",
         "cfg = RunConfiguration.load('configs/barrier_wall.json')",
         "run = Run(cfg, _build_bands(cfg))",
         "assert run.ladder()",
         "assert isoenergy_portrait(cfg.profile, run.bands, 3.9, (-4.0, 4.0), 41)",
         "assert cfg.cap_strength > 0.0 and run.spectrum()",
         "LOADED"))
-    (loaded,) = scipy_modules_after(code)
-    assert "scipy.linalg" in loaded
-    assert sparse(loaded) == []
+    imported, ran = modules_after(code)
+    assert scipy_and_masked(ran) == scipy_and_masked(imported)
+    assert "numpy.ma" not in ran
+
+
+ROUTINES = ("dstebz", "dstein", "zgttrf", "zgttrs")
+
+
+@pytest.mark.parametrize("first", ("bandres", "scipy.linalg"))
+def test_oracle_routines_are_scipy_lapacks(first):
+    # either import order gives scipy.linalg.lapack's own routine objects
+    imports = ["import bandres.oracle as oracle",
+               "import scipy.linalg.lapack as lapack"]
+    if first != "bandres":
+        imports.reverse()
+    code = "\n".join(imports + [
+        "import sys",
+        "assert sys.modules['scipy.linalg._flapack'] is oracle._flapack",
+        "print(all(getattr(oracle, n) is getattr(lapack, n) for n in %r))"
+        % (ROUTINES,)])
+    assert fresh_output(code) == ["True"]
+
+
+def test_missing_extension_names_its_directory(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda name, path=None, target=None: None)
+    where = os.path.join(scipy.__path__[0], "linalg")
+    with pytest.raises(ImportError, match=re.escape(where)):
+        oracle._load_flapack()
+
+
+class TestIntervalSolveAgainstScipy:
+    """Every interval solve of a verify pass over the shipped configs (8 in
+    a pass), repeated at the oracle's bisection tolerance and at full
+    precision by oracle.eigh_tridiagonal and by
+    scipy.linalg.eigh_tridiagonal(select="v"): the same eigenvalues and
+    eigenvectors bit for bit."""
+
+    def test_verify_pass_matches_scipy_bit_for_bit(self, monkeypatch):
+        ours, compared = oracle.eigh_tridiagonal, []
+
+        def both(d, e, lo, hi, tol):
+            for t in (oracle._BISECTION_TOL, 0.0):
+                mine = ours(d, e, lo, hi, t)
+                ref = scipy_eigh_tridiagonal(d, e, select="v",
+                                             select_range=(lo, hi), tol=t)
+                compared.append((mine[0].size, all(map(same_bits, mine, ref))))
+            return ours(d, e, lo, hi, tol)
+
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", both)
+        for path in sorted((ROOT / "configs").glob("*.json")):
+            cfg = load_configuration(path)
+            with warnings.catch_warnings():
+                # free_flat's constant potential closes every gap by design
+                warnings.filterwarnings("ignore", "gap.* closed within tolerance")
+                bands = _build_bands(cfg)
+            assert verify(Run(cfg, bands))[1] == 0, path.stem
+        assert len(compared) == 2 * 8
+        assert all(size >= 4 for size, _ in compared)
+        assert all(same for _, same in compared)
 
 
 class TestPolishAgainstArpack:
