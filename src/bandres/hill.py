@@ -63,6 +63,7 @@ _CLOSED_GAP_WIDTH = 1e-7    # narrower gaps are flagged closed
 _TABLE_RTOL = 1e-12
 _TABLE_VALIDATION = 1e-10   # largest relative error of D allowed at the off-node probes
 _TABLE_POINTS = 33          # Chebyshev nodes per table piece
+_READ_BLOCK = 4096          # points per coefficient gather of a multi-piece read
 _TABLE_DEPTH = 5.0          # the table's floor lies this far below E1
 _D_ROW, _DP_ROW, _BOTH_ROWS = slice(0, 1), slice(1, 2), slice(0, 2)   # of a table's (D, D')
 
@@ -645,8 +646,14 @@ class DiscriminantTable:
         else:
             idx = np.clip(np.searchsorted(self.breaks, e, side="right") - 1,
                           0, self.breaks.size - 2)
-            x = (e - self._mid[idx]) / self._half[idx]
-            _clenshaw(self._coef[:, rows][:, :, idx], x, out)
+            x = ((e - self._mid[idx]) / self._half[idx]).reshape(-1)
+            idx = idx.reshape(-1)
+            flat = out.reshape(out_shape[0], -1)
+            # gather the coefficients of _READ_BLOCK points at a time, not
+            # all _TABLE_POINTS degrees of every point up front
+            for start in range(0, x.size, _READ_BLOCK):
+                b = slice(start, start + _READ_BLOCK)
+                _clenshaw(self._coef[:, rows][:, :, idx[b]], x[b], flat[:, b])
         return out
 
     def value(self, e):

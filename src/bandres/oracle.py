@@ -22,14 +22,16 @@ only as functions to sample; no numerical step is shared with the
 Floquet/action pipeline this oracle checks.
 
 The interval solve (dstebz, dstein) and the LU (zgttrf, zgttrs) are
-scipy's own f2py LAPACK routines. The module runs scipy's package init and
-then loads the extension scipy.linalg._flapack from its file, so importing
-the oracle loads neither the scipy.linalg package nor scipy.sparse.
+scipy's own f2py LAPACK routines. The first solve that needs them runs
+scipy's package init and then loads the extension scipy.linalg._flapack
+from its file, so importing the oracle loads no scipy module, and an
+oracle run loads neither the scipy.linalg package nor scipy.sparse.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -37,15 +39,18 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from .errors import ConfigurationError, OracleError
 
 
+@functools.cache
 def _load_flapack():
     """scipy.linalg._flapack, the module scipy.linalg.lapack re-exports,
-    loaded from scipy's linalg directory without running the scipy.linalg
-    package init; an already loaded copy is returned as it is."""
+    loaded on the first call from scipy's linalg directory after scipy's
+    package init, without running the scipy.linalg package init; an
+    already loaded copy is returned as it is."""
+    import scipy
+
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
@@ -58,10 +63,6 @@ def _load_flapack():
     sys.modules[name] = module
     return module
 
-
-_flapack = _load_flapack()
-dstebz, dstein = _flapack.dstebz, _flapack.dstein
-zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
 MAX_GRID_POINTS = 32000
 MIN_POINTS_PER_PERIOD = 32
@@ -234,12 +235,13 @@ def eigh_tridiagonal(d, e, lo, hi, tol):
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise OracleError("tridiagonal interval solve refused a non-finite "
                           "entry (N=%d)" % d.size)
-    m, w, iblock, isplit, info = dstebz(d, e, 1, lo, hi, 1, 1, tol, "B")
+    lapack = _load_flapack()
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 1, lo, hi, 1, 1, tol, "B")
     if info != 0:
         raise OracleError("tridiagonal interval solve failed "
                           "(dstebz info=%d, N=%d)" % (info, d.size))
     w = w[:m]
-    v, info = dstein(d, e, w, iblock, isplit)
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
     if info != 0:
         raise OracleError("tridiagonal interval solve failed "
                           "(dstein info=%d, N=%d)" % (info, d.size))
@@ -308,13 +310,14 @@ def _polish(diag, off, seed, vec):
     n = diag.size
     sigma = seed + 1j * _absorbed_mass(diag.imag, vec)
     offs = np.full(n - 1, off, dtype=complex)
-    dl, d, du, du2, ipiv, info = zgttrf(offs, diag - sigma, offs)
+    lapack = _load_flapack()
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(offs, diag - sigma, offs)
     if info != 0:
         raise OracleError("tridiagonal LU of the shifted operator failed "
                           "(zgttrf info=%d, N=%d, sigma=%r)" % (info, n, float(seed)))
 
     def solve(b):
-        return zgttrs(dl, d, du, du2, ipiv, b.reshape(-1, 1))[0][:, 0]
+        return lapack.zgttrs(dl, d, du, du2, ipiv, b.reshape(-1, 1))[0][:, 0]
 
     pair = eigs(solve, sigma, vec)
     if pair is None:

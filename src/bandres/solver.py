@@ -56,6 +56,8 @@ _GRID_POINTS = 9
 _MAX_NEWTON = 60
 _NEWTON_MARGIN = 16.0   # iterate to tol/16, accept at tol: a recheck that
                         # rounds differently still finds the level in bounds
+_MAX_LEVELS = 30000     # a ladder peaks near 46 KB per level (759 MB at 17,407
+                        # barrier_wall levels), so this caps it near 1.4 GB
 
 
 class SolverConfig:
@@ -214,6 +216,11 @@ def locate_resonances(cfg, window, bands, profile):
     step = cfg.epsilon * math.pi
     l_lo = math.ceil((lo_val - base) / step - 1e-9)
     l_hi = math.floor((hi_val - base) / step + 1e-9)
+    if l_hi - l_lo + 1 > _MAX_LEVELS:
+        raise ComputationError(
+            "epsilon=%g puts %d levels in the energy window, more than the "
+            "ceiling of %d; increase epsilon or narrow the window"
+            % (cfg.epsilon, l_hi - l_lo + 1, _MAX_LEVELS))
 
     levels = []
     increasing = diffs[0] > 0

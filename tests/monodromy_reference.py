@@ -24,13 +24,23 @@ def reference_momentum(bands, energy):
     On band n, k = pi(n-1) + arccos(s D/2), where s = +1 on odd bands (D
     falls from 2 to -2) and -1 on even bands (D rises).
     """
-    e = float(energy)
-    kind, n = bands.locate(e)
-    m, dm = integrate_monodromy(bands.potential, e, derivative=True)
-    d, dp = float(m.trace()), float(dm.trace())
-    if kind == "gap":
-        return ReferenceMomentum(kind, n, math.nan, math.acosh(max(1.0, abs(d) / 2.0)),
-                                 math.nan)
-    s = 1.0 if n % 2 else -1.0
-    k = math.pi * (n - 1) + math.acos(min(1.0, max(-1.0, s * d / 2.0)))
-    return ReferenceMomentum(kind, n, k, 0.0, -dp / (2.0 * math.sin(k)))
+    return reference_momenta(bands, [energy])[0]
+
+
+def reference_momenta(bands, energies):
+    """reference_momentum at each of `energies`, from one batched
+    integrate_monodromy call."""
+    es = [float(e) for e in energies]
+    m, dm = integrate_monodromy(bands.potential, es, derivative=True)
+    out = []
+    for e, d, dp in zip(es, m.trace().tolist(), dm.trace().tolist()):
+        kind, n = bands.locate(e)
+        if kind == "gap":
+            out.append(ReferenceMomentum(kind, n, math.nan,
+                                         math.acosh(max(1.0, abs(d) / 2.0)),
+                                         math.nan))
+            continue
+        s = 1.0 if n % 2 else -1.0
+        k = math.pi * (n - 1) + math.acos(min(1.0, max(-1.0, s * d / 2.0)))
+        out.append(ReferenceMomentum(kind, n, k, 0.0, -dp / (2.0 * math.sin(k))))
+    return out

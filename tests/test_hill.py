@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -318,6 +319,21 @@ class TestDiscriminantTable:
         _, s_plus = actions_pm(win, mathieu_bands, tall)
         assert math.isfinite(s_plus) and s_plus > 0.0
 
+    def test_multi_piece_read_holds_a_few_point_arrays(self, mathieu_bands):
+        # the piece indices, the scaled energies and the result, plus one
+        # block's coefficients: a few n-point arrays, not 33 per point
+        table = mathieu_bands.table
+        n = 100_000
+        e = np.linspace(table.breaks[0], table.breaks[-1], n)
+        table.value(e[:2])
+        tracemalloc.start()
+        try:
+            table.value(e)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * e.nbytes
+
     @pytest.mark.parametrize("potential", [
         PeriodicPotential(0.0, (2.0,)),
         PeriodicPotential(0.4, (6.0, -3.0, 1.5), (2.0, 0.0, -1.0)),
@@ -327,8 +343,10 @@ class TestDiscriminantTable:
         br = table.breaks
         pieces = [np.linspace(a, b, 60) for a, b in zip(br[:-1], br[1:])]
         spanning = np.concatenate(pieces)
+        # more points than one coefficient gather takes, in a 2-d shape
+        blocks = np.linspace(br[0], br[-1], 2 * hill._READ_BLOCK + 6).reshape(-1, 2)
         inputs = [np.float64(0.5 * (br[0] + br[1])), spanning,
-                  spanning.reshape(-1, 20)] + pieces + [p.reshape(6, 10) for p in pieces]
+                  spanning.reshape(-1, 20), blocks] + pieces + [p.reshape(6, 10) for p in pieces]
         for e in inputs:
             stacked = table.value_and_derivative(e)
             for row, got in enumerate((table.value(e), table.derivative(e))):

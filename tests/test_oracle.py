@@ -198,12 +198,12 @@ class TestBoxSpectrum:
 
     @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
     def test_lapack_failure_names_routine_info_and_n(self, routine, monkeypatch):
-        lapack = getattr(oracle, routine)
+        lapack = getattr(oracle._load_flapack(), routine)
 
         def failing(*args):
             return lapack(*args)[:-1] + (2,)
 
-        monkeypatch.setattr(oracle, routine, failing)
+        monkeypatch.setattr(oracle._load_flapack(), routine, failing)
         with pytest.raises(OracleError, match=r"\(%s info=2, N=100\)" % routine):
             oracle._dirichlet_states(np.full(100, 2.0), -1.0, 0.0, 1.0)
 
@@ -323,8 +323,9 @@ class TestPolish:
         assert "failed to converge (N=511, sigma=%r)" % sigma in str(info.value)
 
     def test_singular_shift_is_an_oracle_error(self, box, monkeypatch):
-        factor = oracle.zgttrf
-        monkeypatch.setattr(oracle, "zgttrf", lambda *a: factor(*a)[:-1] + (7,))
+        factor = oracle._load_flapack().zgttrf
+        monkeypatch.setattr(oracle._load_flapack(), "zgttrf",
+                            lambda *a: factor(*a)[:-1] + (7,))
         window = (3.6, 4.2)
         with pytest.raises(OracleError) as info:
             oracle_spectrum(box(1.0), window)

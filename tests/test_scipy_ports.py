@@ -5,11 +5,13 @@ scipy is imported here, in the tests only. The oracle's absorber polish
 (oracle.eigs, inverse iteration) replaced ARPACK's shift-invert eigs and
 must find the eigenvalue ARPACK finds on the same LU, so that no bandres
 run loads scipy.sparse. The oracle takes its four LAPACK routines from
-scipy.linalg._flapack, loaded without the scipy.linalg package: they must
-be scipy.linalg.lapack's own routine objects, and its interval solve
-(oracle.eigh_tridiagonal) must return scipy.linalg.eigh_tridiagonal's
-eigenvalues and vectors bit for bit. Importing bandres loads only scipy's
-package init and that extension, and no run loads more."""
+scipy.linalg._flapack, loaded at its first solve without the scipy.linalg
+package: they must be scipy.linalg.lapack's own routine objects, and its
+interval solve (oracle.eigh_tridiagonal) must return
+scipy.linalg.eigh_tridiagonal's eigenvalues and vectors bit for bit.
+Importing bandres loads no scipy module, nor does a ladder, a portrait or
+an action table; an oracle run loads only scipy's package init and that
+extension."""
 
 import importlib.machinery
 import json
@@ -234,34 +236,38 @@ def scipy_and_masked(loaded):
 
 
 def test_import_loads_neither_integrate_nor_optimize():
-    # nor the scipy.linalg package: scipy's package init and one extension
-    (package_init,) = modules_after("import scipy\nLOADED")
+    # nor any other scipy module: the oracle loads LAPACK at its first solve
     (loaded,) = modules_after("import bandres, bandres.cli\nLOADED")
-    assert scipy_and_masked(loaded) == (scipy_and_masked(package_init)
-                                        | {"scipy.linalg._flapack"})
-    for absent in ("scipy.linalg", "scipy._lib._array_api", "scipy.sparse",
-                   "scipy.integrate", "scipy.optimize", "numpy.ma"):
-        assert absent not in loaded
+    assert scipy_and_masked(loaded) == set()
 
 
 def test_no_run_loads_scipy_sparse():
-    # a ladder, a portrait and an absorber spectrum, polishes included, load
-    # no scipy module and no numpy.ma beyond what the import loaded
+    # a ladder, a portrait and an action table load no scipy module and no
+    # numpy.ma; an absorber spectrum, polishes included, loads scipy's
+    # package init and the LAPACK extension, and nothing more
     code = "\n".join((
+        "from bandres import compute_action_data, decompose_window",
         "from bandres.cli import _build_bands",
         "from bandres.config import RunConfiguration",
         "from bandres.momentum import isoenergy_portrait",
         "from bandres.verify import Run",
-        "LOADED",
         "cfg = RunConfiguration.load('configs/barrier_wall.json')",
         "run = Run(cfg, _build_bands(cfg))",
         "assert run.ladder()",
         "assert isoenergy_portrait(cfg.profile, run.bands, 3.9, (-4.0, 4.0), 41)",
+        "assert [compute_action_data(decompose_window(cfg.profile, run.bands, e),",
+        "                            run.bands, cfg.profile) for e in (3.8, 3.9)]",
+        "LOADED",
         "assert cfg.cap_strength > 0.0 and run.spectrum()",
         "LOADED"))
-    imported, ran = modules_after(code)
-    assert scipy_and_masked(ran) == scipy_and_masked(imported)
-    assert "numpy.ma" not in ran
+    chain, oracle_run = modules_after(code)
+    (package_init,) = modules_after("import scipy\nLOADED")
+    assert scipy_and_masked(chain) == set()
+    assert scipy_and_masked(oracle_run) == (scipy_and_masked(package_init)
+                                            | {"scipy.linalg._flapack"})
+    for absent in ("scipy.linalg", "scipy._lib._array_api", "scipy.sparse",
+                   "scipy.integrate", "scipy.optimize", "numpy.ma"):
+        assert absent not in oracle_run
 
 
 ROUTINES = ("dstebz", "dstein", "zgttrf", "zgttrs")
@@ -269,15 +275,19 @@ ROUTINES = ("dstebz", "dstein", "zgttrf", "zgttrs")
 
 @pytest.mark.parametrize("first", ("bandres", "scipy.linalg"))
 def test_oracle_routines_are_scipy_lapacks(first):
-    # either import order gives scipy.linalg.lapack's own routine objects
-    imports = ["import bandres.oracle as oracle",
-               "import scipy.linalg.lapack as lapack"]
-    if first != "bandres":
-        imports.reverse()
-    code = "\n".join(imports + [
+    # either order gives scipy.linalg.lapack's own routine objects; importing
+    # the oracle loads no extension, so "bandres" first means a solve first
+    solve = ["import bandres.oracle as oracle",
+             "import numpy as np",
+             "oracle.eigh_tridiagonal(np.full(16, 2.0), np.full(15, -1.0), "
+             "0.0, 1.0, 0.0)"]
+    lapack = ["import scipy.linalg.lapack as lapack"]
+    steps = solve + lapack if first == "bandres" else lapack + solve
+    code = "\n".join(steps + [
         "import sys",
-        "assert sys.modules['scipy.linalg._flapack'] is oracle._flapack",
-        "print(all(getattr(oracle, n) is getattr(lapack, n) for n in %r))"
+        "flapack = oracle._load_flapack()",
+        "assert sys.modules['scipy.linalg._flapack'] is flapack",
+        "print(all(getattr(flapack, n) is getattr(lapack, n) for n in %r))"
         % (ROUTINES,)])
     assert fresh_output(code) == ["True"]
 
@@ -288,7 +298,7 @@ def test_missing_extension_names_its_directory(monkeypatch):
                         lambda name, path=None, target=None: None)
     where = os.path.join(scipy.__path__[0], "linalg")
     with pytest.raises(ImportError, match=re.escape(where)):
-        oracle._load_flapack()
+        oracle._load_flapack.__wrapped__()
 
 
 class TestIntervalSolveAgainstScipy:

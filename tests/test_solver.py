@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from bandres import (
     BandStructure,
+    ComputationError,
     ConfigurationError,
     PerturbationProfile,
     ResonanceEstimate,
@@ -27,7 +29,7 @@ from bandres import (
 )
 from bandres import solver as solver_module
 from bandres.actions import _well_integrals, _well_phases
-from bandres.solver import _GRID_POINTS, _NEWTON_MARGIN
+from bandres.solver import _GRID_POINTS, _MAX_LEVELS, _NEWTON_MARGIN
 
 BOUND_E = (9.0, 10.4)
 DRIFT_E = (9.4, 10.2)
@@ -205,6 +207,18 @@ class TestRegimeGuards:
         assert win.classification == "H6"
         with pytest.raises(UnsupportedConfigurationError):
             locate_resonances(cfg, win, mathieu_bands, drift_profile)
+
+
+    def test_ladder_too_deep_to_hold_is_refused(self, mathieu_bands,
+                                                wall_profile):
+        # barrier_wall at eps = 1e-9 asks for about 1.7e9 levels
+        start = time.perf_counter()
+        with pytest.raises(ComputationError,
+                           match=r"epsilon=1e-09 puts \d+ levels in the energy "
+                                 r"window, more than the ceiling of %d"
+                                 % _MAX_LEVELS):
+            solve(mathieu_bands, wall_profile, (3.6, 4.2), 1e-9)
+        assert time.perf_counter() - start < 1.0
 
 
 def per_level_ladder(cfg, window, bands, profile):
