@@ -2,7 +2,10 @@
 per run, and report its wall time and peak memory.
 
     python3 scripts/cli_costs.py [--repeats 5]
+    python3 scripts/cli_costs.py [--repeats 5] --run CONFIG COMMAND [ARGS...]
 
+``--run`` measures one command line, ``bandres COMMAND ARGS...`` on
+``configs/CONFIG.json``, instead of every command on every config.
 Each command runs ``--repeats`` times in a fresh interpreter with one BLAS
 thread, against the ``src/`` and ``configs/`` of the checkout that holds
 this script, from the checkout root, writing into a temporary directory.
@@ -45,29 +48,51 @@ def run_once(argv, env):
     return proc.returncode, wall, usage.ru_maxrss / 1024.0   # KiB on Linux
 
 
-def main(argv):
+def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--repeats", type=int, default=5,
                    help="fresh interpreters per command and config")
+    p.add_argument("--run", nargs=argparse.REMAINDER,
+                   metavar="CONFIG COMMAND [ARGS...]",
+                   help="measure this one command line only (last option)")
     args = p.parse_args(argv)
     if args.repeats < 1:
         p.error("--repeats needs a positive count")
+    if args.run is not None:
+        if len(args.run) < 2:
+            p.error("--run needs a config name and a command")
+        if not (ROOT / "configs" / ("%s.json" % args.run[0])).is_file():
+            p.error("--run: no configs/%s.json" % args.run[0])
+    return args
+
+
+def jobs(args):
+    """(config name, argv after the program name) of every command line to
+    measure."""
+    if args.run is not None:
+        return [(args.run[0], tuple(args.run[1:]))]
+    return [(path.stem, (cmd,))
+            for path in sorted((ROOT / "configs").glob("*.json"))
+            for cmd in COMMANDS]
+
+
+def main(argv):
+    args = parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({var: "1" for var in THREAD_VARS})
     with tempfile.TemporaryDirectory() as scratch:
-        for path in sorted((ROOT / "configs").glob("*.json")):
-            for cmd in COMMANDS:
-                argv_cmd = [sys.executable, "-m", "bandres.cli", cmd,
-                            "--config", "configs/%s" % path.name,
-                            "--out", os.path.join(scratch, path.stem, cmd)]
-                runs = [run_once(argv_cmd, env) for _ in range(args.repeats)]
-                codes = sorted({code for code, _, _ in runs})
-                print(json.dumps({
-                    "config": path.stem, "command": cmd,
-                    "exit_code": codes[0] if len(codes) == 1 else codes,
-                    "wall_s": round(statistics.median(r[1] for r in runs), 4),
-                    "peak_rss_mb": round(statistics.median(r[2] for r in runs), 2),
-                    "repeats": args.repeats}), flush=True)
+        for index, (config, cmd_args) in enumerate(jobs(args)):
+            argv_cmd = [sys.executable, "-m", "bandres.cli", *cmd_args,
+                        "--config", "configs/%s.json" % config,
+                        "--out", os.path.join(scratch, str(index))]
+            runs = [run_once(argv_cmd, env) for _ in range(args.repeats)]
+            codes = sorted({code for code, _, _ in runs})
+            print(json.dumps({
+                "config": config, "command": " ".join(cmd_args),
+                "exit_code": codes[0] if len(codes) == 1 else codes,
+                "wall_s": round(statistics.median(r[1] for r in runs), 4),
+                "peak_rss_mb": round(statistics.median(r[2] for r in runs), 2),
+                "repeats": args.repeats}), flush=True)
     return 0
 
 

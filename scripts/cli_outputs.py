@@ -26,7 +26,9 @@ COMMANDS = ("bands", "window", "actions", "resonances", "portrait", "oracle",
 ADDED = (("drift_well", "resonances_sweep", ("resonances", "--sweep-zeta", "3")),
          ("bound_well", "window_energy_40", ("window", "--energy", "40")),
          ("bound_well", "portrait_energy_40", ("portrait", "--energy", "40")),
-         ("barrier_wall", "oracle_eps_006", ("oracle", "--epsilon", "0.06")))
+         ("barrier_wall", "oracle_eps_006", ("oracle", "--epsilon", "0.06")),
+         ("barrier_wall", "resonances_eps_3e-4",
+          ("resonances", "--epsilon", "3e-4")))
 
 
 def runs():

@@ -26,23 +26,30 @@ rejected.
 
 The levels of a ladder are solved in lockstep. The 9 grid energies are
 decomposed in one call (the first failure in grid order is raised) and
-their Phi_w taken in one batch; then every Newton sweep decomposes the
-iterates of all live levels in one call, each failure landing on its own
-level, and one batch, one pass over the discriminant table, takes Phi0,
-Phi_w and Phi_w' at all of them. Each level keeps its window and that
-row; the last sweep of the budget takes no Newton step, so a level is
-judged, and its action data taken, at the last iterate it evaluated. The
-action data of the accepted levels adds only the coarse rule (for the
-quadrature error) and the barrier actions, from one more table pass.
-Batched decompositions and integrals are per-entry identical to the
-single-energy ones (see window and actions), and each level keeps the
-bracket, iterate sequence and 1/16 margin it would have if solved alone,
-so the results do not depend on which levels share a sweep.
+their Phi_w taken in one batch. Neither depends on (eps, zeta), so the
+grid windows and phases are kept for the life of the band structure, per
+(profile, window, rule), and every later ladder there reuses them; the
+regime checks against the caller's window still run on every call, and
+a grid that fails them is never kept. Then every Newton sweep decomposes
+the iterates of the live levels, each failure landing on its own level,
+and one batch, one pass over the discriminant table, takes Phi0, Phi_w
+and Phi_w' at them. Each level keeps its window and that row; the last
+sweep of the budget takes no Newton step, so a level is judged, and its
+action data taken, at the last iterate it evaluated. The action data of
+the accepted levels adds only the coarse rule (for the quadrature error)
+and the barrier actions, from one more table pass. Sweeps and action
+data run over chunks of _CHUNK levels, so a deep ladder's working set
+stays that of one chunk. Batched decompositions and integrals are
+per-entry identical to the single-energy ones (see window and actions),
+and each level keeps the bracket, iterate sequence and 1/16 margin it
+would have if solved alone, so the results do not depend on which levels
+share a sweep or a chunk, nor on whether the grid was reused.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -56,8 +63,13 @@ _GRID_POINTS = 9
 _MAX_NEWTON = 60
 _NEWTON_MARGIN = 16.0   # iterate to tol/16, accept at tol: a recheck that
                         # rounds differently still finds the level in bounds
-_MAX_LEVELS = 30000     # a ladder peaks near 46 KB per level (759 MB at 17,407
-                        # barrier_wall levels), so this caps it near 1.4 GB
+_MAX_LEVELS = 30000     # chunked, a ladder costs about 0.7 ms and 2 KB per
+                        # level (29,962 barrier_wall levels: 20 s, 112 MB peak
+                        # RSS), so this caps a ladder's time near 20 s
+_CHUNK = 256            # levels per batched decomposition and table pass
+
+# bands -> {(profile, e_window, nodes, buffer): (grid, windows, Phi_w)}
+_GRIDS = weakref.WeakKeyDictionary()
 
 
 class SolverConfig:
@@ -164,6 +176,11 @@ class _Level:
         self.e = cand
 
 
+def _chunks(levels):
+    """Consecutive slices of at most _CHUNK levels, in order."""
+    return [levels[i:i + _CHUNK] for i in range(0, len(levels), _CHUNK)]
+
+
 def locate_resonances(cfg, window, bands, profile):
     """Solve the quantization rule over cfg.e_window.
 
@@ -201,10 +218,19 @@ def locate_resonances(cfg, window, bands, profile):
                 "E=%.12g; shrink the window" % e)
         return w
 
-    grid = [float(e) for e in np.linspace(e_lo, e_hi, _GRID_POINTS)]
-    at_grid = [checked(w, e) for w, e in
-               zip(_decompose_many(profile, bands, grid), grid)]
-    phis = np.array(_well_phases(at_grid, bands, profile, *quad))
+    key = (profile, cfg.e_window) + quad
+    kept = _GRIDS.get(bands, {}).get(key)
+    if kept is not None:
+        grid, at_grid, phis = kept
+        for w, e in zip(at_grid, grid):
+            checked(w, e)
+    else:
+        grid = tuple(float(e) for e in np.linspace(e_lo, e_hi, _GRID_POINTS))
+        at_grid = tuple(checked(w, e) for w, e in
+                        zip(_decompose_many(profile, bands, grid), grid))
+        phis = np.array(_well_phases(at_grid, bands, profile, *quad))
+        phis.flags.writeable = False
+        _GRIDS.setdefault(bands, {})[key] = grid, at_grid, phis
     diffs = np.diff(phis)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise UnsupportedConfigurationError(
@@ -240,19 +266,21 @@ def locate_resonances(cfg, window, bands, profile):
         if sweep:
             for lv in live:
                 lv.step()
-        for lv, w in zip(live, _decompose_many(profile, bands,
-                                               [lv.e for lv in live])):
-            try:
-                lv.window = checked(w, lv.e)
-            except ComputationError as exc:
-                lv.error = exc
-        live = [lv for lv in live if lv.error is None]
-        if live:
-            rows = _well_integrals([lv.window for lv in live], bands, profile,
-                                   *quad)
-            for lv, row in zip(live, rows):
-                lv.row, lv.fe = row, row[1] - lv.target
-            live = [lv for lv in live if abs(lv.fe) > lv.tol / _NEWTON_MARGIN]
+        for chunk in _chunks(live):
+            for lv, w in zip(chunk, _decompose_many(profile, bands,
+                                                    [lv.e for lv in chunk])):
+                try:
+                    lv.window = checked(w, lv.e)
+                except ComputationError as exc:
+                    lv.error = exc
+            chunk = [lv for lv in chunk if lv.error is None]
+            if chunk:
+                rows = _well_integrals([lv.window for lv in chunk], bands,
+                                       profile, *quad)
+                for lv, row in zip(chunk, rows):
+                    lv.row, lv.fe = row, row[1] - lv.target
+        live = [lv for lv in live if lv.error is None
+                and abs(lv.fe) > lv.tol / _NEWTON_MARGIN]
         if not live:
             break
 
@@ -268,11 +296,11 @@ def locate_resonances(cfg, window, bands, profile):
         if e_lo <= lv.e <= e_hi:
             accepted.append(lv)
     out = []
-    if accepted:
-        data_list = _action_data([lv.window for lv in accepted],
-                                 [lv.row for lv in accepted], bands, profile,
+    for chunk in _chunks(accepted):
+        data_list = _action_data([lv.window for lv in chunk],
+                                 [lv.row for lv in chunk], bands, profile,
                                  *quad)
-        for lv, data in zip(accepted, data_list):
+        for lv, data in zip(chunk, data_list):
             t = tunneling_coefficients(data, cfg.epsilon)
             out.append(ResonanceEstimate(
                 lv.l, lv.e, width_estimate(data, cfg.epsilon, cfg.c0),

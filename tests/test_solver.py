@@ -1,7 +1,10 @@
+import gc
 import math
 import sys
 import time
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -414,3 +417,118 @@ class TestLockstep:
         _cfg, found = solve(free_bands, run.profile, run.solver.e_window, 0.05)
         assert len(found) == 19
         assert len(calls) <= 6
+
+
+def grid_of(e_window):
+    return np.linspace(e_window[0], e_window[1], _GRID_POINTS).tolist()
+
+
+@pytest.fixture
+def decomposed(monkeypatch):
+    """Every energy the solver passes to _decompose_many, in order."""
+    seen = []
+
+    def counted(profile, bands, energies,
+                _decompose=solver_module._decompose_many):
+        seen.extend(energies)
+        return _decompose(profile, bands, energies)
+    monkeypatch.setattr(solver_module, "_decompose_many", counted)
+    return seen
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """An empty grid memo for this test."""
+    grids = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(solver_module, "_GRIDS", grids)
+    return grids
+
+
+class TestGridMemo:
+    def test_second_ladder_decomposes_no_grid_energy(self, mathieu_bands,
+                                                     wall_profile, decomposed):
+        solve(mathieu_bands, wall_profile, (3.6, 4.2), 0.1)
+        decomposed.clear()
+        _cfg, found = solve(mathieu_bands, wall_profile, (3.6, 4.2), 0.05, 0.02)
+        assert found
+        assert decomposed
+        assert not set(grid_of((3.6, 4.2))) & set(decomposed)
+
+    def test_fresh_bands_start_cold(self, mathieu, wall_profile, decomposed):
+        bands = band_edges(mathieu, 12.0)
+        assert bands not in solver_module._GRIDS
+        solve(bands, wall_profile, (3.6, 4.2), 0.1)
+        assert decomposed[:_GRID_POINTS] == grid_of((3.6, 4.2))
+        assert len(solver_module._GRIDS[bands]) == 1
+
+    @pytest.mark.parametrize("name", H6_CONFIGS)
+    def test_warm_ladder_equals_cold(self, request, configs_dir, name,
+                                     monkeypatch):
+        run = load_configuration(configs_dir / (name + ".json"))
+        bands = config_bands(request, name)
+        e_window = run.solver.e_window
+        settings = [(0.1, 0.0), (0.05, 0.37), (0.03, 0.011), (0.1, 0.1)]
+        ladders = []
+        for epsilon, zeta in settings:
+            monkeypatch.setattr(solver_module, "_GRIDS",
+                                weakref.WeakKeyDictionary())
+            ladders.append(solve(bands, run.profile, e_window, epsilon,
+                                 zeta)[1])
+        grids = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(solver_module, "_GRIDS", grids)
+        for (epsilon, zeta), ladder in zip(settings, ladders):
+            _cfg, found = solve(bands, run.profile, e_window, epsilon, zeta)
+            assert found
+            assert [vars(r) for r in found] == [vars(r) for r in ladder]
+        (grid, _windows, phis), = grids[bands].values()
+        assert grid == tuple(grid_of(e_window))
+        assert not phis.flags.writeable
+
+    def test_grid_leaving_regime_raises_alike_and_is_not_kept(
+            self, mathieu_bands, drift_profile, cold, decomposed):
+        # near E = 11 the compact well of this profile opens up
+        cfg = SolverConfig(0.1, 0.0, (10.2, 11.05))
+        win = decompose_window(drift_profile, mathieu_bands, 10.3)
+        messages = []
+        for _ in range(2):
+            decomposed.clear()
+            with pytest.raises(UnsupportedConfigurationError,
+                               match="leaves the one-well regime") as info:
+                locate_resonances(cfg, win, mathieu_bands, drift_profile)
+            messages.append(str(info.value))
+            assert decomposed == grid_of(cfg.e_window)
+        assert messages[0] == messages[1]
+        assert not cold.get(mathieu_bands)
+
+    def test_entry_goes_with_its_bands(self, mathieu, wall_profile, cold):
+        bands = band_edges(mathieu, 12.0)
+        solve(bands, wall_profile, (3.6, 4.2), 0.1)
+        assert len(cold) == 1
+        gone = weakref.ref(bands)
+        del bands
+        gc.collect()
+        assert gone() is None
+        assert len(cold) == 0
+
+
+class TestChunks:
+    def test_chunked_ladder_equals_one_chunk_in_less_memory(
+            self, configs_dir, mathieu_bands, monkeypatch):
+        run = load_configuration(configs_dir / "barrier_wall.json")
+        e_window = run.solver.e_window
+        solve(mathieu_bands, run.profile, e_window, 0.1)   # grid kept
+        ladders, peaks = [], []
+        for chunk in (10 ** 6, 16):
+            monkeypatch.setattr(solver_module, "_CHUNK", chunk)
+            tracemalloc.start()
+            try:
+                ladders.append(solve(mathieu_bands, run.profile, e_window,
+                                     1e-3)[1])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one, chunked = ladders
+        assert len(one) == 174
+        assert [vars(r) for r in chunked] == [vars(r) for r in one]
+        # about 8.2 MB in one chunk against 2.2 MB in chunks of 16
+        assert peaks[1] < 0.5 * peaks[0]
