@@ -24,26 +24,37 @@ A monotone-transition (H5) window carries no resonances and yields an
 empty list; two-sided or empty windows are outside the regime and
 rejected.
 
-The levels of a ladder are solved in lockstep. The 9 grid energies are
+The levels of a ladder are solved in lockstep. The 25 grid energies, the
+Chebyshev-Lobatto points of the window with its ends exact, are
 decomposed in one call (the first failure in grid order is raised) and
-their Phi_w taken in one batch. Neither depends on (eps, zeta), so the
-grid windows and phases are kept for the life of the band structure, per
-(profile, window, rule), and every later ladder there reuses them; the
-regime checks against the caller's window still run on every call, and
-a grid that fails them is never kept. Then every Newton sweep decomposes
-the iterates of the live levels, each failure landing on its own level,
-and one batch, one pass over the discriminant table, takes Phi0, Phi_w
-and Phi_w' at them. Each level keeps its window and that row; the last
-sweep of the budget takes no Newton step, so a level is judged, and its
-action data taken, at the last iterate it evaluated. The action data of
-the accepted levels adds only the coarse rule (for the quadrature error)
-and the barrier actions, from one more table pass. Sweeps and action
-data run over chunks of _CHUNK levels, so a deep ladder's working set
-stays that of one chunk. Batched decompositions and integrals are
+their Phi_w taken in one batch; its Chebyshev interpolant follows from
+them (Phi_w is analytic on an H6 window, so the interpolant converges
+geometrically: Trefethen, Approximation Theory and Approximation
+Practice, ch. 8). None of these depends on (eps, zeta), so the grid
+windows, phases and interpolant coefficients are kept for the life of
+the band structure, per (profile, window, rule), and every later ladder
+there reuses them; the regime checks against the caller's window still
+run on every call, and a grid that fails them is never kept. Each level
+is bracketed between two grid energies and starts at the root of the
+interpolant there: _START_STEPS bracketed Newton steps on the
+interpolant from the regula-falsi point, so that where the interpolant
+is that close its first direct evaluation already meets the Newton
+tolerance. Then every Newton sweep decomposes the iterates of the live
+levels, each failure landing on its own level, and one batch, one pass
+over the discriminant table, takes Phi0, Phi_w and Phi_w' at them. Each
+level keeps its window and that row; the last sweep of the budget takes
+no Newton step, so a level is judged, and its action data taken, at the
+last iterate it evaluated. The action data of the accepted levels adds
+only the coarse rule (for the quadrature error) and the barrier actions,
+from one more table pass. Starts, sweeps and action data run over chunks
+of _CHUNK levels, so a deep ladder's working set stays that of one
+chunk. Batched decompositions and integrals are
 per-entry identical to the single-energy ones (see window and actions),
-and each level keeps the bracket, iterate sequence and 1/16 margin it
-would have if solved alone, so the results do not depend on which levels
-share a sweep or a chunk, nor on whether the grid was reused.
+and each level keeps the bracket, start, iterate sequence and 1/16
+margin it would have if solved alone, so the results do not depend on
+which levels share a sweep or a chunk, nor on whether the grid was
+reused. Positions depend on the start rule only within the Newton
+acceptance (tol/16 in Phi_w), not bit for bit.
 """
 
 from __future__ import annotations
@@ -59,16 +70,22 @@ from .errors import (ComputationError, ConfigurationError,
                      UnsupportedConfigurationError)
 from .window import _decompose_many
 
-_GRID_POINTS = 9
+_GRID_POINTS = 25       # Chebyshev-Lobatto nodes: the interpolant reads
+                        # within 3e-15 of Phi_w on barrier_wall and
+                        # drift_well, 4e-13 on free_flat, 1.5e-8 on bound_well
+_START_STEPS = 3        # Newton steps on the interpolant before a level's
+                        # first direct evaluation; 2 reach its root on every
+                        # shipped window
 _MAX_NEWTON = 60
 _NEWTON_MARGIN = 16.0   # iterate to tol/16, accept at tol: a recheck that
                         # rounds differently still finds the level in bounds
-_MAX_LEVELS = 30000     # chunked, a ladder costs about 0.7 ms and 2 KB per
-                        # level (29,962 barrier_wall levels: 20 s, 112 MB peak
-                        # RSS), so this caps a ladder's time near 20 s
+_MAX_LEVELS = 30000     # chunked, a ladder costs about 0.35 ms and 2 KB per
+                        # level (29,962 barrier_wall levels: 11 s, 109 MB peak
+                        # RSS), so this caps a ladder's time near 11 s
 _CHUNK = 256            # levels per batched decomposition and table pass
 
-# bands -> {(profile, e_window, nodes, buffer): (grid, windows, Phi_w)}
+# bands -> {(profile, e_window, nodes, buffer):
+#           (grid, windows, Phi_w, interpolant coefficients)}
 _GRIDS = weakref.WeakKeyDictionary()
 
 
@@ -176,6 +193,57 @@ class _Level:
         self.e = cand
 
 
+def _lobatto_nodes():
+    """The _GRID_POINTS Chebyshev-Lobatto nodes of [-1, 1], increasing,
+    with -1 and 1 exact."""
+    return -np.cos(np.pi * np.arange(_GRID_POINTS) / (_GRID_POINTS - 1))
+
+
+def _lobatto_grid(e_lo, e_hi):
+    """The Lobatto nodes mapped onto [e_lo, e_hi], with the window ends
+    exact."""
+    mid, half = 0.5 * (e_lo + e_hi), 0.5 * (e_hi - e_lo)
+    return (e_lo, *(mid + half * _lobatto_nodes()[1:-1]).tolist(), e_hi)
+
+
+def _interpolant(phis, e_lo, e_hi):
+    """Coefficients of the Chebyshev interpolant of phis on the Lobatto
+    grid of [e_lo, e_hi], read-only. With x = (E - mid)/half = cos t,
+    row 0 holds the c_k of the interpolant sum c_k cos(k t) and row 1
+    the k c_k/half of its E-derivative sum (k c_k/half) sin(k t) / sin t."""
+    c = np.polynomial.chebyshev.chebfit(_lobatto_nodes(), phis,
+                                        _GRID_POINTS - 1)
+    coef = np.array([c, np.arange(_GRID_POINTS) * c / (0.5 * (e_hi - e_lo))])
+    coef.flags.writeable = False
+    return coef
+
+
+def _start_at_interpolant_roots(levels, coef, e_lo, e_hi):
+    """Move each level's iterate by _START_STEPS Newton steps on the
+    interpolant (coefficients coef, from _interpolant) inside its bracket
+    [a, b]; a step that leaves the bracket, which narrows with the
+    interpolant's sign, takes its midpoint instead (so does a zero or
+    undefined derivative, as at the window ends). The levels run as
+    arrays, each level's row reduced on its own, so each start is the one
+    its level would have alone."""
+    e, a, b, fa, target = (np.array([getattr(lv, name) for lv in levels])
+                           for name in ("e", "a", "b", "fa", "target"))
+    mid, half = 0.5 * (e_lo + e_hi), 0.5 * (e_hi - e_lo)
+    a_side = fa < 0.0
+    k = np.arange(_GRID_POINTS)
+    for _ in range(_START_STEPS):
+        t = np.arccos(np.clip((e - mid) / half, -1.0, 1.0))
+        kt = np.multiply.outer(t, k)
+        p = (np.cos(kt) * coef[0]).sum(axis=1) - target
+        same_as_a = (p < 0.0) == a_side
+        a, b = np.where(same_as_a, e, a), np.where(same_as_a, b, e)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = e - p * np.sin(t) / (np.sin(kt) * coef[1]).sum(axis=1)
+        e = np.where((a <= cand) & (cand <= b), cand, 0.5 * (a + b))
+    for lv, start in zip(levels, e.tolist()):
+        lv.e = start
+
+
 def _chunks(levels):
     """Consecutive slices of at most _CHUNK levels, in order."""
     return [levels[i:i + _CHUNK] for i in range(0, len(levels), _CHUNK)]
@@ -221,16 +289,17 @@ def locate_resonances(cfg, window, bands, profile):
     key = (profile, cfg.e_window) + quad
     kept = _GRIDS.get(bands, {}).get(key)
     if kept is not None:
-        grid, at_grid, phis = kept
+        grid, at_grid, phis, coef = kept
         for w, e in zip(at_grid, grid):
             checked(w, e)
     else:
-        grid = tuple(float(e) for e in np.linspace(e_lo, e_hi, _GRID_POINTS))
+        grid = _lobatto_grid(e_lo, e_hi)
         at_grid = tuple(checked(w, e) for w, e in
                         zip(_decompose_many(profile, bands, grid), grid))
         phis = np.array(_well_phases(at_grid, bands, profile, *quad))
         phis.flags.writeable = False
-        _GRIDS.setdefault(bands, {})[key] = grid, at_grid, phis
+        coef = _interpolant(phis, e_lo, e_hi)
+        _GRIDS.setdefault(bands, {})[key] = grid, at_grid, phis, coef
     diffs = np.diff(phis)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise UnsupportedConfigurationError(
@@ -260,6 +329,8 @@ def locate_resonances(cfg, window, bands, profile):
             continue   # target marginally outside the sampled range
         levels.append(_Level(l, target, cfg.root_tol * (1.0 + abs(target)),
                              grid[i - 1], fa, grid[i], fb))
+    for chunk in _chunks(levels):
+        _start_at_interpolant_roots(chunk, coef, e_lo, e_hi)
 
     live = levels
     for sweep in range(_MAX_NEWTON):

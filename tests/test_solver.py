@@ -32,7 +32,9 @@ from bandres import (
 )
 from bandres import solver as solver_module
 from bandres.actions import _well_integrals, _well_phases
-from bandres.solver import _GRID_POINTS, _MAX_LEVELS, _NEWTON_MARGIN
+from bandres.solver import (_GRID_POINTS, _MAX_LEVELS, _NEWTON_MARGIN, _Level,
+                            _interpolant, _lobatto_grid,
+                            _start_at_interpolant_roots)
 
 BOUND_E = (9.0, 10.4)
 DRIFT_E = (9.4, 10.2)
@@ -226,9 +228,10 @@ class TestRegimeGuards:
 
 def per_level_ladder(cfg, window, bands, profile):
     """The quantization solve one level at a time through the public
-    single-window functions: each level runs its own bracketed Newton to
-    1/16 of the acceptance bound, stepping after every evaluation but the
-    last of the solver's budget, then takes its own action data at its
+    single-window functions: each level starts at the root of the grid
+    interpolant in its bracket, found alone, runs its own bracketed Newton
+    to 1/16 of the acceptance bound, stepping after every evaluation but
+    the last of the solver's budget, then takes its own action data at its
     last evaluated iterate. The regime guards are left out; the
     configurations below stay in H6."""
     e_lo, e_hi = cfg.e_window
@@ -241,8 +244,9 @@ def per_level_ladder(cfg, window, bands, profile):
             cache[e] = (w, well_phase(w, bands, profile, *quad))
         return cache[e]
 
-    grid = np.linspace(e_lo, e_hi, _GRID_POINTS)
+    grid = _lobatto_grid(e_lo, e_hi)
     phis = np.array([analyze(e)[1] for e in grid])
+    coef = _interpolant(phis, e_lo, e_hi)
     increasing = phis[1] > phis[0]
     dk = delta_kappa(analyze(grid[0])[0])
     lo_val, hi_val = float(min(phis[0], phis[-1])), float(max(phis[0], phis[-1]))
@@ -260,7 +264,9 @@ def per_level_ladder(cfg, window, bands, profile):
         fa, fb = phis[i - 1] - target, phis[i] - target
         if fa * fb > 0.0:
             continue
-        e = a + (b - a) * fa / (fa - fb) if fa != fb else 0.5 * (a + b)
+        start = _Level(l, target, tol, a, fa, b, fb)   # regula falsi
+        _start_at_interpolant_roots([start], coef, e_lo, e_hi)
+        e = start.e
         budget = solver_module._MAX_NEWTON
         for sweep in range(budget):
             fe = analyze(e)[1] - target
@@ -313,30 +319,31 @@ class TestLockstep:
         assert [vars(r) for r in found] == [vars(r) for r in ref]
 
     def test_budget_judges_the_last_evaluated_iterate(self, configs_dir,
-                                                      mathieu_bands,
+                                                      free_bands,
                                                       monkeypatch):
-        # two sweeps leave some levels short of 1/16 of the bound: each is
-        # judged at the last iterate it evaluated, so its residual is the
-        # one at the position it reports
-        monkeypatch.setattr(solver_module, "_MAX_NEWTON", 2)
-        run = load_configuration(configs_dir / "barrier_wall.json")
+        # one sweep leaves some free_flat levels short of 1/16 of the bound
+        # (the interpolant reads up to 3.7e-13 off there): each is judged at
+        # the last iterate it evaluated, so its residual is the one at the
+        # position it reports
+        monkeypatch.setattr(solver_module, "_MAX_NEWTON", 1)
+        run = load_configuration(configs_dir / "free_flat.json")
         s = run.solver
-        cfg, found = solve(mathieu_bands, run.profile, s.e_window, s.epsilon,
-                           s.zeta, root_tol=1e-8)
-        win = decompose_window(run.profile, mathieu_bands,
+        cfg, found = solve(free_bands, run.profile, s.e_window, s.epsilon,
+                           s.zeta)
+        win = decompose_window(run.profile, free_bands,
                                0.5 * sum(s.e_window))
         base = (-math.pi * delta_kappa(win) * cfg.zeta
                 + cfg.epsilon * math.pi / 2.0)
         short = 0
         for r in found:
             target = base + cfg.epsilon * math.pi * r.l
-            w = decompose_window(run.profile, mathieu_bands, r.e_real)
+            w = decompose_window(run.profile, free_bands, r.e_real)
             assert r.residual == abs(
-                well_phase(w, mathieu_bands, run.profile) - target)
+                well_phase(w, free_bands, run.profile) - target)
             tol = cfg.root_tol * (1.0 + abs(target))
             short += r.residual > tol / _NEWTON_MARGIN
         assert short
-        ref = per_level_ladder(cfg, win, mathieu_bands, run.profile)
+        ref = per_level_ladder(cfg, win, free_bands, run.profile)
         assert [vars(r) for r in found] == [vars(r) for r in ref]
 
     def test_well_phase_independent_of_its_batch(self, mathieu_bands,
@@ -360,16 +367,17 @@ class TestLockstep:
 
     def test_first_failure_in_level_order_is_raised(self, mathieu_bands,
                                                     bound_profile, monkeypatch):
-        # the lowest level fails late (near its root, after a few sweeps)
-        # and a higher level fails at its first iterate: the per-level loop
-        # meets the lower level's failure first, and so must the lockstep
+        # the lowest level fails late (at its root, on its second sweep:
+        # its start lies 1.6e-9 off) and a higher level fails at its first
+        # iterate: the per-level loop meets the lower level's failure
+        # first, and so must the lockstep
         cfg, found = solve(mathieu_bands, bound_profile, BOUND_E, 0.05)
         low, high = found[0].e_real, found[3].e_real
-        grid = set(np.linspace(BOUND_E[0], BOUND_E[1], _GRID_POINTS).tolist())
+        grid = set(_lobatto_grid(*BOUND_E))
         spacing = found[1].e_real - found[0].e_real
 
         def fails(e):
-            return e not in grid and (abs(e - low) < 1e-7
+            return e not in grid and (abs(e - low) < 1e-10
                                       or abs(e - high) < 0.5 * spacing)
 
         def failing(profile, bands, e, _decompose=decompose_window):
@@ -397,7 +405,7 @@ class TestLockstep:
             monkeypatch.undo()
             errors.append(str(info.value))
         assert errors[0] == errors[1]
-        assert abs(float(errors[0].split("E=")[1]) - low) < 1e-7
+        assert abs(float(errors[0].split("E=")[1]) - low) < 1e-10
 
     def test_ladder_batches_table_calls(self, configs_dir, free_bands,
                                         monkeypatch):
@@ -420,7 +428,7 @@ class TestLockstep:
 
 
 def grid_of(e_window):
-    return np.linspace(e_window[0], e_window[1], _GRID_POINTS).tolist()
+    return list(_lobatto_grid(*e_window))
 
 
 @pytest.fixture
@@ -480,9 +488,9 @@ class TestGridMemo:
             _cfg, found = solve(bands, run.profile, e_window, epsilon, zeta)
             assert found
             assert [vars(r) for r in found] == [vars(r) for r in ladder]
-        (grid, _windows, phis), = grids[bands].values()
+        (grid, _windows, phis, coef), = grids[bands].values()
         assert grid == tuple(grid_of(e_window))
-        assert not phis.flags.writeable
+        assert not phis.flags.writeable and not coef.flags.writeable
 
     def test_grid_leaving_regime_raises_alike_and_is_not_kept(
             self, mathieu_bands, drift_profile, cold, decomposed):
@@ -509,6 +517,86 @@ class TestGridMemo:
         gc.collect()
         assert gone() is None
         assert len(cold) == 0
+
+
+# (first, last) l of each H6 config's ladder at its shipped (eps, zeta),
+# at (0.05, 0.37) and at (0.03, 0.011), recorded with the former bracket
+# grid of 9 equispaced energies and regula-falsi starts
+RECORDED_LEVELS = {
+    "bound_well": [(-11, -4), (-17, -7), (-28, -10)],
+    "barrier_wall": [(3, 4), (6, 8), (10, 15)],
+    "drift_well": [(3, 5), (10, 16), (5, 15)],
+    "free_flat": [(3, 12), (7, 25), (11, 43)],
+}
+
+CORRUPTIONS = {
+    "nan": lambda c: np.full_like(c, np.nan),
+    "zero": np.zeros_like,
+    "negated": np.negative,
+    "offset": lambda c: c + 1.0,
+}
+
+
+class TestInterpolantStart:
+    @pytest.mark.parametrize("name", ("barrier_wall", "drift_well"))
+    @pytest.mark.parametrize("setting", ("shipped", (0.05, 0.37)))
+    def test_every_level_accepted_at_its_first_evaluation(
+            self, configs_dir, mathieu_bands, name, setting, decomposed):
+        run = load_configuration(configs_dir / (name + ".json"))
+        s = run.solver
+        epsilon, zeta = (s.epsilon, s.zeta) if setting == "shipped" else setting
+        solve(mathieu_bands, run.profile, s.e_window, epsilon, zeta)  # grid kept
+        decomposed.clear()
+        cfg, found = solve(mathieu_bands, run.profile, s.e_window, epsilon,
+                           zeta)
+        assert found
+        # one sweep: each level's start is its reported position
+        assert decomposed == [r.e_real for r in found]
+        for r in found:
+            assert r.residual <= (cfg.root_tol * (1.0 + abs(r.phase))
+                                  / _NEWTON_MARGIN)
+
+    @pytest.mark.parametrize("name", H6_CONFIGS)
+    def test_grid_ends_are_the_window_ends_and_levels_stay(
+            self, request, configs_dir, name):
+        run = load_configuration(configs_dir / (name + ".json"))
+        bands = config_bands(request, name)
+        s = run.solver
+        grid = _lobatto_grid(*s.e_window)
+        assert len(grid) == _GRID_POINTS
+        assert (grid[0], grid[-1]) == s.e_window
+        assert list(grid) == sorted(set(grid))
+        settings = [(s.epsilon, s.zeta), (0.05, 0.37), (0.03, 0.011)]
+        for (epsilon, zeta), (first, last) in zip(settings,
+                                                  RECORDED_LEVELS[name]):
+            _cfg, found = solve(bands, run.profile, s.e_window, epsilon, zeta)
+            assert [r.l for r in found] == list(range(first, last + 1))
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("name", H6_CONFIGS)
+    def test_corrupted_interpolant_converges_to_the_same_levels(
+            self, request, configs_dir, name, corruption, monkeypatch):
+        # the start only moves the first iterate inside its grid bracket;
+        # the direct Newton sweeps still converge from wherever it lands
+        run = load_configuration(configs_dir / (name + ".json"))
+        bands = config_bands(request, name)
+        s = run.solver
+        _cfg, clean = solve(bands, run.profile, s.e_window, 0.05, 0.37)
+        made = []
+
+        def corrupted(phis, e_lo, e_hi, _interpolant=_interpolant):
+            made.append(CORRUPTIONS[corruption](_interpolant(phis, e_lo, e_hi)))
+            made[-1].flags.writeable = False
+            return made[-1]
+        monkeypatch.setattr(solver_module, "_GRIDS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(solver_module, "_interpolant", corrupted)
+        cfg, found = solve(bands, run.profile, s.e_window, 0.05, 0.37)
+        (*_, coef), = solver_module._GRIDS[bands].values()
+        assert coef is made[0]
+        assert [r.l for r in found] == [r.l for r in clean]
+        for a, b in zip(found, clean):
+            assert abs(a.e_real - b.e_real) <= 1e-10
+            assert a.residual <= cfg.root_tol * (1.0 + abs(a.phase))
 
 
 class TestChunks:
