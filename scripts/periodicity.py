@@ -1,16 +1,16 @@
-"""Count the levels whose positions at zeta and at zeta + eps*n/n differ.
+"""Count the levels whose positions at zeta and at zeta + eps*3/3 differ.
 
-    python3 scripts/periodicity.py [--draws 40] [--seed 0] [--sweep 3]
+    python3 scripts/periodicity.py [--draws 40] [--seed 0]
 
 The position set of a ladder is exactly eps-periodic in zeta, with labels
-moving by delta_kappa, but ``bandres resonances --sweep-zeta n`` solves its
-last ladder at zeta + eps*n/n, which may differ from zeta + eps by rounding
+moving by delta_kappa, but ``bandres resonances --sweep-zeta 3`` solves its
+last ladder at zeta + eps*3/3, which may differ from zeta + eps by rounding
 (0.1*3/3 is 0.10000000000000002), so the two ladders solve slightly
 different targets. For every shipped config whose window is H6, ``--draws``
 seeded (epsilon, zeta) pairs, epsilon uniform in [0.05, 0.15] and zeta
 uniform in [0, epsilon), are solved in-process against the ``src/`` of the
 checkout that holds this script, on the bands ``bandres resonances``
-builds; each ladder is solved again at zeta + epsilon*n/n and its level
+builds; each ladder is solved again at zeta + epsilon*3/3 and its level
 l + delta_kappa compared with level l. One JSON line: per config the
 draws, the levels compared, the levels whose positions differ and how
 many of those lie 1, 2, ... units in the last place apart.
@@ -28,6 +28,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 EPSILON_RANGE = (0.05, 0.15)
+SWEEP = 3
 
 
 def ulps_apart(a, b):
@@ -44,17 +45,13 @@ def parse_args(argv):
     p.add_argument("--draws", type=int, default=40,
                    help="seeded (epsilon, zeta) pairs per config")
     p.add_argument("--seed", type=int, default=0, help="seed of the draws")
-    p.add_argument("--sweep", type=int, default=3, metavar="N",
-                   help="the shifted ladder sits at zeta + epsilon*N/N")
     args = p.parse_args(argv)
     if args.draws < 1:
         p.error("--draws needs a positive count")
-    if args.sweep < 1:
-        p.error("--sweep needs a positive count")
     return args
 
 
-def config_counts(cfg, bands, draws, rng, sweep):
+def config_counts(cfg, bands, draws, rng):
     """Levels compared, levels moved, and moved levels by ulps apart."""
     from bandres import delta_kappa, verify
     run = verify.Run(cfg, bands)
@@ -64,7 +61,7 @@ def config_counts(cfg, bands, draws, rng, sweep):
         eps = rng.uniform(*EPSILON_RANGE)
         zeta = rng.uniform(0.0, eps)
         shifted = {r.l: r.e_real
-                   for r in run.ladder(eps, zeta + eps * sweep / sweep)}
+                   for r in run.ladder(eps, zeta + eps * SWEEP / SWEEP)}
         for r in run.ladder(eps, zeta):
             if r.l + dk in shifted:
                 compared += 1
@@ -80,15 +77,14 @@ def main(argv):
     sys.path.insert(0, str(ROOT / "src"))
     from bandres import cli, decompose_window, load_configuration
     rng = random.Random(args.seed)
-    out = {"seed": args.seed, "sweep": args.sweep}
+    out = {"seed": args.seed, "sweep": SWEEP}
     for path in sorted((ROOT / "configs").glob("*.json")):
         cfg = load_configuration(path)
         bands = cli._build_bands(cfg)
         lo, hi = cfg.solver.e_window
         if decompose_window(cfg.profile, bands,
                             0.5 * (lo + hi)).classification == "H6":
-            out[path.stem] = config_counts(cfg, bands, args.draws, rng,
-                                           args.sweep)
+            out[path.stem] = config_counts(cfg, bands, args.draws, rng)
     print(json.dumps(out))
     return 0
 

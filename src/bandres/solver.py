@@ -239,6 +239,10 @@ def _start_at_interpolant_roots(levels, coef, e_lo, e_hi):
         a, b = np.where(same_as_a, e, a), np.where(same_as_a, b, e)
         with np.errstate(divide="ignore", invalid="ignore"):
             cand = e - p * np.sin(t) / (np.sin(kt) * coef[1]).sum(axis=1)
+        # the bracket rule of _Level.step, but with the ends kept: once the
+        # polynomial root is reached the step is 0 and cand is e, which the
+        # line above just made an end (step never gets there, since a
+        # residual that small is accepted before it steps)
         e = np.where((a <= cand) & (cand <= b), cand, 0.5 * (a + b))
     for lv, start in zip(levels, e.tolist()):
         lv.e = start

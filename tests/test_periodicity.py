@@ -15,13 +15,13 @@ spec.loader.exec_module(periodicity)
 
 def test_defaults():
     args = periodicity.parse_args([])
-    assert (args.draws, args.seed, args.sweep) == (40, 0, 3)
-    args = periodicity.parse_args(["--draws", "2", "--seed", "7", "--sweep", "5"])
-    assert (args.draws, args.seed, args.sweep) == (2, 7, 5)
+    assert (args.draws, args.seed) == (40, 0)
+    args = periodicity.parse_args(["--draws", "2", "--seed", "7"])
+    assert (args.draws, args.seed) == (2, 7)
 
 
-@pytest.mark.parametrize("argv", [["--draws", "0"], ["--sweep", "0"],
-                                  ["--draws", "x"], ["--bogus"]])
+@pytest.mark.parametrize("argv", [["--draws", "0"], ["--draws", "x"],
+                                  ["--bogus"]])
 def test_bad_arguments_are_refused(argv):
     with pytest.raises(SystemExit) as info:
         periodicity.parse_args(argv)
@@ -41,7 +41,7 @@ def test_ulps_apart_counts_doubles_between():
 
 def test_counts_compare_shifted_labels(configs_dir, mathieu_bands):
     cfg = load_configuration(configs_dir / "drift_well.json")
-    counts = periodicity.config_counts(cfg, mathieu_bands, 2, random.Random(0), 3)
+    counts = periodicity.config_counts(cfg, mathieu_bands, 2, random.Random(0))
     assert counts["draws"] == 2
     assert counts["levels"] >= 2
     assert sum(counts["ulps"].values()) == counts["moved"] <= counts["levels"]

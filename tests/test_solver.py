@@ -346,6 +346,34 @@ class TestLockstep:
         ref = per_level_ladder(cfg, win, free_bands, run.profile)
         assert [vars(r) for r in found] == [vars(r) for r in ref]
 
+    def test_budget_judges_the_iterate_evaluated_after_a_step(
+            self, configs_dir, mathieu_bands, monkeypatch):
+        # with no polynomial steps every level starts at its regula-falsi
+        # point in its Lobatto bracket, so two sweeps leave the barrier_wall
+        # levels short of 1/16 of a 1e-10 bound after a Newton step: each
+        # is judged at the iterate it evaluated after that step
+        monkeypatch.setattr(solver_module, "_MAX_NEWTON", 2)
+        monkeypatch.setattr(solver_module, "_START_STEPS", 0)
+        run = load_configuration(configs_dir / "barrier_wall.json")
+        s = run.solver
+        cfg, found = solve(mathieu_bands, run.profile, s.e_window, s.epsilon,
+                           s.zeta, root_tol=1e-10)
+        win = decompose_window(run.profile, mathieu_bands,
+                               0.5 * sum(s.e_window))
+        base = (-math.pi * delta_kappa(win) * cfg.zeta
+                + cfg.epsilon * math.pi / 2.0)
+        short = 0
+        for r in found:
+            target = base + cfg.epsilon * math.pi * r.l
+            w = decompose_window(run.profile, mathieu_bands, r.e_real)
+            assert r.residual == abs(
+                well_phase(w, mathieu_bands, run.profile) - target)
+            tol = cfg.root_tol * (1.0 + abs(target))
+            short += r.residual > tol / _NEWTON_MARGIN
+        assert short
+        ref = per_level_ladder(cfg, win, mathieu_bands, run.profile)
+        assert [vars(r) for r in found] == [vars(r) for r in ref]
+
     def test_well_phase_independent_of_its_batch(self, mathieu_bands,
                                                  bound_profile):
         ws = [decompose_window(bound_profile, mathieu_bands, e)
