@@ -38,9 +38,11 @@ per batch, on a (k, 4*2*nodes) array holding the nodes of all four panels
 of k segments; phase_integral(with_error=True) and the action data also
 run the nodes rule for Phi0, and report the difference as the quadrature
 error. The private batched forms take many windows on one band, so the
-table-backed momentum is evaluated once for all of them: _well_phases
-gives Phi_w, and _well_integrals gives (Phi0, Phi_w, Phi_w') from one
-integrand whose k and k' share one pass over the discriminant table;
+table-backed momentum is evaluated once for all of them: _well_integrals
+gives (Phi0, Phi_w, Phi_w') from one integrand whose k and k' share one
+pass over the discriminant table, and phase_integral, well_phase and
+well_phase_derivative read their values off its rows; _phi0_rule runs
+only the nodes-point rule of phase_integral(with_error=True);
 _action_data adds the nodes rule and the barrier actions to such rows,
 reading D once for the nodes of every well and of every finite barrier.
 Each row is reduced on its own, one dot product per panel, so a value
@@ -152,8 +154,8 @@ def _wells(windows, op):
 
 
 def _phi0_rule(windows, bands, profile, points, buffer, op):
-    """Phi0 of every window by the `points`-per-panel rule, in one
-    integrand call."""
+    """Phi0 of every window by the `points`-per-panel rule from the k-only
+    integrand, in one integrand call: phase_integral's nodes-point rule."""
     segments, energies, n = _wells(windows, op)
 
     def integrand(z):
@@ -162,24 +164,16 @@ def _phi0_rule(windows, bands, profile, points, buffer, op):
     return _edge_resolved_quad(integrand, segments, points, buffer)
 
 
-def _positive(phi0s):
-    for value in phi0s:
-        if value <= 0.0:
-            raise InternalConsistencyError("Phi0 = %g not positive" % value)
-    return phi0s
-
-
 def phase_integral(window, bands, profile, nodes=64, buffer=0.1,
                    with_error=False):
     """Phi0(E): action of the compact component of the window; with_error
     adds the difference from the nodes-point rule as a second value."""
     op = "phase_integral"
-    _check_rule(nodes, buffer)
-    phi0s = _positive(_phi0_rule([window], bands, profile, 2 * nodes, buffer, op))
+    phi0 = _well_integrals([window], bands, profile, nodes, buffer, op)[0][0]
     if not with_error:
-        return phi0s[0]
+        return phi0
     coarse = _phi0_rule([window], bands, profile, nodes, buffer, op)[0]
-    return phi0s[0], abs(phi0s[0] - coarse)
+    return phi0, abs(phi0 - coarse)
 
 
 def _anchored(window, phi0):
@@ -316,15 +310,7 @@ def well_phase(window, bands, profile, nodes=64, buffer=0.1):
     Phi_w = Phi0 - v_hi*zeta0+ + v_lo*zeta0-. Real resonance positions
     solve Phi_w(E) = -pi*delta_kappa*zeta + eps*(pi/2 + pi*l), l integer.
     """
-    return _well_phases([window], bands, profile, nodes, buffer)[0]
-
-
-def _well_phases(windows, bands, profile, nodes=64, buffer=0.1):
-    """Phi_w of every window (H6 wells on one band), one integrand call."""
-    _check_rule(nodes, buffer)
-    phi0s = _positive(_phi0_rule(windows, bands, profile, 2 * nodes, buffer,
-                                 "well_phase"))
-    return [_anchored(w, p) for w, p in zip(windows, phi0s)]
+    return _well_integrals([window], bands, profile, nodes, buffer)[0][1]
 
 
 def _well_integrals(windows, bands, profile, nodes=64, buffer=0.1,
@@ -341,7 +327,9 @@ def _well_integrals(windows, bands, profile, nodes=64, buffer=0.1,
         return np.stack((reduced_momentum(k, n), sign * kprime))
 
     phi0s, primes = _edge_resolved_quad(integrand, segments, 2 * nodes, buffer)
-    _positive(phi0s)
+    for value in phi0s:
+        if value <= 0.0:
+            raise InternalConsistencyError("Phi0 = %g not positive" % value)
     if 0.0 in primes:
         raise InternalConsistencyError("dPhi_w/dE vanished on a band")
     return [(p, _anchored(w, p), wp) for w, p, wp in zip(windows, phi0s, primes)]

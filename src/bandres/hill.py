@@ -63,9 +63,8 @@ _CLOSED_GAP_WIDTH = 1e-7    # narrower gaps are flagged closed
 _TABLE_RTOL = 1e-12
 _TABLE_VALIDATION = 1e-10   # largest relative error of D allowed at the off-node probes
 _TABLE_POINTS = 33          # Chebyshev nodes per table piece
-_READ_BLOCK = 4096          # points per coefficient gather of a multi-piece read
 _TABLE_DEPTH = 5.0          # the table's floor lies this far below E1
-_D_ROW, _DP_ROW, _BOTH_ROWS = slice(0, 1), slice(1, 2), slice(0, 2)   # of a table's (D, D')
+_D_ROW, _BOTH_ROWS = slice(0, 1), slice(0, 2)   # of a table's (D, D')
 
 # DOP853 tableau (Hairer's dop853.f coefficients, as doubles): nodes C,
 # stage rows A[s, :s], weights B of the 8th-order solution, and the
@@ -572,7 +571,9 @@ class DiscriminantTable:
 
     Evaluation runs the Clenshaw recurrence of numpy's chebval (Clenshaw
     1955) operation for operation, so it returns chebval's floats; D and
-    D' may share one pass.
+    D' may share one pass. A read runs piece by piece: the points on one
+    piece are scaled and evaluated together, and each value is written
+    back to its point's own position.
     """
 
     def __init__(self, potential, breakpoints):
@@ -631,48 +632,39 @@ class DiscriminantTable:
             raise EnergyRangeError(
                 "energy [%g, %g] outside table range [%g, %g]"
                 % (lo, hi, self.breaks[0], self.breaks[-1]))
-        # the pieces of the lowest and highest energy, as searchsorted finds them
-        first, last = (min(max(i - 1, 0), self.breaks.size - 2) for i in
-                       np.searchsorted(self.breaks, (lo, hi), side="right").tolist())
+        # each point's piece; points within 1e-8 outside the table go to the
+        # end pieces
+        e = e.reshape(-1)
+        idx = np.searchsorted(self.breaks[1:-1], e, side="right")
         out = np.empty(out_shape)
-        if first == last:
-            # one piece: each row runs on flat arrays, its coefficients as
-            # 0-d arrays (numpy's ufuncs take those faster than floats)
-            x = ((e - self._mid[first]) / self._half[first]).reshape(-1)
-            for row, dest in zip(range(rows.start, rows.stop),
-                                 out.reshape(out_shape[0], -1)):
-                c = self._coef[:, row, first]
-                _clenshaw([c[i, ...] for i in range(len(c))], x, dest)
-        else:
-            idx = np.clip(np.searchsorted(self.breaks, e, side="right") - 1,
-                          0, self.breaks.size - 2)
-            x = ((e - self._mid[idx]) / self._half[idx]).reshape(-1)
-            idx = idx.reshape(-1)
-            flat = out.reshape(out_shape[0], -1)
-            # gather the coefficients of _READ_BLOCK points at a time, not
-            # all _TABLE_POINTS degrees of every point up front
-            for start in range(0, x.size, _READ_BLOCK):
-                b = slice(start, start + _READ_BLOCK)
-                _clenshaw(self._coef[:, rows][:, :, idx[b]], x[b], flat[:, b])
+        flat = out.reshape(out_shape[0], -1)
+        # piece by piece, each row's coefficients as 0-d arrays (numpy's
+        # ufuncs take those faster than floats); the values go back to
+        # their points' own positions
+        for piece in range(idx.min(), idx.max() + 1):
+            at = np.flatnonzero(idx == piece)
+            if not at.size:
+                continue
+            x = (e[at] - self._mid[piece]) / self._half[piece]
+            for row, dest in zip(range(rows.start, rows.stop), flat):
+                c = self._coef[:, row, piece]
+                dest[at] = _clenshaw([c[i, ...] for i in range(len(c))], x)
         return out
 
     def value(self, e):
         return self._series(e, _D_ROW)[0, ...]
-
-    def derivative(self, e):
-        return self._series(e, _DP_ROW)[0, ...]
 
     def value_and_derivative(self, e):
         """D and D' at e from one pass, stacked as (D, D')."""
         return self._series(e, _BOTH_ROWS)
 
 
-def _clenshaw(c, x, out):
-    """numpy's chebval recurrence (Clenshaw 1955) operation for operation,
-    into out: c0, c1 <- c[-i] - c1, c0 + c1 * 2x, then c0 + c1 * x. The
-    coefficients c[i] are 0-d arrays or arrays of out's shape."""
+def _clenshaw(c, x):
+    """numpy's chebval recurrence (Clenshaw 1955) operation for operation:
+    c0, c1 <- c[-i] - c1, c0 + c1 * 2x, then c0 + c1 * x. The coefficients
+    c[i] are 0-d arrays."""
     x2 = 2 * x
-    c0, c1, tmp = np.empty(out.shape), np.empty(out.shape), np.empty(out.shape)
+    c0, c1, tmp = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
     c0[...] = c[-2]
     c1[...] = c[-1]
     for i in range(3, len(c) + 1):
@@ -681,7 +673,7 @@ def _clenshaw(c, x, out):
         np.add(c0, c1, c1)
         c0, tmp = tmp, c0
     np.multiply(c1, x, c1)
-    np.add(c0, c1, out)
+    return np.add(c0, c1, c1)
 
 
 class BandStructure:

@@ -64,7 +64,7 @@ import weakref
 
 import numpy as np
 
-from .actions import (_action_data, _well_integrals, _well_phases,
+from .actions import (_action_data, _well_integrals,
                       delta_kappa, tunneling_coefficients)
 from .errors import (ComputationError, ConfigurationError,
                      UnsupportedConfigurationError)
@@ -300,7 +300,8 @@ def locate_resonances(cfg, window, bands, profile):
         grid = _lobatto_grid(e_lo, e_hi)
         at_grid = tuple(checked(w, e) for w, e in
                         zip(_decompose_many(profile, bands, grid), grid))
-        phis = np.array(_well_phases(at_grid, bands, profile, *quad))
+        phis = np.array([row[1] for row in
+                         _well_integrals(at_grid, bands, profile, *quad)])
         phis.flags.writeable = False
         coef = _interpolant(phis, e_lo, e_hi)
         _GRIDS.setdefault(bands, {})[key] = grid, at_grid, phis, coef

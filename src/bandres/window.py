@@ -126,27 +126,25 @@ class PerturbationProfile:
                 if d < _SINGULARITY_GUARD:
                     raise NearSingularityError(
                         "profile evaluated %.2e from the singularity %s" % (d, s))
-        out = self.mu + self.nu * z / np.sqrt(1.0 + z * z)
-        for b in self.bumps:
-            u = (z - b.center) / b.width
-            out = out + b.height / (1.0 + u * u)
+        out = self._real(z, np.sqrt)
         if out.shape:
             return out
         return complex(out) if is_complex else float(out)
 
-    def _real(self, z):
-        """W at a real float zeta in float arithmetic, which rounds like
-        the array path: the same operations, each correctly rounded."""
-        out = self.mu + self.nu * z / math.sqrt(1.0 + z * z)
+    def _real(self, z, sqrt=math.sqrt):
+        """W at zeta by the expression of every path: a float runs in float
+        arithmetic with math.sqrt, an array with np.sqrt. Each operation is
+        correctly rounded, so a float rounds like the array path."""
+        out = self.mu + self.nu * z / sqrt(1.0 + z * z)
         for b in self.bumps:
             u = (z - b.center) / b.width
             out = out + b.height / (1.0 + u * u)
         return out
 
     def _real_prime(self, z):
-        """W' at a real float zeta in float arithmetic: the 0-d numpy
-        path's operations, whose powers are the C library's pow as Python's
-        are. Python's pow raises OverflowError where numpy's overflows."""
+        """W' at zeta by the expression of every path. On a float its powers
+        are the C library's pow, as the 0-d numpy path's are; Python's pow
+        raises OverflowError where numpy's overflows."""
         out = self.nu / (1.0 + z * z) ** 1.5
         for b in self.bumps:
             u = (z - b.center) / b.width
@@ -154,7 +152,7 @@ class PerturbationProfile:
         return out
 
     def derivative(self, zeta):
-        """W'(zeta); a float takes the float path _real_prime."""
+        """W'(zeta); a float runs _real_prime in float arithmetic."""
         if isinstance(zeta, float):
             try:
                 return self._real_prime(float(zeta))
@@ -166,10 +164,7 @@ class PerturbationProfile:
         is_complex = z.dtype.kind == "c"
         if not (is_complex or z.shape):
             z = z[()]
-        out = self.nu / (1.0 + z * z) ** 1.5
-        for b in self.bumps:
-            u = (z - b.center) / b.width
-            out = out - 2.0 * b.height * u / (b.width * (1.0 + u * u) ** 2)
+        out = self._real_prime(z)
         if out.shape:
             return out
         return complex(out) if is_complex else float(out)

@@ -320,8 +320,9 @@ class TestDiscriminantTable:
         assert math.isfinite(s_plus) and s_plus > 0.0
 
     def test_multi_piece_read_holds_a_few_point_arrays(self, mathieu_bands):
-        # the piece indices, the scaled energies and the result, plus one
-        # block's coefficients: a few n-point arrays, not 33 per point
+        # the piece indices and the result, plus one piece's point indices,
+        # scaled energies and recurrence buffers: a few n-point arrays, not
+        # 33 per point
         table = mathieu_bands.table
         n = 100_000
         e = np.linspace(table.breaks[0], table.breaks[-1], n)
@@ -343,13 +344,17 @@ class TestDiscriminantTable:
         br = table.breaks
         pieces = [np.linspace(a, b, 60) for a, b in zip(br[:-1], br[1:])]
         spanning = np.concatenate(pieces)
+        # the pieces interleaved, so each value must go back to its own point
+        shuffled = np.random.default_rng(5).permutation(spanning)
         # more points than one coefficient gather takes, in a 2-d shape
-        blocks = np.linspace(br[0], br[-1], 2 * hill._READ_BLOCK + 6).reshape(-1, 2)
-        inputs = [np.float64(0.5 * (br[0] + br[1])), spanning,
-                  spanning.reshape(-1, 20), blocks] + pieces + [p.reshape(6, 10) for p in pieces]
+        blocks = np.linspace(br[0], br[-1], 2 * 4096 + 6).reshape(-1, 2)
+        inputs = [np.float64(0.5 * (br[0] + br[1])), spanning, shuffled,
+                  spanning.reshape(-1, 20), shuffled.reshape(-1, 20),
+                  blocks] + pieces + [p.reshape(6, 10) for p in pieces]
         for e in inputs:
             stacked = table.value_and_derivative(e)
-            for row, got in enumerate((table.value(e), table.derivative(e))):
+            for row, got in enumerate((table.value(e),
+                                       table.value_and_derivative(e)[1])):
                 want = chebval_per_piece(table, e, row)
                 assert got.shape == np.shape(e)
                 assert np.array_equal(got, want)
@@ -390,7 +395,8 @@ class TestDiscriminantTable:
         br = table.breaks
         e = np.concatenate([np.linspace(a, b, 1001) for a, b in zip(br[:-1], br[1:])])
         for got, want in ((table.value(e), ref.value(e)),
-                          (table.derivative(e), ref.derivative(e))):
+                          (table.value_and_derivative(e)[1],
+                           ref.value_and_derivative(e)[1])):
             # relative on the validation's scale max(1, |D|); measured <= 1.5e-13
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 

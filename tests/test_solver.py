@@ -31,7 +31,7 @@ from bandres import (
     width_estimate,
 )
 from bandres import solver as solver_module
-from bandres.actions import _well_integrals, _well_phases
+from bandres.actions import _phi0_rule, _well_integrals
 from bandres.solver import (_GRID_POINTS, _MAX_LEVELS, _NEWTON_MARGIN, _Level,
                             _interpolant, _lobatto_grid,
                             _start_at_interpolant_roots)
@@ -378,11 +378,8 @@ class TestLockstep:
                                                  bound_profile):
         ws = [decompose_window(bound_profile, mathieu_bands, e)
               for e in np.linspace(BOUND_E[0], BOUND_E[1], _GRID_POINTS)]
-        together = _well_phases(ws, mathieu_bands, bound_profile)
         fused = _well_integrals(ws, mathieu_bands, bound_profile)
         for i, w in enumerate(ws):
-            assert together[i] == _well_phases([w], mathieu_bands,
-                                                bound_profile)[0]
             # (Phi0, Phi_w, Phi_w') from shared nodes, bit for bit the
             # single-window public values, whatever the batch
             assert fused[i] == _well_integrals([w], mathieu_bands,
@@ -391,7 +388,9 @@ class TestLockstep:
                 phase_integral(w, mathieu_bands, bound_profile),
                 well_phase(w, mathieu_bands, bound_profile),
                 well_phase_derivative(w, mathieu_bands, bound_profile))
-            assert fused[i][1] == together[i]
+            # and Phi0 bit for bit the k-only integrand's, by the same rule
+            assert fused[i][0] == _phi0_rule([w], mathieu_bands, bound_profile,
+                                             2 * 64, 0.1, "well_phase")[0]
 
     def test_first_failure_in_level_order_is_raised(self, mathieu_bands,
                                                     bound_profile, monkeypatch):
