@@ -37,20 +37,20 @@ Every integral uses 2*nodes points per panel and calls its integrand once
 per batch, on a (k, 4*2*nodes) array holding the nodes of all four panels
 of k segments; phase_integral(with_error=True) and the action data also
 run the nodes rule for Phi0, and report the difference as the quadrature
-error. The private batched forms take many windows on one band, so the
-table-backed momentum is evaluated once for all of them: _well_integrals
-gives (Phi0, Phi_w, Phi_w') from one integrand whose k and k' share one
-pass over the discriminant table, and phase_integral, well_phase and
-well_phase_derivative read their values off its rows; _phi0_rule runs
-only the nodes-point rule of phase_integral(with_error=True);
-_action_data adds the nodes rule and the barrier actions to such rows,
-reading D once for the nodes of every well and of every finite barrier.
-Each row is reduced on its own, one dot product per panel, so a value
+error. The private batched forms take many windows on one band, and each
+quantity has one of them: _well_integrals gives (Phi0, Phi_w, Phi_w')
+from one integrand whose k and k' share one pass over the discriminant
+table, and phase_integral, well_phase and well_phase_derivative read
+their values off its rows; _phi0_rule runs the coarse nodes-point rule
+for Phi0; _barrier_actions gives (S-, S+) from one BandStructure._gap_gamma
+call over every finite barrier, and actions_pm is its one-window call.
+_action_data adds the coarse rule and the barrier actions to rows of
+_well_integrals. Each row is reduced on its own, one dot product per
+panel, and the table is read piece by piece and elementwise, so a value
 does not depend on the batch it was computed in, nor on whether k' was
-taken with it. Barrier energies below the table floor are the one
-exception to sharing: an ODE solve's steps depend on its batch, so they
-take D from one propagation per barrier, as gamma_fast and actions_pm
-(the one-window call of the same path) do.
+taken with it. Barrier energies below the table floor take D from one
+propagation per barrier instead (an ODE solve's steps depend on its
+batch), as gamma_fast does.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numbers
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError, UnsupportedConfigurationError
-from .hill import _band_sign, _k_of, reduced_momentum
+from .hill import _band_sign, reduced_momentum
 
 _GL_CACHE = {}
 _UNDERFLOW_EXPONENT = 690.0   # exp(-690) ~ 1e-300
@@ -155,7 +155,9 @@ def _wells(windows, op):
 
 def _phi0_rule(windows, bands, profile, points, buffer, op):
     """Phi0 of every window by the `points`-per-panel rule from the k-only
-    integrand, in one integrand call: phase_integral's nodes-point rule."""
+    integrand, in one integrand call: the coarse rule whose difference
+    from Phi0 is the quadrature error of phase_integral(with_error=True)
+    and of the action data."""
     segments, energies, n = _wells(windows, op)
 
     def integrand(z):
@@ -210,33 +212,25 @@ def actions_pm(window, bands, profile, nodes=64, buffer=0.1):
     """
     window.well("actions_pm")
     _check_rule(nodes, buffer)
-    e, rule = _barrier_energies([window], profile, nodes, buffer)
-    if e is None:
-        return math.inf, math.inf
-    d = bands.table.value(np.maximum(e, bands.table.breaks[0]))
-    return _barrier_pairs([window], _quad_reduce(bands._gap_gamma(e, d), rule))[0]
+    return _barrier_actions([window], bands, profile, nodes, buffer)[0]
 
 
-def _barrier_energies(windows, profile, nodes, buffer):
-    """E - W at the 2*nodes-point nodes of every finite barrier, one row
-    per barrier in window and side order, and the rule of those nodes;
-    (None, None) when no barrier is finite."""
+def _barrier_actions(windows, bands, profile, nodes, buffer):
+    """(S_minus, S_plus) of every window: twice the integral of Im k over
+    each finite barrier by the 2*nodes-point rule, one _gap_gamma call
+    over all of them, and +inf where a barrier is empty."""
     segments, energies = [], []
     for window in windows:
         for a, b in window.barriers:
             if not (math.isinf(a) or math.isinf(b)):
                 segments.append((a, b))
                 energies.append([window.energy])
-    if not segments:
-        return None, None
-    z, rule = _quad_nodes(segments, 2 * nodes, buffer)
-    return np.array(energies) - profile(z), rule
 
+    def integrand(z):
+        return bands._gap_gamma(np.array(energies) - profile(z))
 
-def _barrier_pairs(windows, integrals):
-    """(S_minus, S_plus) of every window, given the integrals of Im k over
-    its finite barriers in the order of _barrier_energies."""
-    integrals = iter(integrals)
+    integrals = iter(_edge_resolved_quad(integrand, segments, 2 * nodes, buffer)
+                     if segments else ())
     out = []
     for window in windows:
         pair = []
@@ -386,23 +380,12 @@ def compute_action_data(window, bands, profile, nodes=64, buffer=0.1):
 
 def _action_data(windows, integrals, bands, profile, nodes=64, buffer=0.1):
     """ActionData of every window (H6 wells on one band), given its
-    _well_integrals row. One read of the table serves the nodes-point
-    rule of every well (for the quadrature error) and the nodes of every
-    finite barrier; barrier energies below the table floor take D from
-    one propagation per barrier, as in actions_pm."""
-    segments, energies, n = _wells(windows, "compute_action_data")
-    z, well_rule = _quad_nodes(segments, nodes, buffer)
-    e_well = energies - profile(z)
-    e_gap, gap_rule = _barrier_energies(windows, profile, nodes, buffer)
-    reads = [e_well] if e_gap is None else [
-        e_well, np.maximum(e_gap, bands.table.breaks[0])]
-    d = bands.table.value(np.concatenate([e.ravel() for e in reads]))
-    coarse = _quad_reduce(
-        reduced_momentum(_k_of(d[:e_well.size].reshape(e_well.shape), n), n),
-        well_rule)
-    gaps = () if e_gap is None else _quad_reduce(
-        bands._gap_gamma(e_gap, d[e_well.size:].reshape(e_gap.shape)), gap_rule)
+    _well_integrals row: the quadrature error against _phi0_rule, and the
+    barrier actions of _barrier_actions."""
+    coarse = _phi0_rule(windows, bands, profile, nodes, buffer,
+                        "compute_action_data")
+    pairs = _barrier_actions(windows, bands, profile, nodes, buffer)
     return [ActionData(window.energy, phi0, delta_kappa(window), s_minus,
                        s_plus, abs(phi0 - c), _phi0_prime(window, wp), phi, wp)
             for window, (phi0, phi, wp), c, (s_minus, s_plus)
-            in zip(windows, integrals, coarse, _barrier_pairs(windows, gaps))]
+            in zip(windows, integrals, coarse, pairs)]

@@ -745,17 +745,19 @@ class BandStructure:
         return _k_of(self.table.value(e), band_index)
 
     def gamma_fast(self, e):
-        """Im k inside any gap (vectorized); energies below the table floor
-        take D from one direct propagation. Keeps the shape of e."""
+        """Im k inside any gap (vectorized): _gap_gamma of e as one row, so
+        energies below the table floor take D from one direct propagation.
+        Keeps the shape of e."""
         e = np.asarray(e, dtype=float)
-        d = self.table.value(np.maximum(e, self.table.breaks[0]))
-        return self._gap_gamma(e.reshape(1, -1), d.reshape(1, -1)).reshape(e.shape)[()]
+        return self._gap_gamma(e.reshape(1, -1)).reshape(e.shape)[()]
 
-    def _gap_gamma(self, e, d):
-        """Im k at the gap energies e, one row per segment, given d, D read
-        off the table at max(e, floor) (overwritten): the energies of a row
-        below the table floor take D from one direct propagation."""
-        deep = e < self.table.breaks[0]
+    def _gap_gamma(self, e):
+        """Im k at the gap energies e, one row per segment, from D read off
+        the table at max(e, floor); the energies of a row below the table
+        floor take D from one direct propagation."""
+        floor = self.table.breaks[0]
+        d = self.table.value(np.maximum(e, floor))
+        deep = e < floor
         for r in np.flatnonzero(deep.any(axis=1)).tolist():
             d[r, deep[r]] = discriminant_many(self.potential, e[r, deep[r]],
                                               _TABLE_RTOL).real

@@ -46,7 +46,7 @@ level keeps its window and that row; the last sweep of the budget takes
 no Newton step, so a level is judged, and its action data taken, at the
 last iterate it evaluated. The action data of the accepted levels adds
 only the coarse rule (for the quadrature error) and the barrier actions,
-from one more table pass. Starts, sweeps and action data run over chunks
+one batched integrand call each. Starts, sweeps and action data run over chunks
 of _CHUNK levels, so a deep ladder's working set stays that of one
 chunk. Batched decompositions and integrals are
 per-entry identical to the single-energy ones (see window and actions),

@@ -323,9 +323,9 @@ class TestBundle:
 
 
 class TestBatchedActionData:
-    """_action_data reads the table once for the nodes rule of every well and
-    the nodes of every finite barrier; each bundle must stay what the
-    window gives on its own."""
+    """_action_data runs the coarse rule of every well in one batch and the
+    barrier actions of every finite barrier in another; each bundle must
+    stay what the window gives on its own."""
 
     @pytest.mark.parametrize("case", ["wall", "tall_wall", "drift", "bound",
                                       "second_band"])

@@ -8,6 +8,7 @@ from bandres import (
     BoundaryCollisionError,
     DomainError,
     PerturbationProfile,
+    RootCountError,
     UnsupportedConfigurationError,
     band_edges,
     decompose_window,
@@ -17,6 +18,7 @@ from bandres import (
     kappa_normalized,
     reduced_momentum,
 )
+from bandres import momentum
 from bandres.momentum import _EDGE_SNAP
 
 from monodromy_reference import reference_momentum
@@ -183,6 +185,17 @@ class TestBranchPoints:
         with pytest.raises(BoundaryCollisionError):
             find_branch_points(bound_profile, mathieu_bands, E_BOUND,
                                (0.5, z_star, -0.5, 0.5))
+
+    def test_missed_roots_are_counted(self, monkeypatch, mathieu_bands,
+                                      bound_profile):
+        # with no Newton steps no seed lands on a root, and the argument
+        # principle's count of the two real edge-2 roots names the shortfall
+        monkeypatch.setattr(momentum, "_NEWTON_STEPS", 0)
+        with pytest.raises(RootCountError,
+                           match="^edge 2: argument principle counts 2 roots, "
+                                 "Newton found 0$"):
+            find_branch_points(bound_profile, mathieu_bands, E_BOUND,
+                               (-3.0, 3.0, -0.5, 0.5))
 
     def test_empty_region(self, mathieu_bands, drift_profile):
         found = find_branch_points(drift_profile, mathieu_bands, 9.8,

@@ -8,6 +8,7 @@ from bandres import (
     Bump,
     ComputationError,
     ConfigurationError,
+    CriticalEndpointError,
     DomainError,
     EnergyRangeError,
     NearSingularityError,
@@ -209,6 +210,16 @@ class TestDecomposition:
         with pytest.raises(UnsupportedConfigurationError,
                            match=r"^probe needs the one-well \(H6\) regime, got H5$"):
             step.well("probe")
+
+    def test_flat_edge_crossing_is_refused(self, mathieu_bands):
+        # W = 1e-9 * zeta / sqrt(1 + zeta^2) meets E - E2 at zeta = 0.5,
+        # where its slope is far below the criticality limit
+        e2 = float(mathieu_bands.edges[1])
+        prof = PerturbationProfile(0.0, 1e-9, ())
+        with pytest.raises(CriticalEndpointError,
+                           match=r"^\|W'\| = 7\.155e-10 < 1e-06 at the edge "
+                                 r"crossing zeta=0\.50000\d+ \(edge 2\)"):
+            decompose_window(prof, mathieu_bands, e2 + 1e-9 * 0.5 / math.sqrt(1.25))
 
     def test_two_wells_classified_general(self, mathieu_bands):
         prof = PerturbationProfile(0.0, 0.0, ((4.0, -3.0, 1.0), (4.0, 3.0, 1.0)))
