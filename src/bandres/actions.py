@@ -35,18 +35,19 @@ band-edge crossings), removed exactly by the zeta = endpoint +/- u^2
 substitution on buffer panels; interior panels use plain Gauss-Legendre.
 Every integral uses 2*nodes points per panel and calls its integrand once
 per batch, on a (k, 4*2*nodes) array holding the nodes of all four panels
-of k segments; phase_integral(with_error=True) and the action data also
-run the nodes rule for Phi0, and report the difference as the quadrature
-error. The private batched forms take many windows on one band, and each
-quantity has one of them: _well_integrals gives (Phi0, Phi_w, Phi_w')
-from one integrand whose k and k' share one pass over the discriminant
-table, and phase_integral, well_phase and well_phase_derivative read
-their values off its rows; _phi0_rule runs the coarse nodes-point rule
-for Phi0; _barrier_actions gives (S-, S+) from one BandStructure._gap_gamma
-call over every finite barrier, and actions_pm is its one-window call.
-_action_data adds the coarse rule and the barrier actions to rows of
-_well_integrals. Each row is reduced on its own, one dot product per
-panel, and the table is read piece by piece and elementwise, so a value
+of k segments; phase_integral(with_error=True) and compute_action_data
+also run the nodes rule for Phi0, and report the difference as the
+quadrature error. The private batched forms take many windows on one
+band, and each quantity has one of them: _well_integrals gives (Phi0,
+Phi_w, Phi_w') from one integrand whose k and k' share one pass over the
+discriminant table, and phase_integral, well_phase and
+well_phase_derivative read their values off its rows; _phi0_rule runs
+the coarse nodes-point rule for Phi0; _barrier_actions gives (S-, S+)
+from one BandStructure._gap_gamma call over every finite barrier, and
+actions_pm is its one-window call. compute_action_data runs all three
+on its one window; the solver's ladder takes only the first and the
+last. Each row is reduced on its own, one dot product per panel, and
+the table is read piece by piece and elementwise, so a value
 does not depend on the batch it was computed in, nor on whether k' was
 taken with it. Barrier energies below the table floor take D from one
 propagation per barrier instead (an ODE solve's steps depend on its
@@ -55,6 +56,7 @@ batch), as gamma_fast does.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -63,14 +65,12 @@ import numpy as np
 from .errors import DomainError, InternalConsistencyError, UnsupportedConfigurationError
 from .hill import _band_sign, reduced_momentum
 
-_GL_CACHE = {}
 _UNDERFLOW_EXPONENT = 690.0   # exp(-690) ~ 1e-300
 
 
+@functools.cache
 def _gl(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(int(n))
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(int(n))
 
 
 def _check_rule(nodes, buffer):
@@ -157,7 +157,7 @@ def _phi0_rule(windows, bands, profile, points, buffer, op):
     """Phi0 of every window by the `points`-per-panel rule from the k-only
     integrand, in one integrand call: the coarse rule whose difference
     from Phi0 is the quadrature error of phase_integral(with_error=True)
-    and of the action data."""
+    and of compute_action_data."""
     segments, energies, n = _wells(windows, op)
 
     def integrand(z):
@@ -264,7 +264,7 @@ class TunnelingCoefficients:
 
 
 def tunneling_coefficients(action_data, epsilon):
-    """Exponentially small barrier weights at slowness epsilon.
+    """Barrier weights exp(-S/epsilon) of action_data.s_minus and s_plus.
 
     Exponents past the double-precision floor clamp to zero and set the
     underflowed flag; an infinite action gives an exact zero silently.
@@ -373,19 +373,9 @@ class ActionData:
 
 def compute_action_data(window, bands, profile, nodes=64, buffer=0.1):
     """All actions of one H6 window in a single bundle."""
-    integrals = _well_integrals([window], bands, profile, nodes, buffer,
-                                "compute_action_data")
-    return _action_data([window], integrals, bands, profile, nodes, buffer)[0]
-
-
-def _action_data(windows, integrals, bands, profile, nodes=64, buffer=0.1):
-    """ActionData of every window (H6 wells on one band), given its
-    _well_integrals row: the quadrature error against _phi0_rule, and the
-    barrier actions of _barrier_actions."""
-    coarse = _phi0_rule(windows, bands, profile, nodes, buffer,
-                        "compute_action_data")
-    pairs = _barrier_actions(windows, bands, profile, nodes, buffer)
-    return [ActionData(window.energy, phi0, delta_kappa(window), s_minus,
-                       s_plus, abs(phi0 - c), _phi0_prime(window, wp), phi, wp)
-            for window, (phi0, phi, wp), c, (s_minus, s_plus)
-            in zip(windows, integrals, coarse, pairs)]
+    op, one = "compute_action_data", [window]
+    (phi0, phi, wp), = _well_integrals(one, bands, profile, nodes, buffer, op)
+    coarse, = _phi0_rule(one, bands, profile, nodes, buffer, op)
+    (s_minus, s_plus), = _barrier_actions(one, bands, profile, nodes, buffer)
+    return ActionData(window.energy, phi0, delta_kappa(window), s_minus, s_plus,
+                      abs(phi0 - coarse), _phi0_prime(window, wp), phi, wp)

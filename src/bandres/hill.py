@@ -731,6 +731,15 @@ class BandStructure:
             return ("band", i // 2 + 1)
         return ("gap", i // 2)
 
+    def _band_numbers(self, e):
+        """The rule of locate on an array e by one searchsorted (bisect_left)
+        of the edges: band n, or 0 in a gap; past the ceiling, locate's error."""
+        if not np.all(e <= self.gap_ceiling):
+            self.locate(e[~(e <= self.gap_ceiling)].flat[0])
+        i = np.searchsorted(self.edges, e)
+        on_edge = self.edges[np.minimum(i, self.edges.size - 1)] == e
+        return np.where((i % 2 == 1) | on_edge, i // 2 + 1, 0)
+
     # --- fast real-axis evaluation through the cached discriminant ---
 
     @functools.cached_property

@@ -256,8 +256,7 @@ def isoenergy_portrait(profile, bands, energy, zeta_range, n_samples):
         raise DomainError("empty zeta range [%g, %g]" % (lo, hi))
     zs = np.linspace(lo, hi, n_samples)
     es = energy - profile(zs)
-    band_of = np.array([n if kind == "band" else 0
-                        for kind, n in map(bands.locate, es)])
+    band_of = bands._band_numbers(es)
     on = band_of > 0
     zs, es, band_of = zs[on], es[on], band_of[on]
     k0 = np.empty(es.shape)

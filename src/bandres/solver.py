@@ -17,8 +17,8 @@ Widths attach the tunneling weights, width = eps * c0 * (t+ + t-), under
 the reporting convention c0 = 1; the exponential content is the
 meaningful part, the prefactor is a convention. Drift in zeta follows
 the differentiated rule, dE/dzeta = -pi*delta_kappa / Phi_w'(E), and
-labels relabel as l -> l + delta_kappa under zeta -> zeta + eps while
-the position set is exactly eps-periodic.
+labels relabel as l -> l + delta_kappa under zeta -> zeta + eps, with
+positions equal to the last ulp or two, as scripts/periodicity.py counts.
 
 A monotone-transition (H5) window carries no resonances and yields an
 empty list; two-sided or empty windows are outside the regime and
@@ -43,10 +43,10 @@ tolerance. Then every Newton sweep decomposes the iterates of the live
 levels, each failure landing on its own level, and one batch, one pass
 over the discriminant table, takes Phi0, Phi_w and Phi_w' at them. Each
 level keeps its window and that row; the last sweep of the budget takes
-no Newton step, so a level is judged, and its action data taken, at the
-last iterate it evaluated. The action data of the accepted levels adds
-only the coarse rule (for the quadrature error) and the barrier actions,
-one batched integrand call each. Starts, sweeps and action data run over chunks
+no Newton step, so a level is judged, and its estimate built, at the
+last iterate it evaluated. An accepted level adds only its barrier
+actions, one batched integrand call per chunk, to its row and the grid's
+delta_kappa. Starts, sweeps and barrier actions run over chunks
 of _CHUNK levels, so a deep ladder's working set stays that of one
 chunk. Batched decompositions and integrals are
 per-entry identical to the single-energy ones (see window and actions),
@@ -64,7 +64,7 @@ import weakref
 
 import numpy as np
 
-from .actions import (_action_data, _well_integrals,
+from .actions import (_barrier_actions, _well_integrals,
                       delta_kappa, tunneling_coefficients)
 from .errors import (ComputationError, ConfigurationError,
                      UnsupportedConfigurationError)
@@ -154,13 +154,14 @@ class ResonanceEstimate:
 
 
 def width_estimate(actions, epsilon, c0=1.0):
-    """Width eps*c0*(t+ + t-) of a positioned resonance; 0 for bound states."""
+    """Width eps*c0*(t+ + t-) from actions.s_minus, s_plus; 0 for bound states."""
     t = tunneling_coefficients(actions, epsilon)
     return epsilon * c0 * t.t
 
 
 def drift_slope(actions):
-    """dE^l/dzeta = -pi*delta_kappa / Phi_w'; exactly 0 when delta_kappa = 0."""
+    """dE^l/dzeta = -pi*delta_kappa / Phi_w'; exactly 0 when delta_kappa = 0.
+    Reads actions.delta_kappa and actions.well_prime."""
     if actions.delta_kappa == 0:
         return 0.0
     return -math.pi * actions.delta_kappa / actions.well_prime
@@ -170,7 +171,9 @@ class _Level:
     """Newton state of one quantization level: its bracket [a, b] with
     the residuals fa, fb there and its iterate e; once e is evaluated, the
     checked window at e, its (Phi0, Phi_w, Phi_w') row and
-    fe = Phi_w(e) - target, or the error that stopped the level."""
+    fe = Phi_w(e) - target, or the error that stopped the level; once
+    accepted, s_minus and s_plus at e, delta_kappa and well_prime (Phi_w'),
+    the fields tunneling_coefficients, width_estimate and drift_slope read."""
 
     def __init__(self, l, target, tol, a, fa, b, fb):
         self.l, self.target, self.tol = l, target, tol
@@ -263,8 +266,8 @@ def locate_resonances(cfg, window, bands, profile):
     (the window exceeded its validity neighborhood).
 
     All levels are solved in lockstep (see the module docstring); the
-    first failure in order of l is the one raised, after the action data
-    of every accepted level below it.
+    first failure in order of l is the one raised, after the barrier
+    actions of every accepted level below it.
     """
     if window.classification == "H5":
         return []
@@ -373,16 +376,15 @@ def locate_resonances(cfg, window, bands, profile):
             accepted.append(lv)
     out = []
     for chunk in _chunks(accepted):
-        data_list = _action_data([lv.window for lv in chunk],
-                                 [lv.row for lv in chunk], bands, profile,
-                                 *quad)
-        for lv, data in zip(chunk, data_list):
-            t = tunneling_coefficients(data, cfg.epsilon)
+        pairs = _barrier_actions([lv.window for lv in chunk], bands, profile, *quad)
+        for lv, pair in zip(chunk, pairs):
+            lv.s_minus, lv.s_plus, lv.delta_kappa, lv.well_prime = *pair, dk, lv.row[2]
+            t = tunneling_coefficients(lv, cfg.epsilon)
             out.append(ResonanceEstimate(
-                lv.l, lv.e, width_estimate(data, cfg.epsilon, cfg.c0),
-                t.t_plus, t.t_minus, drift_slope(data), abs(lv.fe),
-                s_minus=data.s_minus, s_plus=data.s_plus, phase=data.well,
-                phase_prime=data.well_prime, underflowed=t.underflowed))
+                lv.l, lv.e, width_estimate(lv, cfg.epsilon, cfg.c0),
+                t.t_plus, t.t_minus, drift_slope(lv), abs(lv.fe),
+                s_minus=lv.s_minus, s_plus=lv.s_plus, phase=lv.row[1],
+                phase_prime=lv.well_prime, underflowed=t.underflowed))
     if failure is not None:
         raise failure
     return out

@@ -22,8 +22,8 @@ from bandres import (
     well_phase_derivative,
 )
 
-from bandres.actions import (_action_data, _edge_resolved_quad, _quad_nodes,
-                             _quad_reduce, _well_integrals)
+from bandres.actions import (_barrier_actions, _edge_resolved_quad,
+                             _quad_nodes, _quad_reduce)
 
 from monodromy_reference import reference_momenta
 
@@ -323,9 +323,9 @@ class TestBundle:
 
 
 class TestBatchedActionData:
-    """_action_data runs the coarse rule of every well in one batch and the
-    barrier actions of every finite barrier in another; each bundle must
-    stay what the window gives on its own."""
+    """_barrier_actions integrates every finite barrier of a batch in one
+    integrand call; each window's pair must stay what actions_pm and
+    compute_action_data give it on its own."""
 
     @pytest.mark.parametrize("case", ["wall", "tall_wall", "drift", "bound",
                                       "second_band"])
@@ -343,16 +343,15 @@ class TestBatchedActionData:
         }[case]
         bands = mathieu_bands
         windows = [decompose_window(profile, bands, e) for e in energies]
-        batch = _action_data(windows, _well_integrals(windows, bands, profile),
-                             bands, profile)
+        batch = _barrier_actions(windows, bands, profile, 64, 0.1)
         floor = bands.table.breaks[0]
         deep = False
-        for w, data in zip(windows, batch):
-            assert repr(data.to_dict()) == repr(
-                compute_action_data(w, bands, profile).to_dict())
-            assert (data.s_minus, data.s_plus) == actions_pm(w, bands, profile)
+        for w, pair in zip(windows, batch):
+            data = compute_action_data(w, bands, profile)
+            assert repr(pair) == repr((data.s_minus, data.s_plus))
+            assert pair == actions_pm(w, bands, profile)
             # each finite barrier as the per-window rule over gamma_fast gives it
-            for (a, b), s in zip(w.barriers, (data.s_minus, data.s_plus)):
+            for (a, b), s in zip(w.barriers, pair):
                 if math.isinf(a) or math.isinf(b):
                     assert s == math.inf
                     continue

@@ -177,6 +177,29 @@ class TestBandEdges:
         assert got[:len(edges)] == [("band", edges.index(x) // 2 + 1) for x in edges]
         assert [g[0] for g in got[-5:]] == ["refused"] * 3 + ["gap", "refused"]
 
+    @pytest.mark.parametrize("name", ["mathieu_bands", "free_bands"])
+    def test_band_numbers_apply_the_rule_of_locate(self, request, name):
+        # free_bands has a double edge at every closed gap
+        bands = request.getfixturevalue(name)
+        edges = [float(x) for x in bands.edges]
+        ceiling = bands.gap_ceiling
+        points = list(edges)
+        points += [np.nextafter(x, side) for x in edges for side in (-math.inf, math.inf)]
+        points += [0.5 * (a + b) for a, b in zip(edges[1::2], edges[2::2] + [ceiling])]
+        points += [edges[0] - 1.0, -math.inf, ceiling]
+        points = [x for x in points if x <= ceiling]   # free_bands: top edge
+        want = [n if kind == "band" else 0 for kind, n in map(bands.locate, points)]
+        got = bands._band_numbers(np.array(points)).tolist()
+        assert got == want
+        # a double edge belongs to the lower band, as in locate
+        assert got[:len(edges)] == [edges.index(x) // 2 + 1 for x in edges]
+        assert bands._band_numbers(np.array(points[:3]).reshape(3, 1)).shape == (3, 1)
+        for beyond in (np.nextafter(ceiling, math.inf), ceiling + 1.0, math.inf, math.nan):
+            with pytest.raises(EnergyRangeError) as exc:
+                bands._band_numbers(np.array([edges[0], beyond, beyond + 1.0]))
+            assert str(exc.value) == located_or_refused(
+                BandStructure.locate, bands, beyond)[1]
+
     @pytest.mark.parametrize("e_max", [45.0, 165.0])
     def test_mathieu_edges_against_mpmath(self, mathieu, e_max):
         # gap 4 (edges 8 and 9) is 9.03e-7 wide, with D - 2 about 3e-16 at

@@ -30,6 +30,7 @@ from bandres import (
     well_phase_derivative,
     width_estimate,
 )
+from bandres import actions as actions_module
 from bandres import solver as solver_module
 from bandres.actions import _phi0_rule, _well_integrals
 from bandres.solver import (_GRID_POINTS, _MAX_LEVELS, _NEWTON_MARGIN, _Level,
@@ -315,6 +316,27 @@ class TestLockstep:
         win = decompose_window(run.profile, bands,
                                0.5 * sum(run.solver.e_window))
         ref = per_level_ladder(cfg, win, bands, run.profile)
+        assert found
+        assert [vars(r) for r in found] == [vars(r) for r in ref]
+
+    @pytest.mark.parametrize("name", ["barrier_wall", "free_flat"])
+    def test_ladder_runs_no_coarse_rule(self, request, configs_dir, name,
+                                        monkeypatch):
+        # an estimate reports no quadrature error and no Phi0', so a ladder
+        # runs neither the coarse Phi0 rule nor Phi0' and builds no bundle
+        run = load_configuration(configs_dir / (name + ".json"))
+        bands = config_bands(request, name)
+        cfg = SolverConfig(0.1, 0.0, run.solver.e_window)
+        win = decompose_window(run.profile, bands,
+                               0.5 * sum(run.solver.e_window))
+        ref = per_level_ladder(cfg, win, bands, run.profile)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ladder built action data it does not report")
+
+        for attr in ("_phi0_rule", "_phi0_prime", "ActionData"):
+            monkeypatch.setattr(actions_module, attr, refuse)
+        found = locate_resonances(cfg, win, bands, run.profile)
         assert found
         assert [vars(r) for r in found] == [vars(r) for r in ref]
 
