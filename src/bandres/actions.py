@@ -35,9 +35,9 @@ band-edge crossings), removed exactly by the zeta = endpoint +/- u^2
 substitution on buffer panels; interior panels use plain Gauss-Legendre.
 Every integral uses 2*nodes points per panel and calls its integrand once
 per batch, on a (k, 4*2*nodes) array holding the nodes of all four panels
-of k segments; phase_integral(with_error=True) and compute_action_data
-also run the nodes rule for Phi0, and report the difference as the
-quadrature error. The private batched forms take many windows on one
+of k segments; compute_action_data, the one owner of the node-doubling
+error, also runs the nodes rule for Phi0 and reports the difference as
+the quadrature error. The private batched forms take many windows on one
 band, and each quantity has one of them: _well_integrals gives (Phi0,
 Phi_w, Phi_w') from one integrand whose k and k' share one pass over the
 discriminant table, and phase_integral, well_phase and
@@ -50,8 +50,8 @@ last. Each row is reduced on its own, one dot product per panel, and
 the table is read piece by piece and elementwise, so a value
 does not depend on the batch it was computed in, nor on whether k' was
 taken with it. Barrier energies below the table floor take D from one
-propagation per barrier instead (an ODE solve's steps depend on its
-batch), as gamma_fast does.
+Wronskian-checked propagation per barrier instead (an ODE solve's steps
+depend on its batch), as gamma_fast does.
 """
 
 from __future__ import annotations
@@ -156,8 +156,7 @@ def _wells(windows, op):
 def _phi0_rule(windows, bands, profile, points, buffer, op):
     """Phi0 of every window by the `points`-per-panel rule from the k-only
     integrand, in one integrand call: the coarse rule whose difference
-    from Phi0 is the quadrature error of phase_integral(with_error=True)
-    and of compute_action_data."""
+    from Phi0 is the quadrature error of compute_action_data."""
     segments, energies, n = _wells(windows, op)
 
     def integrand(z):
@@ -166,16 +165,10 @@ def _phi0_rule(windows, bands, profile, points, buffer, op):
     return _edge_resolved_quad(integrand, segments, points, buffer)
 
 
-def phase_integral(window, bands, profile, nodes=64, buffer=0.1,
-                   with_error=False):
-    """Phi0(E): action of the compact component of the window; with_error
-    adds the difference from the nodes-point rule as a second value."""
-    op = "phase_integral"
-    phi0 = _well_integrals([window], bands, profile, nodes, buffer, op)[0][0]
-    if not with_error:
-        return phi0
-    coarse = _phi0_rule([window], bands, profile, nodes, buffer, op)[0]
-    return phi0, abs(phi0 - coarse)
+def phase_integral(window, bands, profile, nodes=64, buffer=0.1):
+    """Phi0(E): action of the compact component of the window."""
+    return _well_integrals([window], bands, profile, nodes, buffer,
+                           "phase_integral")[0][0]
 
 
 def _anchored(window, phi0):

@@ -565,9 +565,10 @@ class DiscriminantTable:
     33-node interpolant: the coefficients reach the ODE noise floor near
     degree 15 on every band-aligned piece, so 33 nodes carry about twice
     the degree the signal needs and read within 1.3e-13 of a 97-node table.
-    Built from a single batched propagation; the relative error of D at
-    seven off-node probes per piece must stay within 1e-10, or the build
-    raises InternalConsistencyError.
+    Built from one batched integrate_monodromy call, so a node that fails
+    its Wronskian check fails the build; the relative error of D at seven
+    off-node probes per piece must stay within 1e-10, or the build raises
+    InternalConsistencyError.
 
     Evaluation runs the Clenshaw recurrence of numpy's chebval (Clenshaw
     1955) operation for operation, so it returns chebval's floats; D and
@@ -592,9 +593,9 @@ class DiscriminantTable:
             a, b = self.breaks[i], self.breaks[i + 1]
             nodes.append(0.5 * (a + b) + 0.5 * (b - a) * xu)
         all_nodes = np.concatenate(nodes)
-        D, Dp = discriminant_with_derivative(potential, all_nodes, _TABLE_RTOL)
-        D = D.real
-        Dp = Dp.real
+        m, dm = integrate_monodromy(potential, all_nodes, _TABLE_RTOL,
+                                    derivative=True)
+        D, Dp = m.trace(), dm.trace()
         # (degree, D or D', piece)
         self._coef = np.empty((_TABLE_POINTS, 2, npiece))
         for i in range(npiece):
@@ -610,7 +611,7 @@ class DiscriminantTable:
             a, b = self.breaks[i], self.breaks[i + 1]
             probes.append(np.linspace(a, b, 9)[1:-1])
         probes = np.concatenate(probes)
-        ref = discriminant_many(potential, probes, _TABLE_RTOL).real
+        ref = integrate_monodromy(potential, probes, _TABLE_RTOL).trace()
         err = np.max(np.abs(self.value(probes) - ref) / np.maximum(1.0, np.abs(ref)))
         self.validation_error = float(err)
         if err > _TABLE_VALIDATION:
@@ -763,13 +764,13 @@ class BandStructure:
     def _gap_gamma(self, e):
         """Im k at the gap energies e, one row per segment, from D read off
         the table at max(e, floor); the energies of a row below the table
-        floor take D from one direct propagation."""
+        floor take D from one integrate_monodromy call, Wronskian checked."""
         floor = self.table.breaks[0]
         d = self.table.value(np.maximum(e, floor))
         deep = e < floor
         for r in np.flatnonzero(deep.any(axis=1)).tolist():
-            d[r, deep[r]] = discriminant_many(self.potential, e[r, deep[r]],
-                                              _TABLE_RTOL).real
+            d[r, deep[r]] = integrate_monodromy(self.potential, e[r, deep[r]],
+                                                _TABLE_RTOL).trace()
         return np.arccosh(np.maximum(1.0, np.abs(d) / 2.0))
 
     def kprime_fast(self, e, band_index):

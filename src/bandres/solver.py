@@ -39,16 +39,18 @@ is bracketed between two grid energies and starts at the root of the
 interpolant there: _START_STEPS bracketed Newton steps on the
 interpolant from the regula-falsi point, so that where the interpolant
 is that close its first direct evaluation already meets the Newton
-tolerance. Then every Newton sweep decomposes the iterates of the live
-levels, each failure landing on its own level, and one batch, one pass
-over the discriminant table, takes Phi0, Phi_w and Phi_w' at them. Each
-level keeps its window and that row; the last sweep of the budget takes
-no Newton step, so a level is judged, and its estimate built, at the
-last iterate it evaluated. An accepted level adds only its barrier
-actions, one batched integrand call per chunk, to its row and the grid's
-delta_kappa. Starts, sweeps and barrier actions run over chunks
-of _CHUNK levels, so a deep ladder's working set stays that of one
-chunk. Batched decompositions and integrals are
+tolerance. The levels run in chunks of _CHUNK consecutive levels, each
+taken from bracket to estimate before the next is built: its starts,
+then its Newton sweeps, each of which decomposes the iterates of its
+live levels, each failure landing on its own level, and takes Phi0,
+Phi_w and Phi_w' at them in one batch, one pass over the discriminant
+table. Each level keeps its window and that row; the last sweep of the
+budget takes no Newton step, so a level is judged, and its estimate
+built, at the last iterate it evaluated. The chunk's accepted levels add
+only their barrier actions, one batched integrand call, to their rows
+and the grid's delta_kappa. A finished chunk leaves only its estimates,
+so a deep ladder holds one chunk's levels and windows beside about
+0.4 KB per estimate. Batched decompositions and integrals are
 per-entry identical to the single-energy ones (see window and actions),
 and each level keeps the bracket, start, iterate sequence and 1/16
 margin it would have if solved alone, so the results do not depend on
@@ -59,6 +61,7 @@ acceptance (tol/16 in Phi_w), not bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 
@@ -79,8 +82,8 @@ _START_STEPS = 3        # Newton steps on the interpolant before a level's
 _MAX_NEWTON = 60
 _NEWTON_MARGIN = 16.0   # iterate to tol/16, accept at tol: a recheck that
                         # rounds differently still finds the level in bounds
-_MAX_LEVELS = 30000     # chunked, a ladder costs about 0.35 ms and 2 KB per
-                        # level (29,962 barrier_wall levels: 11 s, 109 MB peak
+_MAX_LEVELS = 30000     # chunked, a ladder costs about 0.35 ms and 0.4 KB per
+                        # level (29,962 barrier_wall levels: 8-11 s, 59 MB peak
                         # RSS), so this caps a ladder's time near 11 s
 _CHUNK = 256            # levels per batched decomposition and table pass
 
@@ -251,11 +254,6 @@ def _start_at_interpolant_roots(levels, coef, e_lo, e_hi):
         lv.e = start
 
 
-def _chunks(levels):
-    """Consecutive slices of at most _CHUNK levels, in order."""
-    return [levels[i:i + _CHUNK] for i in range(0, len(levels), _CHUNK)]
-
-
 def locate_resonances(cfg, window, bands, profile):
     """Solve the quantization rule over cfg.e_window.
 
@@ -265,9 +263,10 @@ def locate_resonances(cfg, window, bands, profile):
     bookkeeping changes, inside the window, the configuration is rejected
     (the window exceeded its validity neighborhood).
 
-    All levels are solved in lockstep (see the module docstring); the
-    first failure in order of l is the one raised, after the barrier
-    actions of every accepted level below it.
+    Each chunk of levels is solved in lockstep (see the module
+    docstring); the first failure in order of l is the one raised, after
+    the barrier actions of every accepted level below it, and no chunk
+    above its own is built.
     """
     if window.classification == "H5":
         return []
@@ -325,59 +324,56 @@ def locate_resonances(cfg, window, bands, profile):
             "ceiling of %d; increase epsilon or narrow the window"
             % (cfg.epsilon, l_hi - l_lo + 1, _MAX_LEVELS))
 
-    levels = []
-    increasing = diffs[0] > 0
-    for l in range(l_lo, l_hi + 1):
-        target = base + step * l
-        pos = np.searchsorted(phis if increasing else -phis,
-                              target if increasing else -target)
-        i = min(max(pos, 1), len(grid) - 1)
-        fa, fb = phis[i - 1] - target, phis[i] - target
-        if fa * fb > 0.0:
-            continue   # target marginally outside the sampled range
-        levels.append(_Level(l, target, cfg.root_tol * (1.0 + abs(target)),
-                             grid[i - 1], fa, grid[i], fb))
-    for chunk in _chunks(levels):
-        _start_at_interpolant_roots(chunk, coef, e_lo, e_hi)
+    def bracketed():
+        increasing = diffs[0] > 0
+        for l in range(l_lo, l_hi + 1):
+            target = base + step * l
+            pos = np.searchsorted(phis if increasing else -phis,
+                                  target if increasing else -target)
+            i = min(max(pos, 1), len(grid) - 1)
+            fa, fb = phis[i - 1] - target, phis[i] - target
+            if fa * fb <= 0.0:   # else target marginally outside the samples
+                yield _Level(l, target, cfg.root_tol * (1.0 + abs(target)),
+                             grid[i - 1], fa, grid[i], fb)
 
-    live = levels
-    for sweep in range(_MAX_NEWTON):
-        if sweep:
-            for lv in live:
-                lv.step()
-        for chunk in _chunks(live):
-            for lv, w in zip(chunk, _decompose_many(profile, bands,
-                                                    [lv.e for lv in chunk])):
+    levels, out = bracketed(), []
+    while chunk := list(itertools.islice(levels, _CHUNK)):
+        _start_at_interpolant_roots(chunk, coef, e_lo, e_hi)
+        live = chunk
+        for sweep in range(_MAX_NEWTON):
+            if sweep:
+                for lv in live:
+                    lv.step()
+            for lv, w in zip(live, _decompose_many(profile, bands,
+                                                   [lv.e for lv in live])):
                 try:
                     lv.window = checked(w, lv.e)
                 except ComputationError as exc:
                     lv.error = exc
-            chunk = [lv for lv in chunk if lv.error is None]
-            if chunk:
-                rows = _well_integrals([lv.window for lv in chunk], bands,
+            live = [lv for lv in live if lv.error is None]
+            if live:
+                rows = _well_integrals([lv.window for lv in live], bands,
                                        profile, *quad)
-                for lv, row in zip(chunk, rows):
+                for lv, row in zip(live, rows):
                     lv.row, lv.fe = row, row[1] - lv.target
-        live = [lv for lv in live if lv.error is None
-                and abs(lv.fe) > lv.tol / _NEWTON_MARGIN]
-        if not live:
-            break
+            live = [lv for lv in live if abs(lv.fe) > lv.tol / _NEWTON_MARGIN]
+            if not live:
+                break
 
-    accepted, failure = [], None
-    for lv in levels:
-        failure = lv.error
-        if failure is None and abs(lv.fe) > lv.tol:
-            failure = ComputationError(
-                "quantization root for l=%d did not converge (residual %g)"
-                % (lv.l, abs(lv.fe)))
-        if failure is not None:
-            break
-        if e_lo <= lv.e <= e_hi:
-            accepted.append(lv)
-    out = []
-    for chunk in _chunks(accepted):
-        pairs = _barrier_actions([lv.window for lv in chunk], bands, profile, *quad)
-        for lv, pair in zip(chunk, pairs):
+        accepted, failure = [], None
+        for lv in chunk:
+            failure = lv.error
+            if failure is None and abs(lv.fe) > lv.tol:
+                failure = ComputationError(
+                    "quantization root for l=%d did not converge (residual %g)"
+                    % (lv.l, abs(lv.fe)))
+            if failure is not None:
+                break
+            if e_lo <= lv.e <= e_hi:
+                accepted.append(lv)
+        pairs = _barrier_actions([lv.window for lv in accepted], bands,
+                                 profile, *quad)
+        for lv, pair in zip(accepted, pairs):
             lv.s_minus, lv.s_plus, lv.delta_kappa, lv.well_prime = *pair, dk, lv.row[2]
             t = tunneling_coefficients(lv, cfg.epsilon)
             out.append(ResonanceEstimate(
@@ -385,6 +381,6 @@ def locate_resonances(cfg, window, bands, profile):
                 t.t_plus, t.t_minus, drift_slope(lv), abs(lv.fe),
                 s_minus=lv.s_minus, s_plus=lv.s_plus, phase=lv.row[1],
                 phase_prime=lv.well_prime, underflowed=t.underflowed))
-    if failure is not None:
-        raise failure
+        if failure is not None:
+            raise failure
     return out

@@ -10,6 +10,7 @@ from bandres import (
     ComputationError,
     DomainError,
     EnergyRangeError,
+    IntegrationFailure,
     InternalConsistencyError,
     PeriodicPotential,
     PerturbationProfile,
@@ -341,6 +342,27 @@ class TestDiscriminantTable:
         assert np.ndim(mathieu_bands.gamma_fast(floor - 1.0)) == 0
         _, s_plus = actions_pm(win, mathieu_bands, tall)
         assert math.isfinite(s_plus) and s_plus > 0.0
+
+    def test_table_propagations_pass_the_wronskian_check(self, mathieu,
+                                                          mathieu_bands,
+                                                          monkeypatch):
+        # a period map whose m21 is off by 1e-3 keeps its trace, so only
+        # the det M = 1 check of integrate_monodromy can see it: the table's
+        # nodes and probes and _gap_gamma below the floor all go through it
+        def drifting(*args, _propagate=hill._propagate, **kwargs):
+            y = _propagate(*args, **kwargs)
+            y[1] *= 1.001
+            return y
+
+        fresh = BandStructure.from_dict(mathieu_bands.to_dict(), mathieu)
+        with monkeypatch.context() as m:
+            m.setattr(hill, "_propagate", drifting)
+            with pytest.raises(IntegrationFailure, match="Wronskian drift"):
+                fresh.table
+        floor = mathieu_bands.table.breaks[0]
+        monkeypatch.setattr(hill, "_propagate", drifting)
+        with pytest.raises(IntegrationFailure, match="Wronskian drift"):
+            mathieu_bands.gamma_fast(np.array([floor - 1.0, floor + 1.0]))
 
     def test_multi_piece_read_holds_a_few_point_arrays(self, mathieu_bands):
         # the piece indices and the result, plus one piece's point indices,

@@ -414,12 +414,15 @@ class TestLockstep:
             assert fused[i][0] == _phi0_rule([w], mathieu_bands, bound_profile,
                                              2 * 64, 0.1, "well_phase")[0]
 
+    @pytest.mark.parametrize("chunk", [solver_module._CHUNK, 2])
     def test_first_failure_in_level_order_is_raised(self, mathieu_bands,
-                                                    bound_profile, monkeypatch):
+                                                    bound_profile, monkeypatch,
+                                                    chunk):
         # the lowest level fails late (at its root, on its second sweep:
         # its start lies 1.6e-9 off) and a higher level fails at its first
         # iterate: the per-level loop meets the lower level's failure
-        # first, and so must the lockstep
+        # first, and so must the lockstep, also when the two levels fall
+        # in different chunks
         cfg, found = solve(mathieu_bands, bound_profile, BOUND_E, 0.05)
         low, high = found[0].e_real, found[3].e_real
         grid = set(_lobatto_grid(*BOUND_E))
@@ -446,6 +449,7 @@ class TestLockstep:
         for module in (solver_module, sys.modules[__name__]):
             if module is solver_module:
                 monkeypatch.setattr(module, "_decompose_many", failing_many)
+                monkeypatch.setattr(module, "_CHUNK", chunk)
             else:
                 monkeypatch.setattr(module, "decompose_window", failing)
             with pytest.raises(UnsupportedConfigurationError) as info:
@@ -667,5 +671,29 @@ class TestChunks:
         one, chunked = ladders
         assert len(one) == 174
         assert [vars(r) for r in chunked] == [vars(r) for r in one]
-        # about 8.2 MB in one chunk against 2.2 MB in chunks of 16
+        # about 8.3 MB in one chunk against 0.85 MB in chunks of 16
         assert peaks[1] < 0.5 * peaks[0]
+
+    def test_finished_chunk_releases_its_windows(self, configs_dir,
+                                                 mathieu_bands, cold,
+                                                 monkeypatch):
+        # at any decomposition, the windows still alive are at most those
+        # of the chunk before (its accepted levels), this chunk's and the
+        # kept grid's
+        run = load_configuration(configs_dir / "barrier_wall.json")
+        alive, counts = weakref.WeakSet(), []
+
+        def tracked(profile, bands, energies,
+                    _decompose=solver_module._decompose_many):
+            gc.collect()
+            counts.append(len(alive))
+            out = _decompose(profile, bands, energies)
+            alive.update(w for w in out if not isinstance(w, Exception))
+            return out
+        monkeypatch.setattr(solver_module, "_decompose_many", tracked)
+        monkeypatch.setattr(solver_module, "_CHUNK", 16)
+        _cfg, found = solve(mathieu_bands, run.profile, run.solver.e_window,
+                            1e-3)
+        assert len(found) == 174
+        assert len(counts) > 174 // 16
+        assert max(counts) <= 2 * 16 + _GRID_POINTS
