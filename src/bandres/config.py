@@ -1,7 +1,7 @@
 """Run-file ingestion: one structured-text file drives every command.
 
-The file is JSON with sections potential / profile / solver / oracle plus
-an output directory. Parsing is strict: unknown keys, wrong types, and
+The file is JSON with sections potential / profile / solver plus an
+output directory. Parsing is strict: unknown keys, wrong types, and
 out-of-range values are rejected at load with the offending key and,
 where it can be recovered from the source text, its line number. A
 parsed configuration round-trips losslessly through to_dict().
@@ -10,18 +10,16 @@ parsed configuration round-trips losslessly through to_dict().
 from __future__ import annotations
 
 import json
-import math
 
 from .errors import ConfigurationError
 from .hill import PeriodicPotential
 from .solver import SolverConfig
 from .window import PerturbationProfile
 
-_TOP_KEYS = {"potential", "profile", "solver", "oracle", "output_dir"}
+_TOP_KEYS = {"potential", "profile", "solver", "output_dir"}
 _POTENTIAL_KEYS = {"mean", "cos_coeffs", "sin_coeffs", "allow_constant"}
 _PROFILE_KEYS = {"mu", "nu", "bumps", "allow_constant"}
 _SOLVER_KEYS = ("epsilon", "zeta", "e_window")   # all required
-_ORACLE_KEYS = {"cap_strength"}
 
 
 def _is_number(v):
@@ -44,8 +42,6 @@ _TYPES = {
               "an array of [height, center, width] number triples"),
     "epsilon": _NUMBER, "zeta": _NUMBER,
     "e_window": (_numbers(2), "a two-number array [lo, hi]"),
-    "cap_strength": (lambda v: _is_number(v) and 0.0 <= v < math.inf,
-                     "a finite nonnegative number"),
     "output_dir": (lambda v: isinstance(v, str) and v != "", "a nonempty string"),
 }
 
@@ -82,12 +78,10 @@ def _check_keys(section, data, allowed, source, text):
                                              _TYPES[key][1], json.dumps(value, default=repr)))
 
 
-def _section(data, name, source, text, required=True):
+def _section(data, name, source, text):
     if name not in data:
-        if required:
-            raise ConfigurationError(
-                "%s: missing required section %r" % (source, name))
-        return {}
+        raise ConfigurationError(
+            "%s: missing required section %r" % (source, name))
     value = data[name]
     if not isinstance(value, dict):
         raise ConfigurationError(
@@ -99,12 +93,10 @@ def _section(data, name, source, text, required=True):
 class RunConfiguration:
     """Validated bundle of everything a command needs."""
 
-    def __init__(self, potential, profile, solver, cap_strength=0.0,
-                 output_dir="out"):
+    def __init__(self, potential, profile, solver, output_dir="out"):
         self.potential = potential
         self.profile = profile
         self.solver = solver
-        self.cap_strength = float(cap_strength)
         self.output_dir = str(output_dir)
 
     @classmethod
@@ -121,8 +113,6 @@ class RunConfiguration:
         _check_keys("profile", prof_d, _PROFILE_KEYS, source, text)
         sol_d = _section(data, "solver", source, text)
         _check_keys("solver", sol_d, _SOLVER_KEYS, source, text)
-        ora_d = _section(data, "oracle", source, text, required=False)
-        _check_keys("oracle", ora_d, _ORACLE_KEYS, source, text)
 
         def build(section, ctor, d):
             try:
@@ -141,8 +131,7 @@ class RunConfiguration:
                     "%smissing required solver key %r"
                     % (_at(source, text, "solver"), key))
         solver = build("solver", lambda d: SolverConfig(**d), dict(sol_d))
-        return cls(potential, profile, solver, ora_d.get("cap_strength", 0.0),
-                   data.get("output_dir", "out"))
+        return cls(potential, profile, solver, data.get("output_dir", "out"))
 
     @classmethod
     def load(cls, path):
@@ -163,7 +152,6 @@ class RunConfiguration:
         return {"potential": self.potential.to_dict(),
                 "profile": self.profile.to_dict(),
                 "solver": {key: solver[key] for key in _SOLVER_KEYS},
-                "oracle": {"cap_strength": self.cap_strength},
                 "output_dir": self.output_dir}
 
     def replace_solver(self, **overrides):
@@ -171,8 +159,7 @@ class RunConfiguration:
         d = self.solver.to_dict()
         d.update(overrides)
         return RunConfiguration(self.potential, self.profile,
-                                SolverConfig(**d), self.cap_strength,
-                                self.output_dir)
+                                SolverConfig(**d), self.output_dir)
 
     def __eq__(self, other):
         return (isinstance(other, RunConfiguration)

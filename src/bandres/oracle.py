@@ -69,6 +69,7 @@ MIN_POINTS_PER_PERIOD = 32
 LOCALIZED = 0.5          # eigenvector mass fraction that marks a window state
 _BOX_MARGIN = 10.0       # slow-variable room beyond the window endpoints
 _CAP_ONSET = 0.7         # absorber ramp starts at this fraction of the half-length
+_CAP_STRENGTH = 1.0      # absorber strength of the standard box of an open window
 _SAME_EIGENVALUE = 1e-9  # polished eigenvalues this close (relative) are one
 _POLISH_TOL = 1e-12      # residual ||w - theta v|| / |theta| that ends a polish
 _POLISH_SOLVES = 40      # solves a polish may spend; a verify pass needs at most 9
@@ -113,9 +114,10 @@ class OracleConfig:
         return 1.0 / self.spacing
 
     @classmethod
-    def for_window(cls, window, epsilon, cap_strength=0.0):
+    def for_window(cls, window, epsilon):
         """Smallest box that holds the window endpoints with the standard
-        slow-variable margin, at MIN_POINTS_PER_PERIOD."""
+        slow-variable margin, at MIN_POINTS_PER_PERIOD; its absorber is on
+        (at _CAP_STRENGTH) exactly when the window is open."""
         if not 0.0 < epsilon <= 0.5:
             raise ConfigurationError("epsilon=%g outside (0, 0.5]" % epsilon)
         anchors = [z for z in (window.zeta0_minus, window.zeta0_plus)
@@ -129,7 +131,8 @@ class OracleConfig:
         half_length = (base + _BOX_MARGIN) / epsilon
         # ceil keeps the realized resolution at or above the floor
         n_points = int(math.ceil(2.0 * half_length * MIN_POINTS_PER_PERIOD)) - 1
-        return cls(half_length, n_points, cap_strength=cap_strength)
+        return cls(half_length, n_points,
+                   cap_strength=_CAP_STRENGTH if window.is_open else 0.0)
 
 
 class GridHamiltonian:
@@ -331,13 +334,14 @@ def oracle_spectrum(handle, e_window):
     Re(E) inside e_window.
 
     One interval solve of the real tridiagonal part finds the Dirichlet
-    states. With the absorber off they are the result. With it on, each
-    state whose localization exceeds LOCALIZED seeds a one-eigenpair
-    shift-invert polish on the operator and another on its half-absorber
-    copy; the stability field is the smallest distance from the polished
-    eigenvalue to a half-strength one (resonances barely move, box
-    artifacts move at the scale of their width). Each eigenvalue is listed
-    once, however many seeds polish onto it.
+    states. With the absorber off (the box of a sealed window) they are
+    the result. With it on, each state whose localization exceeds
+    LOCALIZED seeds a one-eigenpair shift-invert polish on the operator
+    and another on its half-absorber copy; the stability field is the
+    smallest distance from the polished eigenvalue to a half-strength one
+    (resonances barely move, box artifacts move at the scale of their
+    width). Each eigenvalue is listed once, however many seeds polish
+    onto it.
     Localization is the |psi|^2 fraction inside the central half of the box.
     """
     ea, eb = float(e_window[0]), float(e_window[1])

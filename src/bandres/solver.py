@@ -365,8 +365,8 @@ def locate_resonances(cfg, window, bands, profile):
             failure = lv.error
             if failure is None and abs(lv.fe) > lv.tol:
                 failure = ComputationError(
-                    "quantization root for l=%d did not converge (residual %g)"
-                    % (lv.l, abs(lv.fe)))
+                    "quantization root for l=%d did not converge in %d Newton "
+                    "sweeps (residual %g)" % (lv.l, _MAX_NEWTON, abs(lv.fe)))
             if failure is not None:
                 break
             if e_lo <= lv.e <= e_hi:

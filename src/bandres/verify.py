@@ -30,7 +30,8 @@ Check = collections.namedtuple("Check", "name status detail")
 
 class Run:
     """Ladders and oracle spectra of one configuration, memoised by the
-    exact (epsilon, zeta) pair, which defaults to the configured values.
+    exact (epsilon, zeta) pair, which defaults to the configured values;
+    the box absorbs when the mid-window decomposition is open.
     Only result lists are kept: no grid Hamiltonian or eigenvector."""
 
     def __init__(self, cfg, bands):
@@ -67,7 +68,7 @@ class Run:
             cfg = self.cfg
             ham = build_grid_hamiltonian(
                 cfg.potential, cfg.profile, key[1], key[0],
-                OracleConfig.for_window(self.window, key[0], cfg.cap_strength),
+                OracleConfig.for_window(self.window, key[0]),
                 window=self.window)
             self._spectra[key] = oracle_spectrum(ham, cfg.solver.e_window)
         return self._spectra[key]
@@ -105,7 +106,7 @@ def check_counts_spacings(run):
     """Level count within 1 of the oracle's, and spacings within 10%."""
     table = run.ladder()
     pairs = run.spectrum()
-    states = (_genuine_resonances(pairs) if run.cfg.cap_strength > 0.0
+    states = (_genuine_resonances(pairs) if run.window.is_open
               else [p for p in pairs if p.localization > LOCALIZED])
     if run.window.classification == "H5":
         return [Check("resonance-free", not table and not states,
@@ -167,7 +168,7 @@ def check_drift(run):
 
 def check_width_fit(run):
     """ln(width) against 1/eps has slope -min(S-, S+) within 15%."""
-    if run.cfg.cap_strength <= 0.0:
+    if not run.window.is_open:
         return [Check("width-fit", None, "skipped: no absorber configured")]
     if run.window.classification != "H6":
         return [Check("width-fit", None, "skipped: %s window has no tracked level"

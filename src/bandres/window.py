@@ -304,6 +304,11 @@ class SpectralWindow:
         return self.compact
 
     @property
+    def is_open(self):
+        """Some component is unbounded, so a level can tunnel out and has a width."""
+        return any(c.kind != "compact" for c in self.components)
+
+    @property
     def barriers(self):
         """The barrier segments ((zeta-, zeta0-), (zeta0+, zeta+)) on the
         left and right of the well; an empty side has an infinite end."""

@@ -77,7 +77,7 @@ def run_oracle(cfg, bands, epsilon=None, zeta=None):
     zeta = solver.zeta if zeta is None else zeta
     e_lo, e_hi = solver.e_window
     win = decompose_window(cfg.profile, bands, 0.5 * (e_lo + e_hi))
-    grid_cfg = OracleConfig.for_window(win, epsilon, cfg.cap_strength)
+    grid_cfg = OracleConfig.for_window(win, epsilon)
     handle = build_grid_hamiltonian(cfg.potential, cfg.profile, zeta,
                                     epsilon, grid_cfg, window=win)
     return oracle_spectrum(handle, (e_lo, e_hi))

@@ -222,8 +222,6 @@ BAD_VALUES = [
      "--zeta-range [nan, 1] is not finite"),
     ("actions", BOUND, "--grid-points", "-3", 2, "--grid-points needs a positive"),
     ("actions", STEP, "--grid-points", "0", 2, "--grid-points needs a positive"),
-    ("oracle", "barrier_wall.json", "cap_strength", "Infinity", 2,
-     "cap_strength must be a finite nonnegative number, got Infinity"),
     ("window", BOUND, "--window", "1e300 1e301", 1,
      "needs a doubled Hill truncation beyond 512; the largest accepted e_max is"),
 ]
@@ -251,6 +249,19 @@ class TestFailureModes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "jitter" in capsys.readouterr().err
+
+    def test_oracle_section_is_refused(self, configs_dir, tmp_path, capsys):
+        """The window decides the absorber, so a run file's oracle section
+        is an unknown key: exit 2 with its line."""
+        text = (configs_dir / "barrier_wall.json").read_text().replace(
+            '  "output_dir"', '  "oracle": {"cap_strength": 1.0},\n  "output_dir"')
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["oracle", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        line = text.count("\n", 0, text.index('"oracle"')) + 1
+        assert ("%s:%d: unknown key 'oracle' in the top-level section"
+                % (bad, line)) in capsys.readouterr().err
 
     def test_two_well_run_is_refused(self, tmp_path, capsys):
         doc = {"potential": {"mean": 0.0, "cos_coeffs": [2.0]},
@@ -293,16 +304,7 @@ class TestFailureModes:
                                            cmd, config, flag, value, code, words):
         """In process: each bad value ends in exit 1 or 2 with a message,
         no untyped exception and no table."""
-        if flag == "cap_strength":
-            text = (configs_dir / config).read_text()
-            text = text.replace('"cap_strength": 1.0', '"cap_strength": %s' % value)
-            assert value in text
-            (tmp_path / config).write_text(text)
-            argv = [cmd, "--config", str(tmp_path / config)]
-            words = "%s:%d: %s" % (tmp_path / config, text.count(
-                "\n", 0, text.index('"cap_strength"')) + 1, words)
-        else:
-            argv = [cmd, "--config", str(configs_dir / config), flag, *value.split()]
+        argv = [cmd, "--config", str(configs_dir / config), flag, *value.split()]
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == code
         err = capsys.readouterr().err

@@ -37,8 +37,6 @@ class TestLoading:
     def test_minimal_document(self, tmp_path):
         cfg = load_configuration(write(tmp_path, json.dumps(GOOD)))
         assert cfg.solver.epsilon == 0.08
-        # omitted oracle section: no absorber
-        assert cfg.cap_strength == 0.0
         assert cfg.output_dir == "out"
         assert cfg.profile(0.0) == pytest.approx(4.0)
         assert cfg.potential.cos_coeffs == (2.0,)
@@ -113,7 +111,6 @@ class TestLoading:
         ("solver", "zeta", True),
         ("solver", "epsilon", [0.08]),
         ("solver", "e_window", [True, 2]),
-        ("oracle", "cap_strength", True),
         (None, "output_dir", 7),
     ])
     def test_value_types_checked_at_load(self, tmp_path, section, key, value):
@@ -122,7 +119,6 @@ class TestLoading:
         doc = json.loads(json.dumps(GOOD))
         doc["potential"]["allow_constant"] = False
         doc["profile"]["allow_constant"] = False
-        doc["oracle"] = {"cap_strength": 0.0}
         (doc if section is None else doc[section])[key] = value
         text = json.dumps(doc, indent=1)
         path = write(tmp_path, text)
@@ -168,8 +164,8 @@ class TestLoading:
 
 
 class TestOracleSettings:
-    """The run file's oracle section (cap_strength only) and the box
-    OracleConfig.for_window derives."""
+    """The box and absorber OracleConfig.for_window derives from the
+    window; the run file has no oracle section."""
 
     def test_defaults_fit_window(self, mathieu_bands, bound_profile):
         win = decompose_window(bound_profile, mathieu_bands, 9.7)
@@ -179,45 +175,32 @@ class TestOracleSettings:
         assert built.points_per_period >= 32.0
         assert built.cap_strength == 0.0
 
-    def test_derived_box_carries_absorber(self, mathieu_bands, bound_profile):
-        win = decompose_window(bound_profile, mathieu_bands, 9.7)
-        built = OracleConfig.for_window(win, 0.1, cap_strength=1.0)
-        plain = OracleConfig.for_window(win, 0.1)
-        assert built.box_half_length == plain.box_half_length
-        assert built.n_points == plain.n_points
-        assert built.cap_strength == 1.0
+    def test_derived_box_carries_absorber(self, mathieu_bands, bound_profile,
+                                          wall_profile):
+        sealed = decompose_window(bound_profile, mathieu_bands, 9.7)
+        open_ = decompose_window(wall_profile, mathieu_bands, 3.9)
+        assert not sealed.is_open and open_.is_open
+        assert OracleConfig.for_window(sealed, 0.1).cap_strength == 0.0
+        assert OracleConfig.for_window(open_, 0.1).cap_strength == 1.0
 
-    @pytest.mark.parametrize("key", ["box_half_length", "n_points", "margin",
-                                     "n_eigs", "points_per_period",
-                                     "cap_onset"])
-    def test_box_geometry_keys_are_unknown(self, tmp_path, key):
-        doc = dict(GOOD, oracle={"cap_strength": 0.0, key: 10.0})
+    def test_oracle_section_is_unknown(self, tmp_path):
+        doc = dict(GOOD, oracle={"cap_strength": 0.0})
         text = json.dumps(doc, indent=1)
         path = write(tmp_path, text)
         with pytest.raises(ConfigurationError) as err:
             load_configuration(path)
         wanted = next(i for i, t in enumerate(text.splitlines(), 1)
-                      if '"%s"' % key in t)
-        assert "%s:%d: unknown key %r" % (path, wanted, key) in str(err.value)
-
-    def test_validation(self, tmp_path):
-        for value in (-0.5, "1.0", None):
-            doc = dict(GOOD, oracle={"cap_strength": value})
-            text = json.dumps(doc, indent=1)
-            path = write(tmp_path, text)
-            with pytest.raises(ConfigurationError) as err:
-                load_configuration(path)
-            wanted = next(i for i, t in enumerate(text.splitlines(), 1)
-                          if '"cap_strength"' in t)
-            assert "%s:%d: cap_strength" % (path, wanted) in str(err.value)
+                      if '"oracle"' in t)
+        assert ("%s:%d: unknown key 'oracle' in the top-level section"
+                % (path, wanted)) in str(err.value)
 
     def test_round_trip(self, tmp_path):
-        doc = dict(GOOD, oracle={"cap_strength": 0.5})
+        doc = dict(GOOD, output_dir="elsewhere")
         cfg = load_configuration(write(tmp_path, json.dumps(doc)))
-        assert cfg.cap_strength == 0.5
-        assert cfg.to_dict()["oracle"] == {"cap_strength": 0.5}
+        assert cfg.to_dict() == dict(doc, potential=cfg.potential.to_dict(),
+                                     profile=cfg.profile.to_dict())
         assert RunConfiguration.from_dict(cfg.to_dict()) == cfg
-        assert cfg.replace_solver(epsilon=0.05).cap_strength == 0.5
+        assert cfg.replace_solver(epsilon=0.05).output_dir == "elsewhere"
 
     def test_grid_ceiling_propagates(self, mathieu_bands, bound_profile):
         win = decompose_window(bound_profile, mathieu_bands, 9.7)

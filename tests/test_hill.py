@@ -227,6 +227,12 @@ class TestBandEdges:
         with pytest.raises(DomainError):
             band_edges(mathieu, mathieu.lower_bound() - 1.0)
 
+    def test_no_complete_band_below_e_max(self, mathieu):
+        # Mathieu's lowest edge lies at -0.0506, above an e_max of -1.4
+        with pytest.raises(DomainError,
+                           match=r"^no complete spectral band below e_max=-1.4$"):
+            band_edges(mathieu, -1.4)
+
     def test_truncation_ceiling_is_refused_before_any_matrix(self, mathieu, monkeypatch):
         # Mathieu leaves 256 - 12 rows of M to the energy term
         ceiling = (math.pi * (hill._MAX_TRUNCATION // 2 - 12)) ** 2

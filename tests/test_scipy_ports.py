@@ -246,7 +246,7 @@ def test_no_run_loads_scipy_sparse():
     # numpy.ma; an absorber spectrum, polishes included, loads scipy's
     # package init and the LAPACK extension, and nothing more
     code = "\n".join((
-        "from bandres import compute_action_data, decompose_window",
+        "from bandres import OracleConfig, compute_action_data, decompose_window",
         "from bandres.cli import _build_bands",
         "from bandres.config import RunConfiguration",
         "from bandres.momentum import isoenergy_portrait",
@@ -258,7 +258,8 @@ def test_no_run_loads_scipy_sparse():
         "assert [compute_action_data(decompose_window(cfg.profile, run.bands, e),",
         "                            run.bands, cfg.profile) for e in (3.8, 3.9)]",
         "LOADED",
-        "assert cfg.cap_strength > 0.0 and run.spectrum()",
+        "box = OracleConfig.for_window(run.window, cfg.solver.epsilon)",
+        "assert box.cap_strength > 0.0 and run.spectrum()",
         "LOADED"))
     chain, oracle_run = modules_after(code)
     (package_init,) = modules_after("import scipy\nLOADED")

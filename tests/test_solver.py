@@ -226,6 +226,17 @@ class TestRegimeGuards:
             solve(mathieu_bands, wall_profile, (3.6, 4.2), 1e-9)
         assert time.perf_counter() - start < 1.0
 
+    def test_newton_sweep_limit_ends_typed(self, mathieu_bands, bound_profile,
+                                           monkeypatch):
+        # bound_well: one sweep leaves its lowest level 1.6e-9 off, two solve all 8
+        monkeypatch.setattr(solver_module, "_MAX_NEWTON", 1)
+        with pytest.raises(ComputationError,
+                           match=r"quantization root for l=-11 did not converge "
+                                 r"in 1 Newton sweeps \(residual "):
+            solve(mathieu_bands, bound_profile, BOUND_E, 0.08)
+        monkeypatch.setattr(solver_module, "_MAX_NEWTON", 2)
+        assert len(solve(mathieu_bands, bound_profile, BOUND_E, 0.08)[1]) == 8
+
 
 def per_level_ladder(cfg, window, bands, profile):
     """The quantization solve one level at a time through the public
