@@ -194,6 +194,22 @@ class TestOracleSettings:
         assert ("%s:%d: unknown key 'oracle' in the top-level section"
                 % (path, wanted)) in str(err.value)
 
+    @pytest.mark.parametrize("key", ["box_half_length", "n_points", "margin",
+                                     "n_eigs", "points_per_period",
+                                     "cap_onset"])
+    def test_box_geometry_keys_are_unknown(self, tmp_path, key):
+        """for_window derives the box, so no run-file section sets it."""
+        doc = json.loads(json.dumps(GOOD))
+        doc["solver"][key] = 10.0
+        text = json.dumps(doc, indent=1)
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigurationError) as err:
+            load_configuration(path)
+        wanted = next(i for i, t in enumerate(text.splitlines(), 1)
+                      if '"%s"' % key in t)
+        assert ("%s:%d: unknown key %r in the solver section"
+                % (path, wanted, key)) in str(err.value)
+
     def test_round_trip(self, tmp_path):
         doc = dict(GOOD, output_dir="elsewhere")
         cfg = load_configuration(write(tmp_path, json.dumps(doc)))
