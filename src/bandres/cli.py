@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .actions import compute_action_data
+from .actions import actions_pm, delta_kappa, phase_integral
 from .config import RunConfiguration
 from .errors import BandresError, ConfigurationError
 from .hill import band_edges
@@ -146,13 +146,12 @@ def cmd_actions(cfg, args, outdir):
         _write_csv(os.path.join(outdir, "actions.csv"), header, [])
         print(_RESONANCE_FREE)
         return 0
-    rows = []
+    rows, quad = [], (cfg.solver.nodes, cfg.solver.buffer)
     for e in np.linspace(lo, hi, args.grid_points):
         win = decompose_window(cfg.profile, run.bands, float(e))
-        data = compute_action_data(win, run.bands, cfg.profile,
-                                   cfg.solver.nodes, cfg.solver.buffer)
-        rows.append((data.energy, data.phi0, data.delta_kappa,
-                     data.s_minus, data.s_plus))
+        phi0 = phase_integral(win, run.bands, cfg.profile, *quad)
+        rows.append((win.energy, phi0, delta_kappa(win),
+                     *actions_pm(win, run.bands, cfg.profile, *quad)))
     _write_csv(os.path.join(outdir, "actions.csv"), header, rows)
     print("%d action rows written to %s" % (len(rows), outdir))
     return 0

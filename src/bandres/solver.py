@@ -24,44 +24,39 @@ A monotone-transition (H5) window carries no resonances and yields an
 empty list; two-sided or empty windows are outside the regime and
 rejected.
 
-The levels of a ladder are solved in lockstep. The 25 grid energies, the
-Chebyshev-Lobatto points of the window with its ends exact, are
-decomposed in one call (the first failure in grid order is raised) and
-their Phi_w taken in one batch; its Chebyshev interpolant follows from
-them (Phi_w is analytic on an H6 window, so the interpolant converges
-geometrically: Trefethen, Approximation Theory and Approximation
-Practice, ch. 8). None of these depends on (eps, zeta), so the grid
-windows, phases and interpolant coefficients are kept for the life of
-the band structure, per (profile, window, rule), and every later ladder
-there reuses them; the regime checks against the caller's window still
-run on every call, and a grid that fails them is never kept. Each level
-is bracketed between two grid energies and starts at the root of the
-interpolant there: _START_STEPS bracketed Newton steps on the
-interpolant from the regula-falsi point, so that where the interpolant
-is that close its first direct evaluation already meets the Newton
-tolerance. The levels run in chunks of _CHUNK consecutive levels, each
-taken from bracket to estimate before the next is built: its starts,
-then its Newton sweeps, each of which decomposes the iterates of its
-live levels, each failure landing on its own level, and takes Phi0,
-Phi_w and Phi_w' at them in one batch, one pass over the discriminant
-table. Each level keeps its window and that row; the last sweep of the
-budget takes no Newton step, so a level is judged, and its estimate
-built, at the last iterate it evaluated. The chunk's accepted levels add
-only their barrier actions, one batched integrand call, to their rows
-and the grid's delta_kappa. A finished chunk leaves only its estimates,
-so a deep ladder holds one chunk's levels and windows beside about
-0.4 KB per estimate. Batched decompositions and integrals are
-per-entry identical to the single-energy ones (see window and actions),
-and each level keeps the bracket, start, iterate sequence and 1/16
-margin it would have if solved alone, so the results do not depend on
-which levels share a sweep or a chunk, nor on whether the grid was
-reused. Positions depend on the start rule only within the Newton
-acceptance (tol/16 in Phi_w), not bit for bit.
+A ladder is read off certified Chebyshev interpolants. While the well
+keeps its edges, band and empty barriers (a window where any of these
+changes is refused), Phi_w and S+- are analytic in E, so their
+interpolants on the Lobatto points of the window converge geometrically
+(Trefethen, Approximation Theory and Approximation Practice, ch. 8).
+They are sampled on nested grids of cfg.e_window, ends exact: 25, 49, 97
+and 193 points, each holding the last, so a doubling decomposes (the
+first failure in grid order is raised) and integrates only its new
+energies, in one batch each. The first grid whose interpolants pass the
+certificate is kept: each one's tail (its largest last-three coefficient
+over its largest) is at most _TAIL_ULPS units of 2^-52, the chop rule of
+Battles and Trefethen (SIAM J. Sci. Comput. 25, 2004), and at the next
+grid's new energies it reads within root_tol*(1 + m)/16 of the direct
+values, m the least magnitude on the samples. Past 97 points the window
+ends in a ComputationError naming it, the degree and the tail. The
+interpolants do not depend on (eps, zeta), so they are kept for the life
+of the band structure per (profile, window, rule, root_tol); the
+caller's window is checked against the grid's on every call, and a grid
+that fails a check is never kept.
+
+All levels then come from the polynomials at once: each target is
+bracketed between two grid energies and takes up to _NEWTON_STEPS
+vectorised Newton steps on the polynomial from the regula-falsi point,
+a level stopping once its step is a few ulps; Phi_w' is the polynomial's
+derivative and S+- the values of their interpolants. Each energy's sums
+are reduced on their own, so a level does not depend on its batch. The
+residual column is |p(E) - target| plus the certificate's largest
+measured |p - Phi_w|, accepted at root_tol*(1 + |target|).
 """
 
 from __future__ import annotations
 
-import itertools
+import collections
 import math
 import weakref
 
@@ -73,23 +68,23 @@ from .errors import (ComputationError, ConfigurationError,
                      UnsupportedConfigurationError)
 from .window import _decompose_many
 
-_GRID_POINTS = 25       # Chebyshev-Lobatto nodes: the interpolant reads
-                        # within 3e-15 of Phi_w on barrier_wall and
-                        # drift_well, 4e-13 on free_flat, 1.5e-8 on bound_well
-_START_STEPS = 3        # Newton steps on the interpolant before a level's
-                        # first direct evaluation; 2 reach its root on every
-                        # shipped window
-_MAX_NEWTON = 60
-_NEWTON_MARGIN = 16.0   # iterate to tol/16, accept at tol: a recheck that
-                        # rounds differently still finds the level in bounds
-_MAX_LEVELS = 30000     # chunked, a ladder costs about 0.35 ms and 0.4 KB per
-                        # level (29,962 barrier_wall levels: 8-11 s, 59 MB peak
-                        # RSS), so this caps a ladder's time near 11 s
-_CHUNK = 256            # levels per batched decomposition and table pass
+_GRID_SIZES = (25, 49, 97, 193)  # nested Lobatto grids; the last only checks
+_TAIL_ULPS = 64.0       # tail bound in units of 2^-52; shipped tails: 1.4-15
+_CHECK_MARGIN = 16.0    # interpolants within tol/16 of the direct values
+_NEWTON_STEPS = 8       # on the polynomial; 2 meet the bound on every shipped window
+_MAX_LEVELS = 100000    # a level costs 5-9 us and 0.65 KB (99,473 barrier_wall
+                        # levels: 0.5-0.8 s, 97 MB peak RSS), so this caps a
+                        # ladder near 1 s and 100 MB
+_BLOCK = 4096           # energies per polynomial evaluation
 
-# bands -> {(profile, e_window, nodes, buffer):
-#           (grid, windows, Phi_w, interpolant coefficients)}
+# bands -> {(profile, e_window, nodes, buffer, root_tol):
+#           (window at e_lo, grid, Phi_w there, coefficients, measured error)}
 _GRIDS = weakref.WeakKeyDictionary()
+
+# the fields of one level that tunneling_coefficients, width_estimate and
+# drift_slope read
+_LevelActions = collections.namedtuple(
+    "_LevelActions", "s_minus s_plus delta_kappa well_prime")
 
 
 class SolverConfig:
@@ -170,103 +165,116 @@ def drift_slope(actions):
     return -math.pi * actions.delta_kappa / actions.well_prime
 
 
-class _Level:
-    """Newton state of one quantization level: its bracket [a, b] with
-    the residuals fa, fb there and its iterate e; once e is evaluated, the
-    checked window at e, its (Phi0, Phi_w, Phi_w') row and
-    fe = Phi_w(e) - target, or the error that stopped the level; once
-    accepted, s_minus and s_plus at e, delta_kappa and well_prime (Phi_w'),
-    the fields tunneling_coefficients, width_estimate and drift_slope read."""
-
-    def __init__(self, l, target, tol, a, fa, b, fb):
-        self.l, self.target, self.tol = l, target, tol
-        self.a, self.fa, self.b, self.fb = a, fa, b, fb
-        self.e = a + (b - a) * fa / (fa - fb) if fa != fb else 0.5 * (a + b)
-        self.fe = math.inf
-        self.window = self.row = self.error = None
-
-    def step(self):
-        """Narrow the bracket by fe and move to the next iterate, by Newton
-        on the Phi_w' of the row at e."""
-        dphi = self.row[2]
-        if (self.fe < 0.0) == (self.fa < 0.0):
-            self.a, self.fa = self.e, self.fe
-        else:
-            self.b, self.fb = self.e, self.fe
-        cand = self.e - self.fe / dphi if dphi != 0.0 else 0.5 * (self.a + self.b)
-        if not min(self.a, self.b) < cand < max(self.a, self.b):
-            cand = 0.5 * (self.a + self.b)
-        self.e = cand
+def _lobatto_nodes(n):
+    """The n Chebyshev-Lobatto nodes of [-1, 1], increasing, ends exact; the
+    2n - 1 nodes hold them at their even indices, bit for bit."""
+    return -np.cos(np.pi * np.arange(n) / (n - 1))
 
 
-def _lobatto_nodes():
-    """The _GRID_POINTS Chebyshev-Lobatto nodes of [-1, 1], increasing,
-    with -1 and 1 exact."""
-    return -np.cos(np.pi * np.arange(_GRID_POINTS) / (_GRID_POINTS - 1))
-
-
-def _lobatto_grid(e_lo, e_hi):
-    """The Lobatto nodes mapped onto [e_lo, e_hi], with the window ends
+def _lobatto_grid(e_lo, e_hi, n):
+    """The n Lobatto nodes mapped onto [e_lo, e_hi], with the window ends
     exact."""
     mid, half = 0.5 * (e_lo + e_hi), 0.5 * (e_hi - e_lo)
-    return (e_lo, *(mid + half * _lobatto_nodes()[1:-1]).tolist(), e_hi)
+    return np.array((e_lo, *(mid + half * _lobatto_nodes(n)[1:-1]), e_hi))
 
 
-def _interpolant(phis, e_lo, e_hi):
-    """Coefficients of the Chebyshev interpolant of phis on the Lobatto
-    grid of [e_lo, e_hi], read-only. With x = (E - mid)/half = cos t,
-    row 0 holds the c_k of the interpolant sum c_k cos(k t) and row 1
-    the k c_k/half of its E-derivative sum (k c_k/half) sin(k t) / sin t."""
-    c = np.polynomial.chebyshev.chebfit(_lobatto_nodes(), phis,
-                                        _GRID_POINTS - 1)
-    coef = np.array([c, np.arange(_GRID_POINTS) * c / (0.5 * (e_hi - e_lo))])
-    coef.flags.writeable = False
-    return coef
+def _read_only(array):
+    array = np.array(array)
+    array.flags.writeable = False
+    return array
 
 
-def _start_at_interpolant_roots(levels, coef, e_lo, e_hi):
-    """Move each level's iterate by _START_STEPS Newton steps on the
-    interpolant (coefficients coef, from _interpolant) inside its bracket
-    [a, b]; a step that leaves the bracket, which narrows with the
-    interpolant's sign, takes its midpoint instead (so does a zero or
-    undefined derivative, as at the window ends). The levels run as
-    arrays, each level's row reduced on its own, so each start is the one
-    its level would have alone."""
-    e, a, b, fa, target = (np.array([getattr(lv, name) for lv in levels])
-                           for name in ("e", "a", "b", "fa", "target"))
+def _sealed(window):
+    """Which barriers of the well, left and right, are empty."""
+    return tuple(math.isinf(a) or math.isinf(b) for a, b in window.barriers)
+
+
+def _coefficients(values, e_lo, e_hi):
+    """Chebyshev coefficients of the interpolants of the rows Phi_w, S-, S+
+    sampled on a Lobatto grid of [e_lo, e_hi], read-only: rows Phi_w,
+    Phi_w' (d/dE, so scaled by 1/half), S-, S+, and 0 on an empty barrier's
+    row. With x = (E - mid)/half = cos t, row r reads sum_k c[r, k] cos(k t)."""
+    n = values.shape[1]
+    finite = np.isfinite(values[:, 0])
+    fit = np.zeros((3, n))
+    fit[finite] = np.polynomial.chebyshev.chebfit(
+        _lobatto_nodes(n), values[finite].T, n - 1).T
+    slope = np.zeros(n)
+    slope[:-1] = np.polynomial.chebyshev.chebder(fit[0]) / (0.5 * (e_hi - e_lo))
+    return _read_only(np.vstack((fit[:1], slope, fit[1:])))
+
+
+def _tail(coef):
+    """The largest of the last three coefficients over the largest, on the
+    worst of the rows Phi_w, S-, S+ (an empty barrier's row counts 0)."""
+    rows = np.abs(coef[[0, 2, 3]])
+    top = rows.max(axis=1)
+    return max((float(r[-3:].max() / t) for r, t in zip(rows, top) if t > 0.0),
+               default=0.0)
+
+
+def _evaluate(coef, e, e_lo, e_hi):
+    """One array per coefficient row: its polynomial at the energies e,
+    each energy's sum reduced on its own, _BLOCK energies at a time."""
     mid, half = 0.5 * (e_lo + e_hi), 0.5 * (e_hi - e_lo)
-    a_side = fa < 0.0
-    k = np.arange(_GRID_POINTS)
-    for _ in range(_START_STEPS):
-        t = np.arccos(np.clip((e - mid) / half, -1.0, 1.0))
-        kt = np.multiply.outer(t, k)
-        p = (np.cos(kt) * coef[0]).sum(axis=1) - target
-        same_as_a = (p < 0.0) == a_side
-        a, b = np.where(same_as_a, e, a), np.where(same_as_a, b, e)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = e - p * np.sin(t) / (np.sin(kt) * coef[1]).sum(axis=1)
-        # the bracket rule of _Level.step, but with the ends kept: once the
-        # polynomial root is reached the step is 0 and cand is e, which the
-        # line above just made an end (step never gets there, since a
-        # residual that small is accepted before it steps)
-        e = np.where((a <= cand) & (cand <= b), cand, 0.5 * (a + b))
-    for lv, start in zip(levels, e.tolist()):
-        lv.e = start
+    t = np.arccos(np.clip((e - mid) / half, -1.0, 1.0))
+    k = np.arange(coef.shape[1])
+    rows = [[] for _ in coef]
+    for start in range(0, len(t), _BLOCK):
+        cos_kt = np.cos(np.multiply.outer(t[start:start + _BLOCK], k))
+        for out, row in zip(rows, coef):
+            out.append((cos_kt * row).sum(axis=1))
+    return [np.concatenate(out) if out else np.empty(0) for out in rows]
+
+
+def _certified(checked, bands, profile, e_lo, e_hi, quad, root_tol):
+    """(window at e_lo, grid, Phi_w there, coefficients, largest measured
+    |p - Phi_w|) of the first grid of _GRID_SIZES whose interpolants pass
+    the certificate (see the module docstring)."""
+    values = first = coef = None
+    for n in _GRID_SIZES:
+        grid = _lobatto_grid(e_lo, e_hi, n)
+        new = grid if values is None else grid[1::2]
+        windows = checked(_decompose_many(profile, bands, new.tolist()), new)
+        first = windows[0] if first is None else first
+        # rows Phi_w, S-, S+ (+inf on an empty barrier), one column per energy
+        sampled = np.array([
+            [row[1] for row in _well_integrals(windows, bands, profile, *quad)],
+            *zip(*_barrier_actions(windows, bands, profile, *quad))])
+        values = sampled if values is None else np.insert(
+            values, np.arange(1, values.shape[1]), sampled, axis=1)
+        diffs = np.diff(values[0])
+        if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
+            raise UnsupportedConfigurationError(
+                "well phase not monotone over the energy window")
+        if coef is not None:
+            tail = _tail(coef)
+            finite = np.isfinite(values[:, 0])
+            fits = np.array(_evaluate(coef[[0, 2, 3]], new, e_lo, e_hi))
+            errors = np.abs(fits - sampled)[finite].max(axis=1)
+            bounds = (root_tol * (1.0 + np.abs(values[finite]).min(axis=1))
+                      / _CHECK_MARGIN)
+            if tail <= _TAIL_ULPS * 2.0 ** -52 and np.all(errors <= bounds):
+                return (first, _read_only(grid[::2]), _read_only(values[0, ::2]),
+                        coef, float(errors[0]))
+            if n == _GRID_SIZES[-1]:
+                raise ComputationError(
+                    "no Chebyshev interpolant of up to %d points is certified "
+                    "over the energy window [%.12g, %.12g]: degree %d has tail "
+                    "%.3g (bound %.3g) and reads up to %.3g from the %d-point "
+                    "values" % (coef.shape[1], e_lo, e_hi, coef.shape[1] - 1,
+                                tail, _TAIL_ULPS * 2.0 ** -52, errors.max(), n))
+        coef = _coefficients(values, e_lo, e_hi)
 
 
 def locate_resonances(cfg, window, bands, profile):
     """Solve the quantization rule over cfg.e_window.
 
     Returns one estimate per integer l whose solved position lies in the
-    window, ordered by l. The decomposition is recomputed at every probed
-    energy; if it leaves the one-well regime, or the well's edge
-    bookkeeping changes, inside the window, the configuration is rejected
-    (the window exceeded its validity neighborhood).
-
-    Each chunk of levels is solved in lockstep (see the module
-    docstring); the first failure in order of l is the one raised, after
-    the barrier actions of every accepted level below it, and no chunk
-    above its own is built.
+    window, ordered by l. A window that leaves the one-well regime, or over
+    which the well's bookkeeping changes, is rejected (it exceeds its
+    validity neighborhood); the lowest level that the Newton steps leave
+    outside its bound ends the ladder in a ComputationError.
     """
     if window.classification == "H5":
         return []
@@ -278,41 +286,41 @@ def locate_resonances(cfg, window, bands, profile):
     e_lo, e_hi = cfg.e_window
     quad = (cfg.nodes, cfg.buffer)
 
-    def checked(window_or_error, e):
-        if isinstance(window_or_error, ComputationError):
-            raise window_or_error
-        w = window_or_error
-        if w.classification != "H6":
-            raise UnsupportedConfigurationError(
-                "window leaves the one-well regime at E=%.12g (%s)"
-                % (e, w.classification))
-        if w.compact.key != window.compact.key:
-            raise UnsupportedConfigurationError(
-                "well bookkeeping changes inside the energy window at "
-                "E=%.12g; shrink the window" % e)
-        return w
+    def checked(windows_or_errors, energies):
+        """The windows, checked against the caller's in grid order, then
+        their empty barriers."""
+        windows = []
+        for w, e in zip(windows_or_errors, energies):
+            if isinstance(w, ComputationError):
+                raise w
+            if w.classification != "H6":
+                raise UnsupportedConfigurationError(
+                    "window leaves the one-well regime at E=%.12g (%s)"
+                    % (e, w.classification))
+            if w.compact.key != window.compact.key:
+                raise UnsupportedConfigurationError(
+                    "well bookkeeping changes inside the energy window at "
+                    "E=%.12g; shrink the window" % e)
+            windows.append(w)
+        for w, e in zip(windows, energies):
+            if _sealed(w) != _sealed(window):
+                raise UnsupportedConfigurationError(
+                    "a barrier of the well opens or closes inside the energy "
+                    "window at E=%.12g; shrink the window" % e)
+        return windows
 
-    key = (profile, cfg.e_window) + quad
+    key = (profile, cfg.e_window) + quad + (cfg.root_tol,)
     kept = _GRIDS.get(bands, {}).get(key)
-    if kept is not None:
-        grid, at_grid, phis, coef = kept
-        for w, e in zip(at_grid, grid):
-            checked(w, e)
+    if kept is None:
+        kept = _certified(checked, bands, profile, e_lo, e_hi, quad,
+                          cfg.root_tol)
+        _GRIDS.setdefault(bands, {})[key] = kept
     else:
-        grid = _lobatto_grid(e_lo, e_hi)
-        at_grid = tuple(checked(w, e) for w, e in
-                        zip(_decompose_many(profile, bands, grid), grid))
-        phis = np.array([row[1] for row in
-                         _well_integrals(at_grid, bands, profile, *quad)])
-        phis.flags.writeable = False
-        coef = _interpolant(phis, e_lo, e_hi)
-        _GRIDS.setdefault(bands, {})[key] = grid, at_grid, phis, coef
-    diffs = np.diff(phis)
-    if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
-        raise UnsupportedConfigurationError(
-            "well phase not monotone over the energy window")
+        # the grid windows share one bookkeeping, so the first stands for all
+        checked(kept[:1], (e_lo,))
+    first, grid, phis, coef, error = kept
 
-    dk = delta_kappa(at_grid[0])
+    dk = delta_kappa(first)
     lo_val, hi_val = float(min(phis[0], phis[-1])), float(max(phis[0], phis[-1]))
     base = -math.pi * dk * cfg.zeta + cfg.epsilon * math.pi / 2.0
     step = cfg.epsilon * math.pi
@@ -324,63 +332,51 @@ def locate_resonances(cfg, window, bands, profile):
             "ceiling of %d; increase epsilon or narrow the window"
             % (cfg.epsilon, l_hi - l_lo + 1, _MAX_LEVELS))
 
-    def bracketed():
-        increasing = diffs[0] > 0
-        for l in range(l_lo, l_hi + 1):
-            target = base + step * l
-            pos = np.searchsorted(phis if increasing else -phis,
-                                  target if increasing else -target)
-            i = min(max(pos, 1), len(grid) - 1)
-            fa, fb = phis[i - 1] - target, phis[i] - target
-            if fa * fb <= 0.0:   # else target marginally outside the samples
-                yield _Level(l, target, cfg.root_tol * (1.0 + abs(target)),
-                             grid[i - 1], fa, grid[i], fb)
+    ls = np.arange(l_lo, l_hi + 1)
+    targets = base + step * ls
+    sign = 1.0 if phis[-1] > phis[0] else -1.0
+    i = np.clip(np.searchsorted(sign * phis, sign * targets), 1, len(grid) - 1)
+    fa, fb = phis[i - 1] - targets, phis[i] - targets
+    bracketed = fa * fb <= 0.0   # else target marginally outside the samples
+    ls, targets, fa, fb, i = (v[bracketed] for v in (ls, targets, fa, fb, i))
+    a, b = grid[i - 1], grid[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.where(fa != fb, a + (b - a) * fa / (fa - fb), 0.5 * (a + b))
+    floor = 2.0 ** -50 * max(abs(e_lo), abs(e_hi))
+    live = np.arange(len(e))
+    for _ in range(_NEWTON_STEPS):
+        if not live.size:
+            break
+        el = e[live]
+        p, dp = _evaluate(coef[:2], el, e_lo, e_hi)
+        f = p - targets[live]
+        on_a = (f < 0.0) == (fa[live] < 0.0)
+        a[live], b[live] = np.where(on_a, el, a[live]), np.where(on_a, b[live], el)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = el - f / dp
+        cand = np.where((a[live] <= cand) & (cand <= b[live]), cand,
+                        0.5 * (a[live] + b[live]))
+        e[live] = cand
+        live = live[np.abs(cand - el) > floor]
 
-    levels, out = bracketed(), []
-    while chunk := list(itertools.islice(levels, _CHUNK)):
-        _start_at_interpolant_roots(chunk, coef, e_lo, e_hi)
-        live = chunk
-        for sweep in range(_MAX_NEWTON):
-            if sweep:
-                for lv in live:
-                    lv.step()
-            for lv, w in zip(live, _decompose_many(profile, bands,
-                                                   [lv.e for lv in live])):
-                try:
-                    lv.window = checked(w, lv.e)
-                except ComputationError as exc:
-                    lv.error = exc
-            live = [lv for lv in live if lv.error is None]
-            if live:
-                rows = _well_integrals([lv.window for lv in live], bands,
-                                       profile, *quad)
-                for lv, row in zip(live, rows):
-                    lv.row, lv.fe = row, row[1] - lv.target
-            live = [lv for lv in live if abs(lv.fe) > lv.tol / _NEWTON_MARGIN]
-            if not live:
-                break
-
-        accepted, failure = [], None
-        for lv in chunk:
-            failure = lv.error
-            if failure is None and abs(lv.fe) > lv.tol:
-                failure = ComputationError(
-                    "quantization root for l=%d did not converge in %d Newton "
-                    "sweeps (residual %g)" % (lv.l, _MAX_NEWTON, abs(lv.fe)))
-            if failure is not None:
-                break
-            if e_lo <= lv.e <= e_hi:
-                accepted.append(lv)
-        pairs = _barrier_actions([lv.window for lv in accepted], bands,
-                                 profile, *quad)
-        for lv, pair in zip(accepted, pairs):
-            lv.s_minus, lv.s_plus, lv.delta_kappa, lv.well_prime = *pair, dk, lv.row[2]
-            t = tunneling_coefficients(lv, cfg.epsilon)
-            out.append(ResonanceEstimate(
-                lv.l, lv.e, width_estimate(lv, cfg.epsilon, cfg.c0),
-                t.t_plus, t.t_minus, drift_slope(lv), abs(lv.fe),
-                s_minus=lv.s_minus, s_plus=lv.s_plus, phase=lv.row[1],
-                phase_prime=lv.well_prime, underflowed=t.underflowed))
-        if failure is not None:
-            raise failure
+    p, dp, s_minus, s_plus = _evaluate(coef, e, e_lo, e_hi)
+    residual = np.abs(p - targets) + error
+    short = np.flatnonzero(residual > cfg.root_tol * (1.0 + np.abs(targets)))
+    if short.size:
+        j = short[0]
+        raise ComputationError(
+            "quantization root for l=%d not reached in %d Newton steps on the "
+            "interpolant (residual %g)" % (ls[j], _NEWTON_STEPS, residual[j]))
+    sealed = _sealed(window)
+    out = []
+    for l, e_l, phase, prime, res, sm, sp in zip(
+            ls.tolist(), e.tolist(), p.tolist(), dp.tolist(), residual.tolist(),
+            np.where(sealed[0], math.inf, s_minus).tolist(),
+            np.where(sealed[1], math.inf, s_plus).tolist()):
+        level = _LevelActions(sm, sp, dk, prime)
+        t = tunneling_coefficients(level, cfg.epsilon)
+        out.append(ResonanceEstimate(
+            l, e_l, width_estimate(level, cfg.epsilon, cfg.c0), t.t_plus,
+            t.t_minus, drift_slope(level), res, s_minus=sm, s_plus=sp,
+            phase=phase, phase_prime=prime, underflowed=t.underflowed))
     return out

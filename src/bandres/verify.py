@@ -169,7 +169,8 @@ def check_drift(run):
 def check_width_fit(run):
     """ln(width) against 1/eps has slope -min(S-, S+) within 15%."""
     if not run.window.is_open:
-        return [Check("width-fit", None, "skipped: no absorber configured")]
+        return [Check("width-fit", None,
+                      "skipped: sealed window, bound states have no width")]
     if run.window.classification != "H6":
         return [Check("width-fit", None, "skipped: %s window has no tracked level"
                       % run.window.classification)]

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from bandres import PeriodicPotential, discriminant
+from bandres import actions as actions_module
 from bandres.cli import build_parser, main
 
 BOUND = "bound_well.json"
@@ -99,7 +100,14 @@ class TestWindow:
 
 
 class TestActions:
-    def test_table(self, configs_dir, tmp_path):
+    def test_table(self, configs_dir, tmp_path, monkeypatch):
+        # actions.csv writes no quadrature error, so no row runs the coarse
+        # Phi0 rule or builds an action bundle
+        def refuse(*args, **kwargs):
+            raise AssertionError("an action row ran the coarse Phi0 rule")
+
+        for attr in ("_phi0_rule", "ActionData"):
+            monkeypatch.setattr(actions_module, attr, refuse)
         code, out = run(configs_dir, tmp_path, "actions", DRIFT,
                         "--grid-points", 7)
         assert code == 0
@@ -201,7 +209,8 @@ class TestVerify:
         report = (out / "verify_report.txt").read_text()
         assert report in captured or captured in report or report == captured
         assert "count" in report and "PASS" in report
-        assert "width-fit" in report and "SKIP" in report
+        assert ("  width-fit       SKIP  skipped: sealed window, bound states "
+                "have no width\n") in report
         assert report.strip().endswith("overall PASS")
 
 

@@ -1,8 +1,6 @@
 import gc
 import math
-import sys
 import time
-import tracemalloc
 import warnings
 import weakref
 
@@ -14,7 +12,6 @@ from bandres import (
     ComputationError,
     ConfigurationError,
     PerturbationProfile,
-    ResonanceEstimate,
     SolverConfig,
     UnsupportedConfigurationError,
     band_edges,
@@ -25,7 +22,6 @@ from bandres import (
     load_configuration,
     locate_resonances,
     phase_integral,
-    tunneling_coefficients,
     well_phase,
     well_phase_derivative,
     width_estimate,
@@ -33,9 +29,8 @@ from bandres import (
 from bandres import actions as actions_module
 from bandres import solver as solver_module
 from bandres.actions import _phi0_rule, _well_integrals
-from bandres.solver import (_GRID_POINTS, _MAX_LEVELS, _NEWTON_MARGIN, _Level,
-                            _interpolant, _lobatto_grid,
-                            _start_at_interpolant_roots)
+from bandres.solver import (_MAX_LEVELS, _coefficients, _evaluate,
+                            _lobatto_grid, _sealed, _tail)
 
 BOUND_E = (9.0, 10.4)
 DRIFT_E = (9.4, 10.2)
@@ -81,8 +76,9 @@ class TestQuantization:
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.06])
     def test_residuals_well_inside_the_bound(self, configs_dir, epsilon):
-        # Newton runs to 1/16 of the acceptance bound, so a recheck that
-        # rounds the target differently still accepts every level
+        # the certificate holds the interpolant to 1/16 of the acceptance
+        # bound, so a recheck that rounds the target differently still
+        # accepts every level
         run = load_configuration(configs_dir / "free_flat.json")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # closed-gap genericity warning
@@ -226,85 +222,84 @@ class TestRegimeGuards:
             solve(mathieu_bands, wall_profile, (3.6, 4.2), 1e-9)
         assert time.perf_counter() - start < 1.0
 
-    def test_newton_sweep_limit_ends_typed(self, mathieu_bands, bound_profile,
-                                           monkeypatch):
-        # bound_well: one sweep leaves its lowest level 1.6e-9 off, two solve all 8
-        monkeypatch.setattr(solver_module, "_MAX_NEWTON", 1)
-        with pytest.raises(ComputationError,
-                           match=r"quantization root for l=-11 did not converge "
-                                 r"in 1 Newton sweeps \(residual "):
+    # the well's lower edge moves from band 1's top to band 2's bottom between
+    # grid energies 12 and 13 (2.75 and 2.8218), the GENERAL stretch between
+    # (2.7844-2.7987) falling between them; and the left unbounded component,
+    # with it the left barrier, is gone from grid energy 12 (10.4) on, the
+    # well keeping its edges
+    BOOKKEEPING = {
+        "edges": (PerturbationProfile(
+            -5.229455998006756, 0.22531480872353882,
+            ((-6.451076658616511, 0.9092991069541756, 1.2094155812848204),
+             (5.212268507234121, 0.6968039617408448, 0.6819526332741284))),
+            (2.2, 3.3), 13, "well bookkeeping changes"),
+        "sides": (PerturbationProfile(
+            2.7249080211998544, 1.1861844418737215,
+            ((-5.448153831953812, -1.3006578484095055, 0.5301584600682796),
+             (0.4436649548615108, -0.19584445531443517, 1.4487532407042447))),
+            (10.2, 10.6), 12, "a barrier of the well opens or closes"),
+    }
+
+    @pytest.mark.parametrize("change", sorted(BOOKKEEPING))
+    def test_bookkeeping_change_between_grid_energies_rejected(
+            self, mathieu_bands, change, cold, decomposed):
+        prof, e_window, index, message = self.BOOKKEEPING[change]
+        grid = grid_of(e_window)
+        below, above = (decompose_window(prof, mathieu_bands, grid[i])
+                        for i in (index - 1, index))
+        assert below.classification == above.classification == "H6"
+        assert ((below.compact.key != above.compact.key)
+                == (_sealed(below) == _sealed(above)) == (change == "edges"))
+        win = decompose_window(prof, mathieu_bands, e_window[0])
+        with pytest.raises(UnsupportedConfigurationError,
+                           match=r"%s inside the energy window at E=%.12g; "
+                                 r"shrink the window" % (message, grid[index])):
+            locate_resonances(SolverConfig(0.1, 0.0, e_window), win,
+                              mathieu_bands, prof)
+        # caught on the 25-point grid, whose energies are all H6
+        assert decomposed == grid
+        assert not cold.get(mathieu_bands)
+
+    def test_phase_not_monotone_on_the_grid_rejected(self, mathieu_bands,
+                                                     bound_profile, cold,
+                                                     monkeypatch):
+        # the grid's phase at its middle energy replaced by its first
+        def folded(windows, *args, _well_integrals=solver_module._well_integrals):
+            rows = _well_integrals(windows, *args)
+            rows[12] = rows[12][:1] + rows[0][1:2] + rows[12][2:]
+            return rows
+        monkeypatch.setattr(solver_module, "_well_integrals", folded)
+        with pytest.raises(UnsupportedConfigurationError,
+                           match="well phase not monotone over the energy window"):
             solve(mathieu_bands, bound_profile, BOUND_E, 0.08)
-        monkeypatch.setattr(solver_module, "_MAX_NEWTON", 2)
+        assert not cold.get(mathieu_bands)
+
+    def test_first_failed_grid_decomposition_is_raised(self, mathieu_bands,
+                                                       bound_profile, cold,
+                                                       monkeypatch):
+        grid = grid_of(BOUND_E)
+
+        def failing(profile, bands, energies,
+                    _decompose=solver_module._decompose_many):
+            return [ComputationError("failed at E=%r" % e)
+                    if e in (grid[9], grid[5]) else w
+                    for e, w in zip(energies, _decompose(profile, bands, energies))]
+        monkeypatch.setattr(solver_module, "_decompose_many", failing)
+        with pytest.raises(ComputationError, match=r"^failed at E=%r$" % grid[5]):
+            solve(mathieu_bands, bound_profile, BOUND_E, 0.08)
+        assert not cold.get(mathieu_bands)
+
+    def test_newton_step_limit_ends_typed(self, mathieu_bands, bound_profile,
+                                          monkeypatch):
+        # bound_well: one step on the polynomial leaves its lowest level
+        # outside the bound, two solve all 8
+        monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 1)
+        with pytest.raises(ComputationError,
+                           match=r"quantization root for l=-11 not reached in 1 "
+                                 r"Newton steps on the interpolant \(residual "):
+            solve(mathieu_bands, bound_profile, BOUND_E, 0.08)
+        monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 2)
         assert len(solve(mathieu_bands, bound_profile, BOUND_E, 0.08)[1]) == 8
-
-
-def per_level_ladder(cfg, window, bands, profile):
-    """The quantization solve one level at a time through the public
-    single-window functions: each level starts at the root of the grid
-    interpolant in its bracket, found alone, runs its own bracketed Newton
-    to 1/16 of the acceptance bound, stepping after every evaluation but
-    the last of the solver's budget, then takes its own action data at its
-    last evaluated iterate. The regime guards are left out; the
-    configurations below stay in H6."""
-    e_lo, e_hi = cfg.e_window
-    quad = (cfg.nodes, cfg.buffer)
-    cache = {}
-
-    def analyze(e):
-        if e not in cache:
-            w = decompose_window(profile, bands, e)
-            cache[e] = (w, well_phase(w, bands, profile, *quad))
-        return cache[e]
-
-    grid = _lobatto_grid(e_lo, e_hi)
-    phis = np.array([analyze(e)[1] for e in grid])
-    coef = _interpolant(phis, e_lo, e_hi)
-    increasing = phis[1] > phis[0]
-    dk = delta_kappa(analyze(grid[0])[0])
-    lo_val, hi_val = float(min(phis[0], phis[-1])), float(max(phis[0], phis[-1]))
-    base = -math.pi * dk * cfg.zeta + cfg.epsilon * math.pi / 2.0
-    step = cfg.epsilon * math.pi
-    out = []
-    for l in range(math.ceil((lo_val - base) / step - 1e-9),
-                   math.floor((hi_val - base) / step + 1e-9) + 1):
-        target = base + step * l
-        tol = cfg.root_tol * (1.0 + abs(target))
-        pos = np.searchsorted(phis if increasing else -phis,
-                              target if increasing else -target)
-        i = min(max(pos, 1), len(grid) - 1)
-        a, b = float(grid[i - 1]), float(grid[i])
-        fa, fb = phis[i - 1] - target, phis[i] - target
-        if fa * fb > 0.0:
-            continue
-        start = _Level(l, target, tol, a, fa, b, fb)   # regula falsi
-        _start_at_interpolant_roots([start], coef, e_lo, e_hi)
-        e = start.e
-        budget = solver_module._MAX_NEWTON
-        for sweep in range(budget):
-            fe = analyze(e)[1] - target
-            if abs(fe) <= tol / _NEWTON_MARGIN or sweep == budget - 1:
-                break
-            if (fe < 0.0) == (fa < 0.0):
-                a, fa = e, fe
-            else:
-                b, fb = e, fe
-            d = well_phase_derivative(analyze(e)[0], bands, profile, *quad)
-            cand = e - fe / d if d != 0.0 else 0.5 * (a + b)
-            if not min(a, b) < cand < max(a, b):
-                cand = 0.5 * (a + b)
-            e = cand
-        assert abs(fe) <= tol
-        if not e_lo <= e <= e_hi:
-            continue
-        w, phi_e = analyze(e)
-        data = compute_action_data(w, bands, profile, *quad)
-        t = tunneling_coefficients(data, cfg.epsilon)
-        out.append(ResonanceEstimate(
-            l, e, width_estimate(data, cfg.epsilon, cfg.c0), t.t_plus,
-            t.t_minus, drift_slope(data), abs(fe), s_minus=data.s_minus,
-            s_plus=data.s_plus, phase=phi_e, phase_prime=data.well_prime,
-            underflowed=t.underflowed))
-    return out
 
 
 H6_CONFIGS = ("bound_well", "barrier_wall", "drift_well", "free_flat")
@@ -315,184 +310,8 @@ def config_bands(request, name):
         "free_bands" if name == "free_flat" else "mathieu_bands")
 
 
-class TestLockstep:
-    @pytest.mark.parametrize("name", H6_CONFIGS)
-    @pytest.mark.parametrize("epsilon, zeta", [(0.1, 0.0), (0.05, 0.37)])
-    def test_lockstep_equals_per_level_newton(self, request, configs_dir,
-                                              name, epsilon, zeta):
-        run = load_configuration(configs_dir / (name + ".json"))
-        bands = config_bands(request, name)
-        cfg, found = solve(bands, run.profile, run.solver.e_window, epsilon,
-                           zeta)
-        win = decompose_window(run.profile, bands,
-                               0.5 * sum(run.solver.e_window))
-        ref = per_level_ladder(cfg, win, bands, run.profile)
-        assert found
-        assert [vars(r) for r in found] == [vars(r) for r in ref]
-
-    @pytest.mark.parametrize("name", ["barrier_wall", "free_flat"])
-    def test_ladder_runs_no_coarse_rule(self, request, configs_dir, name,
-                                        monkeypatch):
-        # an estimate reports no quadrature error and no Phi0', so a ladder
-        # runs neither the coarse Phi0 rule nor Phi0' and builds no bundle
-        run = load_configuration(configs_dir / (name + ".json"))
-        bands = config_bands(request, name)
-        cfg = SolverConfig(0.1, 0.0, run.solver.e_window)
-        win = decompose_window(run.profile, bands,
-                               0.5 * sum(run.solver.e_window))
-        ref = per_level_ladder(cfg, win, bands, run.profile)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a ladder built action data it does not report")
-
-        for attr in ("_phi0_rule", "_phi0_prime", "ActionData"):
-            monkeypatch.setattr(actions_module, attr, refuse)
-        found = locate_resonances(cfg, win, bands, run.profile)
-        assert found
-        assert [vars(r) for r in found] == [vars(r) for r in ref]
-
-    def test_budget_judges_the_last_evaluated_iterate(self, configs_dir,
-                                                      free_bands,
-                                                      monkeypatch):
-        # one sweep leaves some free_flat levels short of 1/16 of the bound
-        # (the interpolant reads up to 3.7e-13 off there): each is judged at
-        # the last iterate it evaluated, so its residual is the one at the
-        # position it reports
-        monkeypatch.setattr(solver_module, "_MAX_NEWTON", 1)
-        run = load_configuration(configs_dir / "free_flat.json")
-        s = run.solver
-        cfg, found = solve(free_bands, run.profile, s.e_window, s.epsilon,
-                           s.zeta)
-        win = decompose_window(run.profile, free_bands,
-                               0.5 * sum(s.e_window))
-        base = (-math.pi * delta_kappa(win) * cfg.zeta
-                + cfg.epsilon * math.pi / 2.0)
-        short = 0
-        for r in found:
-            target = base + cfg.epsilon * math.pi * r.l
-            w = decompose_window(run.profile, free_bands, r.e_real)
-            assert r.residual == abs(
-                well_phase(w, free_bands, run.profile) - target)
-            tol = cfg.root_tol * (1.0 + abs(target))
-            short += r.residual > tol / _NEWTON_MARGIN
-        assert short
-        ref = per_level_ladder(cfg, win, free_bands, run.profile)
-        assert [vars(r) for r in found] == [vars(r) for r in ref]
-
-    def test_budget_judges_the_iterate_evaluated_after_a_step(
-            self, configs_dir, mathieu_bands, monkeypatch):
-        # with no polynomial steps every level starts at its regula-falsi
-        # point in its Lobatto bracket, so two sweeps leave the barrier_wall
-        # levels short of 1/16 of a 1e-10 bound after a Newton step: each
-        # is judged at the iterate it evaluated after that step
-        monkeypatch.setattr(solver_module, "_MAX_NEWTON", 2)
-        monkeypatch.setattr(solver_module, "_START_STEPS", 0)
-        run = load_configuration(configs_dir / "barrier_wall.json")
-        s = run.solver
-        cfg, found = solve(mathieu_bands, run.profile, s.e_window, s.epsilon,
-                           s.zeta, root_tol=1e-10)
-        win = decompose_window(run.profile, mathieu_bands,
-                               0.5 * sum(s.e_window))
-        base = (-math.pi * delta_kappa(win) * cfg.zeta
-                + cfg.epsilon * math.pi / 2.0)
-        short = 0
-        for r in found:
-            target = base + cfg.epsilon * math.pi * r.l
-            w = decompose_window(run.profile, mathieu_bands, r.e_real)
-            assert r.residual == abs(
-                well_phase(w, mathieu_bands, run.profile) - target)
-            tol = cfg.root_tol * (1.0 + abs(target))
-            short += r.residual > tol / _NEWTON_MARGIN
-        assert short
-        ref = per_level_ladder(cfg, win, mathieu_bands, run.profile)
-        assert [vars(r) for r in found] == [vars(r) for r in ref]
-
-    def test_well_phase_independent_of_its_batch(self, mathieu_bands,
-                                                 bound_profile):
-        ws = [decompose_window(bound_profile, mathieu_bands, e)
-              for e in np.linspace(BOUND_E[0], BOUND_E[1], _GRID_POINTS)]
-        fused = _well_integrals(ws, mathieu_bands, bound_profile)
-        for i, w in enumerate(ws):
-            # (Phi0, Phi_w, Phi_w') from shared nodes, bit for bit the
-            # single-window public values, whatever the batch
-            assert fused[i] == _well_integrals([w], mathieu_bands,
-                                               bound_profile)[0]
-            assert fused[i] == (
-                phase_integral(w, mathieu_bands, bound_profile),
-                well_phase(w, mathieu_bands, bound_profile),
-                well_phase_derivative(w, mathieu_bands, bound_profile))
-            # and Phi0 bit for bit the k-only integrand's, by the same rule
-            assert fused[i][0] == _phi0_rule([w], mathieu_bands, bound_profile,
-                                             2 * 64, 0.1, "well_phase")[0]
-
-    @pytest.mark.parametrize("chunk", [solver_module._CHUNK, 2])
-    def test_first_failure_in_level_order_is_raised(self, mathieu_bands,
-                                                    bound_profile, monkeypatch,
-                                                    chunk):
-        # the lowest level fails late (at its root, on its second sweep:
-        # its start lies 1.6e-9 off) and a higher level fails at its first
-        # iterate: the per-level loop meets the lower level's failure
-        # first, and so must the lockstep, also when the two levels fall
-        # in different chunks
-        cfg, found = solve(mathieu_bands, bound_profile, BOUND_E, 0.05)
-        low, high = found[0].e_real, found[3].e_real
-        grid = set(_lobatto_grid(*BOUND_E))
-        spacing = found[1].e_real - found[0].e_real
-
-        def fails(e):
-            return e not in grid and (abs(e - low) < 1e-10
-                                      or abs(e - high) < 0.5 * spacing)
-
-        def failing(profile, bands, e, _decompose=decompose_window):
-            if fails(e):
-                raise UnsupportedConfigurationError("failed at E=%.17g" % e)
-            return _decompose(profile, bands, e)
-
-        def failing_many(profile, bands, energies,
-                         _decompose=solver_module._decompose_many):
-            # the solver's batched decomposition, with the same failures
-            return [UnsupportedConfigurationError("failed at E=%.17g" % e)
-                    if fails(e) else w
-                    for e, w in zip(energies, _decompose(profile, bands, energies))]
-
-        win = decompose_window(bound_profile, mathieu_bands, 9.7)
-        errors = []
-        for module in (solver_module, sys.modules[__name__]):
-            if module is solver_module:
-                monkeypatch.setattr(module, "_decompose_many", failing_many)
-                monkeypatch.setattr(module, "_CHUNK", chunk)
-            else:
-                monkeypatch.setattr(module, "decompose_window", failing)
-            with pytest.raises(UnsupportedConfigurationError) as info:
-                (locate_resonances if module is solver_module else
-                 per_level_ladder)(cfg, win, mathieu_bands, bound_profile)
-            monkeypatch.undo()
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
-        assert abs(float(errors[0].split("E=")[1]) - low) < 1e-10
-
-    def test_ladder_batches_table_calls(self, configs_dir, free_bands,
-                                        monkeypatch):
-        # one table-backed call for the grid, one per Newton sweep (4 here)
-        # and one for the coarse action rule, not one per probed energy and
-        # level (the per-level solve makes 189)
-        calls = []
-        for meth in ("k_band_fast", "kprime_fast", "gamma_fast",
-                     "k_and_kprime_fast"):
-            original = getattr(BandStructure, meth)
-
-            def counted(self, *args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(self, *args, **kwargs)
-            monkeypatch.setattr(BandStructure, meth, counted)
-        run = load_configuration(configs_dir / "free_flat.json")
-        _cfg, found = solve(free_bands, run.profile, run.solver.e_window, 0.05)
-        assert len(found) == 19
-        assert len(calls) <= 6
-
-
-def grid_of(e_window):
-    return list(_lobatto_grid(*e_window))
+def grid_of(e_window, points=25):
+    return _lobatto_grid(*e_window, points).tolist()
 
 
 @pytest.fixture
@@ -517,20 +336,20 @@ def cold(monkeypatch):
 
 
 class TestGridMemo:
-    def test_second_ladder_decomposes_no_grid_energy(self, mathieu_bands,
-                                                     wall_profile, decomposed):
+    def test_second_ladder_decomposes_nothing(self, mathieu_bands,
+                                              wall_profile, decomposed):
         solve(mathieu_bands, wall_profile, (3.6, 4.2), 0.1)
         decomposed.clear()
         _cfg, found = solve(mathieu_bands, wall_profile, (3.6, 4.2), 0.05, 0.02)
         assert found
-        assert decomposed
-        assert not set(grid_of((3.6, 4.2))) & set(decomposed)
+        assert not decomposed
 
     def test_fresh_bands_start_cold(self, mathieu, wall_profile, decomposed):
         bands = band_edges(mathieu, 12.0)
         assert bands not in solver_module._GRIDS
         solve(bands, wall_profile, (3.6, 4.2), 0.1)
-        assert decomposed[:_GRID_POINTS] == grid_of((3.6, 4.2))
+        # the 25-point grid, then the new energies of the 49-point grid
+        assert decomposed == grid_of((3.6, 4.2)) + grid_of((3.6, 4.2), 49)[1::2]
         assert len(solver_module._GRIDS[bands]) == 1
 
     @pytest.mark.parametrize("name", H6_CONFIGS)
@@ -552,9 +371,9 @@ class TestGridMemo:
             _cfg, found = solve(bands, run.profile, e_window, epsilon, zeta)
             assert found
             assert [vars(r) for r in found] == [vars(r) for r in ladder]
-        (grid, _windows, phis, coef), = grids[bands].values()
-        assert grid == tuple(grid_of(e_window))
-        assert not phis.flags.writeable and not coef.flags.writeable
+        (_window, grid, phis, coef, _error), = grids[bands].values()
+        assert list(grid) == grid_of(e_window, len(grid))
+        assert not any(a.flags.writeable for a in (grid, phis, coef))
 
     def test_grid_leaving_regime_raises_alike_and_is_not_kept(
             self, mathieu_bands, drift_profile, cold, decomposed):
@@ -600,111 +419,138 @@ CORRUPTIONS = {
     "offset": lambda c: c + 1.0,
 }
 
+# points of the certified grid of each shipped window
+CERTIFIED_POINTS = {"bound_well": 49, "barrier_wall": 25, "drift_well": 25,
+                    "free_flat": 49}
 
-class TestInterpolantStart:
-    @pytest.mark.parametrize("name", ("barrier_wall", "drift_well"))
-    @pytest.mark.parametrize("setting", ("shipped", (0.05, 0.37)))
-    def test_every_level_accepted_at_its_first_evaluation(
-            self, configs_dir, mathieu_bands, name, setting, decomposed):
-        run = load_configuration(configs_dir / (name + ".json"))
-        s = run.solver
-        epsilon, zeta = (s.epsilon, s.zeta) if setting == "shipped" else setting
-        solve(mathieu_bands, run.profile, s.e_window, epsilon, zeta)  # grid kept
-        decomposed.clear()
-        cfg, found = solve(mathieu_bands, run.profile, s.e_window, epsilon,
-                           zeta)
-        assert found
-        # one sweep: each level's start is its reported position
-        assert decomposed == [r.e_real for r in found]
-        for r in found:
-            assert r.residual <= (cfg.root_tol * (1.0 + abs(r.phase))
-                                  / _NEWTON_MARGIN)
 
+class TestCertificate:
     @pytest.mark.parametrize("name", H6_CONFIGS)
-    def test_grid_ends_are_the_window_ends_and_levels_stay(
-            self, request, configs_dir, name):
+    def test_certified_grid_and_recorded_levels(self, request, configs_dir,
+                                                name, cold):
         run = load_configuration(configs_dir / (name + ".json"))
         bands = config_bands(request, name)
         s = run.solver
-        grid = _lobatto_grid(*s.e_window)
-        assert len(grid) == _GRID_POINTS
-        assert (grid[0], grid[-1]) == s.e_window
-        assert list(grid) == sorted(set(grid))
         settings = [(s.epsilon, s.zeta), (0.05, 0.37), (0.03, 0.011)]
         for (epsilon, zeta), (first, last) in zip(settings,
                                                   RECORDED_LEVELS[name]):
-            _cfg, found = solve(bands, run.profile, s.e_window, epsilon, zeta)
+            cfg, found = solve(bands, run.profile, s.e_window, epsilon, zeta)
             assert [r.l for r in found] == list(range(first, last + 1))
+            for r in found:
+                assert r.residual <= cfg.root_tol * (1.0 + abs(r.phase)) / 16.0
+        (_window, grid, _phis, coef, error), = cold[bands].values()
+        assert len(grid) == CERTIFIED_POINTS[name]
+        assert (grid[0], grid[-1]) == s.e_window
+        assert _tail(coef) <= solver_module._TAIL_ULPS * 2.0 ** -52
+        assert 0.0 < error <= cfg.root_tol / 16.0
+
+    def test_bound_well_at_small_epsilon_takes_more_than_25_points(
+            self, mathieu_bands, bound_profile, cold, decomposed):
+        _cfg, found = solve(mathieu_bands, bound_profile, BOUND_E, 0.01)
+        assert len(found) > 40
+        (_window, grid, *_rest), = cold[mathieu_bands].values()
+        assert len(grid) > 25
+        # the 49-point grid, certified by the new energies of the 97-point one
+        assert decomposed == (grid_of(BOUND_E) + grid_of(BOUND_E, 49)[1::2]
+                              + grid_of(BOUND_E, 97)[1::2])
+
+    def test_ladder_forced_to_25_points_fails_the_certificate(
+            self, mathieu_bands, bound_profile, cold, monkeypatch):
+        # with 49 points as the last check, bound_well's 25-point interpolant
+        # (tail 2.8e-8) is the only candidate
+        monkeypatch.setattr(solver_module, "_GRID_SIZES", (25, 49))
+        with pytest.raises(ComputationError,
+                           match=r"no Chebyshev interpolant of up to 25 points "
+                                 r"is certified over the energy window "
+                                 r"\[9, 10.4\]: degree 24 has tail [-+.e\d]+ "
+                                 r"\(bound 1.42e-14\) and reads up to "
+                                 r"[-+.e\d]+ from the 49-point values"):
+            solve(mathieu_bands, bound_profile, BOUND_E, 0.01)
+        assert not cold.get(mathieu_bands)
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-    @pytest.mark.parametrize("name", H6_CONFIGS)
-    def test_corrupted_interpolant_converges_to_the_same_levels(
-            self, request, configs_dir, name, corruption, monkeypatch):
-        # the start only moves the first iterate inside its grid bracket;
-        # the direct Newton sweeps still converge from wherever it lands
+    def test_corrupted_interpolant_fails_the_certificate(
+            self, configs_dir, mathieu_bands, corruption, cold, monkeypatch):
+        run = load_configuration(configs_dir / "barrier_wall.json")
+
+        def corrupted(values, e_lo, e_hi, _coefficients=_coefficients):
+            coef = CORRUPTIONS[corruption](_coefficients(values, e_lo, e_hi))
+            coef.flags.writeable = False
+            return coef
+        monkeypatch.setattr(solver_module, "_coefficients", corrupted)
+        with pytest.raises(ComputationError, match="no Chebyshev interpolant"):
+            solve(mathieu_bands, run.profile, run.solver.e_window, 0.05, 0.37)
+        assert not cold.get(mathieu_bands)
+
+
+class TestInterpolants:
+    @pytest.mark.parametrize("name", ["barrier_wall", "free_flat"])
+    def test_ladder_runs_no_coarse_rule(self, request, configs_dir, name,
+                                        cold, monkeypatch):
+        # an estimate reports no quadrature error and no Phi0', so a ladder
+        # runs neither the coarse Phi0 rule nor Phi0' and builds no bundle
         run = load_configuration(configs_dir / (name + ".json"))
         bands = config_bands(request, name)
-        s = run.solver
-        _cfg, clean = solve(bands, run.profile, s.e_window, 0.05, 0.37)
-        made = []
+        cfg = SolverConfig(0.1, 0.0, run.solver.e_window)
+        win = decompose_window(run.profile, bands,
+                               0.5 * sum(run.solver.e_window))
+        ref = locate_resonances(cfg, win, bands, run.profile)
+        cold.clear()
 
-        def corrupted(phis, e_lo, e_hi, _interpolant=_interpolant):
-            made.append(CORRUPTIONS[corruption](_interpolant(phis, e_lo, e_hi)))
-            made[-1].flags.writeable = False
-            return made[-1]
-        monkeypatch.setattr(solver_module, "_GRIDS", weakref.WeakKeyDictionary())
-        monkeypatch.setattr(solver_module, "_interpolant", corrupted)
-        cfg, found = solve(bands, run.profile, s.e_window, 0.05, 0.37)
-        (*_, coef), = solver_module._GRIDS[bands].values()
-        assert coef is made[0]
-        assert [r.l for r in found] == [r.l for r in clean]
-        for a, b in zip(found, clean):
-            assert abs(a.e_real - b.e_real) <= 1e-10
-            assert a.residual <= cfg.root_tol * (1.0 + abs(a.phase))
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ladder built action data it does not report")
 
+        for attr in ("_phi0_rule", "_phi0_prime", "ActionData"):
+            monkeypatch.setattr(actions_module, attr, refuse)
+        found = locate_resonances(cfg, win, bands, run.profile)
+        assert found
+        assert [vars(r) for r in found] == [vars(r) for r in ref]
 
-class TestChunks:
-    def test_chunked_ladder_equals_one_chunk_in_less_memory(
-            self, configs_dir, mathieu_bands, monkeypatch):
+    def test_well_phase_independent_of_its_batch(self, mathieu_bands,
+                                                 bound_profile):
+        ws = [decompose_window(bound_profile, mathieu_bands, e)
+              for e in np.linspace(BOUND_E[0], BOUND_E[1], 25)]
+        fused = _well_integrals(ws, mathieu_bands, bound_profile)
+        for i, w in enumerate(ws):
+            # (Phi0, Phi_w, Phi_w') from shared nodes, bit for bit the
+            # single-window public values, whatever the batch
+            assert fused[i] == _well_integrals([w], mathieu_bands,
+                                               bound_profile)[0]
+            assert fused[i] == (
+                phase_integral(w, mathieu_bands, bound_profile),
+                well_phase(w, mathieu_bands, bound_profile),
+                well_phase_derivative(w, mathieu_bands, bound_profile))
+            # and Phi0 bit for bit the k-only integrand's, by the same rule
+            assert fused[i][0] == _phi0_rule([w], mathieu_bands, bound_profile,
+                                             2 * 64, 0.1, "well_phase")[0]
+
+    def test_levels_independent_of_their_batch(self, configs_dir,
+                                               mathieu_bands, cold):
+        # each energy's polynomial sums are its own, bit for bit
         run = load_configuration(configs_dir / "barrier_wall.json")
         e_window = run.solver.e_window
-        solve(mathieu_bands, run.profile, e_window, 0.1)   # grid kept
-        ladders, peaks = [], []
-        for chunk in (10 ** 6, 16):
-            monkeypatch.setattr(solver_module, "_CHUNK", chunk)
-            tracemalloc.start()
-            try:
-                ladders.append(solve(mathieu_bands, run.profile, e_window,
-                                     1e-3)[1])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        one, chunked = ladders
-        assert len(one) == 174
-        assert [vars(r) for r in chunked] == [vars(r) for r in one]
-        # about 8.3 MB in one chunk against 0.85 MB in chunks of 16
-        assert peaks[1] < 0.5 * peaks[0]
-
-    def test_finished_chunk_releases_its_windows(self, configs_dir,
-                                                 mathieu_bands, cold,
-                                                 monkeypatch):
-        # at any decomposition, the windows still alive are at most those
-        # of the chunk before (its accepted levels), this chunk's and the
-        # kept grid's
-        run = load_configuration(configs_dir / "barrier_wall.json")
-        alive, counts = weakref.WeakSet(), []
-
-        def tracked(profile, bands, energies,
-                    _decompose=solver_module._decompose_many):
-            gc.collect()
-            counts.append(len(alive))
-            out = _decompose(profile, bands, energies)
-            alive.update(w for w in out if not isinstance(w, Exception))
-            return out
-        monkeypatch.setattr(solver_module, "_decompose_many", tracked)
-        monkeypatch.setattr(solver_module, "_CHUNK", 16)
-        _cfg, found = solve(mathieu_bands, run.profile, run.solver.e_window,
-                            1e-3)
+        _cfg, found = solve(mathieu_bands, run.profile, e_window, 1e-3)
         assert len(found) == 174
-        assert len(counts) > 174 // 16
-        assert max(counts) <= 2 * 16 + _GRID_POINTS
+        (*_rest, coef, _error), = cold[mathieu_bands].values()
+        energies = np.array([r.e_real for r in found])
+        together = _evaluate(coef, energies, *e_window)
+        for i, e in enumerate(energies):
+            alone = _evaluate(coef, energies[i:i + 1], *e_window)
+            assert [v[0] for v in alone] == [v[i] for v in together]
+
+    def test_warm_ladder_makes_no_table_call(self, configs_dir, free_bands,
+                                             monkeypatch):
+        run = load_configuration(configs_dir / "free_flat.json")
+        solve(free_bands, run.profile, run.solver.e_window, 0.1)   # grid kept
+        calls = []
+        for meth in ("k_band_fast", "kprime_fast", "gamma_fast",
+                     "k_and_kprime_fast", "_gap_gamma"):
+            original = getattr(BandStructure, meth)
+
+            def counted(self, *args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(BandStructure, meth, counted)
+        _cfg, found = solve(free_bands, run.profile, run.solver.e_window, 0.05)
+        assert len(found) == 19
+        assert not calls

@@ -9,8 +9,11 @@ band bookkeeping of `locate`, the quantization residuals, eps-periodicity
 of the positions in zeta, and distinct oracle eigenvalues. The same draws
 run at eps = 0.1 and at eps = 0.05, where the oracle box is twice as long.
 Every H6 draw of this seed has an unbounded window component, so its
-oracle box has the absorber on. No spectrum here has two seeds polish
-onto one eigenvalue; test_oracle.py checks that merge on a draw that does.
+oracle box has the absorber on; one pinned draw on the last potential,
+found by a search over profiles from draw_profile, has none, so its box
+is sealed and runs with the absorber off. No spectrum here has two seeds
+polish onto one eigenvalue; test_oracle.py checks that merge on a draw
+that does.
 """
 
 import math
@@ -35,6 +38,11 @@ DRAWS_PER_POTENTIAL = 12
 HALF_WINDOW = 0.15
 ROOT_TOL = 1e-12          # the solver's acceptance bound, relative to 1 + |target|
 SAME_EIGENVALUE = 1e-9    # relative distance below which two eigenvalues are one
+# the sealed draw: a profile and energy on the last potential's bands
+SEALED_PROFILE = PerturbationProfile(
+    2.8855720506560862, 0.4648982182476211,
+    ((-1.2531024026733855, -1.6412173640020407, 0.42876496194244673),))
+SEALED_ENERGY = 1.4141047672244287
 
 
 def check_locate(bands, rng):
@@ -93,6 +101,18 @@ def check_oracle(run):
     return len(vals)
 
 
+def checked_run(potential, bands, profile, energy, epsilon):
+    """The run of one H6 draw, after its ladder and oracle checks, and the
+    number of oracle eigenvalues."""
+    cfg = RunConfiguration.from_dict({
+        "potential": potential.to_dict(), "profile": profile.to_dict(),
+        "solver": {"epsilon": epsilon, "zeta": 0.0,
+                   "e_window": [energy - HALF_WINDOW, energy + HALF_WINDOW]}})
+    run = Run(cfg, bands)
+    check_ladder(run)
+    return run, check_oracle(run)
+
+
 def sweep(epsilon):
     rng = np.random.default_rng(SEED)
     tally = {"H6": 0, "typed": 0, "oracle": 0}
@@ -110,16 +130,15 @@ def sweep(epsilon):
                 if window.classification != "H6":
                     continue
                 tally["H6"] += 1
-                cfg = RunConfiguration.from_dict({
-                    "potential": potential.to_dict(), "profile": profile.to_dict(),
-                    "solver": {"epsilon": epsilon, "zeta": 0.0,
-                               "e_window": [energy - HALF_WINDOW, energy + HALF_WINDOW]}})
-                run = Run(cfg, bands)
-                check_ladder(run)
-                tally["oracle"] += check_oracle(run) > 0
+                tally["oracle"] += checked_run(potential, bands, profile,
+                                               energy, epsilon)[1] > 0
             except BandresError:
                 tally["typed"] += 1
     assert tally["H6"] >= 5 and tally["oracle"] >= 3, tally
+    run, found = checked_run(potential, bands, SEALED_PROFILE, SEALED_ENERGY,
+                             epsilon)
+    assert run.window.classification == "H6" and not run.window.is_open
+    assert run.ladder() and found > 0
 
 
 def test_seeded_sweep():
