@@ -468,10 +468,12 @@ class TestCertificate:
             solve(mathieu_bands, bound_profile, BOUND_E, 0.01)
         assert not cold.get(mathieu_bands)
 
+    @pytest.mark.parametrize("name", H6_CONFIGS)
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_corrupted_interpolant_fails_the_certificate(
-            self, configs_dir, mathieu_bands, corruption, cold, monkeypatch):
-        run = load_configuration(configs_dir / "barrier_wall.json")
+            self, request, configs_dir, name, corruption, cold, monkeypatch):
+        run = load_configuration(configs_dir / (name + ".json"))
+        bands = config_bands(request, name)
 
         def corrupted(values, e_lo, e_hi, _coefficients=_coefficients):
             coef = CORRUPTIONS[corruption](_coefficients(values, e_lo, e_hi))
@@ -479,8 +481,8 @@ class TestCertificate:
             return coef
         monkeypatch.setattr(solver_module, "_coefficients", corrupted)
         with pytest.raises(ComputationError, match="no Chebyshev interpolant"):
-            solve(mathieu_bands, run.profile, run.solver.e_window, 0.05, 0.37)
-        assert not cold.get(mathieu_bands)
+            solve(bands, run.profile, run.solver.e_window, 0.05, 0.37)
+        assert not cold.get(bands)
 
 
 class TestInterpolants:
@@ -554,3 +556,109 @@ class TestInterpolants:
         _cfg, found = solve(free_bands, run.profile, run.solver.e_window, 0.05)
         assert len(found) == 19
         assert not calls
+
+
+def per_level_ladder(cfg, window, bands, profile):
+    """{l: (position, its window, tol)} of the quantization rule solved one
+    level at a time by direct quadrature through the public single-window
+    functions: each level is bracketed on 9 equispaced energies and runs
+    its own safeguarded Newton on well_phase to 1/16 of the acceptance
+    bound. The regime guards are left out; the configurations below stay
+    in H6."""
+    e_lo, e_hi = cfg.e_window
+    quad = (cfg.nodes, cfg.buffer)
+
+    def analyze(e):
+        w = decompose_window(profile, bands, e)
+        return w, well_phase(w, bands, profile, *quad)
+
+    grid = np.linspace(e_lo, e_hi, 9)
+    grid[-1] = e_hi
+    phis = [analyze(e)[1] for e in grid]
+    base = (-math.pi * delta_kappa(window) * cfg.zeta
+            + cfg.epsilon * math.pi / 2.0)
+    step = cfg.epsilon * math.pi
+    lo_val, hi_val = min(phis[0], phis[-1]), max(phis[0], phis[-1])
+    out = {}
+    for l in range(math.ceil((lo_val - base) / step - 1e-9),
+                   math.floor((hi_val - base) / step + 1e-9) + 1):
+        target = base + step * l
+        tol = cfg.root_tol * (1.0 + abs(target))
+        f = [phi - target for phi in phis]
+        i = next(i for i in range(1, len(grid)) if f[i - 1] * f[i] <= 0.0)
+        a, fa, b = grid[i - 1], f[i - 1], grid[i]
+        e = a + (b - a) * fa / (fa - f[i])
+        for _ in range(30):
+            w, phi = analyze(e)
+            fe = phi - target
+            if abs(fe) <= tol / 16.0:
+                break
+            if (fe < 0.0) == (fa < 0.0):
+                a, fa = e, fe
+            else:
+                b = e
+            cand = e - fe / well_phase_derivative(w, bands, profile, *quad)
+            e = cand if min(a, b) < cand < max(a, b) else 0.5 * (a + b)
+        else:
+            raise AssertionError("reference Newton did not converge for l=%d" % l)
+        out[l] = (e, w, tol)
+    return out
+
+
+class TestAgainstDirectQuadrature:
+    @pytest.mark.parametrize("name", H6_CONFIGS)
+    @pytest.mark.parametrize("epsilon, zeta", [(0.1, 0.0), (0.05, 0.37)])
+    def test_levels_match_per_level_newton(self, request, configs_dir, name,
+                                           epsilon, zeta):
+        # the polynomial ladder against each level solved on its own: the
+        # same labels, positions within tol/8 in phase (each side solves to
+        # tol/16), S+- within the certificate's bound, and Phi_w', widths
+        # and drift slopes from the direct action data at the position
+        run = load_configuration(configs_dir / (name + ".json"))
+        bands = config_bands(request, name)
+        cfg, found = solve(bands, run.profile, run.solver.e_window, epsilon,
+                           zeta)
+        win = decompose_window(run.profile, bands,
+                               0.5 * sum(run.solver.e_window))
+        ref = per_level_ladder(cfg, win, bands, run.profile)
+        assert found
+        assert [r.l for r in found] == sorted(ref)
+        for r in found:
+            e, w, tol = ref[r.l]
+            data = compute_action_data(w, bands, run.profile)
+            assert abs(r.e_real - e) * abs(data.well_prime) <= tol / 8.0
+            for got, direct in ((r.s_minus, data.s_minus),
+                                (r.s_plus, data.s_plus)):
+                if math.isinf(direct):
+                    assert got == direct
+                else:
+                    assert abs(got - direct) <= cfg.root_tol * (1.0 + abs(direct))
+            assert r.phase_prime == pytest.approx(data.well_prime, rel=1e-7)
+            assert r.width == pytest.approx(
+                width_estimate(data, cfg.epsilon, cfg.c0), rel=1e-9)
+            assert r.dE_dzeta == pytest.approx(drift_slope(data), rel=1e-7)
+
+
+class TestNewtonSteps:
+    @pytest.mark.parametrize("name", H6_CONFIGS)
+    def test_two_steps_meet_the_bound_and_one_does_not(
+            self, request, configs_dir, name, monkeypatch):
+        # at each shipped (eps, zeta) two steps on the polynomial accept
+        # every level within a few ulps of the full budget's position; one
+        # step leaves the lowest level outside its bound, which ends the
+        # ladder typed
+        run = load_configuration(configs_dir / (name + ".json"))
+        bands = config_bands(request, name)
+        s = run.solver
+        _cfg, full = solve(bands, run.profile, s.e_window, s.epsilon, s.zeta)
+        monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 2)
+        cfg, two = solve(bands, run.profile, s.e_window, s.epsilon, s.zeta)
+        assert [r.l for r in two] == [r.l for r in full]
+        for a, b in zip(two, full):
+            assert abs(a.e_real - b.e_real) <= 2.0 ** -48 * abs(b.e_real)
+            assert a.residual <= cfg.root_tol * (1.0 + abs(a.phase))
+        monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 1)
+        with pytest.raises(ComputationError,
+                           match=r"quantization root for l=%d not reached in 1 "
+                                 r"Newton steps" % full[0].l):
+            solve(bands, run.profile, s.e_window, s.epsilon, s.zeta)
