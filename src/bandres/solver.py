@@ -25,32 +25,36 @@ empty list; two-sided or empty windows are outside the regime and
 rejected.
 
 A ladder is read off certified Chebyshev interpolants. While the well
-keeps its edges, band and empty barriers (a window where any of these
-changes is refused), Phi_w and S+- are analytic in E, so their
-interpolants on the Lobatto points of the window converge geometrically
-(Trefethen, Approximation Theory and Approximation Practice, ch. 8).
-They are sampled on nested grids of cfg.e_window, ends exact: 25, 49, 97
-and 193 points, each holding the last, so a doubling decomposes (the
-first failure in grid order is raised) and integrates only its new
-energies, in one batch each. The first grid whose interpolants pass the
-certificate is kept: each one's tail (its largest last-three coefficient
-over its largest) is at most _TAIL_ULPS units of 2^-52, the chop rule of
-Battles and Trefethen (SIAM J. Sci. Comput. 25, 2004), and at the next
-grid's new energies it reads within root_tol*(1 + m)/16 of the direct
-values, m the least magnitude on the samples. Past 97 points the window
-ends in a ComputationError naming it, the degree and the tail. The
-interpolants do not depend on (eps, zeta), so they are kept for the life
-of the band structure per (profile, window, rule, root_tol); the
-caller's window is checked against the grid's on every call, and a grid
-that fails a check is never kept.
+keeps its edges (a window where they change is refused), Phi_w is
+analytic in E, and so is a barrier's S while it stays finite and on its
+band, so their interpolants on the window's Lobatto points converge
+geometrically (Trefethen, Approximation Theory and Approximation
+Practice, ch. 8). They are sampled on nested grids of cfg.e_window, ends
+exact: 25, 49, 97 and 193 points, each holding the last, so a doubling
+decomposes (the first failure in grid order is raised) and integrates
+only its new energies, in one batch each. An interpolant passes the
+certificate when its tail (largest last-three coefficient over largest)
+is at most _TAIL_ULPS units of 2^-52, the chop rule of Battles and
+Trefethen (SIAM J. Sci. Comput. 25, 2004), and at the next grid's new
+energies it reads within root_tol*(1 + m)/16 of the direct values, m its
+least magnitude on the samples; an S that is +inf on all of them passes.
+The first grid where Phi_w passes is kept, with S+- if they pass there
+too; else (a barrier end running off near a band threshold, a barrier
+emptying inside the window) each level takes S+- by direct quadrature at
+its own position. Past 97 points the window ends in a ComputationError
+naming it, the degree and Phi_w's tail. The interpolants do not depend
+on (eps, zeta), so they are kept for the life of the band structure per
+(profile, window, rule, root_tol); the caller's window is checked
+against the grid's on every call, and a grid that fails a check is
+never kept.
 
 All levels then come from the polynomials at once: each target is
 bracketed between two grid energies and takes up to _NEWTON_STEPS
 vectorised Newton steps on the polynomial from the regula-falsi point,
 a level stopping once its step is a few ulps; Phi_w' is the polynomial's
-derivative and S+- the values of their interpolants. Each energy's sums
-are reduced on their own, so a level does not depend on its batch. The
-residual column is |p(E) - target| plus the certificate's largest
+derivative and S+- the values of their kept interpolants. Each energy's
+sums are reduced on their own, so a level does not depend on its batch.
+The residual column is |p(E) - target| plus the certificate's largest
 measured |p - Phi_w|, accepted at root_tol*(1 + |target|).
 """
 
@@ -74,8 +78,9 @@ _CHECK_MARGIN = 16.0    # interpolants within tol/16 of the direct values
 _NEWTON_STEPS = 8       # on the polynomial; 2 meet the bound on every shipped window
 _MAX_LEVELS = 100000    # a level costs 5-9 us and 0.65 KB (99,473 barrier_wall
                         # levels: 0.5-0.8 s, 97 MB peak RSS), so this caps a
-                        # ladder near 1 s and 100 MB
+                        # ladder near 1 s and 100 MB, or 15 s where S+- are direct
 _BLOCK = 4096           # energies per polynomial evaluation
+_DIRECT_BLOCK = 64      # levels a batch taking S+- direct: 0.12-0.16 ms each
 
 # bands -> {(profile, e_window, nodes, buffer, root_tol):
 #           (window at e_lo, grid, Phi_w there, coefficients, measured error)}
@@ -184,19 +189,15 @@ def _read_only(array):
     return array
 
 
-def _sealed(window):
-    """Which barriers of the well, left and right, are empty."""
-    return tuple(math.isinf(a) or math.isinf(b) for a, b in window.barriers)
-
-
 def _coefficients(values, e_lo, e_hi):
     """Chebyshev coefficients of the interpolants of the rows Phi_w, S-, S+
     sampled on a Lobatto grid of [e_lo, e_hi], read-only: rows Phi_w,
-    Phi_w' (d/dE, so scaled by 1/half), S-, S+, and 0 on an empty barrier's
-    row. With x = (E - mid)/half = cos t, row r reads sum_k c[r, k] cos(k t)."""
+    Phi_w' (d/dE, so scaled by 1/half), S-, S+, and nan on a row that is
+    not finite on every sample. With x = (E - mid)/half = cos t, row r reads
+    sum_k c[r, k] cos(k t)."""
     n = values.shape[1]
-    finite = np.isfinite(values[:, 0])
-    fit = np.zeros((3, n))
+    finite = np.all(np.isfinite(values), axis=1)
+    fit = np.full((3, n), np.nan)
     fit[finite] = np.polynomial.chebyshev.chebfit(
         _lobatto_nodes(n), values[finite].T, n - 1).T
     slope = np.zeros(n)
@@ -204,13 +205,11 @@ def _coefficients(values, e_lo, e_hi):
     return _read_only(np.vstack((fit[:1], slope, fit[1:])))
 
 
-def _tail(coef):
-    """The largest of the last three coefficients over the largest, on the
-    worst of the rows Phi_w, S-, S+ (an empty barrier's row counts 0)."""
+def _tails(coef):
+    """Per row Phi_w, S-, S+: its largest last-three coefficient over its
+    largest."""
     rows = np.abs(coef[[0, 2, 3]])
-    top = rows.max(axis=1)
-    return max((float(r[-3:].max() / t) for r, t in zip(rows, top) if t > 0.0),
-               default=0.0)
+    return rows[:, -3:].max(axis=1) / np.maximum(rows.max(axis=1), 2.0 ** -1074)
 
 
 def _evaluate(coef, e, e_lo, e_hi):
@@ -229,8 +228,9 @@ def _evaluate(coef, e, e_lo, e_hi):
 
 def _certified(checked, bands, profile, e_lo, e_hi, quad, root_tol):
     """(window at e_lo, grid, Phi_w there, coefficients, largest measured
-    |p - Phi_w|) of the first grid of _GRID_SIZES whose interpolants pass
-    the certificate (see the module docstring)."""
+    |p - Phi_w|) of the first grid of _GRID_SIZES whose Phi_w passes the
+    certificate; the coefficients drop rows S+- unless those pass there
+    too (see the module docstring)."""
     values = first = coef = None
     for n in _GRID_SIZES:
         grid = _lobatto_grid(e_lo, e_hi, n)
@@ -248,22 +248,23 @@ def _certified(checked, bands, profile, e_lo, e_hi, quad, root_tol):
             raise UnsupportedConfigurationError(
                 "well phase not monotone over the energy window")
         if coef is not None:
-            tail = _tail(coef)
-            finite = np.isfinite(values[:, 0])
+            tails = _tails(coef)
             fits = np.array(_evaluate(coef[[0, 2, 3]], new, e_lo, e_hi))
-            errors = np.abs(fits - sampled)[finite].max(axis=1)
-            bounds = (root_tol * (1.0 + np.abs(values[finite]).min(axis=1))
-                      / _CHECK_MARGIN)
-            if tail <= _TAIL_ULPS * 2.0 ** -52 and np.all(errors <= bounds):
+            # nan on a row not finite on every sample, which passes if all +inf
+            errors = np.abs(fits - sampled).max(axis=1)
+            bounds = root_tol * (1.0 + np.abs(values).min(axis=1)) / _CHECK_MARGIN
+            passed = np.all(np.isinf(values), axis=1) | (
+                (tails <= _TAIL_ULPS * 2.0 ** -52) & (errors <= bounds))
+            if passed[0]:
                 return (first, _read_only(grid[::2]), _read_only(values[0, ::2]),
-                        coef, float(errors[0]))
+                        coef if passed.all() else coef[:2], float(errors[0]))
             if n == _GRID_SIZES[-1]:
                 raise ComputationError(
                     "no Chebyshev interpolant of up to %d points is certified "
                     "over the energy window [%.12g, %.12g]: degree %d has tail "
                     "%.3g (bound %.3g) and reads up to %.3g from the %d-point "
                     "values" % (coef.shape[1], e_lo, e_hi, coef.shape[1] - 1,
-                                tail, _TAIL_ULPS * 2.0 ** -52, errors.max(), n))
+                                tails[0], _TAIL_ULPS * 2.0 ** -52, errors[0], n))
         coef = _coefficients(values, e_lo, e_hi)
 
 
@@ -287,8 +288,7 @@ def locate_resonances(cfg, window, bands, profile):
     quad = (cfg.nodes, cfg.buffer)
 
     def checked(windows_or_errors, energies):
-        """The windows, checked against the caller's in grid order, then
-        their empty barriers."""
+        """The windows, checked against the caller's in energy order."""
         windows = []
         for w, e in zip(windows_or_errors, energies):
             if isinstance(w, ComputationError):
@@ -302,11 +302,6 @@ def locate_resonances(cfg, window, bands, profile):
                     "well bookkeeping changes inside the energy window at "
                     "E=%.12g; shrink the window" % e)
             windows.append(w)
-        for w, e in zip(windows, energies):
-            if _sealed(w) != _sealed(window):
-                raise UnsupportedConfigurationError(
-                    "a barrier of the well opens or closes inside the energy "
-                    "window at E=%.12g; shrink the window" % e)
         return windows
 
     key = (profile, cfg.e_window) + quad + (cfg.root_tol,)
@@ -359,7 +354,7 @@ def locate_resonances(cfg, window, bands, profile):
         e[live] = cand
         live = live[np.abs(cand - el) > floor]
 
-    p, dp, s_minus, s_plus = _evaluate(coef, e, e_lo, e_hi)
+    p, dp, *actions = _evaluate(coef, e, e_lo, e_hi)
     residual = np.abs(p - targets) + error
     short = np.flatnonzero(residual > cfg.root_tol * (1.0 + np.abs(targets)))
     if short.size:
@@ -367,12 +362,19 @@ def locate_resonances(cfg, window, bands, profile):
         raise ComputationError(
             "quantization root for l=%d not reached in %d Newton steps on the "
             "interpolant (residual %g)" % (ls[j], _NEWTON_STEPS, residual[j]))
-    sealed = _sealed(window)
+    if actions:   # an empty barrier's row is nan: S = +inf on the whole grid
+        actions = [np.where(np.isnan(row), math.inf, row).tolist()
+                   for row in actions]
+    else:   # batches bound the quadrature's memory
+        pairs = []
+        for block in np.split(e, np.arange(_DIRECT_BLOCK, len(e), _DIRECT_BLOCK)):
+            windows = checked(_decompose_many(profile, bands, block.tolist()), block)
+            pairs += _barrier_actions(windows, bands, profile, *quad)
+        actions = zip(*pairs)
     out = []
     for l, e_l, phase, prime, res, sm, sp in zip(
             ls.tolist(), e.tolist(), p.tolist(), dp.tolist(), residual.tolist(),
-            np.where(sealed[0], math.inf, s_minus).tolist(),
-            np.where(sealed[1], math.inf, s_plus).tolist()):
+            *actions):
         level = _LevelActions(sm, sp, dk, prime)
         t = tunneling_coefficients(level, cfg.epsilon)
         out.append(ResonanceEstimate(

@@ -12,8 +12,10 @@ from bandres import (
     ComputationError,
     ConfigurationError,
     PerturbationProfile,
+    PeriodicPotential,
     SolverConfig,
     UnsupportedConfigurationError,
+    actions_pm,
     band_edges,
     decompose_window,
     delta_kappa,
@@ -28,12 +30,17 @@ from bandres import (
 )
 from bandres import actions as actions_module
 from bandres import solver as solver_module
-from bandres.actions import _phi0_rule, _well_integrals
+from bandres.actions import _barrier_actions, _phi0_rule, _well_integrals
 from bandres.solver import (_MAX_LEVELS, _coefficients, _evaluate,
-                            _lobatto_grid, _sealed, _tail)
+                            _lobatto_grid, _tails)
 
 BOUND_E = (9.0, 10.4)
 DRIFT_E = (9.4, 10.2)
+
+
+def sealed(window):
+    """Which barriers of the well, left and right, are empty."""
+    return [math.isinf(a) or math.isinf(b) for a, b in window.barriers]
 
 
 def solve(bands, profile, e_window, epsilon, zeta=0.0, **kw):
@@ -224,38 +231,27 @@ class TestRegimeGuards:
 
     # the well's lower edge moves from band 1's top to band 2's bottom between
     # grid energies 12 and 13 (2.75 and 2.8218), the GENERAL stretch between
-    # (2.7844-2.7987) falling between them; and the left unbounded component,
-    # with it the left barrier, is gone from grid energy 12 (10.4) on, the
-    # well keeping its edges
-    BOOKKEEPING = {
-        "edges": (PerturbationProfile(
-            -5.229455998006756, 0.22531480872353882,
-            ((-6.451076658616511, 0.9092991069541756, 1.2094155812848204),
-             (5.212268507234121, 0.6968039617408448, 0.6819526332741284))),
-            (2.2, 3.3), 13, "well bookkeeping changes"),
-        "sides": (PerturbationProfile(
-            2.7249080211998544, 1.1861844418737215,
-            ((-5.448153831953812, -1.3006578484095055, 0.5301584600682796),
-             (0.4436649548615108, -0.19584445531443517, 1.4487532407042447))),
-            (10.2, 10.6), 12, "a barrier of the well opens or closes"),
-    }
+    # (2.7844-2.7987) falling between them
+    EDGES = PerturbationProfile(
+        -5.229455998006756, 0.22531480872353882,
+        ((-6.451076658616511, 0.9092991069541756, 1.2094155812848204),
+         (5.212268507234121, 0.6968039617408448, 0.6819526332741284)))
 
-    @pytest.mark.parametrize("change", sorted(BOOKKEEPING))
     def test_bookkeeping_change_between_grid_energies_rejected(
-            self, mathieu_bands, change, cold, decomposed):
-        prof, e_window, index, message = self.BOOKKEEPING[change]
+            self, mathieu_bands, cold, decomposed):
+        e_window = (2.2, 3.3)
         grid = grid_of(e_window)
-        below, above = (decompose_window(prof, mathieu_bands, grid[i])
-                        for i in (index - 1, index))
+        below, above = (decompose_window(self.EDGES, mathieu_bands, grid[i])
+                        for i in (12, 13))
         assert below.classification == above.classification == "H6"
-        assert ((below.compact.key != above.compact.key)
-                == (_sealed(below) == _sealed(above)) == (change == "edges"))
-        win = decompose_window(prof, mathieu_bands, e_window[0])
+        assert below.compact.key != above.compact.key
+        win = decompose_window(self.EDGES, mathieu_bands, e_window[0])
         with pytest.raises(UnsupportedConfigurationError,
-                           match=r"%s inside the energy window at E=%.12g; "
-                                 r"shrink the window" % (message, grid[index])):
+                           match=r"well bookkeeping changes inside the energy "
+                                 r"window at E=%.12g; shrink the window"
+                                 % grid[13]):
             locate_resonances(SolverConfig(0.1, 0.0, e_window), win,
-                              mathieu_bands, prof)
+                              mathieu_bands, self.EDGES)
         # caught on the 25-point grid, whose energies are all H6
         assert decomposed == grid
         assert not cold.get(mathieu_bands)
@@ -441,7 +437,12 @@ class TestCertificate:
         (_window, grid, _phis, coef, error), = cold[bands].values()
         assert len(grid) == CERTIFIED_POINTS[name]
         assert (grid[0], grid[-1]) == s.e_window
-        assert _tail(coef) <= solver_module._TAIL_ULPS * 2.0 ** -52
+        # Phi_w and S+- interpolated on every shipped window, an empty
+        # barrier's row nan
+        assert coef.shape[0] == 4
+        tails = _tails(coef)
+        assert list(np.isnan(tails[1:])) == sealed(_window)
+        assert np.nanmax(tails) <= solver_module._TAIL_ULPS * 2.0 ** -52
         assert 0.0 < error <= cfg.root_tol / 16.0
 
     def test_bound_well_at_small_epsilon_takes_more_than_25_points(
@@ -483,6 +484,103 @@ class TestCertificate:
         with pytest.raises(ComputationError, match="no Chebyshev interpolant"):
             solve(bands, run.profile, run.solver.e_window, 0.05, 0.37)
         assert not cold.get(bands)
+
+
+# a left barrier that is gone from grid energy 12 (10.4) of [10.2, 10.6]
+# on, the well keeping its edges
+EMPTYING = PerturbationProfile(
+    2.7249080211998544, 1.1861844418737215,
+    ((-5.448153831953812, -1.3006578484095055, 0.5301584600682796),
+     (0.4436649548615108, -0.19584445531443517, 1.4487532407042447)))
+
+# a draw of the seeded sweep (tests/test_sweep.py) whose right barrier's far
+# end runs from z = 61 to 6.2 across the window: S+ falls from 2.79 to 0.5,
+# and its interpolant's tail is still 2.7e-9 at 97 points
+THRESHOLD_POTENTIAL = PeriodicPotential(
+    0.0, (1.5086234578525097, 2.4283896767920767, -1.0552076810459803))
+THRESHOLD = PerturbationProfile(
+    -2.085744146430726, -0.6803458112941052,
+    ((3.8304444032286398, 1.7444232847482084, 1.2300296140679228),
+     (5.534922186610146, -1.9719341097869956, 0.49394878649245677)))
+THRESHOLD_E = (7.807494205720182, 8.107494205720182)
+
+
+@pytest.fixture(scope="module")
+def threshold_bands():
+    return band_edges(THRESHOLD_POTENTIAL, 45.0)
+
+
+class TestDirectActions:
+    # (bands fixture, profile, window, eps, points of the kept grid, and
+    # for each of S-, S+ whether the levels find it empty)
+    WINDOWS = {
+        "emptying": ("mathieu_bands", EMPTYING, (10.2, 10.6), 0.01, 25,
+                     ({False, True}, {False})),
+        "threshold": ("threshold_bands", THRESHOLD, THRESHOLD_E, 0.05, 49,
+                      ({True}, {False})),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WINDOWS))
+    def test_levels_take_direct_actions_where_theirs_fail(
+            self, request, case, cold, decomposed, monkeypatch):
+        # Phi_w is certified and kept alone; each level's S+- are those of
+        # its own window, taken in batches of 3 here, and the ladder is the
+        # per-level solver's
+        fixture, prof, e_window, epsilon, points, empty = self.WINDOWS[case]
+        bands = request.getfixturevalue(fixture)
+        monkeypatch.setattr(solver_module, "_DIRECT_BLOCK", 3)
+        cfg, found = solve(bands, prof, e_window, epsilon)
+        (_window, grid, _phis, coef, _error), = cold[bands].values()
+        assert len(grid) == points and coef.shape[0] == 2
+        energies = [r.e_real for r in found]
+        assert decomposed[-len(found):] == energies
+        win = decompose_window(prof, bands, 0.5 * sum(e_window))
+        ref = per_level_ladder(cfg, win, bands, prof)
+        assert [r.l for r in found] == sorted(ref)
+        for r in found:
+            e, w, tol = ref[r.l]
+            assert abs(r.e_real - e) * abs(r.phase_prime) <= tol / 8.0
+            assert (r.s_minus, r.s_plus) == actions_pm(
+                decompose_window(prof, bands, r.e_real), bands, prof)
+        assert [{math.isinf(r.s_minus) for r in found},
+                {math.isinf(r.s_plus) for r in found}] == list(empty)
+        if case == "threshold":
+            # S+ uncertified even on the last grid
+            values = np.array([actions_pm(decompose_window(prof, bands, e),
+                                          bands, prof)
+                               for e in _lobatto_grid(*e_window, 97)]).T
+            values = np.vstack((np.zeros(97), values))
+            assert _tails(_coefficients(values, *e_window))[2] > 1e-9
+
+    def test_corrupted_action_interpolants_leave_positions(
+            self, configs_dir, mathieu_bands, cold, monkeypatch):
+        # with S+- unfit, the levels keep the positions of the Phi_w
+        # interpolant bit for bit and take S+- from their own windows,
+        # which the interpolated values match within the certificate
+        run = load_configuration(configs_dir / "barrier_wall.json")
+        s = run.solver
+        _cfg, ref = solve(mathieu_bands, run.profile, s.e_window, s.epsilon)
+        cold.clear()
+
+        def corrupted(values, e_lo, e_hi, _coefficients=_coefficients):
+            coef = np.array(_coefficients(values, e_lo, e_hi))
+            coef[2:] += 1.0
+            coef.flags.writeable = False
+            return coef
+        monkeypatch.setattr(solver_module, "_coefficients", corrupted)
+        cfg, found = solve(mathieu_bands, run.profile, s.e_window, s.epsilon)
+        (_window, grid, _phis, coef, _error), = cold[mathieu_bands].values()
+        assert len(grid) == 25 and coef.shape[0] == 2
+        assert ([(r.l, r.e_real, r.phase, r.phase_prime, r.residual)
+                 for r in found]
+                == [(r.l, r.e_real, r.phase, r.phase_prime, r.residual)
+                    for r in ref])
+        for r, a in zip(found, ref):
+            assert (r.s_minus, r.s_plus) == actions_pm(
+                decompose_window(run.profile, mathieu_bands, r.e_real),
+                mathieu_bands, run.profile)
+            assert math.isinf(r.s_minus) and math.isinf(a.s_minus)
+            assert abs(r.s_plus - a.s_plus) <= cfg.root_tol * (1.0 + r.s_plus)
 
 
 class TestInterpolants:
@@ -527,18 +625,23 @@ class TestInterpolants:
                                              2 * 64, 0.1, "well_phase")[0]
 
     def test_levels_independent_of_their_batch(self, configs_dir,
-                                               mathieu_bands, cold):
-        # each energy's polynomial sums are its own, bit for bit
+                                               mathieu_bands, cold,
+                                               monkeypatch):
+        # each energy's polynomial sums are its own, bit for bit, whether
+        # the batch is one block or many
         run = load_configuration(configs_dir / "barrier_wall.json")
         e_window = run.solver.e_window
         _cfg, found = solve(mathieu_bands, run.profile, e_window, 1e-3)
         assert len(found) == 174
         (*_rest, coef, _error), = cold[mathieu_bands].values()
         energies = np.array([r.e_real for r in found])
-        together = _evaluate(coef, energies, *e_window)
+        together = np.array(_evaluate(coef, energies, *e_window))
+        monkeypatch.setattr(solver_module, "_BLOCK", 7)
+        blocked = np.array(_evaluate(coef, energies, *e_window))
+        assert blocked.tobytes() == together.tobytes()
         for i, e in enumerate(energies):
-            alone = _evaluate(coef, energies[i:i + 1], *e_window)
-            assert [v[0] for v in alone] == [v[i] for v in together]
+            alone = np.array(_evaluate(coef, energies[i:i + 1], *e_window))
+            assert alone[:, 0].tobytes() == together[:, i].tobytes()
 
     def test_warm_ladder_makes_no_table_call(self, configs_dir, free_bands,
                                              monkeypatch):

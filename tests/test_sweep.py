@@ -8,6 +8,8 @@ either end in a typed BandresError or pass the chain's own checks: the
 band bookkeeping of `locate`, the quantization residuals, eps-periodicity
 of the positions in zeta, and distinct oracle eigenvalues. The same draws
 run at eps = 0.1 and at eps = 0.05, where the oracle box is twice as long.
+Two pinned draws, whose levels take their barrier actions by direct
+quadrature, must pass the ladder checks with stated level counts.
 Every H6 draw of this seed has an unbounded window component, so its
 oracle box has the absorber on; one pinned draw on the last potential,
 found by a search over profiles from draw_profile, has none, so its box
@@ -43,6 +45,12 @@ SEALED_PROFILE = PerturbationProfile(
     2.8855720506560862, 0.4648982182476211,
     ((-1.2531024026733855, -1.6412173640020407, 0.42876496194244673),))
 SEALED_ENERGY = 1.4141047672244287
+# two H6 draws whose S+- interpolants fail the certificate, so their levels
+# take S+- by direct quadrature: at E = 7.9575 a barrier's far end runs off
+# near a band threshold, and at E = 4.9021 the left barrier empties at the
+# window's lower end. Their ladders pass the checks with these counts, the
+# level-by-level solver's, at each eps (rounded E: levels)
+DIRECT_DRAWS = {0.1: {7.9575: 2, 4.9021: 1}, 0.05: {7.9575: 4, 4.9021: 1}}
 
 
 def check_locate(bands, rng):
@@ -101,21 +109,18 @@ def check_oracle(run):
     return len(vals)
 
 
-def checked_run(potential, bands, profile, energy, epsilon):
-    """The run of one H6 draw, after its ladder and oracle checks, and the
-    number of oracle eigenvalues."""
+def h6_run(potential, bands, profile, energy, epsilon):
     cfg = RunConfiguration.from_dict({
         "potential": potential.to_dict(), "profile": profile.to_dict(),
         "solver": {"epsilon": epsilon, "zeta": 0.0,
                    "e_window": [energy - HALF_WINDOW, energy + HALF_WINDOW]}})
-    run = Run(cfg, bands)
-    check_ladder(run)
-    return run, check_oracle(run)
+    return Run(cfg, bands)
 
 
 def sweep(epsilon):
     rng = np.random.default_rng(SEED)
     tally = {"H6": 0, "typed": 0, "oracle": 0}
+    ladders = {}
     for _ in range(POTENTIALS):
         potential = PeriodicPotential(0.0, rng.uniform(-3.0, 3.0, int(rng.integers(1, 4))))
         # E - W stays below 20.15 + 3 + 2 + 12, inside every ceiling from 45
@@ -130,15 +135,19 @@ def sweep(epsilon):
                 if window.classification != "H6":
                     continue
                 tally["H6"] += 1
-                tally["oracle"] += checked_run(potential, bands, profile,
-                                               energy, epsilon)[1] > 0
+                run = h6_run(potential, bands, profile, energy, epsilon)
+                check_ladder(run)
+                ladders[round(energy, 4)] = len(run.ladder())
+                tally["oracle"] += check_oracle(run) > 0
             except BandresError:
                 tally["typed"] += 1
     assert tally["H6"] >= 5 and tally["oracle"] >= 3, tally
-    run, found = checked_run(potential, bands, SEALED_PROFILE, SEALED_ENERGY,
-                             epsilon)
+    for energy, count in DIRECT_DRAWS[epsilon].items():
+        assert ladders.get(energy) == count, (energy, ladders)
+    run = h6_run(potential, bands, SEALED_PROFILE, SEALED_ENERGY, epsilon)
+    check_ladder(run)
     assert run.window.classification == "H6" and not run.window.is_open
-    assert run.ladder() and found > 0
+    assert run.ladder() and check_oracle(run) > 0
 
 
 def test_seeded_sweep():
