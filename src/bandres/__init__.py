@@ -59,9 +59,7 @@ from .oracle import (
 from .solver import (
     ResonanceEstimate,
     SolverConfig,
-    drift_slope,
     locate_resonances,
-    width_estimate,
 )
 from .verify import Check, Run
 from .window import (

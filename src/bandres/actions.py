@@ -191,10 +191,7 @@ def delta_kappa(window):
     """Net reduced-momentum jump across the well in units of pi; an
     integer from edge bookkeeping only."""
     v_lo, v_hi = window.well("delta_kappa").anchors
-    dk = round((v_hi - v_lo) / math.pi)
-    if dk not in (-1, 0, 1):
-        raise InternalConsistencyError("delta_kappa = %r out of range" % dk)
-    return int(dk)
+    return round((v_hi - v_lo) / math.pi)   # -1, 0 or 1: anchors are 0 or pi
 
 
 def actions_pm(window, bands, profile, nodes=64, buffer=0.1):

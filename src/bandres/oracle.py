@@ -60,7 +60,9 @@ def _load_flapack():
         raise ImportError("no %s extension in %s" % (name, path), name=name, path=path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[name] = module
+    # drop the entry the extension's init made, so that a later import of
+    # scipy.linalg binds its own copy, same routines; this cache keeps ours
+    sys.modules.pop(name, None)
     return module
 
 
@@ -203,11 +205,8 @@ class OracleEigenpair:
 
 def _localization(x, vec, region):
     lo, hi = region
-    mass = np.abs(vec) ** 2
-    total = mass.sum()
-    if total <= 0.0:
-        return 0.0
-    return float(mass[(x >= lo) & (x <= hi)].sum() / total)
+    mass = np.abs(vec) ** 2   # vec has unit 2-norm: dstein's, or eigs' w/|w|
+    return float(mass[(x >= lo) & (x <= hi)].sum() / mass.sum())
 
 
 def _rayleigh(d, off, vecs):

@@ -86,10 +86,8 @@ _DIRECT_BLOCK = 64      # levels a batch taking S+- direct: 0.12-0.16 ms each
 #           (window at e_lo, grid, Phi_w there, coefficients, measured error)}
 _GRIDS = weakref.WeakKeyDictionary()
 
-# the fields of one level that tunneling_coefficients, width_estimate and
-# drift_slope read
-_LevelActions = collections.namedtuple(
-    "_LevelActions", "s_minus s_plus delta_kappa well_prime")
+# the fields of one level that tunneling_coefficients reads
+_LevelActions = collections.namedtuple("_LevelActions", "s_minus s_plus")
 
 
 class SolverConfig:
@@ -154,20 +152,6 @@ class ResonanceEstimate:
     def to_row(self):
         return (self.l, self.e_real, self.width, self.t_plus, self.t_minus,
                 self.dE_dzeta, self.residual)
-
-
-def width_estimate(actions, epsilon, c0=1.0):
-    """Width eps*c0*(t+ + t-) from actions.s_minus, s_plus; 0 for bound states."""
-    t = tunneling_coefficients(actions, epsilon)
-    return epsilon * c0 * t.t
-
-
-def drift_slope(actions):
-    """dE^l/dzeta = -pi*delta_kappa / Phi_w'; exactly 0 when delta_kappa = 0.
-    Reads actions.delta_kappa and actions.well_prime."""
-    if actions.delta_kappa == 0:
-        return 0.0
-    return -math.pi * actions.delta_kappa / actions.well_prime
 
 
 def _lobatto_nodes(n):
@@ -375,10 +359,10 @@ def locate_resonances(cfg, window, bands, profile):
     for l, e_l, phase, prime, res, sm, sp in zip(
             ls.tolist(), e.tolist(), p.tolist(), dp.tolist(), residual.tolist(),
             *actions):
-        level = _LevelActions(sm, sp, dk, prime)
-        t = tunneling_coefficients(level, cfg.epsilon)
+        t = tunneling_coefficients(_LevelActions(sm, sp), cfg.epsilon)
+        drift = -math.pi * dk / prime if dk else 0.0   # never -0.0
         out.append(ResonanceEstimate(
-            l, e_l, width_estimate(level, cfg.epsilon, cfg.c0), t.t_plus,
-            t.t_minus, drift_slope(level), res, s_minus=sm, s_plus=sp,
-            phase=phase, phase_prime=prime, underflowed=t.underflowed))
+            l, e_l, cfg.epsilon * cfg.c0 * t.t, t.t_plus, t.t_minus, drift,
+            res, s_minus=sm, s_plus=sp, phase=phase, phase_prime=prime,
+            underflowed=t.underflowed))
     return out

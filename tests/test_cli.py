@@ -231,6 +231,8 @@ BAD_VALUES = [
      "--zeta-range [nan, 1] is not finite"),
     ("actions", BOUND, "--grid-points", "-3", 2, "--grid-points needs a positive"),
     ("actions", STEP, "--grid-points", "0", 2, "--grid-points needs a positive"),
+    ("resonances", BOUND, "--sweep-zeta", "0", 2,
+     "--sweep-zeta needs a positive count"),
     ("window", BOUND, "--window", "1e300 1e301", 1,
      "needs a doubled Hill truncation beyond 512; the largest accepted e_max is"),
 ]

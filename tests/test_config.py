@@ -163,6 +163,22 @@ class TestLoading:
         assert cfg.solver.epsilon == 0.08   # original untouched
 
 
+@pytest.mark.parametrize("text, words", [
+    ("[]", "top level must be an object, got list"),
+    (json.dumps(dict(GOOD, potential=[2.0])),
+     "section 'potential' must be an object, got list"),
+    (json.dumps(dict(GOOD, solver={"epsilon": 0.08, "zeta": 0.0})),
+     "missing required solver key 'e_window'"),
+    (None, "cannot read"),
+], ids=["top-level", "section", "solver-key", "unreadable"])
+def test_input_guard_names_its_limit(tmp_path, text, words):
+    # text None: the run file does not exist
+    path = tmp_path / "run.json" if text is None else write(tmp_path, text)
+    with pytest.raises(ConfigurationError, match=words) as err:
+        load_configuration(path)
+    assert str(path) in str(err.value)
+
+
 class TestOracleSettings:
     """The box and absorber OracleConfig.for_window derives from the
     window; the run file has no oracle section."""

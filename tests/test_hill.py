@@ -8,6 +8,7 @@ import pytest
 from bandres import (
     BandStructure,
     ComputationError,
+    ConfigurationError,
     DomainError,
     EnergyRangeError,
     IntegrationFailure,
@@ -450,6 +451,38 @@ class TestDiscriminantTable:
                            ref.value_and_derivative(e)[1])):
             # relative on the validation's scale max(1, |D|); measured <= 1.5e-13
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+
+# each input guard of hill, from its public entry point: (call on the
+# Mathieu bands, error type, words naming the limit)
+INPUT_GUARDS = [
+    (lambda b: PeriodicPotential(math.nan, (2.0,)), ConfigurationError,
+     "potential coefficients must be finite"),
+    (lambda b: PeriodicPotential(1.0, (0.0,), (0.0,)), ConfigurationError,
+     "constant potential rejected"),
+    (lambda b: hill.DiscriminantTable(b.potential, [3.0, 3.0]), DomainError,
+     "needs a nonempty energy range"),
+    (lambda b: b.k_band_fast(100.0, 2), EnergyRangeError,
+     r"energy \[100, 100\] outside table range"),
+    (lambda b: BandStructure.from_dict(dict(b.to_dict(), edges=b.edges[:3].tolist()),
+                                       b.potential),
+     InternalConsistencyError, "edge list must pair into bands"),
+    (lambda b: b.band(b.n_bands + 1), EnergyRangeError,
+     "band 3 outside scanned range"),
+    (lambda b: b.gap(b.n_bands + 1), EnergyRangeError,
+     "gap 3 outside scanned range"),
+    (lambda b: edge_reduced_value("middle", 1), DomainError,
+     "side must be 'lower' or 'upper'"),
+]
+
+
+@pytest.mark.parametrize("call, error, words", INPUT_GUARDS,
+                         ids=["nan-coefficient", "constant", "empty-table",
+                              "above-table", "odd-edges", "band", "gap", "side"])
+def test_input_guard_names_its_limit(mathieu_bands, call, error, words):
+    assert mathieu_bands.n_bands == 2
+    with pytest.raises(error, match=words):
+        call(mathieu_bands)
 
 
 class TestFolding:

@@ -108,6 +108,16 @@ class TestGeometry:
             build_grid_hamiltonian(mathieu, bound_profile, zeta, epsilon,
                                    OracleConfig(10.0, 639, cap_strength=1.0))
 
+    @pytest.mark.parametrize("energy, kind", [(-5.0, "EMPTY"), (6.0, "full_line")])
+    def test_window_without_finite_endpoint_has_no_box(
+            self, mathieu_bands, bound_profile, energy, kind):
+        # below every band (empty), or inside band 1 at every zeta (full line)
+        win = decompose_window(bound_profile, mathieu_bands, energy)
+        assert kind in (win.classification, *(c.kind for c in win.components))
+        with pytest.raises(ConfigurationError,
+                           match="no finite endpoint to anchor the box"):
+            OracleConfig.for_window(win, 0.1)
+
     def test_offcenter_box_rejected(self, mathieu_bands, bound_profile,
                                     mathieu):
         win = decompose_window(bound_profile, mathieu_bands, 9.7)

@@ -19,14 +19,13 @@ from bandres import (
     band_edges,
     decompose_window,
     delta_kappa,
-    drift_slope,
     compute_action_data,
     load_configuration,
     locate_resonances,
     phase_integral,
+    tunneling_coefficients,
     well_phase,
     well_phase_derivative,
-    width_estimate,
 )
 from bandres import actions as actions_module
 from bandres import solver as solver_module
@@ -133,8 +132,25 @@ class TestQuantization:
             assert math.isinf(r.s_minus) and math.isfinite(r.s_plus)
             w = decompose_window(wall_profile, mathieu_bands, r.e_real)
             data = compute_action_data(w, mathieu_bands, wall_profile)
-            assert width_estimate(data, cfg.epsilon, cfg.c0) == \
-                pytest.approx(r.width, rel=1e-9)
+            assert cfg.epsilon * cfg.c0 * tunneling_coefficients(
+                data, cfg.epsilon).t == pytest.approx(r.width, rel=1e-9)
+
+    def test_one_weight_evaluation_per_level(self, mathieu_bands, configs_dir,
+                                             monkeypatch):
+        # each level's width and t+- come from one tunneling_coefficients call
+        calls = []
+
+        def counted(action_data, epsilon,
+                    _weights=solver_module.tunneling_coefficients):
+            calls.append(epsilon)
+            return _weights(action_data, epsilon)
+
+        monkeypatch.setattr(solver_module, "tunneling_coefficients", counted)
+        run = load_configuration(configs_dir / "barrier_wall.json")
+        s = run.solver
+        _cfg, found = solve(mathieu_bands, run.profile, s.e_window, s.epsilon,
+                            s.zeta)
+        assert found and len(calls) == len(found)
 
     def test_bound_well_has_zero_width(self, mathieu_bands, bound_profile):
         _cfg, found = solve(mathieu_bands, bound_profile, BOUND_E, 0.08)
@@ -187,11 +203,13 @@ class TestDrift:
             assert abs(a.e_real - b.e_real) <= 1e-10
             assert a.dE_dzeta == 0.0
 
-    def test_slope_helper(self, mathieu_bands, drift_profile):
-        w = decompose_window(drift_profile, mathieu_bands, 9.8)
-        data = compute_action_data(w, mathieu_bands, drift_profile)
-        assert drift_slope(data) == pytest.approx(
-            -math.pi / data.well_prime, rel=1e-12)
+    def test_slope_is_the_drift_law_of_each_level(self, mathieu_bands,
+                                                  drift_profile):
+        # delta_kappa = +1: dE/dzeta = -pi/Phi_w' at each level's own Phi_w'
+        _c, found = solve(mathieu_bands, drift_profile, DRIFT_E, 0.1, zeta=0.13)
+        assert found
+        for r in found:
+            assert r.dE_dzeta == -math.pi / r.phase_prime
 
 
 class TestRegimeGuards:
@@ -738,8 +756,10 @@ class TestAgainstDirectQuadrature:
                     assert abs(got - direct) <= cfg.root_tol * (1.0 + abs(direct))
             assert r.phase_prime == pytest.approx(data.well_prime, rel=1e-7)
             assert r.width == pytest.approx(
-                width_estimate(data, cfg.epsilon, cfg.c0), rel=1e-9)
-            assert r.dE_dzeta == pytest.approx(drift_slope(data), rel=1e-7)
+                cfg.epsilon * cfg.c0 * tunneling_coefficients(data, cfg.epsilon).t,
+                rel=1e-9)
+            assert r.dE_dzeta == pytest.approx(
+                -math.pi * data.delta_kappa / data.well_prime, rel=1e-7)
 
 
 class TestNewtonSteps:

@@ -1,9 +1,14 @@
 import json
 import warnings
 
+import pytest
+
 from bandres import RunConfiguration, band_edges, verify as verify_module
 from bandres.cli import main
-from bandres.verify import Run, check_counts_spacings, check_drift, render, verify
+from bandres.oracle import OracleEigenpair
+from bandres.solver import ResonanceEstimate
+from bandres.verify import (Run, check_counts_spacings, check_drift,
+                            check_width_fit, render, verify)
 
 
 def bound_run(configs_dir):
@@ -60,3 +65,43 @@ def test_two_well_run_aborts_with_report(tmp_path, capsys):
     assert lines[-2].split()[:2] == ["aborted", "FAIL"]
     assert lines[-1] == "overall FAIL"
 
+
+
+def levels(*energies):
+    """Estimates l = 0, 1, ... at the given positions, drifting at slope 1."""
+    return [ResonanceEstimate(l, e, 1e-6, 1e-5, 0.0, 1.0, 0.0, s_plus=2.0)
+            for l, e in enumerate(energies)]
+
+
+def patched_run(configs_dir, bands, name, monkeypatch, ladder, spectrum=()):
+    """A Run of the shipped config `name` whose ladder(epsilon, zeta) and
+    spectrum(epsilon, zeta) are the given functions of (epsilon, zeta)."""
+    run = Run(RunConfiguration.load(str(configs_dir / (name + ".json"))), bands)
+    monkeypatch.setattr(run, "ladder", lambda epsilon=None, zeta=None:
+                        ladder(epsilon, zeta))
+    monkeypatch.setattr(run, "spectrum", lambda epsilon=None, zeta=None:
+                        list(spectrum))
+    return run
+
+
+@pytest.mark.parametrize("check, name, ladder, spectrum, detail", [
+    # the only positions that align are the solver's last and the
+    # oracle's first, so no spacing has a partner
+    (check_counts_spacings, "bound_well", lambda eps, z: levels(9.1, 9.2, 9.3),
+     [OracleEigenpair(e, 0.0, 1.0) for e in (9.3, 9.9, 10.2)],
+     "no overlapping spacings to compare"),
+    # delta_kappa = 1, and the ladders at zeta -+ eps/100 are empty
+    (check_drift, "drift_well",
+     lambda eps, z: levels(9.6, 9.9) if z is None else [], (),
+     "no level tracked across the zeta step"),
+    (check_width_fit, "barrier_wall", lambda eps, z: [], (),
+     "no solver level at epsilon=0.12"),
+    (check_width_fit, "barrier_wall", lambda eps, z: levels(3.9), (),
+     "no stable narrow eigenvalue at epsilon=0.12"),
+], ids=["spacing", "drift", "width-fit-ladder", "width-fit-spectrum"])
+def test_fail_returns(configs_dir, mathieu_bands, monkeypatch, check, name,
+                      ladder, spectrum, detail):
+    run = patched_run(configs_dir, mathieu_bands, name, monkeypatch, ladder,
+                      spectrum)
+    failed = [c for c in check(run) if c.status is False]
+    assert [c.detail for c in failed] == [detail]

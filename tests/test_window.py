@@ -82,6 +82,12 @@ class TestProfile:
             PerturbationProfile(2.0, 0.0, ())
         PerturbationProfile(2.0, 0.0, (), allow_constant=True)
 
+    @pytest.mark.parametrize("mu, nu", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_non_finite_step_rejected(self, mu, nu):
+        with pytest.raises(ConfigurationError,
+                           match="profile parameters must be finite"):
+            PerturbationProfile(mu, nu, ((4.0, 0.0, 1.0),))
+
     def test_bump_validation(self):
         with pytest.raises(ConfigurationError):
             Bump(1.0, 0.0, 0.0)
