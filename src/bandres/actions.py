@@ -38,15 +38,16 @@ per batch, on a (k, 4*2*nodes) array holding the nodes of all four panels
 of k segments; compute_action_data, the one owner of the node-doubling
 error, also runs the nodes rule for Phi0 and reports the difference as
 the quadrature error. The private batched forms take many windows on one
-band, and each quantity has one of them: _well_integrals gives (Phi0,
-Phi_w, Phi_w') from one integrand whose k and k' share one pass over the
-discriminant table, and phase_integral, well_phase and
-well_phase_derivative read their values off its rows; _phi0_rule runs
-the coarse nodes-point rule for Phi0; _barrier_actions gives (S-, S+)
-from one BandStructure._gap_gamma call over every finite barrier, and
-actions_pm is its one-window call. compute_action_data runs all three
-on its one window; the solver's ladder takes only the first and the
-last. Each row is reduced on its own, one dot product per panel, and
+band: _well_integrals gives (Phi0, Phi_w, Phi_w') from one integrand
+whose k and k' share one pass over the discriminant table, and
+phase_integral, well_phase and well_phase_derivative read their values
+off its rows; _phi0_rule gives Phi0 from the k-only integrand at any
+rule, both through _well_rows, which checks Phi0 positive;
+_barrier_actions gives (S-, S+) from one BandStructure._gap_gamma call
+over every finite barrier, and actions_pm is its one-window call.
+compute_action_data runs all three on its one window; the solver's
+ladder samples Phi_w as _phi0_rule's 2*nodes-point Phi0, anchored, and
+(S-, S+). Each row is reduced on its own, one dot product per panel, and
 the table is read piece by piece and elementwise, so a value
 does not depend on the batch it was computed in, nor on whether k' was
 taken with it. Barrier energies below the table floor take D from one
@@ -143,26 +144,28 @@ def _edge_resolved_quad(f, segments, n, buffer):
     return _quad_reduce(f(z), rule)
 
 
-def _wells(windows, op):
-    """(segments, energy column, band index) of H6 wells on one band."""
+def _well_rows(windows, profile, points, buffer, op, integrand):
+    """The integrals over every window's H6 well, all on one band, of each
+    row of integrand(E - W, n) by the `points`-per-panel rule, in one
+    integrand call; the first row is Phi0, which must be positive."""
     wells = [window.well(op) for window in windows]
     n = wells[0].band_index
-    if any(c.band_index != n for c in wells):
-        raise InternalConsistencyError("batched wells lie on different bands")
-    return ([(c.lo, c.hi) for c in wells],
-            np.array([[w.energy] for w in windows]), n)
+    energies = np.array([[w.energy] for w in windows])
+    rows = _edge_resolved_quad(lambda z: integrand(energies - profile(z), n),
+                               [(c.lo, c.hi) for c in wells], points, buffer)
+    for value in rows[0]:
+        if value <= 0.0:
+            raise InternalConsistencyError("Phi0 = %g not positive" % value)
+    return rows
 
 
 def _phi0_rule(windows, bands, profile, points, buffer, op):
     """Phi0 of every window by the `points`-per-panel rule from the k-only
-    integrand, in one integrand call: the coarse rule whose difference
-    from Phi0 is the quadrature error of compute_action_data."""
-    segments, energies, n = _wells(windows, op)
-
-    def integrand(z):
-        return reduced_momentum(bands.k_band_fast(energies - profile(z), n), n)
-
-    return _edge_resolved_quad(integrand, segments, points, buffer)
+    integrand, in one integrand call: at nodes points the coarse rule whose
+    difference from Phi0 is the quadrature error of compute_action_data,
+    at 2*nodes the ladder's samples."""
+    return _well_rows(windows, profile, points, buffer, op, lambda e, n: (
+        reduced_momentum(bands.k_band_fast(e, n), n)[None]))[0]
 
 
 def phase_integral(window, bands, profile, nodes=64, buffer=0.1):
@@ -303,17 +306,13 @@ def _well_integrals(windows, bands, profile, nodes=64, buffer=0.1,
     integrand call, whose k and k' come from one pass over the table at
     shared nodes."""
     _check_rule(nodes, buffer)
-    segments, energies, n = _wells(windows, op)
-    sign = _band_sign(n)
 
-    def integrand(z):
-        k, kprime = bands.k_and_kprime_fast(energies - profile(z), n)
-        return np.stack((reduced_momentum(k, n), sign * kprime))
+    def integrand(e, n):
+        k, kprime = bands.k_and_kprime_fast(e, n)
+        return np.stack((reduced_momentum(k, n), _band_sign(n) * kprime))
 
-    phi0s, primes = _edge_resolved_quad(integrand, segments, 2 * nodes, buffer)
-    for value in phi0s:
-        if value <= 0.0:
-            raise InternalConsistencyError("Phi0 = %g not positive" % value)
+    phi0s, primes = _well_rows(windows, profile, 2 * nodes, buffer, op,
+                               integrand)
     if 0.0 in primes:
         raise InternalConsistencyError("dPhi_w/dE vanished on a band")
     return [(p, _anchored(w, p), wp) for w, p, wp in zip(windows, phi0s, primes)]

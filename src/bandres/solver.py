@@ -31,8 +31,9 @@ band, so their interpolants on the window's Lobatto points converge
 geometrically (Trefethen, Approximation Theory and Approximation
 Practice, ch. 8). They are sampled on nested grids of cfg.e_window, ends
 exact: 25, 49, 97 and 193 points, each holding the last, so a doubling
-decomposes (the first failure in grid order is raised) and integrates
-only its new energies, in one batch each. An interpolant passes the
+decomposes only its new energies, one at a time in grid order (the first
+failure is raised), and integrates them in one batch: Phi_w by the k-only
+rule for Phi0, anchored, and S+-. An interpolant passes the
 certificate when its tail (largest last-three coefficient over largest)
 is at most _TAIL_ULPS units of 2^-52, the chop rule of Battles and
 Trefethen (SIAM J. Sci. Comput. 25, 2004), and at the next grid's new
@@ -66,11 +67,11 @@ import weakref
 
 import numpy as np
 
-from .actions import (_barrier_actions, _well_integrals,
+from .actions import (_anchored, _barrier_actions, _check_rule, _phi0_rule,
                       delta_kappa, tunneling_coefficients)
 from .errors import (ComputationError, ConfigurationError,
                      UnsupportedConfigurationError)
-from .window import _decompose_many
+from .window import decompose_window
 
 _GRID_SIZES = (25, 49, 97, 193)  # nested Lobatto grids; the last only checks
 _TAIL_ULPS = 64.0       # tail bound in units of 2^-52; shipped tails: 1.4-15
@@ -210,21 +211,26 @@ def _evaluate(coef, e, e_lo, e_hi):
     return [np.concatenate(out) if out else np.empty(0) for out in rows]
 
 
-def _certified(checked, bands, profile, e_lo, e_hi, quad, root_tol):
+def _certified(decomposed, bands, profile, e_lo, e_hi, quad, root_tol):
     """(window at e_lo, grid, Phi_w there, coefficients, largest measured
     |p - Phi_w|) of the first grid of _GRID_SIZES whose Phi_w passes the
     certificate; the coefficients drop rows S+- unless those pass there
-    too (see the module docstring)."""
+    too (see the module docstring). `decomposed` gives the checked windows
+    of a list of energies."""
+    nodes, buffer = quad
+    _check_rule(nodes, buffer)
     values = first = coef = None
     for n in _GRID_SIZES:
         grid = _lobatto_grid(e_lo, e_hi, n)
         new = grid if values is None else grid[1::2]
-        windows = checked(_decompose_many(profile, bands, new.tolist()), new)
+        windows = decomposed(new.tolist())
         first = windows[0] if first is None else first
+        phi0s = _phi0_rule(windows, bands, profile, 2 * nodes, buffer,
+                           "locate_resonances")
         # rows Phi_w, S-, S+ (+inf on an empty barrier), one column per energy
         sampled = np.array([
-            [row[1] for row in _well_integrals(windows, bands, profile, *quad)],
-            *zip(*_barrier_actions(windows, bands, profile, *quad))])
+            [_anchored(w, phi0) for w, phi0 in zip(windows, phi0s)],
+            *zip(*_barrier_actions(windows, bands, profile, nodes, buffer))])
         values = sampled if values is None else np.insert(
             values, np.arange(1, values.shape[1]), sampled, axis=1)
         diffs = np.diff(values[0])
@@ -271,32 +277,32 @@ def locate_resonances(cfg, window, bands, profile):
     e_lo, e_hi = cfg.e_window
     quad = (cfg.nodes, cfg.buffer)
 
-    def checked(windows_or_errors, energies):
-        """The windows, checked against the caller's in energy order."""
-        windows = []
-        for w, e in zip(windows_or_errors, energies):
-            if isinstance(w, ComputationError):
-                raise w
-            if w.classification != "H6":
-                raise UnsupportedConfigurationError(
-                    "window leaves the one-well regime at E=%.12g (%s)"
-                    % (e, w.classification))
-            if w.compact.key != window.compact.key:
-                raise UnsupportedConfigurationError(
-                    "well bookkeeping changes inside the energy window at "
-                    "E=%.12g; shrink the window" % e)
-            windows.append(w)
-        return windows
+    def checked(w):
+        """The window w, checked against the caller's."""
+        if w.classification != "H6":
+            raise UnsupportedConfigurationError(
+                "window leaves the one-well regime at E=%.12g (%s)"
+                % (w.energy, w.classification))
+        if w.compact.key != window.compact.key:
+            raise UnsupportedConfigurationError(
+                "well bookkeeping changes inside the energy window at "
+                "E=%.12g; shrink the window" % w.energy)
+        return w
+
+    def decomposed(energies):
+        """The checked window of each energy, in order: the first failure
+        is raised."""
+        return [checked(decompose_window(profile, bands, e)) for e in energies]
 
     key = (profile, cfg.e_window) + quad + (cfg.root_tol,)
     kept = _GRIDS.get(bands, {}).get(key)
     if kept is None:
-        kept = _certified(checked, bands, profile, e_lo, e_hi, quad,
+        kept = _certified(decomposed, bands, profile, e_lo, e_hi, quad,
                           cfg.root_tol)
         _GRIDS.setdefault(bands, {})[key] = kept
     else:
         # the grid windows share one bookkeeping, so the first stands for all
-        checked(kept[:1], (e_lo,))
+        checked(kept[0])
     first, grid, phis, coef, error = kept
 
     dk = delta_kappa(first)
@@ -352,8 +358,8 @@ def locate_resonances(cfg, window, bands, profile):
     else:   # batches bound the quadrature's memory
         pairs = []
         for block in np.split(e, np.arange(_DIRECT_BLOCK, len(e), _DIRECT_BLOCK)):
-            windows = checked(_decompose_many(profile, bands, block.tolist()), block)
-            pairs += _barrier_actions(windows, bands, profile, *quad)
+            pairs += _barrier_actions(decomposed(block.tolist()), bands,
+                                      profile, *quad)
         actions = zip(*pairs)
     out = []
     for l, e_l, phase, prime, res, sm, sp in zip(

@@ -35,7 +35,6 @@ import math
 import numpy as np
 
 from .errors import (
-    ComputationError,
     ConfigurationError,
     CriticalEndpointError,
     DomainError,
@@ -406,61 +405,44 @@ def decompose_window(profile, bands, energy):
     band edge (relative to the quadratic tail decay), so no crossing can
     hide beyond it.
     """
-    window = _decompose_many(profile, bands, [energy])[0]
-    if isinstance(window, ComputationError):
-        raise window
-    return window
-
-
-def _decompose_many(profile, bands, energies):
-    """decompose_window of every energy in one pass: for each energy, in
-    order, its SpectralWindow or the ComputationError it raises.
-
-    One comparison of the scan grid with the stacked (energy, edge) levels
-    finds every crossing cell (W > level there exactly where the sign test
-    of W - level is positive, zero counting negative); each root is then
-    refined on its own bracket, so an entry does not depend on the batch."""
+    energy = float(energy)
+    if not math.isfinite(energy):
+        raise DomainError("energy E=%r is not finite" % energy)
     edges = bands._edge_list
-    w_minus, w_plus, ceiling = profile.w_minus, profile.w_plus, bands.gap_ceiling
-    out = []
-    scans = []      # (grid, tail slack) per doubling of the scan interval
-    slots = []      # (scan, index in out, energy, e_range, [(edge index, level)])
-    for energy in energies:
-        energy = float(energy)
-        out.append(None)
-        if not math.isfinite(energy):
-            out[-1] = DomainError("energy E=%r is not finite" % energy)
+    margin = min(min(abs(t - e) for e in edges)
+                 for t in (energy - profile.w_minus, energy - profile.w_plus))
+    for attempt in range(6):
+        (zgrid, wgrid, w_min, w_max), tail_slack = _scan(profile, attempt)
+        if margin > tail_slack:
+            break
+    else:
+        raise DomainError(
+            "E - W(+/-inf) sits within %.2e of a band edge; the window "
+            "classification is not stable at infinity" % margin)
+    e_range = (energy - w_max - tail_slack, energy - w_min + tail_slack)
+    if e_range[1] > bands.gap_ceiling:
+        raise EnergyRangeError(
+            "E - W reaches %.6g, beyond the scanned band ceiling %.6g; "
+            "rescan the band structure with a larger e_max"
+            % (e_range[1], bands.gap_ceiling))
+    at = profile._real
+    endpoints = []
+    for j, edge in enumerate(edges, start=1):
+        level = energy - edge
+        if not w_min - tail_slack <= level <= w_max + tail_slack:
             continue
-        margin = min(min(abs(t - e) for e in edges)
-                     for t in (energy - w_minus, energy - w_plus))
-        for attempt in range(6):
-            if attempt == len(scans):
-                scans.append(_scan(profile, attempt))
-            (_, _, w_min, w_max), tail_slack = scans[attempt]
-            if margin > tail_slack:
-                break
-        else:
-            out[-1] = DomainError(
-                "E - W(+/-inf) sits within %.2e of a band edge; the window "
-                "classification is not stable at infinity" % margin)
-            continue
-        e_range = (energy - w_max - tail_slack, energy - w_min + tail_slack)
-        if e_range[1] > ceiling:
-            out[-1] = EnergyRangeError(
-                "E - W reaches %.6g, beyond the scanned band ceiling %.6g; "
-                "rescan the band structure with a larger e_max"
-                % (e_range[1], ceiling))
-            continue
-        levels = [(j, level) for j, level in
-                  enumerate([energy - edge for edge in edges], start=1)
-                  if w_min - tail_slack <= level <= w_max + tail_slack]
-        slots.append((attempt, len(out) - 1, energy, e_range, levels))
-    for attempt, (grid, _) in enumerate(scans):
-        mine = [slot for slot in slots if slot[0] == attempt]
-        windows = _decompose_on_grid(profile, bands, grid, [slot[2:] for slot in mine])
-        for slot, window in zip(mine, windows):
-            out[slot[1]] = window
-    return out
+        # crossing cells: W > level exactly where W - level tests positive
+        above = wgrid > level
+        cells = np.flatnonzero(above[1:] != above[:-1]).tolist()
+        for r in [_refine(at, level, zgrid[c], zgrid[c + 1]) for c in cells]:
+            wp = profile.derivative(r)
+            if abs(wp) < _CRITICAL_WPRIME:
+                raise CriticalEndpointError(
+                    "|W'| = %.3e < %.0e at the edge crossing zeta=%.9g "
+                    "(edge %d); endpoint criticality violated"
+                    % (abs(wp), _CRITICAL_WPRIME, r, j))
+            endpoints.append(WindowEndpoint(r, j, wp))
+    return _classify(profile, bands, energy, endpoints, e_range)
 
 
 def _scan(profile, attempt):
@@ -470,42 +452,6 @@ def _scan(profile, attempt):
     wgrid = grid[1]
     return grid, 3.0 * max(abs(wgrid[0] - profile.w_minus),
                            abs(wgrid[-1] - profile.w_plus)) + 1e-12
-
-
-def _decompose_on_grid(profile, bands, grid, slots):
-    """The window or error of each energy whose tails are stable on this
-    scan grid, given its slot (energy, e_range, [(edge index, level)])."""
-    zgrid, wgrid = grid[:2]
-    stacked = np.array([level for *_, levels in slots for _, level in levels])
-    above = (wgrid > stacked[:, None]).ravel()
-    # crossings between neighbouring grid points, not across rows
-    flips = np.flatnonzero(above[1:] != above[:-1])
-    flips = flips[flips % wgrid.size != wgrid.size - 1]
-    cells = [[] for _ in range(stacked.size)]
-    for row, cell in zip((flips // wgrid.size).tolist(),
-                         (flips % wgrid.size).tolist()):
-        cells[row].append(cell)
-    at = profile._real
-    level_cells = iter(cells)
-    out = []
-    for energy, e_range, levels in slots:
-        mine = [next(level_cells) for _ in levels]
-        try:
-            endpoints = []
-            for (j, level), cs in zip(levels, mine):
-                roots = [_refine(at, level, zgrid[c], zgrid[c + 1]) for c in cs]
-                for r in roots:
-                    wp = profile.derivative(r)
-                    if abs(wp) < _CRITICAL_WPRIME:
-                        raise CriticalEndpointError(
-                            "|W'| = %.3e < %.0e at the edge crossing zeta=%.9g "
-                            "(edge %d); endpoint criticality violated"
-                            % (abs(wp), _CRITICAL_WPRIME, r, j))
-                    endpoints.append(WindowEndpoint(r, j, wp))
-            out.append(_classify(profile, bands, energy, endpoints, e_range))
-        except ComputationError as exc:
-            out.append(exc)
-    return out
 
 
 def _classify(profile, bands, energy, endpoints, e_range):

@@ -270,19 +270,21 @@ class TestRegimeGuards:
                                  % grid[13]):
             locate_resonances(SolverConfig(0.1, 0.0, e_window), win,
                               mathieu_bands, self.EDGES)
-        # caught on the 25-point grid, whose energies are all H6
-        assert decomposed == grid
+        # caught on the 25-point grid, whose energies are all H6, at the
+        # first energy past the change
+        assert decomposed == grid[:14]
         assert not cold.get(mathieu_bands)
 
     def test_phase_not_monotone_on_the_grid_rejected(self, mathieu_bands,
                                                      bound_profile, cold,
                                                      monkeypatch):
-        # the grid's phase at its middle energy replaced by its first
-        def folded(windows, *args, _well_integrals=solver_module._well_integrals):
-            rows = _well_integrals(windows, *args)
-            rows[12] = rows[12][:1] + rows[0][1:2] + rows[12][2:]
+        # the grid's Phi0 at its middle energy replaced by its first: Phi_w
+        # there reads 17.8 between neighbours near -1.5
+        def folded(windows, *args, _phi0_rule=solver_module._phi0_rule):
+            rows = _phi0_rule(windows, *args)
+            rows[12] = rows[0]
             return rows
-        monkeypatch.setattr(solver_module, "_well_integrals", folded)
+        monkeypatch.setattr(solver_module, "_phi0_rule", folded)
         with pytest.raises(UnsupportedConfigurationError,
                            match="well phase not monotone over the energy window"):
             solve(mathieu_bands, bound_profile, BOUND_E, 0.08)
@@ -293,12 +295,12 @@ class TestRegimeGuards:
                                                        monkeypatch):
         grid = grid_of(BOUND_E)
 
-        def failing(profile, bands, energies,
-                    _decompose=solver_module._decompose_many):
-            return [ComputationError("failed at E=%r" % e)
-                    if e in (grid[9], grid[5]) else w
-                    for e, w in zip(energies, _decompose(profile, bands, energies))]
-        monkeypatch.setattr(solver_module, "_decompose_many", failing)
+        def failing(profile, bands, energy,
+                    _decompose=solver_module.decompose_window):
+            if energy in (grid[9], grid[5]):
+                raise ComputationError("failed at E=%r" % energy)
+            return _decompose(profile, bands, energy)
+        monkeypatch.setattr(solver_module, "decompose_window", failing)
         with pytest.raises(ComputationError, match=r"^failed at E=%r$" % grid[5]):
             solve(mathieu_bands, bound_profile, BOUND_E, 0.08)
         assert not cold.get(mathieu_bands)
@@ -330,14 +332,14 @@ def grid_of(e_window, points=25):
 
 @pytest.fixture
 def decomposed(monkeypatch):
-    """Every energy the solver passes to _decompose_many, in order."""
+    """Every energy the solver decomposes, in order."""
     seen = []
 
-    def counted(profile, bands, energies,
-                _decompose=solver_module._decompose_many):
-        seen.extend(energies)
-        return _decompose(profile, bands, energies)
-    monkeypatch.setattr(solver_module, "_decompose_many", counted)
+    def counted(profile, bands, energy,
+                _decompose=solver_module.decompose_window):
+        seen.append(energy)
+        return _decompose(profile, bands, energy)
+    monkeypatch.setattr(solver_module, "decompose_window", counted)
     return seen
 
 
@@ -401,7 +403,8 @@ class TestGridMemo:
                                match="leaves the one-well regime") as info:
                 locate_resonances(cfg, win, mathieu_bands, drift_profile)
             messages.append(str(info.value))
-            assert decomposed == grid_of(cfg.e_window)
+            # the 25-point grid up to its first energy out of H6, grid[19]
+            assert decomposed == grid_of(cfg.e_window)[:20]
         assert messages[0] == messages[1]
         assert not cold.get(mathieu_bands)
 
@@ -606,7 +609,8 @@ class TestInterpolants:
     def test_ladder_runs_no_coarse_rule(self, request, configs_dir, name,
                                         cold, monkeypatch):
         # an estimate reports no quadrature error and no Phi0', so a ladder
-        # runs neither the coarse Phi0 rule nor Phi0' and builds no bundle
+        # runs the k-only Phi0 rule only at 2*nodes points, never the coarse
+        # nodes-point one, takes no Phi0' and builds no bundle
         run = load_configuration(configs_dir / (name + ".json"))
         bands = config_bands(request, name)
         cfg = SolverConfig(0.1, 0.0, run.solver.e_window)
@@ -618,6 +622,13 @@ class TestInterpolants:
         def refuse(*args, **kwargs):
             raise AssertionError("a ladder built action data it does not report")
 
+        def fine_only(windows, bands, profile, points, *args,
+                      _phi0_rule=solver_module._phi0_rule):
+            if points == cfg.nodes:
+                refuse()
+            return _phi0_rule(windows, bands, profile, points, *args)
+
+        monkeypatch.setattr(solver_module, "_phi0_rule", fine_only)
         for attr in ("_phi0_rule", "_phi0_prime", "ActionData"):
             monkeypatch.setattr(actions_module, attr, refuse)
         found = locate_resonances(cfg, win, bands, run.profile)

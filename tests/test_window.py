@@ -1,12 +1,12 @@
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from bandres import (
     Bump,
-    ComputationError,
     ConfigurationError,
     CriticalEndpointError,
     DomainError,
@@ -18,21 +18,13 @@ from bandres import (
     discriminant,
     load_configuration,
 )
-from bandres.window import _decompose_many, _scan_grid
+from bandres.window import _scan_grid
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def same_bits(a, b):
     return type(a) is type(b) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
-
-
-def outcome(window_or_error):
-    """What a decomposition gave, comparable across calls: the window's
-    record, or the error's type and message."""
-    if isinstance(window_or_error, Exception):
-        return type(window_or_error), str(window_or_error)
-    return repr(window_or_error.to_dict())
 
 
 def direct_profile_value(mu, nu, bumps, z):
@@ -253,6 +245,21 @@ class TestDecomposition:
         with pytest.raises(DomainError, match="E=%r is not finite" % energy):
             decompose_window(bound_profile, mathieu_bands, energy)
 
+    @pytest.mark.parametrize("edge, side", [(2, "w_plus"), (3, "w_minus")])
+    def test_tail_on_a_band_edge_is_refused(self, mathieu_bands, wall_profile,
+                                            edge, side):
+        # E - W(+/-inf) 1e-9 from a band edge, inside the tail slack of every
+        # doubling of the scan interval
+        energy = float(mathieu_bands.edges[edge]) + getattr(wall_profile, side) + 1e-9
+        margin = min(abs(t - e) for e in mathieu_bands.edges.tolist()
+                     for t in (energy - wall_profile.w_minus,
+                               energy - wall_profile.w_plus))
+        assert 0.0 < margin < 2e-9
+        with pytest.raises(DomainError, match=re.escape(
+                "E - W(+/-inf) sits within %.2e of a band edge; the window "
+                "classification is not stable at infinity" % margin)):
+            decompose_window(wall_profile, mathieu_bands, energy)
+
     def test_ceiling_guard(self, mathieu_bands, drift_profile):
         with pytest.raises(EnergyRangeError):
             decompose_window(drift_profile, mathieu_bands, 50.0)
@@ -306,43 +313,3 @@ class TestDecomposition:
                     assert abs(d) <= 2.0 + 1e-9
             checked += 1
         assert checked >= 12
-
-
-class TestBatchedDecomposition:
-    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
-    def test_batch_equals_single_calls(self, name, mathieu_bands, free_bands):
-        run = load_configuration(CONFIG_DIR / (name + ".json"))
-        prof = run.profile
-        bands = free_bands if run.potential.is_constant else mathieu_bands
-        lo, hi = run.solver.e_window
-        energies = np.linspace(lo - 1.0, hi + 1.0, 400).tolist()
-        # raising energies among them: non-finite, beyond the band ceiling,
-        # and tails sitting on a band edge (all six scan doublings fail)
-        energies[::57] = [math.nan, math.inf, -math.inf, bands.gap_ceiling + 20.0,
-                          float(bands.edges[2]) + prof.w_plus,
-                          float(bands.edges[3]) + prof.w_minus, math.nan, 1e300]
-        batch = _decompose_many(prof, bands, energies)
-        singles = []
-        for e in energies:
-            try:
-                singles.append(decompose_window(prof, bands, e))
-            except ComputationError as exc:
-                singles.append(exc)
-        assert len(batch) == len(energies)
-        assert [outcome(w) for w in batch] == [outcome(w) for w in singles]
-        kinds = {type(w).__name__ for w in batch}
-        assert "SpectralWindow" in kinds and "DomainError" in kinds
-        assert "EnergyRangeError" in kinds
-
-    def test_entries_do_not_depend_on_the_batch(self, mathieu_bands, free_bands,
-                                                wall_profile):
-        # the free profile crosses the closed gap 2 at E = 1.75 only
-        crossing = PerturbationProfile(-37.0, 0.0, ((-3.0, 0.0, 1.0),))
-        for prof, bands, energies in (
-                (wall_profile, mathieu_bands, [3.6, math.nan, 3.9, 3.9, 50.0, 4.2]),
-                (crossing, free_bands, [1.0, 1.75, -0.5, 1.75])):
-            batch = [outcome(w) for w in _decompose_many(prof, bands, energies)]
-            for i, e in enumerate(energies):
-                assert outcome(_decompose_many(prof, bands, [e])[0]) == batch[i]
-        assert batch[1][0] is UnsupportedConfigurationError
-        assert _decompose_many(wall_profile, mathieu_bands, []) == []
