@@ -35,24 +35,19 @@ band-edge crossings), removed exactly by the zeta = endpoint +/- u^2
 substitution on buffer panels; interior panels use plain Gauss-Legendre.
 Every integral uses 2*nodes points per panel and calls its integrand once
 per batch, on a (k, 4*2*nodes) array holding the nodes of all four panels
-of k segments; compute_action_data, the one owner of the node-doubling
-error, also runs the nodes rule for Phi0 and reports the difference as
-the quadrature error. The private batched forms take many windows on one
-band: _well_integrals gives (Phi0, Phi_w, Phi_w') from one integrand
-whose k and k' share one pass over the discriminant table, and
-phase_integral, well_phase and well_phase_derivative read their values
-off its rows; _phi0_rule gives Phi0 from the k-only integrand at any
-rule, both through _well_rows, which checks Phi0 positive;
-_barrier_actions gives (S-, S+) from one BandStructure._gap_gamma call
-over every finite barrier, and actions_pm is its one-window call.
-compute_action_data runs all three on its one window; the solver's
-ladder samples Phi_w as _phi0_rule's 2*nodes-point Phi0, anchored, and
-(S-, S+). Each row is reduced on its own, one dot product per panel, and
-the table is read piece by piece and elementwise, so a value
-does not depend on the batch it was computed in, nor on whether k' was
-taken with it. Barrier energies below the table floor take D from one
-Wronskian-checked propagation per barrier instead (an ODE solve's steps
-depend on its batch), as gamma_fast does.
+of k segments. Each quantity has one integrand, read through one
+BandStructure view: Phi0, and so Phi_w, from kappa0 through k_band_fast
+(_phi0_rule, which checks it positive); Phi_w' from sign(n) * k' through
+kprime_fast (_well_prime, which checks it nonzero); S-+ from Im k through
+gamma_fast (_barrier_actions, one row per finite barrier).
+compute_action_data, the one owner of the node-doubling error, also runs
+_phi0_rule at nodes points and reports the difference as the quadrature
+error; the solver's ladder samples _phi0_rule at 2*nodes, anchored, and
+_barrier_actions on many windows at once. Each row is reduced on its own,
+one dot product per panel, and the table is read piece by piece and
+elementwise, so a value does not depend on the batch it was computed in.
+Barrier energies below the table floor take D from one Wronskian-checked
+propagation per barrier instead (an ODE solve's steps depend on its batch).
 """
 
 from __future__ import annotations
@@ -139,39 +134,56 @@ def _quad_reduce(values, rule):
 def _edge_resolved_quad(f, segments, n, buffer):
     """Integrate f over each segment by the rule of _quad_nodes; f is
     called once, on the array of all nodes, and returns values of that
-    shape, or several such arrays stacked on leading axes."""
+    shape."""
     z, rule = _quad_nodes(segments, n, buffer)
     return _quad_reduce(f(z), rule)
 
 
 def _well_rows(windows, profile, points, buffer, op, integrand):
-    """The integrals over every window's H6 well, all on one band, of each
-    row of integrand(E - W, n) by the `points`-per-panel rule, in one
-    integrand call; the first row is Phi0, which must be positive."""
+    """The integral over every window's H6 well, all on one band, of
+    integrand(E - W, n) by the `points`-per-panel rule, in one integrand
+    call."""
     wells = [window.well(op) for window in windows]
     n = wells[0].band_index
     energies = np.array([[w.energy] for w in windows])
-    rows = _edge_resolved_quad(lambda z: integrand(energies - profile(z), n),
+    return _edge_resolved_quad(lambda z: integrand(energies - profile(z), n),
                                [(c.lo, c.hi) for c in wells], points, buffer)
-    for value in rows[0]:
-        if value <= 0.0:
-            raise InternalConsistencyError("Phi0 = %g not positive" % value)
-    return rows
 
 
 def _phi0_rule(windows, bands, profile, points, buffer, op):
     """Phi0 of every window by the `points`-per-panel rule from the k-only
-    integrand, in one integrand call: at nodes points the coarse rule whose
-    difference from Phi0 is the quadrature error of compute_action_data,
-    at 2*nodes the ladder's samples."""
-    return _well_rows(windows, profile, points, buffer, op, lambda e, n: (
-        reduced_momentum(bands.k_band_fast(e, n), n)[None]))[0]
+    integrand, in one integrand call, each checked positive: at 2*nodes
+    points every reader's Phi0 and the ladder's samples, at nodes the
+    coarse rule whose difference from Phi0 is the quadrature error of
+    compute_action_data."""
+    phi0s = _well_rows(windows, profile, points, buffer, op, lambda e, n: (
+        reduced_momentum(bands.k_band_fast(e, n), n)))
+    for value in phi0s:
+        if value <= 0.0:
+            raise InternalConsistencyError("Phi0 = %g not positive" % value)
+    return phi0s
+
+
+def _phi0(window, bands, profile, nodes, buffer, op):
+    """Phi0 of one window by the 2*nodes-point rule."""
+    _check_rule(nodes, buffer)
+    return _phi0_rule([window], bands, profile, 2 * nodes, buffer, op)[0]
+
+
+def _well_prime(window, bands, profile, nodes, buffer, op):
+    """Phi_w' of one window by the 2*nodes-point rule from the k'-only
+    integrand sign(n) * k'(E - W); never zero on a band."""
+    _check_rule(nodes, buffer)
+    prime, = _well_rows([window], profile, 2 * nodes, buffer, op,
+                        lambda e, n: _band_sign(n) * bands.kprime_fast(e, n))
+    if prime == 0.0:
+        raise InternalConsistencyError("dPhi_w/dE vanished on a band")
+    return prime
 
 
 def phase_integral(window, bands, profile, nodes=64, buffer=0.1):
     """Phi0(E): action of the compact component of the window."""
-    return _well_integrals([window], bands, profile, nodes, buffer,
-                           "phase_integral")[0][0]
+    return _phi0(window, bands, profile, nodes, buffer, "phase_integral")
 
 
 def _anchored(window, phi0):
@@ -210,8 +222,9 @@ def actions_pm(window, bands, profile, nodes=64, buffer=0.1):
 
 def _barrier_actions(windows, bands, profile, nodes, buffer):
     """(S_minus, S_plus) of every window: twice the integral of Im k over
-    each finite barrier by the 2*nodes-point rule, one _gap_gamma call
-    over all of them, and +inf where a barrier is empty."""
+    each finite barrier by the 2*nodes-point rule, one gamma_fast call
+    over all of them (one row per barrier), and +inf where a barrier is
+    empty."""
     segments, energies = [], []
     for window in windows:
         for a, b in window.barriers:
@@ -220,7 +233,7 @@ def _barrier_actions(windows, bands, profile, nodes, buffer):
                 energies.append([window.energy])
 
     def integrand(z):
-        return bands._gap_gamma(np.array(energies) - profile(z))
+        return bands.gamma_fast(np.array(energies) - profile(z))
 
     integrals = iter(_edge_resolved_quad(integrand, segments, 2 * nodes, buffer)
                      if segments else ())
@@ -286,9 +299,8 @@ def phase_integral_derivative(window, bands, profile, nodes=64, buffer=0.1):
     endpoints; the u^2 substitution renders it analytic, so plain
     Gauss-Legendre on the buffer panels converges spectrally.
     """
-    window.well("phase_integral_derivative")
-    return _phi0_prime(window, well_phase_derivative(window, bands, profile,
-                                                     nodes, buffer))
+    return _phi0_prime(window, _well_prime(window, bands, profile, nodes,
+                                           buffer, "phase_integral_derivative"))
 
 
 def well_phase(window, bands, profile, nodes=64, buffer=0.1):
@@ -297,25 +309,8 @@ def well_phase(window, bands, profile, nodes=64, buffer=0.1):
     Phi_w = Phi0 - v_hi*zeta0+ + v_lo*zeta0-. Real resonance positions
     solve Phi_w(E) = -pi*delta_kappa*zeta + eps*(pi/2 + pi*l), l integer.
     """
-    return _well_integrals([window], bands, profile, nodes, buffer)[0][1]
-
-
-def _well_integrals(windows, bands, profile, nodes=64, buffer=0.1,
-                    op="well_phase"):
-    """(Phi0, Phi_w, Phi_w') of every window (H6 wells on one band): one
-    integrand call, whose k and k' come from one pass over the table at
-    shared nodes."""
-    _check_rule(nodes, buffer)
-
-    def integrand(e, n):
-        k, kprime = bands.k_and_kprime_fast(e, n)
-        return np.stack((reduced_momentum(k, n), _band_sign(n) * kprime))
-
-    phi0s, primes = _well_rows(windows, profile, 2 * nodes, buffer, op,
-                               integrand)
-    if 0.0 in primes:
-        raise InternalConsistencyError("dPhi_w/dE vanished on a band")
-    return [(p, _anchored(w, p), wp) for w, p, wp in zip(windows, phi0s, primes)]
+    return _anchored(window, _phi0(window, bands, profile, nodes, buffer,
+                                   "well_phase"))
 
 
 def well_phase_derivative(window, bands, profile, nodes=64, buffer=0.1):
@@ -326,8 +321,8 @@ def well_phase_derivative(window, bands, profile, nodes=64, buffer=0.1):
     the u^2 substitution. Never zero on a band, so Phi_w is strictly
     monotone in E across any H6 window.
     """
-    return _well_integrals([window], bands, profile, nodes, buffer,
-                           "well_phase_derivative")[0][2]
+    return _well_prime(window, bands, profile, nodes, buffer,
+                       "well_phase_derivative")
 
 
 class ActionData:
@@ -362,9 +357,11 @@ class ActionData:
 
 def compute_action_data(window, bands, profile, nodes=64, buffer=0.1):
     """All actions of one H6 window in a single bundle."""
-    op, one = "compute_action_data", [window]
-    (phi0, phi, wp), = _well_integrals(one, bands, profile, nodes, buffer, op)
-    coarse, = _phi0_rule(one, bands, profile, nodes, buffer, op)
-    (s_minus, s_plus), = _barrier_actions(one, bands, profile, nodes, buffer)
+    op = "compute_action_data"
+    phi0 = _phi0(window, bands, profile, nodes, buffer, op)
+    wp = _well_prime(window, bands, profile, nodes, buffer, op)
+    coarse, = _phi0_rule([window], bands, profile, nodes, buffer, op)
+    (s_minus, s_plus), = _barrier_actions([window], bands, profile, nodes, buffer)
     return ActionData(window.energy, phi0, delta_kappa(window), s_minus, s_plus,
-                      abs(phi0 - coarse), _phi0_prime(window, wp), phi, wp)
+                      abs(phi0 - coarse), _phi0_prime(window, wp),
+                      _anchored(window, phi0), wp)

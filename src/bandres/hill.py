@@ -14,8 +14,8 @@ Conventions used throughout the package:
   axis only, where it solves cos k = D(E)/2: it maps band n increasingly
   onto [pi(n-1), pi*n], and on gap n has Im k = arccosh(|D|/2) > 0 (a
   single nondegenerate interior maximum). BandStructure's k_band_fast,
-  gamma_fast and kprime_fast give k, Im k and dk/dE from its table of D;
-  k_and_kprime_fast gives k and dk/dE from one pass over it.
+  gamma_fast and kprime_fast give k, Im k and dk/dE from its table of D,
+  each the one table read of its quantity.
 
 Every object here is immutable after construction. BandStructure builds
 its Chebyshev table of D once, on first use, over the fixed range
@@ -752,36 +752,30 @@ class BandStructure:
 
     def k_band_fast(self, e, band_index):
         """Main-branch k on band `band_index` (vectorized, table-backed)."""
-        return _k_of(self.table.value(e), band_index)
+        c = np.clip(_band_sign(band_index) * self.table.value(e) / 2.0, -1.0, 1.0)
+        return math.pi * (band_index - 1) + np.arccos(c)
 
     def gamma_fast(self, e):
-        """Im k inside any gap (vectorized): _gap_gamma of e as one row, so
-        energies below the table floor take D from one direct propagation.
-        Keeps the shape of e."""
+        """Im k inside any gap (vectorized), keeping the shape of e, from D
+        read off the table at max(e, floor). Energies below the floor take D
+        from one Wronskian-checked integrate_monodromy call per row (a 0-d or
+        1-D e is one row, else each row along the last axis), so a row's
+        values do not depend on the rows beside it."""
         e = np.asarray(e, dtype=float)
-        return self._gap_gamma(e.reshape(1, -1)).reshape(e.shape)[()]
-
-    def _gap_gamma(self, e):
-        """Im k at the gap energies e, one row per segment, from D read off
-        the table at max(e, floor); the energies of a row below the table
-        floor take D from one integrate_monodromy call, Wronskian checked."""
+        rows = e.reshape(-1, e.shape[-1]) if e.ndim > 1 and e.size else e.reshape(1, -1)
         floor = self.table.breaks[0]
-        d = self.table.value(np.maximum(e, floor))
-        deep = e < floor
+        d = self.table.value(np.maximum(rows, floor))
+        deep = rows < floor
         for r in np.flatnonzero(deep.any(axis=1)).tolist():
-            d[r, deep[r]] = integrate_monodromy(self.potential, e[r, deep[r]],
+            d[r, deep[r]] = integrate_monodromy(self.potential, rows[r, deep[r]],
                                                 _TABLE_RTOL).trace()
-        return np.arccosh(np.maximum(1.0, np.abs(d) / 2.0))
+        return np.arccosh(np.maximum(1.0, np.abs(d) / 2.0)).reshape(e.shape)[()]
 
     def kprime_fast(self, e, band_index):
         """dk/dE on band `band_index` (table-backed; diverges at the edges)."""
-        return self.k_and_kprime_fast(e, band_index)[1]
-
-    def k_and_kprime_fast(self, e, band_index):
-        """(k_band_fast, kprime_fast) from one pass over the table."""
         d, dp = self.table.value_and_derivative(e)
         sin_phi = np.sqrt(np.maximum(1e-300, 1.0 - (d / 2.0) ** 2))
-        return _k_of(d, band_index), -_band_sign(band_index) * dp / (2.0 * sin_phi)
+        return -_band_sign(band_index) * dp / (2.0 * sin_phi)
 
     def to_dict(self):
         return {"edges": [float(x) for x in self.edges],
@@ -802,12 +796,6 @@ def _band_sign(band_index):
     the folded momentum rises from 0 to pi, and -1.0 for even n, where both
     run the other way."""
     return 1.0 if band_index % 2 == 1 else -1.0
-
-
-def _k_of(d, band_index):
-    """Main-branch k on band n from D there."""
-    c = np.clip(_band_sign(band_index) * d / 2.0, -1.0, 1.0)
-    return math.pi * (band_index - 1) + np.arccos(c)
 
 
 def reduced_momentum(k, band_index):

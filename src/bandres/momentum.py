@@ -214,6 +214,15 @@ def find_branch_points(profile, bands, energy, box):
                 "non-integer winding count %r for edge %d; enlarge the box"
                 % (check, j))
         if n_expected != len(roots):
+            # a root nearer a side than that side's sample spacing can
+            # escape the count: the box is at fault, not Newton
+            dx, dy = ((hi - lo) / (2 * _BOUNDARY_SAMPLES - 1)
+                      for lo, hi in ((re_lo, re_hi), (im_lo, im_hi)))
+            if any(min(r.imag - im_lo, im_hi - r.imag) < dx
+                   or min(r.real - re_lo, re_hi - r.real) < dy for r in roots):
+                raise BoundaryCollisionError(
+                    "branch point of edge %d within the boundary's sample "
+                    "spacing; enlarge the box" % j)
             raise RootCountError(
                 "edge %d: argument principle counts %d roots, Newton found %d"
                 % (j, n_expected, len(roots)))

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import collections
 import math
+import numbers
 import weakref
 
 import numpy as np
@@ -110,8 +111,12 @@ class SolverConfig:
             raise ConfigurationError("root_tol=%g outside (0, 1e-8]" % root_tol)
         if not 0.0 < buffer < 0.5:
             raise ConfigurationError("buffer=%g outside (0, 0.5)" % buffer)
-        if nodes < 8:
-            raise ConfigurationError("nodes=%d too few (need >= 8)" % nodes)
+        if not (isinstance(nodes, numbers.Real) and float(nodes).is_integer()
+                and nodes >= 8):
+            raise ConfigurationError("nodes=%r is not an integer of at least 8"
+                                     % (nodes,))
+        if not 0.0 < float(c0) < math.inf:
+            raise ConfigurationError("c0=%r is not positive and finite" % (c0,))
         self.epsilon = float(epsilon)
         self.zeta = zeta
         self.e_window = (lo, hi)

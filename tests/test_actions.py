@@ -119,9 +119,10 @@ class TestPhaseIntegral:
 
     def test_one_gauss_rule_per_integral(self, drift_window, mathieu_bands,
                                          drift_profile):
-        # one call on 4 panels of 2*nodes points; only the error estimate
-        # adds a call for the nodes rule (both barriers of this window are
-        # unbounded, so the barrier actions integrate nothing)
+        # one call on 4 panels of 2*nodes points per integral: Phi0, then
+        # Phi_w'; only the error estimate adds a call for the nodes rule
+        # (both barriers of this window are unbounded, so the barrier
+        # actions integrate nothing)
         sizes = []
 
         def counting(z):
@@ -132,7 +133,7 @@ class TestPhaseIntegral:
         assert sizes == [4 * 128]
         sizes.clear()
         compute_action_data(drift_window, mathieu_bands, counting, nodes=64)
-        assert sizes == [4 * 128, 4 * 64]
+        assert sizes == [4 * 128, 4 * 128, 4 * 64]
 
     @pytest.mark.parametrize("action, setting, words", [
         (phase_integral, dict(nodes=0), "rule of 0 points"),

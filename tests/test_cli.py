@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from bandres import PeriodicPotential, discriminant
+from bandres import PeriodicPotential, discriminant, load_configuration
 from bandres import actions as actions_module
 from bandres.cli import build_parser, main
 
@@ -102,12 +102,20 @@ class TestWindow:
 class TestActions:
     def test_table(self, configs_dir, tmp_path, monkeypatch):
         # actions.csv writes no quadrature error, so no row runs the coarse
-        # Phi0 rule or builds an action bundle
+        # nodes-point Phi0 rule or builds an action bundle
+        nodes = load_configuration(configs_dir / DRIFT).solver.nodes
+
         def refuse(*args, **kwargs):
             raise AssertionError("an action row ran the coarse Phi0 rule")
 
-        for attr in ("_phi0_rule", "ActionData"):
-            monkeypatch.setattr(actions_module, attr, refuse)
+        def fine_only(windows, bands, profile, points, *args,
+                      _phi0_rule=actions_module._phi0_rule):
+            if points == nodes:
+                refuse()
+            return _phi0_rule(windows, bands, profile, points, *args)
+
+        monkeypatch.setattr(actions_module, "_phi0_rule", fine_only)
+        monkeypatch.setattr(actions_module, "ActionData", refuse)
         code, out = run(configs_dir, tmp_path, "actions", DRIFT,
                         "--grid-points", 7)
         assert code == 0

@@ -350,6 +350,19 @@ class TestDiscriminantTable:
         _, s_plus = actions_pm(win, mathieu_bands, tall)
         assert math.isfinite(s_plus) and s_plus > 0.0
 
+    def test_gamma_rows_do_not_depend_on_each_other(self, mathieu_bands):
+        # an ODE solve's steps depend on its batch, so each row of a 2-d e
+        # takes its deep energies from its own propagation: bit for bit the
+        # row's own call
+        floor = mathieu_bands.table.breaks[0]
+        e = floor + np.array([[-8.0, -0.3, 0.5, -2.0],
+                              [-0.01, -5.0, -1.5, 1.0],
+                              [0.2, 0.4, 0.6, 0.8]])
+        rows = np.stack([mathieu_bands.gamma_fast(row) for row in e])
+        assert mathieu_bands.gamma_fast(e).tobytes() == rows.tobytes()
+        assert mathieu_bands.gamma_fast(e[None]).shape == (1,) + e.shape
+        assert mathieu_bands.gamma_fast(e[None]).tobytes() == rows.tobytes()
+
     def test_table_propagations_pass_the_wronskian_check(self, mathieu,
                                                           mathieu_bands,
                                                           monkeypatch):
@@ -417,7 +430,6 @@ class TestDiscriminantTable:
         name = "E=%r" % energy
         for call in (lambda e: mathieu_bands.k_band_fast(e, 1),
                      lambda e: mathieu_bands.kprime_fast(e, 1),
-                     lambda e: mathieu_bands.k_and_kprime_fast(e, 1),
                      mathieu_bands.gamma_fast):
             for e in (energy, np.array([1.0, energy, 2.0])):
                 with pytest.raises(DomainError, match=name):

@@ -186,6 +186,28 @@ class TestBranchPoints:
             find_branch_points(bound_profile, mathieu_bands, E_BOUND,
                                (0.5, z_star, -0.5, 0.5))
 
+    def test_root_near_a_side_is_a_boundary_collision(self, mathieu_bands,
+                                                      bound_profile):
+        # the edge-1 roots sit at +-0.7422i, 2.2e-3 outside the box's
+        # horizontal sides: the winding counts at 600 and 1,200 samples read
+        # 0.57 and 0.28, which disagree
+        with pytest.raises(BoundaryCollisionError,
+                           match="^branch point of edge 1 on or near the box"):
+            find_branch_points(bound_profile, mathieu_bands, 8.8554,
+                               (-6.0, 4.0, -0.74, 0.74))
+
+    def test_root_within_the_sample_spacing_is_a_boundary_collision(
+            self, mathieu_bands, wall_profile):
+        # the two edge-1 roots lie 4.3e-4 inside the horizontal sides, whose
+        # samples are 9.2e-3 apart: the winding counts read 1.09 and 1.17
+        # where Newton finds both roots, so the box is at fault
+        with pytest.raises(BoundaryCollisionError,
+                           match="^branch point of edge 1 within the "
+                                 "boundary's sample spacing"):
+            find_branch_points(wall_profile, mathieu_bands, 8.737334377272736,
+                               (-6.2652791795956695, 4.762131973203949,
+                                -0.1548755471205428, 0.1548755471205428))
+
     def test_missed_roots_are_counted(self, monkeypatch, mathieu_bands,
                                       bound_profile):
         # with no Newton steps no seed lands on a root, and the argument

@@ -29,7 +29,7 @@ from bandres import (
 )
 from bandres import actions as actions_module
 from bandres import solver as solver_module
-from bandres.actions import _barrier_actions, _phi0_rule, _well_integrals
+from bandres.actions import _anchored, _barrier_actions, _phi0_rule
 from bandres.solver import (_MAX_LEVELS, _coefficients, _evaluate,
                             _lobatto_grid, _tails)
 
@@ -58,6 +58,15 @@ class TestConfig:
                     dict(good, buffer=0.5), dict(good, nodes=4)):
             with pytest.raises(ConfigurationError):
                 SolverConfig(**bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("nodes", 64.5), ("nodes", math.nan), ("nodes", math.inf),
+        ("c0", -1.0), ("c0", 0.0), ("c0", math.nan)])
+    def test_bad_rule_or_width_constant_names_its_field(self, field, value):
+        # a fractional rule was truncated, and a width constant that is not
+        # positive gave negative, zero or nan widths
+        with pytest.raises(ConfigurationError, match="^%s=" % field):
+            SolverConfig(0.1, 0.0, (9.0, 10.0), **{field: value})
 
     def test_to_dict(self):
         cfg = SolverConfig(0.1, 0.3, (9.0, 10.0), nodes=80, c0=0.6)
@@ -639,19 +648,21 @@ class TestInterpolants:
                                                  bound_profile):
         ws = [decompose_window(bound_profile, mathieu_bands, e)
               for e in np.linspace(BOUND_E[0], BOUND_E[1], 25)]
-        fused = _well_integrals(ws, mathieu_bands, bound_profile)
+        batch = _phi0_rule(ws, mathieu_bands, bound_profile, 2 * 64, 0.1,
+                           "well_phase")
         for i, w in enumerate(ws):
-            # (Phi0, Phi_w, Phi_w') from shared nodes, bit for bit the
-            # single-window public values, whatever the batch
-            assert fused[i] == _well_integrals([w], mathieu_bands,
-                                               bound_profile)[0]
-            assert fused[i] == (
-                phase_integral(w, mathieu_bands, bound_profile),
-                well_phase(w, mathieu_bands, bound_profile),
+            # Phi0 from the k-only integrand, bit for bit the single-window
+            # and public values, whatever the batch
+            assert batch[i] == _phi0_rule([w], mathieu_bands, bound_profile,
+                                          2 * 64, 0.1, "well_phase")[0]
+            assert batch[i] == phase_integral(w, mathieu_bands, bound_profile)
+            assert _anchored(w, batch[i]) == well_phase(w, mathieu_bands,
+                                                        bound_profile)
+            # and the action bundle reads the same Phi0, Phi_w and Phi_w'
+            data = compute_action_data(w, mathieu_bands, bound_profile)
+            assert (data.phi0, data.well, data.well_prime) == (
+                batch[i], _anchored(w, batch[i]),
                 well_phase_derivative(w, mathieu_bands, bound_profile))
-            # and Phi0 bit for bit the k-only integrand's, by the same rule
-            assert fused[i][0] == _phi0_rule([w], mathieu_bands, bound_profile,
-                                             2 * 64, 0.1, "well_phase")[0]
 
     def test_levels_independent_of_their_batch(self, configs_dir,
                                                mathieu_bands, cold,
@@ -677,8 +688,7 @@ class TestInterpolants:
         run = load_configuration(configs_dir / "free_flat.json")
         solve(free_bands, run.profile, run.solver.e_window, 0.1)   # grid kept
         calls = []
-        for meth in ("k_band_fast", "kprime_fast", "gamma_fast",
-                     "k_and_kprime_fast", "_gap_gamma"):
+        for meth in ("k_band_fast", "kprime_fast", "gamma_fast"):
             original = getattr(BandStructure, meth)
 
             def counted(self, *args, _original=original, **kwargs):
