@@ -8,7 +8,7 @@ Conventions:
   and equals pi at the other edge, so its endpoint values are determined
   by the window bookkeeping alone.
 * Phi0(E) = integral of kappa0(E - W(zeta)) over the compact component
-  U = [zeta0-, zeta0+]; strictly positive.
+  U = [zeta0-, zeta0+]; positive, as its integrand is inside the band.
 * delta_kappa = (kappa0(zeta0+) - kappa0(zeta0-)) / pi in {-1, 0, +1};
   an integer computed from edge bookkeeping, never from quadrature, and
   constant in E while the endpoints stay on the same edges.
@@ -17,8 +17,10 @@ Conventions:
   lifetime cycle, which traverses the decaying branch both ways. With
   this normalization exp(-S/eps) is the barrier transmission probability
   (the squared amplitude factor), the exponent observed in absorbing
-  boundary spectra. Positive, and +inf when the corresponding side
-  component is empty. Tunneling weights t+- = exp(-S+-/eps), t = t+ + t-.
+  boundary spectra. Positive (its integrand is inside the gap; a barrier
+  within the table's resolution of a band edge reads 0), and +inf when the
+  corresponding side component is empty. Tunneling weights
+  t+- = exp(-S+-/eps), t = t+ + t-.
 * Phi0'(E) carries boundary terms from the moving endpoints:
   Phi0' = kappa0(zeta0+)/W'(zeta0+) - kappa0(zeta0-)/W'(zeta0-)
           + sign(n) * integral of k'(E - W), sign = +1 for odd n.
@@ -36,10 +38,12 @@ substitution on buffer panels; interior panels use plain Gauss-Legendre.
 Every integral uses 2*nodes points per panel and calls its integrand once
 per batch, on a (k, 4*2*nodes) array holding the nodes of all four panels
 of k segments. Each quantity has one integrand, read through one
-BandStructure view: Phi0, and so Phi_w, from kappa0 through k_band_fast
-(_phi0_rule, which checks it positive); Phi_w' from sign(n) * k' through
-kprime_fast (_well_prime, which checks it nonzero); S-+ from Im k through
-gamma_fast (_barrier_actions, one row per finite barrier).
+BandStructure view: Phi0, and so Phi_w, from kappa0 in [0, pi] through
+k_band_fast (_phi0_rule); Phi_w' from sign(n) * k' through kprime_fast
+(_well_prime); S-+ from Im k >= 0 through gamma_fast (_barrier_actions, one
+row per finite barrier). The weights and panel scales of the rule are
+positive, so each integral has its integrand's sign: Phi0 and S-+ are never
+negative, and Phi_w' is never zero, since k' > 0 on a band.
 compute_action_data, the one owner of the node-doubling error, also runs
 _phi0_rule at nodes points and reports the difference as the quadrature
 error; the solver's ladder samples _phi0_rule at 2*nodes, anchored, and
@@ -58,7 +62,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, UnsupportedConfigurationError
+from .errors import DomainError, UnsupportedConfigurationError
 from .hill import _band_sign, reduced_momentum
 
 _UNDERFLOW_EXPONENT = 690.0   # exp(-690) ~ 1e-300
@@ -94,9 +98,6 @@ def _quad_nodes(segments, n, buffer):
     params = []
     for a, b in segments:
         a, b = float(a), float(b)
-        if not b > a:
-            raise InternalConsistencyError("empty integration segment [%g, %g]"
-                                           % (a, b))
         d = buffer * (b - a)
         m = 0.5 * (a + b)
         root, lo, hi = math.sqrt(d), a + d, b - d
@@ -152,16 +153,11 @@ def _well_rows(windows, profile, points, buffer, op, integrand):
 
 def _phi0_rule(windows, bands, profile, points, buffer, op):
     """Phi0 of every window by the `points`-per-panel rule from the k-only
-    integrand, in one integrand call, each checked positive: at 2*nodes
-    points every reader's Phi0 and the ladder's samples, at nodes the
-    coarse rule whose difference from Phi0 is the quadrature error of
-    compute_action_data."""
-    phi0s = _well_rows(windows, profile, points, buffer, op, lambda e, n: (
+    integrand, in one integrand call: at 2*nodes points every reader's Phi0
+    and the ladder's samples, at nodes the coarse rule whose difference from
+    Phi0 is the quadrature error of compute_action_data."""
+    return _well_rows(windows, profile, points, buffer, op, lambda e, n: (
         reduced_momentum(bands.k_band_fast(e, n), n)))
-    for value in phi0s:
-        if value <= 0.0:
-            raise InternalConsistencyError("Phi0 = %g not positive" % value)
-    return phi0s
 
 
 def _phi0(window, bands, profile, nodes, buffer, op):
@@ -176,8 +172,6 @@ def _well_prime(window, bands, profile, nodes, buffer, op):
     _check_rule(nodes, buffer)
     prime, = _well_rows([window], profile, 2 * nodes, buffer, op,
                         lambda e, n: _band_sign(n) * bands.kprime_fast(e, n))
-    if prime == 0.0:
-        raise InternalConsistencyError("dPhi_w/dE vanished on a band")
     return prime
 
 
@@ -215,8 +209,8 @@ def actions_pm(window, bands, profile, nodes=64, buffer=0.1):
     S = 2 * integral of Im k over the gap segment, so that exp(-S/eps)
     is a transmission probability rather than an amplitude factor.
     """
-    window.well("actions_pm")
     _check_rule(nodes, buffer)
+    window.well("actions_pm")
     return _barrier_actions([window], bands, profile, nodes, buffer)[0]
 
 
@@ -244,10 +238,7 @@ def _barrier_actions(windows, bands, profile, nodes, buffer):
             if math.isinf(a) or math.isinf(b):
                 pair.append(math.inf)
                 continue
-            value = next(integrals)
-            if value <= 0.0:
-                raise InternalConsistencyError("barrier action %g not positive" % value)
-            pair.append(2.0 * value)
+            pair.append(2.0 * next(integrals))
         out.append(tuple(pair))
     return out
 

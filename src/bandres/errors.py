@@ -37,7 +37,8 @@ class NearSingularityError(ComputationError):
 
 
 class CriticalEndpointError(ComputationError):
-    """|W'| below threshold at a window endpoint (criticality violated)."""
+    """|W'| below threshold at a window endpoint, or E - W crossing a band
+    edge and back inside one cell of the window scan (criticality violated)."""
 
 
 class UnsupportedConfigurationError(ComputationError):
@@ -57,7 +58,10 @@ class RootCountError(ComputationError):
 
 
 class InternalConsistencyError(ComputationError):
-    """Bookkeeping invariant violated; indicates a bug, not bad input."""
+    """An invariant of a numerical stage failed: a root bracket without a
+    sign change, a root finder past its step budget, a discriminant table
+    past its validation tolerance, an edge list that does not pair. An
+    invariant that the code guarantees by construction has no check."""
 
 
 class OracleError(ComputationError):

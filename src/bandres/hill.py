@@ -497,8 +497,8 @@ def band_edges(potential, e_max):
     if np.count_nonzero(coarse < e_max) != n_below or moved.max() >= _TRUNCATION_TOL:
         k = int(np.argmax(moved))
         raise ComputationError(
-            "edge %d at E=%.12g: doubling the Hill truncation M=%d moves it by %.3e"
-            % (k + 1, seeds[k], m_trunc, moved[k]))
+            "edge %d at E=%.12g: doubling the Hill truncation M=%d moves it by %.3e "
+            "(limit %.0e)" % (k + 1, seeds[k], m_trunc, moved[k], _TRUNCATION_TOL))
 
     j = np.arange(n)
     s = np.where(j % 4 % 3 == 0, 1.0, -1.0)      # D = 2s at edge j + 1

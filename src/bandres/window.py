@@ -24,7 +24,10 @@ monotonicity changes). Supported regimes:
   zeta- = -inf and zeta+ = +inf.
 
 Window endpoints are transversal crossings of band edges; |W'| below
-1e-6 at a crossing violates the criticality assumption and raises.
+1e-6 at a crossing violates the criticality assumption and raises. So does
+E - W crossing an edge and back inside one cell of the 2000-point scan,
+where a membership probe falls between the two crossings; elsewhere the
+scan does not see such a pair.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ _SCAN_POINTS = 2000
 _CRITICAL_WPRIME = 1e-6
 _SINGULARITY_GUARD = 1e-6
 _POINT_COMPONENT_WIDTH = 1e-8
-_ENDPOINT_RESIDUAL = 1e-12  # relative |W - level| a refined endpoint must meet
+_FLAT_STEP = 1e8             # |zeta| past which the step term is its limit
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 4 * 2.0 ** -52      # 4 eps, scipy's floor, as a plain float
 _BRENT_ITER = 100
@@ -125,7 +128,8 @@ class PerturbationProfile:
                 if d < _SINGULARITY_GUARD:
                     raise NearSingularityError(
                         "profile evaluated %.2e from the singularity %s" % (d, s))
-        out = self._real(z, np.sqrt)
+        with np.errstate(over="ignore"):   # a bump's u^2 past 1e308 adds 0
+            out = self._real(z, np.sqrt)
         if out.shape:
             return out
         return complex(out) if is_complex else float(out)
@@ -133,8 +137,18 @@ class PerturbationProfile:
     def _real(self, z, sqrt=math.sqrt):
         """W at zeta by the expression of every path: a float runs in float
         arithmetic with math.sqrt, an array with np.sqrt. Each operation is
-        correctly rounded, so a float rounds like the array path."""
-        out = self.mu + self.nu * z / sqrt(1.0 + z * z)
+        correctly rounded, so a float rounds like the array path. Past
+        |zeta| = 1e8, where z / sqrt(1 + z^2) is within an ulp of +/-1, the
+        step term is its limit +/-nu, so z^2 never overflows there."""
+        if isinstance(z, float):
+            flat = abs(z) > _FLAT_STEP
+            out = self.mu + (math.copysign(1.0, z) * self.nu if flat
+                             else self.nu * z / sqrt(1.0 + z * z))
+        else:
+            flat = abs(z.real) > _FLAT_STEP
+            s = np.where(flat, 0.0, z)
+            out = self.mu + np.where(flat, np.sign(z.real) * self.nu,
+                                     self.nu * s / sqrt(1.0 + s * s))
         for b in self.bumps:
             u = (z - b.center) / b.width
             out = out + b.height / (1.0 + u * u)
@@ -384,16 +398,6 @@ def _brentq(f, a, b):
                                    "near zeta=%.12g" % (_BRENT_ITER, xcur))
 
 
-def _refine(at, level, a, b):
-    """The root of W(zeta) = level in the crossing cell [a, b]; `at` is W
-    at a float zeta."""
-    r = _brentq(lambda z: at(z) - level, a, b)
-    if abs(at(r) - level) > _ENDPOINT_RESIDUAL * (1.0 + abs(level)):
-        raise InternalConsistencyError(
-            "endpoint refinement stalled at zeta=%.12g" % r)
-    return r
-
-
 def decompose_window(profile, bands, energy):
     """Decompose the spectral window of `energy` and classify it.
 
@@ -434,7 +438,9 @@ def decompose_window(profile, bands, energy):
         # crossing cells: W > level exactly where W - level tests positive
         above = wgrid > level
         cells = np.flatnonzero(above[1:] != above[:-1]).tolist()
-        for r in [_refine(at, level, zgrid[c], zgrid[c + 1]) for c in cells]:
+        # Brent's last bracket holds the crossing within its tolerance in
+        # zeta, however steep W is there
+        for r in [_brentq(lambda z: at(z) - level, zgrid[c], zgrid[c + 1]) for c in cells]:
             wp = profile.derivative(r)
             if abs(wp) < _CRITICAL_WPRIME:
                 raise CriticalEndpointError(
@@ -442,7 +448,7 @@ def decompose_window(profile, bands, energy):
                     "(edge %d); endpoint criticality violated"
                     % (abs(wp), _CRITICAL_WPRIME, r, j))
             endpoints.append(WindowEndpoint(r, j, wp))
-    return _classify(profile, bands, energy, endpoints, e_range)
+    return _classify(profile, bands, energy, endpoints, e_range, zgrid[1] - zgrid[0])
 
 
 def _scan(profile, attempt):
@@ -454,12 +460,15 @@ def _scan(profile, attempt):
                            abs(wgrid[-1] - profile.w_plus)) + 1e-12
 
 
-def _classify(profile, bands, energy, endpoints, e_range):
-    """The window of `energy` cut at its refined endpoints."""
+def _classify(profile, bands, energy, endpoints, e_range, cell):
+    """The window of `energy` cut at its refined endpoints; `cell` is the
+    spacing of the scan that found them."""
     e_min, e_max = e_range
     endpoints.sort(key=lambda p: p.zeta)
 
-    # interval membership at midpoints and at the tails
+    # interval membership at midpoints, and 1 unit beyond the outer cuts,
+    # where E - W lies between the same two edges as E - W(+/-inf) unless
+    # the scan missed a crossing
     cuts = [p.zeta for p in endpoints]
     mids = []
     if cuts:
@@ -471,11 +480,6 @@ def _classify(profile, bands, energy, endpoints, e_range):
         mids.append(0.0)
     located = [bands.locate(energy - profile(m)) for m in mids]
     member = [kind == "band" for kind, _ in located]
-    # tails decided by the limits (the midpoint probes above sit 1 unit out,
-    # which may not be asymptotic yet; the limits are authoritative there)
-    if cuts:
-        member[0] = bands.locate(energy - profile.w_minus)[0] == "band"
-        member[-1] = bands.locate(energy - profile.w_plus)[0] == "band"
 
     components = []
     bounds = [-math.inf] + cuts + [math.inf]
@@ -493,21 +497,26 @@ def _classify(profile, bands, energy, endpoints, e_range):
             kind = "unbounded_right"
         else:
             kind = "compact"
-        loc_kind, band_n = located[i]
-        if loc_kind != "band":
-            raise InternalConsistencyError("component midpoint left the spectrum")
-        components.append(WindowComponent(lo, hi, kind, lo_ep, hi_ep, band_n))
+        components.append(WindowComponent(lo, hi, kind, lo_ep, hi_ep, located[i][1]))
 
-    # merge sanity: adjacent members must alternate (transversal crossings);
-    # the double edge of a closed gap cuts the window at coincident endpoints
-    if any(a == b for a, b in zip(member[:-1], member[1:])):
+    # every cut flips membership and every component ends on edges of its
+    # own band, unless the double edge of a closed gap cuts the window at
+    # coincident endpoints or E - W crosses an edge and back inside one scan
+    # cell, which the scan does not see
+    unflipped = [p for p, a, b in zip(endpoints, member[:-1], member[1:]) if a == b]
+    if unflipped:
         for n, is_open in enumerate(bands.open_gap_flags, start=1):
             if not is_open and e_min <= bands.edges[2 * n - 1] <= e_max:
                 raise UnsupportedConfigurationError(
                     "E - W crosses gap %d, closed at E=%.6g; the window decomposition "
                     "needs every crossed gap open" % (n, bands.edges[2 * n - 1]))
-        raise InternalConsistencyError(
-            "window membership failed to alternate across an endpoint")
+    unseen = unflipped + [ep for c in components for ep in (c.lo_endpoint, c.hi_endpoint)
+                          if ep is not None and ep.band_index != c.band_index]
+    if unseen:
+        raise CriticalEndpointError(
+            "E - W crosses a band edge and back within one %.3g-wide cell of the "
+            "%d-point scan near zeta=%.9g; the scan does not resolve the window"
+            % (cell, _SCAN_POINTS, unseen[0].zeta))
 
     compacts = [c for c in components if c.kind == "compact"]
     if not components:
@@ -518,13 +527,5 @@ def _classify(profile, bands, energy, endpoints, e_range):
         classification = "H6" if compacts[0].width > _POINT_COMPONENT_WIDTH else "GENERAL"
     else:
         classification = "H5"
-
-    if classification == "H6":
-        c = compacts[0]
-        for ep in (c.lo_endpoint, c.hi_endpoint):
-            if ep.band_index != c.band_index:
-                raise InternalConsistencyError(
-                    "compact component in band %r bounded by an edge of band %r"
-                    % (c.band_index, ep.band_index))
 
     return SpectralWindow(energy, components, classification, (e_min, e_max))

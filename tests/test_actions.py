@@ -168,6 +168,19 @@ class TestPhaseIntegral:
         with pytest.raises(DomainError, match=re.escape("(nodes=%d)" % nodes)):
             action(bound_window, mathieu_bands, bound_profile, nodes=nodes)
 
+    @pytest.mark.parametrize("action", [phase_integral, well_phase,
+                                        well_phase_derivative,
+                                        phase_integral_derivative, actions_pm,
+                                        compute_action_data])
+    def test_rule_is_checked_before_the_regime(self, action, mathieu_bands,
+                                               step_profile):
+        # step_transition's window at E = 3.9 is H5: every public action
+        # function names the rule first
+        window = decompose_window(step_profile, mathieu_bands, 3.9)
+        with pytest.raises(DomainError,
+                           match=re.escape("rule of 0 points per panel (nodes=0)")):
+            action(window, mathieu_bands, step_profile, nodes=0)
+
 
 class TestEdgeBookkeeping:
     def test_delta_kappa_by_fixture(self, bound_window, wall_window,

@@ -224,6 +224,24 @@ class TestBandEdges:
             band_edges(mathieu, 45.0)
         assert not isinstance(info.value, InternalConsistencyError)
 
+    @pytest.mark.parametrize("cos_coeffs, e_max, words", [
+        # the base truncation 4*modes + 8 does not grow with the depth: at
+        # 3000 doubling M = 12 moves edge 1 by 2e-8
+        ((3000.0,), -2770.9, r"^edge 1 at E=-2759\.14649579: doubling the Hill "
+                             r"truncation M=12 moves it by 1\.985e-08 \(limit 1e-08\)$"),
+        # at 6000 the excess reads 1e18 across edge 1: its bracket certifies nothing
+        ((6000.0, 0.0), -5580.0, r"^edge 1 at E=-5658\.34125204 is not certified: "
+                                 r"s\*D - 2 reads \S+ and \S+ across its 1e-09 bracket$"),
+        # at 4000 band 1 is narrower than the spacing of doubles at its edges
+        ((4000.0, 0.0), -3720.0, r"^edge 2 at E=-3721\.4970722 does not lie above "
+                                 r"edge 1 at E=-3721\.4970722$")],
+        ids=["truncation", "certificate", "order"])
+    def test_deep_well_limit_is_named(self, cos_coeffs, e_max, words):
+        # a deep cosine well meets each of band_edges' three limits in turn
+        with pytest.raises(ComputationError, match=words) as info:
+            band_edges(PeriodicPotential(0.0, cos_coeffs), e_max)
+        assert type(info.value) is ComputationError
+
     def test_scan_floor_guard(self, mathieu):
         with pytest.raises(DomainError):
             band_edges(mathieu, mathieu.lower_bound() - 1.0)

@@ -112,6 +112,26 @@ class TestGapMomentum:
                 assert ref.kind == "gap"
                 assert abs(g - ref.gamma) <= 1e-9
 
+    def test_barrier_end_reads_within_table_resolution(self, mathieu_bands,
+                                                       wall_profile):
+        # one double inside the right barrier's far end, E - W is so close
+        # to edge 2 that the table reads |D| <= 2 there: Im k reads 0, as it
+        # is to the table's resolution; one double inside the near end it
+        # reads 8.7e-8
+        win = decompose_window(wall_profile, mathieu_bands, 3.6)
+        lo, hi = win.barriers[1]
+        assert im_kappa_gap(win, mathieu_bands, wall_profile, "right",
+                            math.nextafter(hi, lo)) == 0.0
+        assert 0.0 < im_kappa_gap(win, mathieu_bands, wall_profile, "right",
+                                  math.nextafter(lo, hi)) < 1e-6
+
+    def test_far_out_on_an_unbounded_barrier(self, mathieu_bands, wall_profile):
+        # W(-1.7e308) is its limit mu - nu = 5.5, not NaN
+        win = decompose_window(wall_profile, mathieu_bands, 3.6)
+        assert win.barriers[0][0] == -math.inf
+        gamma = im_kappa_gap(win, mathieu_bands, wall_profile, "left", -1.7e308)
+        assert gamma == float(mathieu_bands.gamma_fast(3.6 - 5.5)) > 0.0
+
     def test_segment_validation(self, bound_window, mathieu_bands,
                                 bound_profile):
         with pytest.raises(DomainError):
@@ -218,6 +238,16 @@ class TestBranchPoints:
                                  "Newton found 0$"):
             find_branch_points(bound_profile, mathieu_bands, E_BOUND,
                                (-3.0, 3.0, -0.5, 0.5))
+
+    def test_box_need_not_be_symmetric(self, mathieu_bands, bound_profile):
+        # the box holds the lower of the two conjugate edge-1 roots only
+        found = find_branch_points(bound_profile, mathieu_bands, E_BOUND,
+                                   (-3.0, 3.0, -0.9, 0.3))
+        e1 = float(mathieu_bands.edges[0])
+        im_pair = math.sqrt(1.0 - 4.0 / (E_BOUND - e1))
+        edge_1 = [p.zeta for p in found.points if p.edge_index == 1]
+        assert len(edge_1) == 1 and abs(edge_1[0] + 1j * im_pair) <= 1e-8
+        assert len(found) == 3
 
     def test_empty_region(self, mathieu_bands, drift_profile):
         found = find_branch_points(drift_profile, mathieu_bands, 9.8,

@@ -11,6 +11,7 @@ from bandres import (
     CriticalEndpointError,
     DomainError,
     EnergyRangeError,
+    InternalConsistencyError,
     NearSingularityError,
     PerturbationProfile,
     UnsupportedConfigurationError,
@@ -18,6 +19,7 @@ from bandres import (
     discriminant,
     load_configuration,
 )
+from bandres import window as window_module
 from bandres.window import _scan_grid
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -142,6 +144,17 @@ class TestProfile:
             with np.errstate(over="ignore"):
                 assert same_bits(end.w_prime, prof.derivative(np.asarray(end.zeta)))
 
+    def test_step_term_takes_its_limit_far_out(self, wall_profile):
+        # z * z overflows past |zeta| = 1.3e154 and nu * z past 1e308; there W
+        # is its limit mu -/+ nu (5.5 on the left, 0 on the right), on both
+        # paths and with no overflow warning (warnings are errors here)
+        for zs, limit in (((-1.7e308, -1e160, -1e9), 5.5), ((1e160, 1.7e308), 0.0)):
+            for z in zs:
+                assert same_bits(wall_profile(z), limit)
+            assert wall_profile(np.array(zs)).tolist() == [limit] * len(zs)
+        assert math.isnan(wall_profile(math.nan))
+        assert np.isnan(wall_profile(np.array([math.nan]))).all()
+
     def test_near_singularity_guard_on_complex_scalars(self, wall_profile):
         for z in (1j + 5e-7, np.complex128(1j - 5e-7j)):
             with pytest.raises(NearSingularityError):
@@ -218,6 +231,56 @@ class TestDecomposition:
                            match=r"^\|W'\| = 7\.155e-10 < 1e-06 at the edge "
                                  r"crossing zeta=0\.50000\d+ \(edge 2\)"):
             decompose_window(prof, mathieu_bands, e2 + 1e-9 * 0.5 / math.sqrt(1.25))
+
+    def test_steep_crossing_keeps_its_bracket(self, mathieu_bands):
+        # at zeta = 0.7794 |W'| = 108, so the endpoint that Brent holds within
+        # 1e-13 of the crossing reads |W - level| = 1.6e-12 (1 + |level|)
+        prof = PerturbationProfile(0.0, -15.943956434596265, (
+            (126.69224003458433, 0.5893690836628356, 0.05664905892461827),))
+        energy = 9.399779476952768
+        win = decompose_window(prof, mathieu_bands, energy)
+        residuals = []
+        for ep in (end for c in win.components for end in (c.lo_endpoint, c.hi_endpoint)
+                   if end is not None):
+            level = energy - float(mathieu_bands.edges[ep.edge_index - 1])
+            step = 1e-13 + 4 * 2.0 ** -52 * abs(ep.zeta)
+            below, above = (prof(ep.zeta + s * step) - level for s in (-1.0, 1.0))
+            assert below * above <= 0.0
+            residuals.append(abs(prof(ep.zeta) - level) / (1.0 + abs(level)))
+        assert max(residuals) > 1e-12
+
+    def test_brent_budget_is_named(self, mathieu_bands, bound_profile, monkeypatch):
+        monkeypatch.setattr(window_module, "_BRENT_ITER", 2)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^endpoint refinement did not converge in 2 steps "
+                                 r"near zeta=-?\d"):
+            decompose_window(bound_profile, mathieu_bands, 9.7)
+
+    @pytest.mark.parametrize("bumps, energy, cell, zeta", [
+        # the well's top 1e-9 below edge 2: E - W crosses it and back within
+        # 1.6e-5 of zeta = 0, where the probe between the edge-3 cuts reads
+        # band 1 between tails in band 2
+        (((4.0, 0.0, 1.0),), "edge 2 + 4 - 1e-9", "0.014", "-0.999839639"),
+        # a bump 1e-4 wide at the well's centre: the probe reads gap 0 between
+        # tails in gap 1, and no component is left
+        (((4.0, 0.0, 1.0), (6.0, 0.0, 1e-4)), 9.7, "0.014", "-1.93533346"),
+        # a dip 1e-4 wide there: the probe reads band 2 inside a well cut at
+        # edges of band 1
+        (((4.0, 0.0, 1.0), (-20.0, 0.0, 1e-4)), 9.7, "0.014", "-1.93533336"),
+        # a dip 1e-4 wide on the probe 1 unit left of the first cut: it reads
+        # band 2 where E - W(-inf) lies in band 1
+        (((4.0, 0.0, 1.0), (-20.0, -1.9750101259385722, 1e-4)), 2.0, "0.0179",
+         "-0.975010126")],
+        ids=["turn_at_the_top", "bump_in_the_well", "dip_in_the_well", "dip_on_a_tail_probe"])
+    def test_crossing_pair_inside_one_scan_cell_is_named(
+            self, mathieu_bands, bumps, energy, cell, zeta):
+        if isinstance(energy, str):
+            energy = float(mathieu_bands.edges[1]) + 4.0 - 1e-9
+        with pytest.raises(CriticalEndpointError, match=re.escape(
+                "E - W crosses a band edge and back within one %s-wide cell of the "
+                "2000-point scan near zeta=%s; the scan does not resolve the window"
+                % (cell, zeta))):
+            decompose_window(PerturbationProfile(0.0, 0.0, bumps), mathieu_bands, energy)
 
     def test_two_wells_classified_general(self, mathieu_bands):
         prof = PerturbationProfile(0.0, 0.0, ((4.0, -3.0, 1.0), (4.0, 3.0, 1.0)))
