@@ -179,7 +179,7 @@ def cmd_resonances(cfg, args, outdir):
     eps = cfg.solver.epsilon
     index_rows = []
     for i in range(n + 1):
-        zeta_i = cfg.solver.zeta + eps * i / n
+        zeta_i = cfg.solver.zeta + eps * (i / n)   # the last reads zeta + eps exactly
         table = run.ladder(zeta=zeta_i)
         name = "resonances_sweep_%03d.csv" % i
         _write_csv(os.path.join(outdir, name), _RESONANCE_HEADER,

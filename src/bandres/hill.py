@@ -9,7 +9,9 @@ Conventions used throughout the package:
   D(E2) = D(E3) = -2, D(E4) = D(E5) = 2, alternating in pairs. Band n is
   [E_{2n-1}, E_{2n}]; gap n is (E_{2n}, E_{2n+1}); energies below E1 form
   "gap 0". band_edges seeds them from the truncated Hill matrix and
-  certifies each as a root of the monodromy-based excess s*D - 2.
+  certifies each as a root of the monodromy-based excess s*D - 2. It
+  propagates only the edges it can return, since one DOP853 step size
+  serves a whole energy batch and its highest energy sets it.
 * The main branch of the Bloch quasi-momentum k(E) is read on the real
   axis only, where it solves cos k = D(E)/2: it maps band n increasingly
   onto [pi(n-1), pi*n], and on gap n has Im k = arccosh(|D|/2) > 0 (a
@@ -52,7 +54,7 @@ from .errors import (
 )
 
 _SCAN_TOL = 1e-10           # default tol of a direct propagation; band_structure.json's "tol"
-_REFINE_TOL = 2.5e-13       # ODE tolerance of the edge polish and its certificate
+_REFINE_TOL = 2.5e-14       # ODE tolerance of the edge polish and its certificate
 _TRUNCATION_TOL = 1e-8      # largest edge displacement allowed under Hill-matrix doubling
 _MAX_TRUNCATION = 512       # ceiling of the doubled Hill truncation (order-1025 matrices)
 _BRACKET = 1e-9             # certificate bracket width; closer seed pairs form a double edge
@@ -464,18 +466,24 @@ def band_edges(potential, e_max):
     """Band edges below e_max, assembled into a BandStructure.
 
     Seeds are the eigenvalues of the truncated Hill matrix (entry j is edge
-    j + 1); doubling the truncation must move none by 1e-8. Newton on the
-    factored excess f_s = s*D - 2 (s = +1 on D = 2 edges, -1 on D = -2
-    edges; f_s' = s*D') polishes all seeds in one batch per step, and a
+    j + 1); doubling the truncation must move none by 1e-8. Only the seeds
+    below e_max + 1e-8 enter the batch (Newton may move a seed by 1e-8 at
+    most), one more if the last gap pair needs it. Newton on the factored
+    excess f_s = s*D - 2 (s = +1 on D = 2 edges, -1 on D = -2 edges; f_s' =
+    s*D') polishes all seeds in one batch per step at _REFINE_TOL, and a
     sign change of f_s across a 1e-9 bracket, in the direction the edge's
-    side of its band demands, certifies each as an ODE root. The factored
-    form stays accurate where D - 2 is below ODE noise, so open gaps down
-    to 1e-9 wide are resolved; a closer seed pair becomes one double edge
-    at its midpoint. Gaps narrower than 1e-7 are flagged closed with a
-    warning. An uncertified edge, edges out of order or an unconverged
-    truncation raise ComputationError naming the edge. An e_max whose
-    doubled truncation would pass _MAX_TRUNCATION raises DomainError naming
-    the largest accepted e_max before any matrix is built.
+    side of its band demands, certifies each as an ODE root. Each Newton
+    batch reads the brackets too: those of the converging step certify,
+    and as that step must be shorter than 5e-10, each returned edge lies
+    inside its bracket. A polish unconverged after _NEWTON_STEPS reads them
+    in one more batch. The factored form stays accurate where D - 2 is
+    below ODE noise, so open gaps down to 1e-9 wide are resolved; a closer
+    seed pair becomes one double edge at its midpoint, certified by |f_s|
+    <= 1e-8 across its bracket. Gaps narrower than 1e-7 are flagged
+    closed with a warning. An uncertified edge, edges out of order or an
+    unconverged truncation raise ComputationError naming the edge. An e_max
+    whose doubled truncation would pass _MAX_TRUNCATION raises DomainError
+    naming the largest accepted e_max before any matrix is built.
     """
     if not math.isfinite(e_max):
         raise DomainError("e_max=%g is not finite" % e_max)
@@ -492,7 +500,10 @@ def band_edges(potential, e_max):
     coarse = _hill_edges_at(potential, m_trunc)
     seeds = _hill_edges_at(potential, 2 * m_trunc)
     n_below = int(np.count_nonzero(seeds < e_max))
-    n = n_below + 1 + n_below % 2   # the edges below e_max, the next and its gap partner
+    # the edges below e_max and a seed that Newton could still move below it,
+    # rounded up to complete the last gap pair (edges 2g, 2g + 1)
+    n = int(np.count_nonzero(seeds < e_max + _TRUNCATION_TOL))
+    n += 1 - n % 2
     moved = np.abs(seeds[:n] - coarse[:n])
     if np.count_nonzero(coarse < e_max) != n_below or moved.max() >= _TRUNCATION_TOL:
         k = int(np.argmax(moved))
@@ -509,24 +520,29 @@ def band_edges(potential, e_max):
     pair = np.concatenate([double, double + 1])
     simple = np.delete(j, pair)
 
-    e = edges[simple]
+    # Newton energies, then every edge's bracket
+    h = 0.5 * _BRACKET
     for _ in range(_NEWTON_STEPS):
-        m, dm = integrate_monodromy(potential, e, _REFINE_TOL, derivative=True)
-        step = _excess(m, s[simple]) / (s[simple] * dm.trace())
-        e = e - step
-        strayed = simple[~(np.abs(e - edges[simple]) <= _TRUNCATION_TOL)]
+        at = np.concatenate([edges[simple], edges - h, edges + h])
+        m, dm = integrate_monodromy(potential, at, _REFINE_TOL, derivative=True)
+        f = _excess(m, np.concatenate([s[simple], s, s]))
+        step, f = f[:simple.size] / (s[simple] * dm.trace()[:simple.size]), f[simple.size:]
+        e = edges[simple] - step
+        strayed = simple[~(np.abs(e - seeds[simple]) <= _TRUNCATION_TOL)]
         if strayed.size:
             k = strayed[0]
             raise ComputationError(
                 "edge %d at E=%.12g is not certified: Newton on s*D - 2 leaves its "
-                "seed's %.0e neighbourhood" % (k + 1, edges[k], _TRUNCATION_TOL))
-        if np.all(np.abs(step) <= _NEWTON_STEP * np.maximum(1.0, np.abs(e))):
+                "seed's %.0e neighbourhood" % (k + 1, seeds[k], _TRUNCATION_TOL))
+        edges[simple] = e
+        if np.all((np.abs(step) <= _NEWTON_STEP * np.maximum(1.0, np.abs(e)))
+                  & (np.abs(step) < h)):
             break
-    edges[simple] = e
-
-    h = 0.5 * _BRACKET
-    m = integrate_monodromy(potential, np.concatenate([edges - h, edges + h]), _REFINE_TOL)
-    f_lo, f_hi = _excess(m, np.tile(s, 2)).reshape(2, n)
+    else:
+        m = integrate_monodromy(potential, np.concatenate([edges - h, edges + h]),
+                                _REFINE_TOL)
+        f = _excess(m, np.tile(s, 2))
+    f_lo, f_hi = f.reshape(2, n)
     # an edge with odd j + 1 has its gap below and its band above
     certified = np.where(j % 2 == 0, (f_lo > 0.0) & (f_hi < 0.0), (f_lo < 0.0) & (f_hi > 0.0))
     certified[pair] = np.maximum(abs(f_lo[pair]), abs(f_hi[pair])) <= _DOUBLE_EDGE_EXCESS
@@ -565,10 +581,10 @@ class DiscriminantTable:
     33-node interpolant: the coefficients reach the ODE noise floor near
     degree 15 on every band-aligned piece, so 33 nodes carry about twice
     the degree the signal needs and read within 1.3e-13 of a 97-node table.
-    Built from one batched integrate_monodromy call, so a node that fails
-    its Wronskian check fails the build; the relative error of D at seven
-    off-node probes per piece must stay within 1e-10, or the build raises
-    InternalConsistencyError.
+    Built from one batched integrate_monodromy call over the nodes and
+    seven off-node probes per piece, so a node or probe that fails its
+    Wronskian check fails the build; the relative error of D at the probes
+    must stay within 1e-10, or the build raises InternalConsistencyError.
 
     Evaluation runs the Clenshaw recurrence of numpy's chebval (Clenshaw
     1955) operation for operation, so it returns chebval's floats; D and
@@ -588,14 +604,13 @@ class DiscriminantTable:
             raise DomainError("discriminant table needs a nonempty energy range")
         npiece = self.breaks.size - 1
         xu = _cheb.chebpts1(_TABLE_POINTS)
-        nodes = []
-        for i in range(npiece):
-            a, b = self.breaks[i], self.breaks[i + 1]
-            nodes.append(0.5 * (a + b) + 0.5 * (b - a) * xu)
-        all_nodes = np.concatenate(nodes)
-        m, dm = integrate_monodromy(potential, all_nodes, _TABLE_RTOL,
+        a, b = self.breaks[:-1, None], self.breaks[1:, None]
+        nodes = (0.5 * (a + b) + 0.5 * (b - a) * xu).ravel()
+        # off-node validation probes, seven per piece, in the same batch
+        probes = np.linspace(self.breaks[:-1], self.breaks[1:], 9, axis=1)[:, 1:-1].ravel()
+        m, dm = integrate_monodromy(potential, np.concatenate([nodes, probes]), _TABLE_RTOL,
                                     derivative=True)
-        D, Dp = m.trace(), dm.trace()
+        D, Dp = m.trace()[:nodes.size], dm.trace()[:nodes.size]
         # (degree, D or D', piece)
         self._coef = np.empty((_TABLE_POINTS, 2, npiece))
         for i in range(npiece):
@@ -605,13 +620,7 @@ class DiscriminantTable:
         self._mid = 0.5 * (self.breaks[:-1] + self.breaks[1:])
         self._half = 0.5 * (self.breaks[1:] - self.breaks[:-1])
 
-        # off-node validation probes
-        probes = []
-        for i in range(npiece):
-            a, b = self.breaks[i], self.breaks[i + 1]
-            probes.append(np.linspace(a, b, 9)[1:-1])
-        probes = np.concatenate(probes)
-        ref = integrate_monodromy(potential, probes, _TABLE_RTOL).trace()
+        ref = m.trace()[nodes.size:]
         err = np.max(np.abs(self.value(probes) - ref) / np.maximum(1.0, np.abs(ref)))
         self.validation_error = float(err)
         if err > _TABLE_VALIDATION:

@@ -61,16 +61,18 @@ class Run:
                                                    self.cfg.profile)
         return self._ladders[key]
 
-    def spectrum(self, epsilon=None, zeta=None):
-        """OracleEigenpair list at (epsilon, zeta) with Re(E) in e_window."""
-        key = self._key(epsilon, zeta)
+    def spectrum(self, epsilon=None, zeta=None, e_window=None):
+        """OracleEigenpair list at (epsilon, zeta) with Re(E) in e_window,
+        by default the configured one."""
+        window = tuple(self.cfg.solver.e_window if e_window is None else e_window)
+        key = self._key(epsilon, zeta) + (window,)
         if key not in self._spectra:
             cfg = self.cfg
             ham = build_grid_hamiltonian(
                 cfg.potential, cfg.profile, key[1], key[0],
                 OracleConfig.for_window(self.window, key[0]),
                 window=self.window)
-            self._spectra[key] = oracle_spectrum(ham, cfg.solver.e_window)
+            self._spectra[key] = oracle_spectrum(ham, window)
         return self._spectra[key]
 
 
@@ -167,7 +169,10 @@ def check_drift(run):
 
 
 def check_width_fit(run):
-    """ln(width) against 1/eps has slope -min(S-, S+) within 15%."""
+    """ln(width) against 1/eps has slope -min(S-, S+) within 15%. At each
+    eps the oracle solves only within h of the level nearest mid-window, h
+    half its distance to the nearest other level, and reads the genuine
+    eigenvalue nearest it there."""
     if not run.window.is_open:
         return [Check("width-fit", None,
                       "skipped: sealed window, bound states have no width")]
@@ -175,12 +180,17 @@ def check_width_fit(run):
         return [Check("width-fit", None, "skipped: %s window has no tracked level"
                       % run.window.classification)]
     inv_eps, ln_w, s_refs = [], [], []
+    lo, hi = run.cfg.solver.e_window
     for eps in EPSILON_LADDER:
         table = run.ladder(epsilon=eps)
         if not table:
             return [Check("width-fit", False, "no solver level at epsilon=%g" % eps)]
         tracked = min(table, key=lambda r: abs(r.e_real - run.energy))
-        genuine = _genuine_resonances(run.spectrum(epsilon=eps))
+        h = 0.5 * min((abs(r.e_real - tracked.e_real) for r in table if r is not tracked),
+                      default=math.inf)
+        near = (max(lo, tracked.e_real - h), min(hi, tracked.e_real + h))
+        genuine = [p for p in _genuine_resonances(run.spectrum(epsilon=eps, e_window=near))
+                   if abs(p.eigenvalue.real - tracked.e_real) <= h]
         if not genuine:
             return [Check("width-fit", False,
                           "no stable narrow eigenvalue at epsilon=%g" % eps)]

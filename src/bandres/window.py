@@ -170,14 +170,13 @@ class PerturbationProfile:
             try:
                 return self._real_prime(float(zeta))
             except OverflowError:
-                # numpy's pow gives inf there, which only zeroes its term
-                with np.errstate(over="ignore"):
-                    return self.derivative(np.asarray(zeta))
+                pass   # numpy's pow gives inf there, which only zeroes its term
         z = np.asarray(zeta)
         is_complex = z.dtype.kind == "c"
         if not (is_complex or z.shape):
             z = z[()]
-        out = self._real_prime(z)
+        with np.errstate(over="ignore"):   # past |zeta| ~ 1e154 each term is its limit 0
+            out = self._real_prime(z)
         if out.shape:
             return out
         return complex(out) if is_complex else float(out)

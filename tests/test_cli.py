@@ -178,6 +178,15 @@ class TestResonances:
         shift = {int(b[0]) - int(a[0]) for a, b in zip(first, last)}
         assert shift == {1}                                    # labels + dk
 
+    def test_sweep_ends_at_zeta_plus_epsilon(self, configs_dir, tmp_path):
+        # zeta + eps * (3 / 3), where zeta + eps * 3 / 3 reads 0.23000000000000004
+        sol = load_configuration(configs_dir / DRIFT).solver
+        code, out = run(configs_dir, tmp_path, "resonances", DRIFT,
+                        "--sweep-zeta", 3)
+        assert code == 0
+        _, index = rows(out / "sweep_index.csv")
+        assert float(index[-1][1]) == sol.zeta + sol.epsilon
+
 
 class TestPortrait:
     def test_gap_rows_empty_band_rows_paired(self, configs_dir, tmp_path):

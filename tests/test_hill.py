@@ -55,6 +55,19 @@ def chebval_per_piece(table, e, row):
     return out
 
 
+def propagations(monkeypatch):
+    """The energies of each hill._propagate call from here on, in order."""
+    calls = []
+    propagate = hill._propagate
+
+    def counting(potential, energies, *args, **kwargs):
+        calls.append(np.atleast_1d(energies))
+        return propagate(potential, energies, *args, **kwargs)
+
+    monkeypatch.setattr(hill, "_propagate", counting)
+    return calls
+
+
 def locate_per_band(bands, e):
     """BandStructure.locate as a loop over the bands: the reference its
     bisection of the edges must reproduce exactly."""
@@ -214,8 +227,53 @@ class TestBandEdges:
         ref = mathieu_reference_edges(len(got) + 1)
         assert ref[len(got)] > e_max
         for j, (a, b) in enumerate(zip(got, ref), start=1):
-            assert abs(a - b) <= 1e-10, "edge %d" % j
+            assert abs(a - b) <= 2e-14 * max(1.0, abs(b)), "edge %d" % j
         assert all(bands.open_gap_flags)
+
+    @pytest.mark.parametrize("e_max", [45.0, 165.0])
+    def test_two_propagations_below_the_next_band(self, mathieu, e_max, monkeypatch):
+        # the Newton batches hold the edges below e_max (the next band's
+        # first edge among them) and their brackets, nothing above: at 45,
+        # edges 6 and 7 at 88.8 stay out
+        calls = propagations(monkeypatch)
+        bands = band_edges(mathieu, e_max)
+        assert len(calls) == 2
+        assert max(c.max() for c in calls) < bands.next_band_start + 1e-8
+
+    def test_unconverged_polish_reads_the_brackets_once_more(self, mathieu, mathieu_bands,
+                                                               monkeypatch):
+        # one Newton step leaves the polish unconverged: one more batch reads
+        # the five edges' brackets alone, at the edges that step returned
+        monkeypatch.setattr(hill, "_NEWTON_STEPS", 1)
+        calls = propagations(monkeypatch)
+        bands = band_edges(mathieu, 45.0)
+        assert [c.size for c in calls] == [3 * 5, 2 * 5]
+        edges = np.append(bands.edges, bands.next_band_start)
+        assert np.allclose(calls[1], np.concatenate([edges - 5e-10, edges + 5e-10]),
+                           rtol=0.0, atol=1e-14)
+        assert np.allclose(bands.edges, mathieu_bands.edges, rtol=1e-13, atol=1e-14)
+
+    def test_returned_edges_lie_inside_their_certificate(self, mathieu, monkeypatch):
+        # seeds above 1 set 3e-9 high, and a stopping rule of 1e-9 relative
+        # that the first step meets: that step moves each of them out of
+        # the bracket it was read in, so only a later step, shorter than the
+        # bracket's half width, may end the polish
+        seeds = hill._hill_edges_at
+
+        def high(pot, m):
+            x = seeds(pot, m)
+            return x + 3e-9 * (x > 1.0)
+
+        monkeypatch.setattr(hill, "_hill_edges_at", high)
+        monkeypatch.setattr(hill, "_NEWTON_STEP", 1e-9)
+        bands = band_edges(mathieu, 45.0)
+        edges = np.append(bands.edges, bands.next_band_start)
+        s = np.where(np.arange(edges.size) % 4 % 3 == 0, 1.0, -1.0)
+        h = 0.5 * hill._BRACKET
+        m = integrate_monodromy(mathieu, np.concatenate([edges - h, edges + h]),
+                                hill._REFINE_TOL)
+        f_lo, f_hi = hill._excess(m, np.tile(s, 2)).reshape(2, edges.size)
+        assert (f_lo * f_hi < 0.0).all()
 
     def test_dropped_seed_is_refused_naming_the_edge(self, mathieu, monkeypatch):
         seeds = hill._hill_edges_at
@@ -380,6 +438,13 @@ class TestDiscriminantTable:
         assert mathieu_bands.gamma_fast(e).tobytes() == rows.tobytes()
         assert mathieu_bands.gamma_fast(e[None]).shape == (1,) + e.shape
         assert mathieu_bands.gamma_fast(e[None]).tobytes() == rows.tobytes()
+
+    def test_build_takes_one_propagation(self, mathieu, mathieu_bands, monkeypatch):
+        # the validation probes ride in the node batch
+        fresh = BandStructure.from_dict(mathieu_bands.to_dict(), mathieu)
+        calls = propagations(monkeypatch)
+        assert fresh.table.validation_error <= 1e-10
+        assert [c.size for c in calls] == [5 * (33 + 7)]
 
     def test_table_propagations_pass_the_wronskian_check(self, mathieu,
                                                           mathieu_bands,

@@ -316,9 +316,10 @@ def test_missing_extension_names_its_directory(monkeypatch):
 
 
 class TestIntervalSolveAgainstScipy:
-    """Every interval solve of a verify pass over the shipped configs (8 in
-    a pass), repeated at the oracle's bisection tolerance and at full
-    precision by oracle.eigh_tridiagonal and by
+    """Every interval solve of a verify pass over the shipped configs (9 in
+    a pass: five over the configured windows, four around barrier_wall's
+    tracked width-fit level), repeated at the oracle's bisection tolerance
+    and at full precision by oracle.eigh_tridiagonal and by
     scipy.linalg.eigh_tridiagonal(select="v"): the same eigenvalues and
     eigenvectors bit for bit."""
 
@@ -330,20 +331,26 @@ class TestIntervalSolveAgainstScipy:
                 mine = ours(d, e, lo, hi, t)
                 ref = scipy_eigh_tridiagonal(d, e, select="v",
                                              select_range=(lo, hi), tol=t)
-                compared.append((mine[0].size, all(map(same_bits, mine, ref))))
+                compared.append(((lo, hi), mine[0].size, all(map(same_bits, mine, ref))))
             return ours(d, e, lo, hi, tol)
 
         monkeypatch.setattr(oracle, "eigh_tridiagonal", both)
+        full, narrowed = [], []
         for path in sorted((ROOT / "configs").glob("*.json")):
             cfg = load_configuration(path)
             with warnings.catch_warnings():
                 # free_flat's constant potential closes every gap by design
                 warnings.filterwarnings("ignore", "gap.* closed within tolerance")
                 bands = _build_bands(cfg)
+            start = len(compared)
             assert verify(Run(cfg, bands))[1] == 0, path.stem
-        assert len(compared) == 2 * 8
-        assert all(size >= 4 for size, _ in compared)
-        assert all(same for _, same in compared)
+            for window, size, _ in compared[start:]:
+                configured = window == tuple(cfg.solver.e_window)
+                (full if configured else narrowed).append(size)
+        assert len(full) == 2 * 5 and len(narrowed) == 2 * 4
+        assert all(size >= 4 for size in full)
+        assert all(size >= 1 for size in narrowed)
+        assert all(same for *_, same in compared)
 
 
 class TestPolishAgainstArpack:

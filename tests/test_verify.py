@@ -3,8 +3,8 @@ import warnings
 
 import pytest
 
-from bandres import RunConfiguration, band_edges, verify as verify_module
-from bandres.cli import main
+from bandres import RunConfiguration, band_edges, hill, verify as verify_module
+from bandres.cli import _build_bands, main
 from bandres.oracle import OracleEigenpair
 from bandres.solver import ResonanceEstimate
 from bandres.verify import (Run, check_counts_spacings, check_drift,
@@ -31,6 +31,28 @@ def test_ladders_are_shared_between_checks(configs_dir, monkeypatch):
     assert len(calls) == 3            # base ladder once, two zeta shifts
     assert run.ladder() is run.ladder(epsilon=0.08, zeta=0.0)
     assert len(calls) == 3
+
+
+def test_verify_pass_takes_thirteen_propagations(configs_dir, monkeypatch):
+    # per config, bands from two Newton batches and a table from one; the
+    # free potential's exact seeds converge in one batch, and
+    # step_transition's checks read no table
+    calls = []
+    propagate = hill._propagate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(hill, "_propagate", counting)
+    for path in sorted(configs_dir.glob("*.json")):
+        cfg = RunConfiguration.load(str(path))
+        with warnings.catch_warnings():
+            # free_flat's constant potential closes every gap by design
+            warnings.filterwarnings("ignore", "gap.* closed within tolerance")
+            bands = _build_bands(cfg)
+        assert verify(Run(cfg, bands))[1] == 0, path.stem
+    assert len(calls) == 13
 
 
 def test_render_matches_cli_report(configs_dir, tmp_path):
@@ -74,12 +96,13 @@ def levels(*energies):
 
 
 def patched_run(configs_dir, bands, name, monkeypatch, ladder, spectrum=()):
-    """A Run of the shipped config `name` whose ladder(epsilon, zeta) and
-    spectrum(epsilon, zeta) are the given functions of (epsilon, zeta)."""
+    """A Run of the shipped config `name` whose ladder(epsilon, zeta) is the
+    given function of (epsilon, zeta) and whose spectrum(epsilon, zeta,
+    e_window) lists the given pairs, whatever its arguments."""
     run = Run(RunConfiguration.load(str(configs_dir / (name + ".json"))), bands)
     monkeypatch.setattr(run, "ladder", lambda epsilon=None, zeta=None:
                         ladder(epsilon, zeta))
-    monkeypatch.setattr(run, "spectrum", lambda epsilon=None, zeta=None:
+    monkeypatch.setattr(run, "spectrum", lambda epsilon=None, zeta=None, e_window=None:
                         list(spectrum))
     return run
 
@@ -98,7 +121,13 @@ def patched_run(configs_dir, bands, name, monkeypatch, ladder, spectrum=()):
      "no solver level at epsilon=0.12"),
     (check_width_fit, "barrier_wall", lambda eps, z: levels(3.9), (),
      "no stable narrow eigenvalue at epsilon=0.12"),
-], ids=["spacing", "drift", "width-fit-ladder", "width-fit-spectrum"])
+    # the one genuine state lies 0.07 from the tracked level 3.9, past half
+    # the spacing to its neighbours: it belongs to the level at 4.0
+    (check_width_fit, "barrier_wall", lambda eps, z: levels(3.8, 3.9, 4.0),
+     [OracleEigenpair(3.97 - 1e-6j, 0.0, 1.0)],
+     "no stable narrow eigenvalue at epsilon=0.12"),
+], ids=["spacing", "drift", "width-fit-ladder", "width-fit-spectrum",
+        "width-fit-neighbour"])
 def test_fail_returns(configs_dir, mathieu_bands, monkeypatch, check, name,
                       ladder, spectrum, detail):
     run = patched_run(configs_dir, mathieu_bands, name, monkeypatch, ladder,

@@ -141,8 +141,7 @@ class TestProfile:
         for end in ends:
             with pytest.raises(OverflowError):
                 prof._real_prime(end.zeta)
-            with np.errstate(over="ignore"):
-                assert same_bits(end.w_prime, prof.derivative(np.asarray(end.zeta)))
+            assert same_bits(end.w_prime, prof.derivative(np.asarray(end.zeta)))
 
     def test_step_term_takes_its_limit_far_out(self, wall_profile):
         # z * z overflows past |zeta| = 1.3e154 and nu * z past 1e308; there W
@@ -154,6 +153,15 @@ class TestProfile:
             assert wall_profile(np.array(zs)).tolist() == [limit] * len(zs)
         assert math.isnan(wall_profile(math.nan))
         assert np.isnan(wall_profile(np.array([math.nan]))).all()
+
+    def test_slope_takes_its_limit_far_out(self):
+        # z * z overflows past |zeta| = 1.3e154; there each term of W' is its
+        # limit 0 on the array path as on the float path, with no overflow
+        # warning (warnings are errors here)
+        prof = load_configuration(CONFIG_DIR / "barrier_wall.json").profile
+        zs = [1e200, 1.0, -1e200, 1e103]
+        got = prof.derivative(np.array(zs)).tolist()
+        assert all(same_bits(g, prof.derivative(z)) for g, z in zip(got, zs))
 
     def test_near_singularity_guard_on_complex_scalars(self, wall_profile):
         for z in (1j + 5e-7, np.complex128(1j - 5e-7j)):
