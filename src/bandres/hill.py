@@ -8,10 +8,12 @@ Conventions used throughout the package:
   E1 < E2 <= E3 < E4 <= E5 < ..., with the sign pattern D(E1) = 2,
   D(E2) = D(E3) = -2, D(E4) = D(E5) = 2, alternating in pairs. Band n is
   [E_{2n-1}, E_{2n}]; gap n is (E_{2n}, E_{2n+1}); energies below E1 form
-  "gap 0". band_edges seeds them from the truncated Hill matrix and
-  certifies each as a root of the monodromy-based excess s*D - 2. It
-  propagates only the edges it can return, since one DOP853 step size
-  serves a whole energy batch and its highest energy sets it.
+  "gap 0". band_edges seeds them with the Rayleigh quotients of the
+  truncated Hill matrix's eigenvectors, polishes and certifies each as a
+  root of the monodromy-based excess s*D - 2, in one propagation when
+  the seeds meet the polish's stopping step. It propagates only the
+  edges it can return, since one DOP853 step size serves a whole energy
+  batch and its highest energy sets it.
 * The main branch of the Bloch quasi-momentum k(E) is read on the real
   axis only, where it solves cos k = D(E)/2: it maps band n increasingly
   onto [pi(n-1), pi*n], and on gap n has Im k = arccosh(|D|/2) > 0 (a
@@ -27,10 +29,14 @@ energies below its floor take D from a direct propagation instead.
 
 The period map is integrated by solve_ivp below: the explicit 8(5,3)
 Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-Sec. II.10) with its adaptive step control. It performs the operations of
-scipy's solve_ivp with method="DOP853" in the same order, without dense
-output or events, so it returns the same floats and the same nfev;
-tests/test_scipy_ports.py pins the two against each other.
+Sec. II.10) with its adaptive step control, written for the Hill system:
+each step reads V once at its stage abscissae and writes each stage's
+right-hand side in place. It performs the operations of scipy's solve_ivp
+with method="DOP853" on the same right-hand side in the same order,
+without dense output or events, so it returns the same floats and the
+same nfev; tests/test_scipy_ports.py pins the two against each other.
+That needs V at a point to have the same bits whether read alone or in
+an array, which PeriodicPotential's elementwise sum gives.
 """
 
 from __future__ import annotations
@@ -151,16 +157,18 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One DOP853 step from (t, y) with f = fun(t, y); fills the stages K."""
-    K[0] = f
-    for s, (a, c) in enumerate(zip(_DOP_A[1:], _DOP_C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, _DOP_B)
-    f_new = fun(t + h, y_new)
-    K[-1] = f_new
-    return y_new, f_new
+def _rk_step(fun, t, y, h, stages):
+    """One DOP853 step of the _HillField fun from (t, y), with f = fun(t, y)
+    in the stage array K's row 0: fills rows 1-12 (row 12 is f_new) and
+    returns y_new. V is read once, at the 11 abscissae t + c*h; the last,
+    c = 1, is t + h, where f_new is taken. stages holds, per stage
+    s = 1..12, K[:s].T, its weights (A[s, :s], then B for y_new) and the
+    (even, odd) row views of K[s]."""
+    shifted = fun.potential(t + _DOP_C[1:] * h)[:, None] - fun.energies
+    for (k, a, even, odd), v in zip(stages, (*shifted, shifted[-1])):
+        np.add(y, np.dot(k, a) * h, out=fun.z)
+        fun.stage(v, even, odd)
+    return fun.z.copy()
 
 
 def _error_norm(K, h, scale):
@@ -175,16 +183,20 @@ def _error_norm(K, h, scale):
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol):
-    """Integrate y' = fun(t, y) over t_span with DOP853 and return a
-    namespace with success, message, t (the accepted times), y (the states
-    there, one column each) and nfev (right-hand-side calls).
+    """Integrate the Hill system y' = fun(t, y) over t_span with DOP853 and
+    return a namespace with success, message, t (the accepted times), y
+    (the states there, one column each) and nfev (right-hand-side calls).
 
-    The operations, step control and TOO_SMALL_STEP failure are those of
-    scipy's solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
-    atol=atol) for a float or complex y0, a fun returning arrays of its
-    dtype, a scalar atol and a t_span of nonzero length, in the same order.
-    An rtol below 100*eps, which scipy clamps with a warning, or a
-    non-finite rtol or atol raises DomainError.
+    fun is the _HillField that _propagate builds, which scipy's solve_ivp
+    can call too. The first two right-hand sides are calls of fun; every
+    step then reads V once at its 11 stage abscissae and writes each of
+    its 12 stages in place through fun.stage, and counts 12 right-hand
+    sides, as scipy does. The operations, step control and TOO_SMALL_STEP
+    failure are those of scipy's solve_ivp(fun, t_span, y0,
+    method="DOP853", rtol=rtol, atol=atol) for a float or complex y0, a
+    scalar atol and a t_span of nonzero length, in the same order. An rtol
+    below 100*eps, which scipy clamps with a warning, or a non-finite rtol
+    or atol raises DomainError.
     """
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not math.isfinite(tol):
@@ -206,9 +218,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol):
     direction = np.sign(t_bound - t0)
     t, y = t0, np.asarray(y0)
     ts, ys = [t], [y]
-    f = counted(t, y)
-    h_abs = _initial_step(counted, t, y, t_bound, f, direction, rtol, atol)
     K = np.empty((_DOP_STAGES + 1, y.size), dtype=y.dtype)
+    K[0] = counted(t, y)
+    h_abs = _initial_step(counted, t, y, t_bound, K[0], direction, rtol, atol)
+    rows = K.reshape(K.shape[0], *fun.shape)
+    stages = [(K[:s].T, _DOP_A[s, :s] if s < _DOP_STAGES else _DOP_B,
+               rows[s, 0::2], rows[s, 1::2]) for s in range(1, _DOP_STAGES + 1)]
     while t != t_bound:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         if h_abs < min_step:
@@ -223,7 +238,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol):
                 t_new = t_bound
             h = t_new - t
             h_abs = np.abs(h)
-            y_new, f_new = _rk_step(counted, t, y, f, h, K)
+            y_new = _rk_step(fun, t, y, h, stages)
+            nfev += _DOP_STAGES
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = _error_norm(K, h, scale)
             if error_norm < 1:
@@ -238,10 +254,43 @@ def solve_ivp(fun, t_span, y0, rtol, atol):
                 break
             h_abs *= max(_DOP_MIN_FACTOR, _DOP_SAFETY * error_norm ** _DOP_ERROR_EXPONENT)
             rejected = True
-        t, y, f = t_new, y_new, f_new
+        t, y = t_new, y_new
+        K[0] = K[-1]          # f_new is the next step's f
         ts.append(t)
         ys.append(y)
     return result(_REACHED_END)
+
+
+class _HillField:
+    """The right-hand side that _propagate integrates: rows (y, y') of the
+    two basis solutions per energy column, then (if variational) their
+    E-derivatives. As fun(x, y) it returns y' at one x for a flat state y;
+    stage() writes y' at the state held in z, for a given V - E, into the
+    even and odd row views of a preallocated output."""
+
+    def __init__(self, potential, energies, rows):
+        self.potential = potential
+        self.energies = energies
+        self.shape = (rows, energies.size)
+        self.z = np.empty(rows * energies.size, dtype=energies.dtype)
+        z = self.z.reshape(self.shape)
+        self._odd, self._even = z[1::2], z[0::2]
+        self._basis = z[0:3:2] if rows == 8 else None
+
+    def stage(self, shifted, even, odd):
+        """even <- z's odd rows; odd <- (V - E) times z's even rows, less
+        z[0], z[2] in the variational rows; `shifted` is V - E per column."""
+        np.copyto(even, self._odd)
+        np.multiply(shifted, self._even, out=odd)
+        if self._basis is not None:
+            np.subtract(odd[2:], self._basis, out=odd[2:])
+
+    def __call__(self, x, y):
+        self.z[...] = y
+        out = np.empty_like(y)
+        rows = out.reshape(self.shape)
+        self.stage(self.potential(x) - self.energies, rows[0::2], rows[1::2])
+        return out
 
 
 class PeriodicPotential:
@@ -249,6 +298,10 @@ class PeriodicPotential:
 
     V(x) = mean + sum_m cos_coeffs[m-1] cos(2 pi m x)
                 + sum_m sin_coeffs[m-1] sin(2 pi m x)
+
+    Calling it evaluates V elementwise, one ufunc per term, summed left to
+    right in that order: V at a point has the same bits whether it is read
+    alone or in an array, which the DOP853 stage loop relies on.
 
     A constant potential closes every gap and is only admitted with
     allow_constant=True (test mode; downstream genericity warnings fire).
@@ -266,10 +319,11 @@ class PeriodicPotential:
                 "constant potential rejected (all gaps closed); "
                 "pass allow_constant=True for test mode")
         self.allow_constant = bool(allow_constant)
-        self._wc = 2.0 * np.pi * np.arange(1, len(self.cos_coeffs) + 1)
-        self._ws = 2.0 * np.pi * np.arange(1, len(self.sin_coeffs) + 1)
-        self._ac = np.asarray(self.cos_coeffs)
-        self._as = np.asarray(self.sin_coeffs)
+        # (ufunc, omega_m, coefficient) per term, in the order __call__ sums them
+        self._terms = tuple((wave, 2.0 * np.pi * m, c)
+                            for wave, coeffs in ((np.cos, self.cos_coeffs),
+                                                 (np.sin, self.sin_coeffs))
+                            for m, c in enumerate(coeffs, start=1))
 
     @classmethod
     def free(cls):
@@ -287,21 +341,9 @@ class PeriodicPotential:
     def __call__(self, x):
         xa = np.asarray(x, dtype=float)
         out = np.full(xa.shape, self.mean)
-        if self._ac.size:
-            out = out + np.cos(np.multiply.outer(xa, self._wc)) @ self._ac
-        if self._as.size:
-            out = out + np.sin(np.multiply.outer(xa, self._ws)) @ self._as
+        for wave, w, c in self._terms:
+            out += c * wave(w * xa)
         return out if out.shape else float(out)
-
-    def _at(self, x):
-        """V at one float x: the ufuncs of __call__ in its order, without
-        its array handling (the Hill right-hand side calls this per step)."""
-        out = self.mean
-        if self._ac.size:
-            out = out + np.cos(x * self._wc) @ self._ac
-        if self._as.size:
-            out = out + np.sin(x * self._ws) @ self._as
-        return out
 
     def lower_bound(self):
         """A lower bound for min V, hence for the spectrum of -d2/dx2 + V."""
@@ -376,22 +418,8 @@ def _propagate(potential, energies, rtol, with_derivative=False):
     y0 = np.zeros((rows, K), dtype=dt)
     y0[0] = 1.0
     y0[3] = 1.0
-    Ec = E.astype(dt)
-    # out = y[swap]: derivatives of rows 0, 2 (and 4, 6) are rows 1, 3 (5, 7);
-    # odd rows then become q*y[even], less y[0], y[2] in the variational rows
-    swap = np.arange(rows) ^ 1
-
-    def rhs(x, y):
-        y = y.reshape(rows, K)
-        out = y[swap]
-        odd = out[1::2]
-        np.multiply(potential._at(x) - Ec, odd, out=odd)
-        if with_derivative:
-            # variational system: d/dE of the first four components
-            out[5::2] -= y[0:3:2]
-        return out.ravel()
-
-    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), rtol=rtol, atol=rtol * 1e-2)
+    sol = solve_ivp(_HillField(potential, E.astype(dt), rows), (0.0, 1.0), y0.ravel(),
+                    rtol=rtol, atol=rtol * 1e-2)
     if not sol.success:
         raise IntegrationFailure("monodromy integration failed: %s" % sol.message,
                                  last_x=float(sol.t[-1]))
@@ -439,9 +467,14 @@ def discriminant_with_derivative(potential, energies, tol=_SCAN_TOL):
 
 
 def _hill_edges_at(potential, m_trunc):
-    """Sorted eigenvalues of A(theta)_{mm'} = (theta + 2 pi m)^2 delta_{mm'} +
-    v_{m-m'}, |m| <= m_trunc, at theta = 0 and pi together (the periodic and
-    antiperiodic points); entry j approximates band edge j + 1 from above."""
+    """Sorted eigenvalue estimates of A(theta)_{mm'} = (theta + 2 pi m)^2
+    delta_{mm'} + v_{m-m'}, |m| <= m_trunc, at theta = 0 and pi together
+    (the periodic and antiperiodic points); entry j approximates band edge
+    j + 1 from above. Each is the Rayleigh quotient v^H A v of an eigh
+    eigenvector v: eigh's eigenvalues carry an error of order eps*||A||,
+    which the (theta + 2 pi m)^2 diagonal makes 1e-11 relative, while the
+    quotient's error is second order in v's (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4) and its rounding is of order eps*|E|."""
     idx = np.arange(-m_trunc, m_trunc + 1)
     diff = idx[:, None] - idx[None, :]
     v = np.zeros(diff.shape, dtype=complex)
@@ -452,7 +485,8 @@ def _hill_edges_at(potential, m_trunc):
     for theta in (0.0, math.pi):
         a = v.copy()
         a[np.diag_indices_from(a)] += (theta + 2.0 * np.pi * idx) ** 2 + potential.mean
-        merged.append(np.linalg.eigvalsh(a))
+        _, vectors = np.linalg.eigh(a)
+        merged.append(np.einsum('ij,ik,kj->j', vectors.conj(), a, vectors).real)
     return np.sort(np.concatenate(merged))
 
 
@@ -465,10 +499,14 @@ def _excess(m, s):
 def band_edges(potential, e_max):
     """Band edges below e_max, assembled into a BandStructure.
 
-    Seeds are the eigenvalues of the truncated Hill matrix (entry j is edge
-    j + 1); doubling the truncation must move none by 1e-8. Only the seeds
-    below e_max + 1e-8 enter the batch (Newton may move a seed by 1e-8 at
-    most), one more if the last gap pair needs it. Newton on the factored
+    Seeds are the Rayleigh quotients of the truncated Hill matrix's
+    eigenvectors (entry j is edge j + 1), within a few 1e-15 of the edges
+    relative to max(1, |E|), so the first Newton step usually meets the
+    stopping rule and one propagation returns the edges; doubling the
+    truncation must move none by 1e-8. Only the seeds below e_max + 1e-8
+    enter the batch (Newton may move a seed by 1e-8 at most), one more if
+    the last gap pair needs it: that edge, the first of the band above
+    e_max, is returned as next_band_start. Newton on the factored
     excess f_s = s*D - 2 (s = +1 on D = 2 edges, -1 on D = -2 edges; f_s' =
     s*D') polishes all seeds in one batch per step at _REFINE_TOL, and a
     sign change of f_s across a 1e-9 bracket, in the direction the edge's
@@ -479,8 +517,9 @@ def band_edges(potential, e_max):
     in one more batch. The factored form stays accurate where D - 2 is
     below ODE noise, so open gaps down to 1e-9 wide are resolved; a closer
     seed pair becomes one double edge at its midpoint, certified by |f_s|
-    <= 1e-8 across its bracket. Gaps narrower than 1e-7 are flagged
-    closed with a warning. An uncertified edge, edges out of order or an
+    <= 1e-8 across its bracket. Every gap below next_band_start has a
+    flag; gaps narrower than 1e-7 are flagged closed with a warning. An
+    uncertified edge, edges out of order or an
     unconverged truncation raise ComputationError naming the edge. An e_max
     whose doubled truncation would pass _MAX_TRUNCATION raises DomainError
     naming the largest accepted e_max before any matrix is built.
@@ -558,18 +597,20 @@ def band_edges(potential, e_max):
         raise ComputationError("edge %d at E=%.12g does not lie above edge %d at E=%.12g"
                                % (k + 2, edges[k + 1], k + 1, edges[k]))
 
-    count = int(np.count_nonzero(edges < e_max))
-    if count < 2:
+    # the complete bands below e_max end at edge c; edge c + 1, the next
+    # band's start, was propagated: below e_max if e_max lies in that band,
+    # else as the partner that completed the last gap pair
+    c = int(np.count_nonzero(edges < e_max)) // 2 * 2
+    if c < 2:
         raise DomainError("no complete spectral band below e_max=%g" % e_max)
-    # gap g lies between edges 2g and 2g + 1; it is flagged when both lie below e_max
-    flags = [bool(w > _CLOSED_GAP_WIDTH) for w in edges[2:count:2] - edges[1:count - 1:2]]
+    # gap g lies between edges 2g and 2g + 1
+    flags = [bool(w > _CLOSED_GAP_WIDTH) for w in edges[2:c + 1:2] - edges[1:c:2]]
     closed = [g for g, is_open in enumerate(flags, start=1) if not is_open]
     if closed:
         warnings.warn("gap(s) %s closed within tolerance; the all-gaps-open "
                       "genericity assumption fails" % closed, stacklevel=2)
-    return BandStructure(edges=edges[:count - count % 2], open_gap_flags=flags,
-                         e_max=float(e_max), potential=potential,
-                         next_band_start=float(edges[count - 1]) if count % 2 else None)
+    return BandStructure(edges=edges[:c], open_gap_flags=flags, e_max=float(e_max),
+                         potential=potential, next_band_start=float(edges[c]))
 
 
 class DiscriminantTable:
@@ -690,8 +731,9 @@ class BandStructure:
     """Band edges, gap flags, and fast quasi-momentum evaluation.
 
     edges has even length (complete bands only); next_band_start, when
-    known, is the first edge of the band just above e_max so that the last
-    gap below e_max remains usable.
+    known, is the first edge of the band above them (below e_max when e_max
+    lies in that band, above it when e_max lies in a gap), so that the
+    last gap remains usable; band_edges always knows it.
     """
 
     def __init__(self, edges, open_gap_flags, e_max, potential, next_band_start=None):

@@ -170,9 +170,10 @@ def check_drift(run):
 
 def check_width_fit(run):
     """ln(width) against 1/eps has slope -min(S-, S+) within 15%. At each
-    eps the oracle solves only within h of the level nearest mid-window, h
-    half its distance to the nearest other level, and reads the genuine
-    eigenvalue nearest it there."""
+    eps it reads the genuine eigenvalue nearest the level nearest
+    mid-window, within h of it, h half its distance to the nearest other
+    level: the oracle solves only within h of that level, except at the
+    configured eps, whose full-window spectrum the count check has solved."""
     if not run.window.is_open:
         return [Check("width-fit", None,
                       "skipped: sealed window, bound states have no width")]
@@ -189,7 +190,9 @@ def check_width_fit(run):
         h = 0.5 * min((abs(r.e_real - tracked.e_real) for r in table if r is not tracked),
                       default=math.inf)
         near = (max(lo, tracked.e_real - h), min(hi, tracked.e_real + h))
-        genuine = [p for p in _genuine_resonances(run.spectrum(epsilon=eps, e_window=near))
+        pairs = run.spectrum(epsilon=eps,
+                             e_window=None if eps == run.cfg.solver.epsilon else near)
+        genuine = [p for p in _genuine_resonances(pairs)
                    if abs(p.eigenvalue.real - tracked.e_real) <= h]
         if not genuine:
             return [Check("width-fit", False,

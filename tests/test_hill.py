@@ -68,6 +68,28 @@ def propagations(monkeypatch):
     return calls
 
 
+def recorded_seeds(monkeypatch):
+    """The seeds of each hill._hill_edges_at call from here on, in order:
+    band_edges' last call is its doubled truncation."""
+    calls = []
+    seeds = hill._hill_edges_at
+
+    def recording(potential, m_trunc):
+        calls.append(seeds(potential, m_trunc))
+        return calls[-1]
+
+    monkeypatch.setattr(hill, "_hill_edges_at", recording)
+    return calls
+
+
+def pushed_high(seeds):
+    """hill._hill_edges_at with every seed above 1 set 3e-9 high."""
+    def high(potential, m_trunc):
+        x = seeds(potential, m_trunc)
+        return x + 3e-9 * (x > 1.0)
+    return high
+
+
 def locate_per_band(bands, e):
     """BandStructure.locate as a loop over the bands: the reference its
     bisection of the edges must reproduce exactly."""
@@ -231,19 +253,49 @@ class TestBandEdges:
         assert all(bands.open_gap_flags)
 
     @pytest.mark.parametrize("e_max", [45.0, 165.0])
-    def test_two_propagations_below_the_next_band(self, mathieu, e_max, monkeypatch):
-        # the Newton batches hold the edges below e_max (the next band's
-        # first edge among them) and their brackets, nothing above: at 45,
-        # edges 6 and 7 at 88.8 stay out
+    def test_one_propagation_below_the_next_band(self, mathieu, e_max, monkeypatch):
+        # the Rayleigh-quotient seeds meet the stopping rule at the first
+        # Newton step, so one batch holds the edges below e_max (the next
+        # band's first edge among them) and their brackets, nothing above:
+        # at 45, edges 6 and 7 at 88.8 stay out
         calls = propagations(monkeypatch)
         bands = band_edges(mathieu, e_max)
-        assert len(calls) == 2
+        assert len(calls) == 1
+        assert max(c.max() for c in calls) < bands.next_band_start + 1e-8
+
+    @pytest.mark.parametrize("e_max", [45.0, 165.0])
+    def test_rayleigh_quotient_seeds_lie_on_the_edges(self, mathieu, e_max, monkeypatch):
+        # each seed lies within the polish's stopping step of its edge, on
+        # Mathieu and on seeded 1-3 mode draws up to e_max
+        rng = np.random.default_rng(int(e_max))
+        for potential in [mathieu] + [random_potential(rng) for _ in range(4)]:
+            seeds = recorded_seeds(monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # a draw may close a gap
+                bands = band_edges(potential, e_max)
+            edges = np.append(bands.edges, bands.next_band_start)
+            assert (np.abs(seeds[-1][:edges.size] - edges)
+                    <= 1e-14 * np.maximum(1.0, np.abs(edges))).all(), potential
+
+    def test_next_band_start_above_e_max_is_returned(self, mathieu, monkeypatch):
+        # e_max = 10 lies in gap 2: the batch completes the gap pair with
+        # edge 3, which bounds that gap and so the bookkeeping
+        calls = propagations(monkeypatch)
+        bands = band_edges(mathieu, 10.0)
+        assert bands.n_bands == 1
+        assert bands.next_band_start == pytest.approx(10.8567782, abs=1e-7)
+        assert bands.gap_ceiling == bands.next_band_start
+        assert bands.gap(1) == (bands.edges[1], bands.next_band_start)
+        assert bands.open_gap_flags == [True]
+        assert bands.locate(10.5) == ("gap", 1)
         assert max(c.max() for c in calls) < bands.next_band_start + 1e-8
 
     def test_unconverged_polish_reads_the_brackets_once_more(self, mathieu, mathieu_bands,
                                                                monkeypatch):
-        # one Newton step leaves the polish unconverged: one more batch reads
-        # the five edges' brackets alone, at the edges that step returned
+        # seeds above 1 set 3e-9 high, so one Newton step leaves the polish
+        # unconverged: one more batch reads the five edges' brackets alone,
+        # at the edges that step returned
+        monkeypatch.setattr(hill, "_hill_edges_at", pushed_high(hill._hill_edges_at))
         monkeypatch.setattr(hill, "_NEWTON_STEPS", 1)
         calls = propagations(monkeypatch)
         bands = band_edges(mathieu, 45.0)
@@ -258,13 +310,7 @@ class TestBandEdges:
         # that the first step meets: that step moves each of them out of
         # the bracket it was read in, so only a later step, shorter than the
         # bracket's half width, may end the polish
-        seeds = hill._hill_edges_at
-
-        def high(pot, m):
-            x = seeds(pot, m)
-            return x + 3e-9 * (x > 1.0)
-
-        monkeypatch.setattr(hill, "_hill_edges_at", high)
+        monkeypatch.setattr(hill, "_hill_edges_at", pushed_high(hill._hill_edges_at))
         monkeypatch.setattr(hill, "_NEWTON_STEP", 1e-9)
         bands = band_edges(mathieu, 45.0)
         edges = np.append(bands.edges, bands.next_band_start)
@@ -290,9 +336,9 @@ class TestBandEdges:
         # at 6000 the excess reads 1e18 across edge 1: its bracket certifies nothing
         ((6000.0, 0.0), -5580.0, r"^edge 1 at E=-5658\.34125204 is not certified: "
                                  r"s\*D - 2 reads \S+ and \S+ across its 1e-09 bracket$"),
-        # at 4000 band 1 is narrower than the spacing of doubles at its edges
-        ((4000.0, 0.0), -3720.0, r"^edge 2 at E=-3721\.4970722 does not lie above "
-                                 r"edge 1 at E=-3721\.4970722$")],
+        # at 4500 band 1 is narrower than the spacing of doubles at its edges
+        ((4500.0, 0.0), -4200.0, r"^edge 2 at E=-4204\.45070711 does not lie above "
+                                 r"edge 1 at E=-4204\.45070711$")],
         ids=["truncation", "certificate", "order"])
     def test_deep_well_limit_is_named(self, cos_coeffs, e_max, words):
         # a deep cosine well meets each of band_edges' three limits in turn

@@ -316,9 +316,10 @@ def test_missing_extension_names_its_directory(monkeypatch):
 
 
 class TestIntervalSolveAgainstScipy:
-    """Every interval solve of a verify pass over the shipped configs (9 in
-    a pass: five over the configured windows, four around barrier_wall's
-    tracked width-fit level), repeated at the oracle's bisection tolerance
+    """Every interval solve of a verify pass over the shipped configs (8 in
+    a pass: five over the configured windows, three around barrier_wall's
+    tracked width-fit level, whose fourth epsilon reads the configured
+    window's solve), repeated at the oracle's bisection tolerance
     and at full precision by oracle.eigh_tridiagonal and by
     scipy.linalg.eigh_tridiagonal(select="v"): the same eigenvalues and
     eigenvectors bit for bit."""
@@ -347,7 +348,7 @@ class TestIntervalSolveAgainstScipy:
             for window, size, _ in compared[start:]:
                 configured = window == tuple(cfg.solver.e_window)
                 (full if configured else narrowed).append(size)
-        assert len(full) == 2 * 5 and len(narrowed) == 2 * 4
+        assert len(full) == 2 * 5 and len(narrowed) == 2 * 3
         assert all(size >= 4 for size in full)
         assert all(size >= 1 for size in narrowed)
         assert all(same for *_, same in compared)

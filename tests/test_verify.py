@@ -33,9 +33,8 @@ def test_ladders_are_shared_between_checks(configs_dir, monkeypatch):
     assert len(calls) == 3
 
 
-def test_verify_pass_takes_thirteen_propagations(configs_dir, monkeypatch):
-    # per config, bands from two Newton batches and a table from one; the
-    # free potential's exact seeds converge in one batch, and
+def test_verify_pass_takes_nine_propagations(configs_dir, monkeypatch):
+    # per config, bands from one Newton batch and a table from one;
     # step_transition's checks read no table
     calls = []
     propagate = hill._propagate
@@ -52,7 +51,7 @@ def test_verify_pass_takes_thirteen_propagations(configs_dir, monkeypatch):
             warnings.filterwarnings("ignore", "gap.* closed within tolerance")
             bands = _build_bands(cfg)
         assert verify(Run(cfg, bands))[1] == 0, path.stem
-    assert len(calls) == 13
+    assert len(calls) == 9
 
 
 def test_render_matches_cli_report(configs_dir, tmp_path):
