@@ -74,12 +74,9 @@ _MAX_SCANS = 4   # the last scan reaches 8 times the first e_max
 
 def _build_bands(cfg, energy=-math.inf):
     """Bands whose gap ceiling (the start of the first incomplete band)
-    clears every E - W that the energy window, or a higher `energy`,
-    reaches, plus 5 units for the window scan's tail allowance; e_max
-    doubles until it does."""
-    prof = cfg.profile
-    reach = (max(cfg.solver.e_window[1], energy) - prof.mu + abs(prof.nu)
-             + sum(abs(b.height) for b in prof.bumps) + 5.0)
+    clears the highest E - W of the energy window, or of a higher `energy`,
+    E - min W over the profile's knots; e_max doubles until it does."""
+    reach = max(cfg.solver.e_window[1], energy) - min(cfg.profile.pieces[1])
     e_max = max(45.0, reach)
     for _ in range(_MAX_SCANS):
         bands = band_edges(cfg.potential, e_max)

@@ -37,8 +37,7 @@ class NearSingularityError(ComputationError):
 
 
 class CriticalEndpointError(ComputationError):
-    """|W'| below threshold at a window endpoint, or E - W crossing a band
-    edge and back inside one cell of the window scan (criticality violated)."""
+    """|W'| below threshold at a window endpoint (criticality violated)."""
 
 
 class UnsupportedConfigurationError(ComputationError):

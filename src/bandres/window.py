@@ -23,11 +23,11 @@ monotonicity changes). Supported regimes:
   U_- = (-inf, zeta-] and U_+ = [zeta+, inf). Empty sides are encoded by
   zeta- = -inf and zeta+ = +inf.
 
-Window endpoints are transversal crossings of band edges; |W'| below
-1e-6 at a crossing violates the criticality assumption and raises. So does
-E - W crossing an edge and back inside one cell of the 2000-point scan,
-where a membership probe falls between the two crossings; elsewhere the
-scan does not see such a pair.
+W is monotone between its critical points, which a profile finds once;
+on each monotone piece E - W crosses a band edge at most once, so one
+bracketed root per crossing gives every window endpoint. Window endpoints
+are transversal crossings of band edges; |W'| below 1e-6 at a crossing
+violates the criticality assumption and raises.
 """
 
 from __future__ import annotations
@@ -48,14 +48,16 @@ from .errors import (
 )
 from .hill import edge_band_side, edge_reduced_value
 
-_SCAN_POINTS = 2000
 _CRITICAL_WPRIME = 1e-6
+_CRITICAL_WIDTH = 1e-10      # relative width of the finest bisection cell
 _SINGULARITY_GUARD = 1e-6
 _POINT_COMPONENT_WIDTH = 1e-8
 _FLAT_STEP = 1e8             # |zeta| past which the step term is its limit
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 4 * 2.0 ** -52      # 4 eps, scipy's floor, as a plain float
 _BRENT_ITER = 100
+_KINDS = {(True, True): "full_line", (True, False): "unbounded_left",
+          (False, True): "unbounded_right", (False, False): "compact"}
 
 
 class Bump:
@@ -164,6 +166,30 @@ class PerturbationProfile:
             out = out - 2.0 * b.height * u / (b.width * (1.0 + u * u) ** 2)
         return out
 
+    def _curvature_bound(self, a, b):
+        """A bound on |W''| over the cell [a, b]: |W''(mid)| plus half the width
+        times a term-by-term bound on |W'''|, 3|nu| |5t - 4| t^2.5 at x = |zeta|
+        for the step and 24 (|b|/w^3) |u (2t - 1)| t^3 at x = |u| for a bump
+        (t = 1/(1 + x^2)), each at most its value at an end of the cell's x
+        range or an interior peak (x^2 = 3/4; u^2 = 1 -/+ 2/sqrt(5))."""
+        def peak(lo, hi, tops, f):   # f's largest value over |x| for x in [lo, hi]
+            x0, x1 = max(lo, -hi, 0.0), max(-lo, hi)
+            return max(f(x0), f(x1), *(f(x) for x in tops if x0 <= x <= x1))
+
+        m = 0.5 * (a + b)
+        second = -3.0 * self.nu * m * (1.0 + m * m) ** -2.5
+        third = 3.0 * abs(self.nu) * peak(a, b, (0.75 ** 0.5,), lambda x: abs(
+            5.0 / (1.0 + x * x) - 4.0) * (1.0 + x * x) ** -2.5)
+        for p in self.bumps:   # t and its powers are 0 where u * u overflows to inf
+            u = (m - p.center) / p.width
+            t = 1.0 / (1.0 + u * u)
+            second += p.height * (6.0 - 8.0 * t) * t * t / p.width / p.width
+            g = peak((a - p.center) / p.width, (b - p.center) / p.width,
+                     ((1.0 - 0.8 ** 0.5) ** 0.5, (1.0 + 0.8 ** 0.5) ** 0.5),
+                     lambda x: abs(x * (2.0 / (1.0 + x * x) - 1.0)) * (1.0 + x * x) ** -3.0)
+            third += 24.0 * abs(p.height) * (g / p.width) / p.width / p.width
+        return abs(second) + third * 0.5 * (b - a)
+
     def derivative(self, zeta):
         """W'(zeta); a float runs _real_prime in float arithmetic."""
         if isinstance(zeta, float):
@@ -181,8 +207,41 @@ class PerturbationProfile:
             return out
         return complex(out) if is_complex else float(out)
 
+    @functools.cached_property
+    def pieces(self):
+        """(knots, values) of W's monotone pieces: -inf, the zeros where W' changes
+        sign, +inf, and W at each (mu -/+ nu at -/+inf). Bisecting [-1e6, 1e6], a
+        cell [a, b] keeps the sign of W'(mid) if |W'(mid)| > B (b - a)/2, B from
+        _curvature_bound, or is halved down to 1e-10 relative width; _brentq
+        refines the zero between two certified cells of opposite signs."""
+        cells, signs = [(-1e6, 1e6)], []
+        while cells:
+            a, b = cells.pop()
+            m = 0.5 * (a + b)
+            slope, bound = self.derivative(m), self._curvature_bound(a, b) * (m - a)
+            if abs(slope) > bound or bound == 0.0:
+                if slope:   # W' is 0 on a cell where W is flat in floating point
+                    signs.append((m, slope > 0.0))
+            elif b - a <= _CRITICAL_WIDTH * max(1.0, abs(m)):
+                signs.append((m, None))
+            else:
+                cells += [(a, m), (m, b)]
+        knots, last, unknown = [-math.inf], None, []
+        for m, sign in sorted(signs):   # distinct cells have distinct midpoints
+            if sign is None:
+                unknown.append(m)
+                continue
+            if last is not None and sign != last[1]:
+                knots.append(_brentq(self.derivative, last[0], m))
+            elif last is not None and unknown:
+                raise DomainError("W' has a double zero near zeta=%.9g, two critical points "
+                                  "within the bisection floor" % unknown[len(unknown) // 2])
+            last, unknown = (m, sign), []
+        values = [self.w_minus] + [self._real(z) for z in knots[1:]] + [self.w_plus]
+        return tuple(knots + [math.inf]), tuple(values)
+
     def scan_half_width(self):
-        """Half-width of the endpoint root scan interval."""
+        """Half-width of the portrait's default zeta range."""
         reach = max((abs(b.center) + b.width for b in self.bumps), default=0.0)
         return 10.0 + 4.0 * reach
 
@@ -208,17 +267,6 @@ class PerturbationProfile:
     def from_dict(cls, d):
         return cls(d.get("mu", 0.0), d.get("nu", 0.0), d.get("bumps", ()),
                    allow_constant=d.get("allow_constant", False))
-
-
-@functools.lru_cache(maxsize=64)
-def _scan_grid(profile, z_half):
-    """(zeta grid, W on it, min W, max W) over [-z_half, z_half]; the
-    arrays are shared between calls and read-only."""
-    zgrid = np.linspace(-z_half, z_half, _SCAN_POINTS)
-    wgrid = profile(zgrid)
-    zgrid.flags.writeable = False
-    wgrid.flags.writeable = False
-    return zgrid, wgrid, float(np.min(wgrid)), float(np.max(wgrid))
 
 
 class WindowEndpoint:
@@ -289,9 +337,7 @@ class SpectralWindow:
         self.classification = classification
         self.e_range = e_range
 
-        self.compact = None
-        left = None
-        right = None
+        self.compact = left = right = None
         for c in self.components:
             if c.kind == "compact":
                 if self.compact is None or c.width > self.compact.width:
@@ -400,46 +446,31 @@ def _brentq(f, a, b):
 def decompose_window(profile, bands, energy):
     """Decompose the spectral window of `energy` and classify it.
 
-    Crossing points of E - W with every scanned band edge are located on
-    a 2000-point grid over the profile-adapted interval [-Z, Z] and
-    refined by bracketed root finding; interval membership is then decided
-    at midpoints, and at the tails via the limits W(+/-inf). The scan
-    interval doubles until the tail values are safely separated from every
-    band edge (relative to the quadratic tail decay), so no crossing can
-    hide beyond it.
-    """
+    W crosses the level E - edge of a band edge once on each monotone piece
+    (profile.pieces) whose end values hold it strictly between them; past
+    |zeta| = 1e8, where W is flat in floating point, a crossing is a
+    DomainError. E - W spans [E - max W, E - min W] over the knots."""
     energy = float(energy)
     if not math.isfinite(energy):
         raise DomainError("energy E=%r is not finite" % energy)
-    edges = bands._edge_list
-    margin = min(min(abs(t - e) for e in edges)
-                 for t in (energy - profile.w_minus, energy - profile.w_plus))
-    for attempt in range(6):
-        (zgrid, wgrid, w_min, w_max), tail_slack = _scan(profile, attempt)
-        if margin > tail_slack:
-            break
-    else:
-        raise DomainError(
-            "E - W(+/-inf) sits within %.2e of a band edge; the window "
-            "classification is not stable at infinity" % margin)
-    e_range = (energy - w_max - tail_slack, energy - w_min + tail_slack)
+    knots, values = profile.pieces
+    e_range = (energy - max(values), energy - min(values))
     if e_range[1] > bands.gap_ceiling:
         raise EnergyRangeError(
             "E - W reaches %.6g, beyond the scanned band ceiling %.6g; "
             "rescan the band structure with a larger e_max"
             % (e_range[1], bands.gap_ceiling))
-    at = profile._real
-    endpoints = []
-    for j, edge in enumerate(edges, start=1):
+    at, endpoints = profile._real, []
+    for j, edge in enumerate(bands._edge_list, start=1):
         level = energy - edge
-        if not w_min - tail_slack <= level <= w_max + tail_slack:
-            continue
-        # crossing cells: W > level exactly where W - level tests positive
-        above = wgrid > level
-        cells = np.flatnonzero(above[1:] != above[:-1]).tolist()
-        # Brent's last bracket holds the crossing within its tolerance in
-        # zeta, however steep W is there
-        for r in [_brentq(lambda z: at(z) - level, zgrid[c], zgrid[c + 1]) for c in cells]:
+        for a, b, w_a, w_b in zip(knots, knots[1:], values, values[1:]):
+            if not min(w_a, w_b) < level < max(w_a, w_b):
+                continue
+            r = _crossing(lambda z: at(z) - level, a, b, w_b - level)
+            if r is None:
+                raise DomainError(
+                    "E - W crosses edge %d beyond |zeta| = 1e8 at E=%r, where W is "
+                    "flat in floating point" % (j, energy))
             wp = profile.derivative(r)
             if abs(wp) < _CRITICAL_WPRIME:
                 raise CriticalEndpointError(
@@ -447,84 +478,57 @@ def decompose_window(profile, bands, energy):
                     "(edge %d); endpoint criticality violated"
                     % (abs(wp), _CRITICAL_WPRIME, r, j))
             endpoints.append(WindowEndpoint(r, j, wp))
-    return _classify(profile, bands, energy, endpoints, e_range, zgrid[1] - zgrid[0])
+    return _classify(profile, bands, energy, endpoints, e_range)
 
 
-def _scan(profile, attempt):
-    """The scan grid and its tail slack after `attempt` doublings of the
-    scan interval."""
-    grid = _scan_grid(profile, profile.scan_half_width() * 2.0 ** attempt)
-    wgrid = grid[1]
-    return grid, 3.0 * max(abs(wgrid[0] - profile.w_minus),
-                           abs(wgrid[-1] - profile.w_plus)) + 1e-12
+def _crossing(f, a, b, f_b):
+    """The zero of f on the monotone piece (a, b), where f has f_b's sign at b,
+    by _brentq from the piece or from a bracket that doubles outward from its
+    finite end (from 0 on the whole line) up to |zeta| = 1e8; else None."""
+    if math.isfinite(a) and math.isfinite(b):
+        return _brentq(f, a, b)
+    prev = inner = a if math.isfinite(a) else b if math.isfinite(b) else 0.0
+    f_in, step = f(inner), 1.0
+    side = 1.0 if f_in * f_b < 0.0 else -1.0   # toward the sign change
+    while abs(prev) < _FLAT_STEP:
+        z = max(-_FLAT_STEP, min(inner + side * step, _FLAT_STEP))
+        if f(z) * f_in <= 0.0:
+            return _brentq(f, min(prev, z), max(prev, z))
+        prev, step = z, 2.0 * step
+    return None
 
 
-def _classify(profile, bands, energy, endpoints, e_range, cell):
-    """The window of `energy` cut at its refined endpoints; `cell` is the
-    spacing of the scan that found them."""
-    e_min, e_max = e_range
+def _classify(profile, bands, energy, endpoints, e_range):
+    """The window of `energy` cut at its endpoints, every crossing of a band
+    edge, so that E - W stays in one band or gap where membership is read."""
     endpoints.sort(key=lambda p: p.zeta)
-
-    # interval membership at midpoints, and 1 unit beyond the outer cuts,
-    # where E - W lies between the same two edges as E - W(+/-inf) unless
-    # the scan missed a crossing
     cuts = [p.zeta for p in endpoints]
-    mids = []
-    if cuts:
-        mids.append(cuts[0] - 1.0)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            mids.append(0.5 * (a + b))
-        mids.append(cuts[-1] + 1.0)
-    else:
-        mids.append(0.0)
+    mids = ([cuts[0] - 1.0] + [0.5 * (a + b) for a, b in zip(cuts[:-1], cuts[1:])]
+            + [cuts[-1] + 1.0]) if cuts else [0.0]
     located = [bands.locate(energy - profile(m)) for m in mids]
     member = [kind == "band" for kind, _ in located]
 
     components = []
     bounds = [-math.inf] + cuts + [math.inf]
-    for i, inside in enumerate(member):
+    for i, (inside, lo, hi) in enumerate(zip(member, bounds, bounds[1:])):
         if not inside:
             continue
-        lo, hi = bounds[i], bounds[i + 1]
-        lo_ep = endpoints[i - 1] if i > 0 else None
-        hi_ep = endpoints[i] if i < len(endpoints) else None
-        if math.isinf(lo) and math.isinf(hi):
-            kind = "full_line"
-        elif math.isinf(lo):
-            kind = "unbounded_left"
-        elif math.isinf(hi):
-            kind = "unbounded_right"
-        else:
-            kind = "compact"
-        components.append(WindowComponent(lo, hi, kind, lo_ep, hi_ep, located[i][1]))
+        components.append(WindowComponent(
+            lo, hi, _KINDS[math.isinf(lo), math.isinf(hi)],
+            endpoints[i - 1] if i > 0 else None,
+            endpoints[i] if i < len(endpoints) else None, located[i][1]))
 
-    # every cut flips membership and every component ends on edges of its
-    # own band, unless the double edge of a closed gap cuts the window at
-    # coincident endpoints or E - W crosses an edge and back inside one scan
-    # cell, which the scan does not see
-    unflipped = [p for p, a, b in zip(endpoints, member[:-1], member[1:]) if a == b]
-    if unflipped:
+    # every cut flips membership, unless the double edge of a closed gap
+    # cuts the window at coincident endpoints
+    if any(a == b for a, b in zip(member[:-1], member[1:])):
         for n, is_open in enumerate(bands.open_gap_flags, start=1):
-            if not is_open and e_min <= bands.edges[2 * n - 1] <= e_max:
+            if not is_open and e_range[0] <= bands.edges[2 * n - 1] <= e_range[1]:
                 raise UnsupportedConfigurationError(
                     "E - W crosses gap %d, closed at E=%.6g; the window decomposition "
                     "needs every crossed gap open" % (n, bands.edges[2 * n - 1]))
-    unseen = unflipped + [ep for c in components for ep in (c.lo_endpoint, c.hi_endpoint)
-                          if ep is not None and ep.band_index != c.band_index]
-    if unseen:
-        raise CriticalEndpointError(
-            "E - W crosses a band edge and back within one %.3g-wide cell of the "
-            "%d-point scan near zeta=%.9g; the scan does not resolve the window"
-            % (cell, _SCAN_POINTS, unseen[0].zeta))
 
-    compacts = [c for c in components if c.kind == "compact"]
-    if not components:
-        classification = "EMPTY"
-    elif len(compacts) > 1:
-        classification = "GENERAL"
-    elif len(compacts) == 1:
-        classification = "H6" if compacts[0].width > _POINT_COMPONENT_WIDTH else "GENERAL"
-    else:
-        classification = "H5"
-
-    return SpectralWindow(energy, components, classification, (e_min, e_max))
+    wells = [c.width for c in components if c.kind == "compact"]
+    classification = ("EMPTY" if not components else "H5" if not wells
+                      else "H6" if len(wells) == 1 and wells[0] > _POINT_COMPONENT_WIDTH
+                      else "GENERAL")
+    return SpectralWindow(energy, components, classification, e_range)

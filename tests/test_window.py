@@ -1,9 +1,12 @@
 import math
 import pathlib
+import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from bandres import (
     Bump,
@@ -20,13 +23,67 @@ from bandres import (
     load_configuration,
 )
 from bandres import window as window_module
-from bandres.window import _scan_grid
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def same_bits(a, b):
     return type(a) is type(b) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def brute_window(profile, bands, energy, points=200_000):
+    """The window's components by brute force: the band of E - W at
+    `points` zeta values, zeta = c + s tan(theta) for theta on a uniform grid
+    of (-pi/2, pi/2), one share of the points with (c, s) = (0, 1) and one
+    for each bump's (centre, width), and at W(-/+inf) beyond them. Each
+    component is (kind, band, lo cell, hi cell): the cells between the grid
+    points around each end, (-inf, -inf) or (inf, inf) on an unbounded side."""
+    scales = [(0.0, 1.0)] + [(b.center, b.width) for b in profile.bumps]
+    n = points // len(scales)
+    theta = (np.arange(n) + 0.5) * (math.pi / n) - 0.5 * math.pi
+    z = np.unique(np.concatenate([c + s * np.tan(theta) for c, s in scales]))
+    w = profile(z)
+    e = np.concatenate(([energy - profile.w_minus], energy - w,
+                        [energy - profile.w_plus]))
+    i = np.searchsorted(bands.edges, e)   # edges strictly below e
+    on_edge = bands.edges[np.minimum(i, bands.edges.size - 1)] == e
+    band = np.where((i % 2 == 1) | on_edge, i // 2 + 1, 0)
+    at = np.concatenate(([-math.inf], z, [math.inf]))
+    cuts = np.flatnonzero(band[1:] != band[:-1]) + 1   # first index of each run
+    runs = zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [band.size])))
+    out = []
+    for first, stop in runs:
+        if band[first]:
+            lo = (at[max(first - 1, 0)], at[first])
+            hi = (at[stop - 1], at[min(stop, band.size - 1)])
+            kind = {(True, True): "full_line", (True, False): "unbounded_left",
+                    (False, True): "unbounded_right", (False, False): "compact"}[
+                (first == 0, stop == band.size)]
+            out.append((kind, int(band[first]), lo, hi))
+    return out, w
+
+
+def assert_matches_brute(profile, bands, energy, window, brute=None):
+    """Every component of `window` is the brute scan's: kind, band, and each
+    finite end inside the brute cell around it."""
+    if brute is None:
+        brute, _ = brute_window(profile, bands, energy)
+    got = [(c.kind, c.band_index) for c in window.components]
+    assert got == [(kind, band) for kind, band, _, _ in brute]
+    for c, (_, _, lo, hi) in zip(window.components, brute):
+        for end, (left, right) in ((c.lo, lo), (c.hi, hi)):
+            assert left <= end <= right or end == left == right
+
+
+def seeded_draw(index):
+    """Draw `index` (0-based) of the seeded one-bump recipe: Python
+    random.seed(1), then per draw height U[5, 30], width 10^U[-1.7, -0.5],
+    centre U[-1, 1] and E U[0, 38]; returns ((height, centre, width), E)."""
+    rng = random.Random(1)
+    for _ in range(index + 1):
+        height, width = rng.uniform(5, 30), 10 ** rng.uniform(-1.7, -0.5)
+        center, energy = rng.uniform(-1, 1), rng.uniform(0, 38)
+    return (height, center, width), energy
 
 
 def direct_profile_value(mu, nu, bumps, z):
@@ -129,12 +186,14 @@ class TestProfile:
             for z in rng.uniform(-half, half, 50).tolist():
                 assert same_bits(prof.derivative(z), prof.derivative(np.asarray(z)))
 
-    def test_float_slope_past_pow_overflow(self, mathieu_bands, wall_profile):
+    def test_float_slope_past_pow_overflow(self, mathieu_bands, bound_profile):
         # a bump of width 1e-80 overflows Python's pow at every root the
-        # scan finds; the float path falls back to the 0-d numpy bits
-        p = wall_profile
-        prof = PerturbationProfile(p.mu, p.nu, list(p.bumps) + [(1.0, 0.5, 1e-80)])
-        window = decompose_window(prof, mathieu_bands, 3.9)
+        # window finds; the float path falls back to the 0-d numpy bits. It
+        # sits on the well's top, where W' of both bumps is odd about 0, so
+        # W keeps one critical point
+        prof = PerturbationProfile(0.0, 0.0, list(bound_profile.bumps) + [(1.0, 0.0, 1e-80)])
+        assert prof.pieces[0] == (-math.inf, 0.0, math.inf)
+        window = decompose_window(prof, mathieu_bands, 9.7)
         ends = [end for c in window.components
                 for end in (c.lo_endpoint, c.hi_endpoint) if end is not None]
         assert ends
@@ -168,13 +227,6 @@ class TestProfile:
             with pytest.raises(NearSingularityError):
                 wall_profile(z)
         assert type(wall_profile(0.3 + 0.5j)) is complex
-
-    def test_scan_grid_is_read_only(self, wall_profile):
-        zgrid, wgrid, _w_min, _w_max = _scan_grid(
-            wall_profile, wall_profile.scan_half_width())
-        assert not zgrid.flags.writeable and not wgrid.flags.writeable
-        with pytest.raises(ValueError):
-            wgrid[0] = 0.0
 
 
 class TestDecomposition:
@@ -241,11 +293,11 @@ class TestDecomposition:
             decompose_window(prof, mathieu_bands, e2 + 1e-9 * 0.5 / math.sqrt(1.25))
 
     def test_steep_crossing_keeps_its_bracket(self, mathieu_bands):
-        # at zeta = 0.7794 |W'| = 108, so the endpoint that Brent holds within
-        # 1e-13 of the crossing reads |W - level| = 1.6e-12 (1 + |level|)
+        # at zeta = 0.7859 |W'| = 99, so the endpoint that Brent holds within
+        # 1e-13 of the crossing reads |W - level| = 1.9e-12 (1 + |level|)
         prof = PerturbationProfile(0.0, -15.943956434596265, (
             (126.69224003458433, 0.5893690836628356, 0.05664905892461827),))
-        energy = 9.399779476952768
+        energy = 8.720405984908327
         win = decompose_window(prof, mathieu_bands, energy)
         residuals = []
         for ep in (end for c in win.components for end in (c.lo_endpoint, c.hi_endpoint)
@@ -264,31 +316,87 @@ class TestDecomposition:
                                  r"near zeta=-?\d"):
             decompose_window(bound_profile, mathieu_bands, 9.7)
 
-    @pytest.mark.parametrize("bumps, energy, cell, zeta", [
+    @pytest.mark.parametrize("bumps, energy, classification, parts", [
         # the well's top 1e-9 below edge 2: E - W crosses it and back within
-        # 1.6e-5 of zeta = 0, where the probe between the edge-3 cuts reads
-        # band 1 between tails in band 2
-        (((4.0, 0.0, 1.0),), "edge 2 + 4 - 1e-9", "0.014", "-0.999839639"),
-        # a bump 1e-4 wide at the well's centre: the probe reads gap 0 between
-        # tails in gap 1, and no component is left
-        (((4.0, 0.0, 1.0), (6.0, 0.0, 1e-4)), 9.7, "0.014", "-1.93533346"),
-        # a dip 1e-4 wide there: the probe reads band 2 inside a well cut at
-        # edges of band 1
-        (((4.0, 0.0, 1.0), (-20.0, 0.0, 1e-4)), 9.7, "0.014", "-1.93533336"),
-        # a dip 1e-4 wide on the probe 1 unit left of the first cut: it reads
-        # band 2 where E - W(-inf) lies in band 1
-        (((4.0, 0.0, 1.0), (-20.0, -1.9750101259385722, 1e-4)), 2.0, "0.0179",
-         "-0.975010126")],
+        # 1.6e-5 of zeta = 0, a band-1 well between tails in band 2
+        (((4.0, 0.0, 1.0),), "edge 2 + 4 - 1e-9", "H6",
+         [("unbounded_left", 2), ("compact", 1), ("unbounded_right", 2)]),
+        # a bump 1e-4 wide at the well's centre splits it in two
+        (((4.0, 0.0, 1.0), (6.0, 0.0, 1e-4)), 9.7, "GENERAL",
+         [("compact", 1), ("compact", 1)]),
+        # a dip 1e-4 wide there holds a band-2 well inside the band-1 well
+        (((4.0, 0.0, 1.0), (-20.0, 0.0, 1e-4)), 9.7, "GENERAL",
+         [("compact", 1), ("compact", 2), ("compact", 1)]),
+        # a dip 1e-4 wide 1 unit left of the first cut: a band-2 well inside
+        # the left band-1 tail
+        (((4.0, 0.0, 1.0), (-20.0, -1.9750101259385722, 1e-4)), 2.0, "GENERAL",
+         [("unbounded_left", 1), ("compact", 2), ("compact", 1), ("unbounded_right", 1)])],
         ids=["turn_at_the_top", "bump_in_the_well", "dip_in_the_well", "dip_on_a_tail_probe"])
-    def test_crossing_pair_inside_one_scan_cell_is_named(
-            self, mathieu_bands, bumps, energy, cell, zeta):
+    def test_crossing_pair_inside_one_scan_cell(
+            self, mathieu_bands, bumps, energy, classification, parts):
+        # each pair of crossings lay inside one cell of a 2000-point scan
         if isinstance(energy, str):
             energy = float(mathieu_bands.edges[1]) + 4.0 - 1e-9
-        with pytest.raises(CriticalEndpointError, match=re.escape(
-                "E - W crosses a band edge and back within one %s-wide cell of the "
-                "2000-point scan near zeta=%s; the scan does not resolve the window"
-                % (cell, zeta))):
-            decompose_window(PerturbationProfile(0.0, 0.0, bumps), mathieu_bands, energy)
+        prof = PerturbationProfile(0.0, 0.0, bumps)
+        win = decompose_window(prof, mathieu_bands, energy)
+        assert win.classification == classification
+        assert [(c.kind, c.band_index) for c in win.components] == parts
+        assert_matches_brute(prof, mathieu_bands, energy, win)
+
+    def test_turn_at_the_top_of_the_first_band(self, mathieu_bands, bound_profile):
+        # bound_well's top 1e-9 below E1 + 4: E - W leaves band 1 only within
+        # 1.58e-5 of zeta = 0, so the window is two band-1 tails
+        energy = float(mathieu_bands.edges[0]) + 4.0 - 1e-9
+        win = decompose_window(bound_profile, mathieu_bands, energy)
+        assert win.classification == "H5"
+        assert [(c.kind, c.band_index) for c in win.components] == [
+            ("unbounded_left", 1), ("unbounded_right", 1)]
+        assert win.zeta_minus == pytest.approx(-1.5811e-5, rel=1e-4)
+        assert win.zeta_plus == pytest.approx(1.5811e-5, rel=1e-4)
+        assert_matches_brute(bound_profile, mathieu_bands, energy, win)
+
+    def test_seeded_draw_84_is_one_well(self, mathieu_bands):
+        bump, energy = seeded_draw(84)
+        assert bump[0] == 28.730698724323407 and energy == 37.426043103474754
+        prof = PerturbationProfile(0.0, 0.0, (bump,))
+        win = decompose_window(prof, mathieu_bands, energy)
+        assert win.classification == "H6"
+        assert [(c.kind, c.band_index) for c in win.components] == [
+            ("unbounded_left", 2), ("compact", 1), ("unbounded_right", 2)]
+        assert_matches_brute(prof, mathieu_bands, energy, win)
+
+    def test_seeded_draw_183_is_two_band_2_tails(self, mathieu_bands):
+        bump, energy = seeded_draw(183)
+        assert bump[0] == 16.083744403767678 and energy == 26.890601382799073
+        prof = PerturbationProfile(0.0, 0.0, (bump,))
+        win = decompose_window(prof, mathieu_bands, energy)
+        assert win.classification == "H5"
+        assert [(c.kind, c.band_index) for c in win.components] == [
+            ("unbounded_left", 2), ("unbounded_right", 2)]
+        assert_matches_brute(prof, mathieu_bands, energy, win)
+
+    def test_critical_points_closer_than_the_floor_are_named(
+            self, mathieu_bands, wall_profile):
+        # a bump 1e-80 wide on the wall's slope adds a maximum and a minimum
+        # 3e-54 apart at zeta = 0.5, inside one cell of the bisection floor
+        p = wall_profile
+        prof = PerturbationProfile(p.mu, p.nu, list(p.bumps) + [(1.0, 0.5, 1e-80)])
+        with pytest.raises(DomainError, match=re.escape(
+                "W' has a double zero near zeta=0.5, two critical points "
+                "within the bisection floor")):
+            decompose_window(prof, mathieu_bands, 3.9)
+
+    def test_pieces_of_the_fixture_profiles(self, bound_profile, wall_profile,
+                                            drift_profile):
+        # a constant profile certifies every cell at once: W'' is bounded by 0
+        flat = PerturbationProfile(2.0, 0.0, (), allow_constant=True)
+        assert flat.pieces == ((-math.inf, math.inf), (2.0, 2.0))
+        assert bound_profile.pieces == ((-math.inf, 0.0, math.inf), (0.0, 4.0, 0.0))
+        assert drift_profile.pieces == ((-math.inf, math.inf), (11.0, 0.0))
+        knots, values = wall_profile.pieces
+        assert len(knots) == 4 and values[0] == 5.5 and values[-1] == 0.0
+        for z in knots[1:-1]:
+            assert abs(wall_profile.derivative(z)) < 1e-12
 
     def test_two_wells_classified_general(self, mathieu_bands):
         prof = PerturbationProfile(0.0, 0.0, ((4.0, -3.0, 1.0), (4.0, 3.0, 1.0)))
@@ -316,19 +424,22 @@ class TestDecomposition:
         with pytest.raises(DomainError, match="E=%r is not finite" % energy):
             decompose_window(bound_profile, mathieu_bands, energy)
 
-    @pytest.mark.parametrize("edge, side", [(2, "w_plus"), (3, "w_minus")])
-    def test_tail_on_a_band_edge_is_refused(self, mathieu_bands, wall_profile,
-                                            edge, side):
-        # E - W(+/-inf) 1e-9 from a band edge, inside the tail slack of every
-        # doubling of the scan interval
-        energy = float(mathieu_bands.edges[edge]) + getattr(wall_profile, side) + 1e-9
-        margin = min(abs(t - e) for e in mathieu_bands.edges.tolist()
-                     for t in (energy - wall_profile.w_minus,
-                               energy - wall_profile.w_plus))
-        assert 0.0 < margin < 2e-9
+    def test_tail_on_a_band_edge_is_refused(self, mathieu_bands, wall_profile):
+        # E - W(+inf) one ulp (6.9e-18) above E1: W = 1.9 / zeta^2 meets it
+        # only past |zeta| = 1e8, where W is flat in floating point
+        energy = math.nextafter(float(mathieu_bands.edges[0]), math.inf)
         with pytest.raises(DomainError, match=re.escape(
-                "E - W(+/-inf) sits within %.2e of a band edge; the window "
-                "classification is not stable at infinity" % margin)):
+                "E - W crosses edge 1 beyond |zeta| = 1e8 at E=%r, where W is "
+                "flat in floating point" % energy)):
+            decompose_window(wall_profile, mathieu_bands, energy)
+
+    def test_far_tail_crossing_is_critical(self, mathieu_bands, wall_profile):
+        # E - W(+inf) 1e-9 above E3: the crossing lies at zeta = 4.4e4, where
+        # |W'| is far below the criticality limit
+        energy = float(mathieu_bands.edges[2]) + wall_profile.w_plus + 1e-9
+        with pytest.raises(CriticalEndpointError,
+                           match=r"^\|W'\| = 4\.570e-14 < 1e-06 at the edge "
+                                 r"crossing zeta=43761\.\d+ \(edge 3\)"):
             decompose_window(wall_profile, mathieu_bands, energy)
 
     def test_ceiling_guard(self, mathieu_bands, drift_profile):
@@ -384,3 +495,32 @@ class TestDecomposition:
                     assert abs(d) <= 2.0 + 1e-9
             checked += 1
         assert checked >= 12
+
+
+# levels E - edge within this distance of a critical value or limit of W are
+# skipped: there a crossing may be critical or lie beyond the brute grid
+BRUTE_MARGIN = 1e-3
+BUMPS = st.tuples(st.builds(float.__mul__, st.floats(0.5, 30.0), st.sampled_from((1.0, -1.0))),
+                  st.floats(-2.0, 2.0), st.floats(-1.3, 0.3).map(lambda x: 10.0 ** x))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(mu=st.floats(-5.0, 5.0), nu=st.one_of(st.just(0.0), st.floats(-6.0, 6.0)),
+       bumps=st.lists(BUMPS, min_size=1, max_size=2), energy=st.floats(-5.0, 40.0))
+# W' = 0 on the bisection point zeta = 0, where rounding certified both
+# neighbouring cells: the critical point was lost and the window read EMPTY
+@example(mu=0.0, nu=0.0, bumps=[(3.0, 0.0, 10.0 ** 0.25)], energy=0.0)
+def test_decomposition_matches_brute_scan(mathieu_bands, mu, nu, bumps, energy):
+    # one- and two-bump profiles, with and without a step, against a
+    # 200,000-point brute scan; the extrema of W on the brute grid and its
+    # limits stand in for its critical values
+    prof = PerturbationProfile(mu, nu, bumps)
+    brute, w = brute_window(prof, mathieu_bands, energy)
+    turns = w[1:-1][(w[1:-1] - w[:-2]) * (w[2:] - w[1:-1]) <= 0.0]
+    values = np.concatenate((turns, [prof.w_minus, prof.w_plus]))
+    assume(energy - min(w.min(), *values) <= mathieu_bands.gap_ceiling)
+    levels = energy - mathieu_bands.edges
+    assume(np.abs(levels[:, None] - values[None, :]).min() > BRUTE_MARGIN)
+    win = decompose_window(prof, mathieu_bands, energy)
+    assert_matches_brute(prof, mathieu_bands, energy, win, brute)
