@@ -18,6 +18,7 @@ from bandres import (
     NearSingularityError,
     PerturbationProfile,
     UnsupportedConfigurationError,
+    band_edges,
     decompose_window,
     discriminant,
     load_configuration,
@@ -424,14 +425,34 @@ class TestDecomposition:
         with pytest.raises(DomainError, match="E=%r is not finite" % energy):
             decompose_window(bound_profile, mathieu_bands, energy)
 
-    def test_tail_on_a_band_edge_is_refused(self, mathieu_bands, wall_profile):
-        # E - W(+inf) one ulp (6.9e-18) above E1: W = 1.9 / zeta^2 meets it
-        # only past |zeta| = 1e8, where W is flat in floating point
-        energy = math.nextafter(float(mathieu_bands.edges[0]), math.inf)
-        with pytest.raises(DomainError, match=re.escape(
-                "E - W crosses edge 1 beyond |zeta| = 1e8 at E=%r, where W is "
-                "flat in floating point" % energy)):
-            decompose_window(wall_profile, mathieu_bands, energy)
+    @pytest.mark.parametrize("edge, side, error, message", [
+        # one ulp (6.9e-18) from E1: W = 1.9 / zeta^2 meets it only past
+        # |zeta| = 1e8, where W is flat in floating point
+        (0, "w_plus", DomainError,
+         r"^E - W crosses edge 1 beyond \|zeta\| = 1e8 at E=%s, where W is "
+         r"flat in floating point$"),
+        # one ulp (1.8e-15) from E3 or (7.1e-15) from E4: the crossing lies
+        # inside 1e8, where |W'| is far below the criticality limit
+        (2, "w_plus", CriticalEndpointError,
+         r"^\|W'\| = 9\.795e-23 < 1e-06 at the edge crossing "
+         r"zeta=33941878\.\d+ \(edge 3\)"),
+        (3, "w_minus", CriticalEndpointError,
+         r"^\|W'\| = 1\.291e-21 < 1e-06 at the edge crossing "
+         r"zeta=-10896269\.\d+ \(edge 4\)"),
+    ], ids=["0-w_plus", "2-w_plus", "3-w_minus"])
+    def test_tail_on_a_band_edge_is_refused(self, mathieu, wall_profile,
+                                            edge, side, error, message):
+        # bands to 90 put E4 + W(-inf) = 44.97 under the band ceiling
+        bands = band_edges(mathieu, 90.0)
+        tail = getattr(wall_profile, side)
+        # this W approaches w_plus from above and w_minus from below, so
+        # E - W meets the edge only on the side of E - W(+/-inf) away from W
+        energy = math.nextafter(float(bands.edges[edge]) + tail,
+                                math.inf if side == "w_plus" else -math.inf)
+        if error is DomainError:
+            message = message % re.escape(repr(energy))
+        with pytest.raises(error, match=message):
+            decompose_window(wall_profile, bands, energy)
 
     def test_far_tail_crossing_is_critical(self, mathieu_bands, wall_profile):
         # E - W(+inf) 1e-9 above E3: the crossing lies at zeta = 4.4e4, where
