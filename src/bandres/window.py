@@ -56,8 +56,6 @@ _FLAT_STEP = 1e8             # |zeta| past which the step term is its limit
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 4 * 2.0 ** -52      # 4 eps, scipy's floor, as a plain float
 _BRENT_ITER = 100
-_KINDS = {(True, True): "full_line", (True, False): "unbounded_left",
-          (False, True): "unbounded_right", (False, False): "compact"}
 
 
 class Bump:
@@ -71,6 +69,9 @@ class Bump:
             raise ConfigurationError("bump parameters must be finite")
         if self.width <= 0.0:
             raise ConfigurationError("bump width must be positive")
+        # a bump reaching further can underflow pieces' bound on |W'''| (~ |b|/w^3)
+        if abs(self.center) + self.width > 1e100:
+            raise ConfigurationError("bump reaches past |zeta| = 1e100")
 
     def as_tuple(self):
         return (self.height, self.center, self.width)
@@ -210,11 +211,13 @@ class PerturbationProfile:
     @functools.cached_property
     def pieces(self):
         """(knots, values) of W's monotone pieces: -inf, the zeros where W' changes
-        sign, +inf, and W at each (mu -/+ nu at -/+inf). Bisecting [-1e6, 1e6], a
+        sign, +inf, and W at each (mu -/+ nu at -/+inf). Bisecting [-R, R], a
         cell [a, b] keeps the sign of W'(mid) if |W'(mid)| > B (b - a)/2, B from
         _curvature_bound, or is halved down to 1e-10 relative width; _brentq
-        refines the zero between two certified cells of opposite signs."""
-        cells, signs = [(-1e6, 1e6)], []
+        refines the zero between two certified cells of opposite signs. R is
+        1e6, or 1e4 portrait half-widths where the bumps reach further."""
+        reach = max(1e6, 1e4 * self.scan_half_width())
+        cells, signs = [(-reach, reach)], []
         while cells:
             a, b = cells.pop()
             m = 0.5 * (a + b)
@@ -337,7 +340,9 @@ class SpectralWindow:
         self.classification = classification
         self.e_range = e_range
 
-        self.compact = left = right = None
+        self.compact = None
+        left = None
+        right = None
         for c in self.components:
             if c.kind == "compact":
                 if self.compact is None or c.width > self.compact.width:
@@ -448,8 +453,9 @@ def decompose_window(profile, bands, energy):
 
     W crosses the level E - edge of a band edge once on each monotone piece
     (profile.pieces) whose end values hold it strictly between them; past
-    |zeta| = 1e8, where W is flat in floating point, a crossing is a
-    DomainError. E - W spans [E - max W, E - min W] over the knots."""
+    |zeta| = 1e8 (|c| + 1e8 w for a bump reaching further), where W is flat
+    in floating point, a crossing is a DomainError. E - W spans
+    [E - max W, E - min W] over the knots."""
     energy = float(energy)
     if not math.isfinite(energy):
         raise DomainError("energy E=%r is not finite" % energy)
@@ -460,17 +466,20 @@ def decompose_window(profile, bands, energy):
             "E - W reaches %.6g, beyond the scanned band ceiling %.6g; "
             "rescan the band structure with a larger e_max"
             % (e_range[1], bands.gap_ceiling))
-    at, endpoints = profile._real, []
+    at = profile._real
+    # past |zeta| = far the step is its limit and a bump within 1e-16 of its height of 0
+    far = max([_FLAT_STEP] + [abs(b.center) + _FLAT_STEP * b.width for b in profile.bumps])
+    endpoints = []
     for j, edge in enumerate(bands._edge_list, start=1):
         level = energy - edge
         for a, b, w_a, w_b in zip(knots, knots[1:], values, values[1:]):
             if not min(w_a, w_b) < level < max(w_a, w_b):
                 continue
-            r = _crossing(lambda z: at(z) - level, a, b, w_b - level)
+            r = _crossing(lambda z: at(z) - level, a, b, w_b - level, far)
             if r is None:
                 raise DomainError(
-                    "E - W crosses edge %d beyond |zeta| = 1e8 at E=%r, where W is "
-                    "flat in floating point" % (j, energy))
+                    "E - W crosses edge %d beyond |zeta| = %g at E=%r, where W is "
+                    "flat in floating point" % (j, far, energy))
             wp = profile.derivative(r)
             if abs(wp) < _CRITICAL_WPRIME:
                 raise CriticalEndpointError(
@@ -481,17 +490,23 @@ def decompose_window(profile, bands, energy):
     return _classify(profile, bands, energy, endpoints, e_range)
 
 
-def _crossing(f, a, b, f_b):
+def _crossing(f, a, b, f_b, far):
     """The zero of f on the monotone piece (a, b), where f has f_b's sign at b,
-    by _brentq from the piece or from a bracket that doubles outward from its
-    finite end (from 0 on the whole line) up to |zeta| = 1e8; else None."""
+    by _brentq from the piece or from a bracket that doubles outward up to
+    |zeta| = far; else None. A tail's bracket grows from its finite end, and
+    on the whole line from 0 toward the end where f's sign differs from f(0)."""
     if math.isfinite(a) and math.isfinite(b):
         return _brentq(f, a, b)
     prev = inner = a if math.isfinite(a) else b if math.isfinite(b) else 0.0
     f_in, step = f(inner), 1.0
-    side = 1.0 if f_in * f_b < 0.0 else -1.0   # toward the sign change
-    while abs(prev) < _FLAT_STEP:
-        z = max(-_FLAT_STEP, min(inner + side * step, _FLAT_STEP))
+    if math.isfinite(a):
+        side = 1.0
+    elif math.isfinite(b):
+        side = -1.0
+    else:
+        side = 1.0 if f_in * f_b < 0.0 else -1.0
+    while abs(prev) < far:
+        z = max(-far, min(inner + side * step, far))
         if f(z) * f_in <= 0.0:
             return _brentq(f, min(prev, z), max(prev, z))
         prev, step = z, 2.0 * step
@@ -500,35 +515,58 @@ def _crossing(f, a, b, f_b):
 
 def _classify(profile, bands, energy, endpoints, e_range):
     """The window of `energy` cut at its endpoints, every crossing of a band
-    edge, so that E - W stays in one band or gap where membership is read."""
+    edge, so that E - W stays in one band or gap between two cuts."""
+    e_min, e_max = e_range
     endpoints.sort(key=lambda p: p.zeta)
+
+    # interval membership at midpoints, and 1 unit beyond the outer cuts
     cuts = [p.zeta for p in endpoints]
-    mids = ([cuts[0] - 1.0] + [0.5 * (a + b) for a, b in zip(cuts[:-1], cuts[1:])]
-            + [cuts[-1] + 1.0]) if cuts else [0.0]
+    mids = []
+    if cuts:
+        mids.append(cuts[0] - 1.0)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            mids.append(0.5 * (a + b))
+        mids.append(cuts[-1] + 1.0)
+    else:
+        mids.append(0.0)
     located = [bands.locate(energy - profile(m)) for m in mids]
     member = [kind == "band" for kind, _ in located]
 
     components = []
     bounds = [-math.inf] + cuts + [math.inf]
-    for i, (inside, lo, hi) in enumerate(zip(member, bounds, bounds[1:])):
+    for i, inside in enumerate(member):
         if not inside:
             continue
-        components.append(WindowComponent(
-            lo, hi, _KINDS[math.isinf(lo), math.isinf(hi)],
-            endpoints[i - 1] if i > 0 else None,
-            endpoints[i] if i < len(endpoints) else None, located[i][1]))
+        lo, hi = bounds[i], bounds[i + 1]
+        lo_ep = endpoints[i - 1] if i > 0 else None
+        hi_ep = endpoints[i] if i < len(endpoints) else None
+        if math.isinf(lo) and math.isinf(hi):
+            kind = "full_line"
+        elif math.isinf(lo):
+            kind = "unbounded_left"
+        elif math.isinf(hi):
+            kind = "unbounded_right"
+        else:
+            kind = "compact"
+        components.append(WindowComponent(lo, hi, kind, lo_ep, hi_ep, located[i][1]))
 
     # every cut flips membership, unless the double edge of a closed gap
     # cuts the window at coincident endpoints
     if any(a == b for a, b in zip(member[:-1], member[1:])):
         for n, is_open in enumerate(bands.open_gap_flags, start=1):
-            if not is_open and e_range[0] <= bands.edges[2 * n - 1] <= e_range[1]:
+            if not is_open and e_min <= bands.edges[2 * n - 1] <= e_max:
                 raise UnsupportedConfigurationError(
                     "E - W crosses gap %d, closed at E=%.6g; the window decomposition "
                     "needs every crossed gap open" % (n, bands.edges[2 * n - 1]))
 
-    wells = [c.width for c in components if c.kind == "compact"]
-    classification = ("EMPTY" if not components else "H5" if not wells
-                      else "H6" if len(wells) == 1 and wells[0] > _POINT_COMPONENT_WIDTH
-                      else "GENERAL")
-    return SpectralWindow(energy, components, classification, e_range)
+    compacts = [c for c in components if c.kind == "compact"]
+    if not components:
+        classification = "EMPTY"
+    elif len(compacts) > 1:
+        classification = "GENERAL"
+    elif len(compacts) == 1:
+        classification = "H6" if compacts[0].width > _POINT_COMPONENT_WIDTH else "GENERAL"
+    else:
+        classification = "H5"
+
+    return SpectralWindow(energy, components, classification, (e_min, e_max))

@@ -145,6 +145,9 @@ class TestProfile:
             Bump(1.0, 0.0, 0.0)
         with pytest.raises(ConfigurationError):
             Bump(math.inf, 0.0, 1.0)
+        # past 1e100 the bisection's bound on |W'''| could underflow to 0
+        with pytest.raises(ConfigurationError, match=r"past \|zeta\| = 1e100"):
+            Bump(1.0, -1e100, 1e90)
 
     def test_round_trip(self, wall_profile):
         back = PerturbationProfile.from_dict(wall_profile.to_dict())
@@ -399,6 +402,27 @@ class TestDecomposition:
         for z in knots[1:-1]:
             assert abs(wall_profile.derivative(z)) < 1e-12
 
+    @pytest.mark.parametrize("height", [4.0, -4.0])
+    @pytest.mark.parametrize("energy", [1.0, 9.7, 12.0])
+    def test_bump_beyond_1e6_is_a_knot(self, mathieu_bands, height, energy):
+        # the bisection reaches 1e4 portrait half-widths, past a bump centred
+        # at 5e6: its extremum is a knot, min W and max W span e_range, and
+        # each window is the brute scan's
+        prof = PerturbationProfile(0.0, 0.0, ((height, 5e6, 1.0),))
+        knots, values = prof.pieces
+        assert len(knots) == 3 and knots[1] == pytest.approx(5e6, abs=1e-8)
+        assert values == (0.0, height, 0.0)
+        win = decompose_window(prof, mathieu_bands, energy)
+        assert win.e_range == (energy - max(height, 0.0), energy - min(height, 0.0))
+        assert_matches_brute(prof, mathieu_bands, energy, win)
+
+    def test_wide_bump_beyond_1e6_is_critical(self, mathieu_bands):
+        # a bump 1e6 wide at 5e6 has |W'| < 1e-6 at its band-1 crossings,
+        # which the window reaches now that its maximum is a knot
+        prof = PerturbationProfile(0.0, 0.0, ((4.0, 5e6, 1e6),))
+        with pytest.raises(CriticalEndpointError, match=r"zeta=488818\d\.\d+ \(edge 1\)"):
+            decompose_window(prof, mathieu_bands, 3.9)
+
     def test_two_wells_classified_general(self, mathieu_bands):
         prof = PerturbationProfile(0.0, 0.0, ((4.0, -3.0, 1.0), (4.0, 3.0, 1.0)))
         assert decompose_window(prof, mathieu_bands, 9.7).classification == "GENERAL"
@@ -429,7 +453,7 @@ class TestDecomposition:
         # one ulp (6.9e-18) from E1: W = 1.9 / zeta^2 meets it only past
         # |zeta| = 1e8, where W is flat in floating point
         (0, "w_plus", DomainError,
-         r"^E - W crosses edge 1 beyond \|zeta\| = 1e8 at E=%s, where W is "
+         r"^E - W crosses edge 1 beyond \|zeta\| = 1e\+08 at E=%s, where W is "
          r"flat in floating point$"),
         # one ulp (1.8e-15) from E3 or (7.1e-15) from E4: the crossing lies
         # inside 1e8, where |W'| is far below the criticality limit
@@ -453,6 +477,19 @@ class TestDecomposition:
             message = message % re.escape(repr(energy))
         with pytest.raises(error, match=message):
             decompose_window(wall_profile, bands, energy)
+
+    def test_wide_bump_is_flat_only_past_its_own_reach(self, mathieu_bands):
+        # a bump 10 wide is within 1e-16 of its height of its limit only past
+        # |zeta| = 1e9: E - W meets E1 at 2e8, where W = 1e-14 is not flat and
+        # the crossing is critical, and one ulp above E1 only past 1e9
+        prof = PerturbationProfile(0.0, 0.0, ((4.0, 0.0, 10.0),))
+        e1 = float(mathieu_bands.edges[0])
+        with pytest.raises(CriticalEndpointError, match=r"zeta=-20001\d{4} \(edge 1\)"):
+            decompose_window(prof, mathieu_bands, e1 + 1e-14)
+        energy = math.nextafter(e1, math.inf)
+        with pytest.raises(DomainError, match=r"^E - W crosses edge 1 beyond "
+                           r"\|zeta\| = 1e\+09 at E=%s," % re.escape(repr(energy))):
+            decompose_window(prof, mathieu_bands, energy)
 
     def test_far_tail_crossing_is_critical(self, mathieu_bands, wall_profile):
         # E - W(+inf) 1e-9 above E3: the crossing lies at zeta = 4.4e4, where
